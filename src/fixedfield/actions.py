@@ -157,23 +157,58 @@ def induced_scaled_permutation(definitions, g: Perm):
     return Perm(images), scalars
 
 
-def verify_faithful(definitions, group: PermGroup) -> bool:
-    """True iff no non-identity element of the group fixes every definition."""
-    for g in group.sorted_elements():
-        if g.is_identity():
-            continue
-        if all(ratfunc_eq(perm_act(g, d), d) for d in definitions):
-            return False
-    return True
+def scaled_permutation_images(definitions, group: PermGroup):
+    """{g: (p, scalars)} with perm_act(g, def_i) == scalars[i] * def_{p[i]}
+    (0-based indices) for every element g, carried from the generators'
+    images along the group (PermGroup.images_under); None when two
+    definitions are proportional, so that the action does not determine
+    (p, scalars), or when some generator does not act by a scaled
+    permutation."""
+    n = len(definitions)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if scaled_match(definitions[i], definitions[j]) is not None:
+                return None
+    gen_images = []
+    for g in group.generators:
+        res = induced_scaled_permutation(definitions, g)
+        if res is None:
+            return None
+        perm, scalars = res
+        gen_images.append((tuple(j - 1 for j in perm.images), tuple(scalars)))
+    muls = [d.field.mul for d in definitions]
+
+    def mul(a, b):
+        # (gh)(def_i) = s_h[i] * g(def_{p_h[i]})
+        #             = s_h[i] * s_g[p_h[i]] * def_{p_g[p_h[i]]}
+        pa, sa = a
+        pb, sb = b
+        return (
+            tuple([pa[k] for k in pb]),
+            tuple([m(s, sa[k]) for m, s, k in zip(muls, sb, pb)]),
+        )
+
+    one = (tuple(range(n)), tuple(d.field.one() for d in definitions))
+    return group.images_under(gen_images, one, mul)
 
 
 def action_kernel(definitions, group: PermGroup) -> frozenset:
-    """All group elements fixing every definition."""
-    out = set()
-    for g in group.elements:
-        if all(ratfunc_eq(perm_act(g, d), d) for d in definitions):
-            out.add(g)
-    return frozenset(out)
+    """All group elements fixing every definition: read off the carried
+    scaled permutations when scaled_permutation_images applies, else
+    compared element by element."""
+    images = scaled_permutation_images(definitions, group)
+    if images is not None:
+        one = images[Perm.identity(group.degree)]
+        return frozenset(g for g, image in images.items() if image == one)
+    return frozenset(
+        g for g in group.elements
+        if all(ratfunc_eq(perm_act(g, d), d) for d in definitions)
+    )
+
+
+def verify_faithful(definitions, group: PermGroup) -> bool:
+    """True iff no non-identity element of the group fixes every definition."""
+    return len(action_kernel(definitions, group)) == 1
 
 
 def permutation_matrix(g: Perm):

@@ -44,10 +44,6 @@ def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def is_square(a):
     return all(len(r) == len(a) for r in a)
 
@@ -90,26 +86,6 @@ def matrix_word(word, alphabet):
     if out is None:
         raise MonomialError("empty word needs an explicit size; pass ['I'] instead")
     return out
-
-
-def mat_inverse_unimodular(m):
-    """Inverse of an integer matrix with det +-1."""
-    n = len(m)
-    d = det_fraction_free(m)
-    if d not in (1, -1):
-        raise MonomialError(f"matrix is not unimodular (det {d})")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(int(x) for x in row[n:]) for row in aug)
 
 
 def matrix_group_order(gens, cap=MATRIX_GROUP_CAP) -> int:

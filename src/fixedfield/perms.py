@@ -5,6 +5,12 @@ words written side by side multiply left to right in that convention,
 so the leftmost cycle is applied last.  Group closure is plain
 breadth-first multiplication; the orders involved never exceed a few
 thousand, so no stabilizer chains are needed.
+
+A homomorphism out of a group is given by the images of its generators:
+PermGroup.images_under carries them along the same breadth-first walk
+and checks, on every edge of the walk, that the images multiply
+consistently, so kernels need one product per edge instead of one
+action computation per element.
 """
 
 from __future__ import annotations
@@ -30,6 +36,13 @@ class Perm:
         self.images = images
 
     @classmethod
+    def _trusted(cls, images):
+        """A Perm from a tuple already known to be a bijection of 1..n."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, n):
         return cls(range(1, n + 1))
 
@@ -41,15 +54,16 @@ class Perm:
         return self.images[i - 1]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if self.degree != other.degree:
+        a, b = self.images, other.images
+        if len(a) != len(b):
             raise PermError("degree mismatch")
-        return Perm(self.images[j - 1] for j in other.images)
+        return Perm._trusted(tuple([a[j - 1] for j in b]))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.degree
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def __pow__(self, n: int) -> "Perm":
         if n < 0:
@@ -172,6 +186,45 @@ class PermGroup:
                             raise PermError(f"closure exceeded cap {cap}")
             frontier = nxt
         return frozenset(seen)
+
+    def images_under(self, gen_images, one, mul):
+        """{element: image} for the homomorphism sending generators[i] to
+        gen_images[i], with identity image `one` and product mul(a, b)
+        for the image of g*h from those of g and h.
+
+        Walks the group breadth-first from the identity by left
+        multiplication with the generators.  Every edge that reaches an
+        element already seen must carry the image stored for it, so data
+        that is not a homomorphism raises PermError instead of being
+        trusted."""
+        gen_images = list(gen_images)
+        if len(gen_images) != len(self.generators):
+            raise PermError("one image per generator required")
+        gens = list(zip(self.generators, gen_images))
+        ident = Perm.identity(self.degree)
+        images = {ident: one}
+        missing = object()
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for h in frontier:
+                image_h = images[h]
+                for g, image_g in gens:
+                    p = g * h
+                    image_p = mul(image_g, image_h)
+                    seen = images.get(p, missing)
+                    if seen is missing:
+                        images[p] = image_p
+                        nxt.append(p)
+                    elif seen != image_p:
+                        raise PermError(
+                            f"generator images are not a homomorphism: {p} "
+                            f"reached with {image_p!r} and {seen!r}"
+                        )
+            frontier = nxt
+        if images.keys() != self.elements:
+            raise PermError("walk from the generators does not reach the group")
+        return images
 
     def __contains__(self, p: Perm):
         return p in self.elements

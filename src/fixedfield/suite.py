@@ -45,6 +45,8 @@ from .monomial import (
     exponent_matrix,
     is_square,
     mat_from_rows,
+    mat_identity,
+    mat_mul,
     matrix_group_elements,
     matrix_word,
     monomial_shape,
@@ -342,6 +344,15 @@ class Suite:
             return Perm(images)
         return induced_permutation(table.grounded(), g)
 
+    def matrix_kernel(self, table: Table, group: PermGroup) -> frozenset:
+        """Elements of the group whose lattice matrix on the table is the
+        identity, from the generators' matrices carried along the group
+        (B(gh) = B(g) B(h))."""
+        ident = mat_identity(len(table.vt))
+        gen_mats = [self.scaled_action(table, g)[0] for g in group.generators]
+        images = group.images_under(gen_mats, ident, mat_mul)
+        return frozenset(g for g, bmat in images.items() if bmat == ident)
+
     def scaled_action(self, table: Table, g: Perm):
         """(B, d) with g(t_j) = d_j * prod_k t_k^{B[k][j]}, payloads in
         table.field."""
@@ -557,12 +568,37 @@ def _parse_group(suite: Suite, rest):
         )
 
 
-_CHECK_KINDS = {
-    "order", "transitive", "normal", "permeq", "permneq", "member", "notmember",
-    "groupeq", "wreath", "gl23", "invariance", "table", "identity", "distinct",
-    "degree", "monomial", "word", "matgroup", "matrix-kernel", "action-kernel",
-    "faithful", "stable", "same-action", "induced", "induced-order",
+# kind -> (separators the payload needs, each exactly once and in this
+# order; attributes the check cannot run without)
+_CHECK_SHAPES = {
+    "order": (("=",), ()),
+    "transitive": ((), ()),
+    "normal": ((" in ",), ()),
+    "permeq": (("==",), ()),
+    "permneq": (("!=",), ()),
+    "member": ((" in ",), ()),
+    "notmember": ((" in ",), ()),
+    "groupeq": (("==",), ()),
+    "wreath": ((), ()),
+    "gl23": ((), ("elem", "matrix")),
+    "invariance": ((" under ",), ()),
+    "table": ((), ("elem",)),
+    "identity": ((), ()),
+    "distinct": ((), ()),
+    "degree": (("=",), ()),
+    "monomial": ((" under ",), ()),
+    "word": ((), ("elem", "word")),
+    "matgroup": ((" under ", "=="), ()),
+    "matrix-kernel": ((" under ", "="), ()),
+    "action-kernel": ((" under ", "="), ()),
+    "faithful": ((" under ",), ()),
+    "stable": ((" under ",), ()),
+    "same-action": ((), ("elem",)),
+    "induced": (("=",), ("elem",)),
+    "induced-order": ((" under ", "="), ()),
 }
+# kinds whose payload ends in an integer after the last separator
+_INT_TAIL = {"order", "degree", "induced-order"}
 
 
 def _parse_check(suite: Suite, rest, seq):
@@ -570,8 +606,21 @@ def _parse_check(suite: Suite, rest, seq):
     bits = body.split(None, 1)
     kind = bits[0]
     payload = bits[1] if len(bits) > 1 else ""
-    if kind not in _CHECK_KINDS:
+    if kind not in _CHECK_SHAPES:
         raise SuiteError(f"unknown check kind {kind!r}")
+    separators, required = _CHECK_SHAPES[kind]
+    tail = payload
+    for sep in separators:
+        if tail.count(sep) != 1:
+            raise SuiteError(
+                f"check {kind} needs one {sep.strip()!r} in {payload!r}"
+            )
+        tail = tail.split(sep)[1]
+    if kind in _INT_TAIL and not re.fullmatch(r"\s*\d+\s*", tail):
+        raise SuiteError(f"check {kind} needs an integer after '=' in {payload!r}")
+    for name in required:
+        if name not in attrs:
+            raise SuiteError(f"check {kind} is missing its {name}=")
     if "ref" not in attrs or not attrs["ref"].strip():
         raise SuiteError(f"check {kind} is missing its ref=\"...\"")
     if attrs.get("expect") not in (None, "fail"):
@@ -769,14 +818,9 @@ def _run_check(suite: Suite, check):
     if kind == "matrix-kernel":
         tname, rest = [s.strip() for s in payload.split(" under ")]
         gname, hname = [s.strip() for s in rest.split("=")]
-        table = suite.table(tname)
-        group = suite.group(gname)
-        ident = permutation_matrix(Perm.identity(len(table.vt)))
-        kernel = {
-            g for g in group.elements if suite.scaled_action(table, g)[0] == ident
-        }
+        kernel = suite.matrix_kernel(suite.table(tname), suite.group(gname))
         target = suite.group(hname).elements
-        return kernel == set(target), f"kernel order {len(kernel)} vs |{hname}| = {len(target)}"
+        return kernel == target, f"kernel order {len(kernel)} vs |{hname}| = {len(target)}"
 
     if kind == "action-kernel":
         tname, rest = [s.strip() for s in payload.split(" under ")]

@@ -155,3 +155,68 @@ def test_left_action_lemma_on_points():
         g, h = Perm(a), Perm(b)
         for i in range(1, 9):
             assert (g * h)(i) == g(h(i))
+
+
+def test_perm_rejects_non_bijections():
+    with pytest.raises(PermError):
+        Perm([1, 1, 2])
+    with pytest.raises(PermError):
+        Perm([0, 1, 2])
+
+
+def _composed(g, h):
+    return Perm([g(h(i)) for i in range(1, g.degree + 1)])
+
+
+def _inverted(g):
+    return Perm([g.images.index(i) + 1 for i in range(1, g.degree + 1)])
+
+
+def test_trusted_products_and_inverses_match_validated_perms():
+    from fixedfield.catalog import catalog_group
+
+    rng = random.Random(11)
+    for name in ("G1", "G17", "G33", "G46", "G48"):
+        elements = catalog_group(name).sorted_elements()
+        sample = rng.sample(elements, min(len(elements), 12))
+        for g in sample:
+            inv = g.inverse()
+            assert inv == _inverted(g) and hash(inv) == hash(_inverted(g))
+            assert (g * inv).is_identity()
+            for h in sample[:6]:
+                p = g * h
+                q = _composed(g, h)
+                assert p == q and hash(p) == hash(q)
+                assert type(p.images) is tuple
+
+
+def _sign(p):
+    return (-1) ** sum(len(c) - 1 for c in p.cycles())
+
+
+def test_images_under_carries_a_homomorphism():
+    s4 = group_closure([P("(1,2)", 4), P("(1,2,3,4)", 4)])
+    images = s4.images_under([-1, -1], 1, lambda a, b: a * b)
+    assert images.keys() == s4.elements
+    assert all(images[p] == _sign(p) for p in s4.elements)
+    # the identity map on a group is its own homomorphism
+    g17 = group_closure([P("(1,2,3,4)"), P(KAPPA)])
+    ident = g17.images_under(g17.generators, Perm.identity(8), Perm.__mul__)
+    assert all(image == p for p, image in ident.items())
+
+
+def test_images_under_rejects_non_homomorphisms():
+    s3 = group_closure([P("(1,2)", 3), P("(1,2,3)", 3)])
+    # a transposition sent to an element of order 3
+    with pytest.raises(PermError, match="not a homomorphism"):
+        s3.images_under([P("(1,2,3)", 3), Perm.identity(3)], Perm.identity(3), Perm.__mul__)
+    # the sign of a 3-cycle must be +1
+    with pytest.raises(PermError, match="not a homomorphism"):
+        s3.images_under([-1, -1], 1, lambda a, b: a * b)
+    with pytest.raises(PermError, match="one image per generator"):
+        s3.images_under([-1], 1, lambda a, b: a * b)
+    # the walk must cover exactly the element set
+    c2 = group_closure([P("(1,2)", 3)])
+    c2.elements = c2.elements | {P("(1,2,3)", 3)}
+    with pytest.raises(PermError, match="does not reach"):
+        c2.images_under([-1], 1, lambda a, b: a * b)

@@ -1,16 +1,28 @@
+import hashlib
 import re
+from collections import Counter
+from importlib import resources
 
 import pytest
 
+from fixedfield.actions import (
+    action_kernel,
+    induced_scaled_permutation,
+    perm_act,
+    scaled_permutation_images,
+)
 from fixedfield.catalog import ELEMENT_ORDERS, CatalogError, catalog_group, catalog_lookup
+from fixedfield.monomial import mat_identity
 from fixedfield.parser import format_ratfunc, parse_expr
 from fixedfield.poly import Substitution, ratfunc_eq
 from fixedfield.suite import (
+    FAIL,
     FLAGGED,
     PASS,
     SuiteError,
     list_suites,
     load_suite,
+    parse_suite_text,
     report_to_json,
     run_parsed_suite,
     run_suite,
@@ -88,6 +100,25 @@ def test_loader_rejects_wrong_group_order():
         )
 
 
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        ('check degree x ref="r"', "needs one '='"),
+        ('check table x images = x1, x2, x3 ref="r"', "missing its elem="),
+        ('check matrix-kernel x under A3 ref="r"', "needs one '='"),
+        ('check faithful x ref="r"', "needs one 'under'"),
+        ('check order A3 = three ref="r"', "needs an integer"),
+    ],
+    ids=["degree-without-eq", "table-without-elem", "matrix-kernel-without-target",
+         "faithful-without-under", "order-not-an-integer"],
+)
+def test_loader_rejects_malformed_checks(check, message):
+    # rejected at load time with the line number, not left to crash the
+    # runner with a raw ValueError or KeyError
+    with pytest.raises(SuiteError, match=r"^line 5: .*" + re.escape(message)):
+        _mini(check)
+
+
 def test_flagged_requires_passing_pair():
     suite = _mini(
         'check invariance x1 under A3 expect=fail pair=fix note="printed" ref="r"\n'
@@ -139,6 +170,16 @@ def test_reports_are_deterministic():
     blob1 = report_to_json([run_suite(n) for n in ALL_SUITES])
     blob2 = report_to_json([run_suite(n) for n in ALL_SUITES])
     assert blob1 == blob2
+
+
+# md5 of `fixedfield verify --all --format json`; any change to a verdict
+# or a detail string changes it
+CANONICAL_REPORT_MD5 = "fd3d7da7c9e534c493da70ac76ccc649"
+
+
+def test_canonical_report_md5(reports):
+    blob = report_to_json([reports[n] for n in ALL_SUITES])
+    assert hashlib.md5(blob.encode()).hexdigest() == CANONICAL_REPORT_MD5
 
 
 def test_report_shape(reports):
@@ -521,3 +562,71 @@ def test_degree_oracle_smith_normal_form(executed_suites):
                 assert prod == d
             checked += 1
     assert checked >= 10
+
+
+# --- kernels: the generator-homomorphism shortcut against per-element work --
+
+
+def _kernel_check_args(suite, check):
+    tname, rest = [s.strip() for s in check["payload"].split(" under ")]
+    return suite.table(tname), suite.group(rest.split("=")[0].strip())
+
+
+def test_kernels_match_element_by_element_oracle(executed_suites):
+    counts = Counter()
+    carried = 0
+    for name, suite in executed_suites.items():
+        for check in suite.checks:
+            kind = check["kind"]
+            if kind not in ("matrix-kernel", "action-kernel", "faithful"):
+                continue
+            table, group = _kernel_check_args(suite, check)
+            if kind == "matrix-kernel":
+                ident = mat_identity(len(table.vt))
+                oracle = {
+                    g for g in group.elements
+                    if suite.scaled_action(table, g)[0] == ident
+                }
+                shortcut = suite.matrix_kernel(table, group)
+            else:
+                defs = table.grounded()
+                oracle = {
+                    g for g in group.elements
+                    if all(ratfunc_eq(perm_act(g, d), d) for d in defs)
+                }
+                shortcut = action_kernel(defs, group)
+                images = scaled_permutation_images(defs, group)
+                if images is not None:
+                    carried += 1
+                    for g in group.sorted_elements()[:12]:
+                        p, scalars = induced_scaled_permutation(defs, g)
+                        want = (tuple(j - 1 for j in p.images), tuple(scalars))
+                        assert images[g] == want, (name, check["id"], g)
+            assert shortcut == oracle, (name, check["id"])
+            counts[kind] += 1
+    assert counts == {"matrix-kernel": 11, "action-kernel": 13, "faithful": 17}
+    # all but the two (u_2, u_4) checks of sec5_char0, whose generators do
+    # not act by scaled permutations, take the carried path
+    assert carried == 28
+
+
+def test_mutated_kernel_claims_fail():
+    mutations = {
+        "sec5_char0": [
+            'check matrix-kernel Za under G26 = G26 id=mut-matrix ref="r"',
+            'check matrix-kernel Za under G26 = Lam2 id=mut-matrix-other ref="r"',
+        ],
+        "sec6_char0": [
+            'check action-kernel zs under G33 = G33 id=mut-action ref="r"',
+            'check faithful zs under G33 id=mut-faithful ref="r"',
+        ],
+    }
+    for name, lines in mutations.items():
+        path = resources.files("fixedfield").joinpath("data", f"{name}.suite")
+        suite = parse_suite_text(path.read_text(encoding="utf-8") + "\n".join(lines) + "\n")
+        suite.checks = [c for c in suite.checks if c["id"].startswith("mut-")]
+        rep = run_parsed_suite(suite)
+        assert len(rep.checks) == len(lines)
+        for c in rep.checks:
+            assert c.status == FAIL, (c.id, c.detail)
+            assert not c.detail.startswith("error:"), (c.id, c.detail)
