@@ -38,13 +38,13 @@ from .perms import (
     parse_cycles,
     wreath_product,
 )
-from .poly import Poly, RatFunc, Substitution, VarTable, poly_arith, ratfunc_eq, substitute
-from .scalars import F2, F4, QQ, QZ3, Scalar, field_by_tag, scalar_arith
+from .poly import Poly, RatFunc, Substitution, VarTable, ratfunc_eq, substitute
+from .scalars import F2, F4, QQ, QZ3, Scalar, field_by_tag
 from .suite import SuiteReport, list_suites, run_suite
 
 __all__ = [
-    "F2", "F4", "QQ", "QZ3", "Scalar", "scalar_arith", "field_by_tag",
-    "VarTable", "Poly", "RatFunc", "Substitution", "poly_arith", "substitute",
+    "F2", "F4", "QQ", "QZ3", "Scalar", "field_by_tag",
+    "VarTable", "Poly", "RatFunc", "Substitution", "substitute",
     "ratfunc_eq", "parse_expr", "format_ratfunc", "ParseError",
     "Perm", "PermGroup", "parse_cycles", "group_closure", "is_normal",
     "is_transitive", "wreath_product",

@@ -31,13 +31,8 @@ def perm_act(g: Perm, f):
         raise ActionError(
             f"permutation degree {g.degree} != variable count {len(f.vars)}"
         )
-    out = {}
-    for e, c in f.terms.items():
-        ne = [0] * len(e)
-        for i, k in enumerate(e):
-            ne[g.images[i] - 1] = k
-        out[tuple(ne)] = c
-    return Poly(f.vars, f.field, out)
+    move = f.vars.permutation(g.images)
+    return Poly(f.vars, f.field, {move(e): c for e, c in f.terms.items()})
 
 
 class GeneratorSet:

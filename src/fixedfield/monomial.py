@@ -131,7 +131,8 @@ def monomial_shape(r):
     (en, cn), = r.num.terms.items()
     (ed, cd), = r.den.terms.items()
     coeff = r.field.div(cn, cd)
-    return coeff, tuple(a - b for a, b in zip(en, ed))
+    unpack = r.vars.unpack
+    return coeff, tuple(a - b for a, b in zip(unpack(en), unpack(ed)))
 
 
 def exponent_matrix(defs):

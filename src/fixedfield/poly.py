@@ -1,16 +1,38 @@
 """Sparse multivariate polynomials and unreduced rational functions.
 
-A Poly maps exponent tuples to nonzero field payloads.  A RatFunc is an
-unreduced fraction of two Polys; equality is decided by cross
-multiplication, never by a multivariate gcd.  A cheap simplification
-(stripping common monomial content and normalizing the denominator's
-leading coefficient) keeps intermediate fractions small; correctness
-never depends on it.
+A Poly maps packed monomials to nonzero field payloads.  A packed
+monomial is one int laid out by its VarTable as n + 1 fields of
+EXPONENT_BITS bits: the total degree in the highest field, then the
+exponents of variables 0, 1, ..., n - 1.  Int order is therefore graded
+lexicographic order (total degree first, then the exponent tuple), the
+order sorted_terms prints, and multiplying two monomials is one int
+addition.  The top bit of every field is a guard bit: every exponent
+and every total degree stays below the cap EXPONENT_LIMIT = 2^15, so
+the sum of two packed monomials never carries from one field into the
+next, and a product that reaches the cap sets a guard bit and raises
+PolyError instead of wrapping.  Exponent vectors are unpacked only where
+a monomial is taken apart: common content, substitution, permuting
+variables, reading Laurent monomials, and display.
+
+A RatFunc is an unreduced fraction of two Polys; equality is decided by
+cross multiplication, never by a multivariate gcd.  A cheap
+simplification (stripping common monomial content and normalizing the
+denominator's leading coefficient) keeps intermediate fractions small;
+correctness never depends on it.
 """
 
 from __future__ import annotations
 
+import struct
+from operator import itemgetter
+
 from .scalars import Field, FieldError, can_embed, embed
+
+# Bits per field of a packed monomial, guard bit included (VarTable reads
+# fields as 16-bit words).  Every exponent and every total degree stays
+# below EXPONENT_LIMIT.
+EXPONENT_BITS = 16
+EXPONENT_LIMIT = 1 << (EXPONENT_BITS - 1)
 
 
 class PolyError(ValueError):
@@ -18,9 +40,10 @@ class PolyError(ValueError):
 
 
 class VarTable:
-    """An ordered, immutable list of variable names."""
+    """An ordered, immutable list of variable names, and the layout of
+    the packed monomials over them (see the module docstring)."""
 
-    __slots__ = ("names", "index")
+    __slots__ = ("names", "index", "degree_shift", "guard", "_layout", "_width")
 
     def __init__(self, names):
         names = tuple(names)
@@ -28,6 +51,14 @@ class VarTable:
             raise PolyError(f"duplicate variable names in {names}")
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
+        n = len(names)
+        self.degree_shift = n * EXPONENT_BITS
+        # the top bit of each of the n + 1 fields
+        self.guard = sum(EXPONENT_LIMIT << (i * EXPONENT_BITS) for i in range(n + 1))
+        # the fields as big-endian 16-bit words: total degree, then the
+        # exponents of variables 0, 1, ...
+        self._layout = struct.Struct(">" + "H" * (n + 1))
+        self._width = self._layout.size
 
     def __len__(self):
         return len(self.names)
@@ -38,6 +69,67 @@ class VarTable:
     def __repr__(self):
         return f"VarTable({', '.join(self.names)})"
 
+    def pack(self, exponents) -> int:
+        """The packed monomial of an exponent vector."""
+        exponents = tuple(exponents)
+        if len(exponents) != len(self.names):
+            raise PolyError(
+                f"{len(exponents)} exponents for {len(self.names)} variables"
+            )
+        if min(exponents, default=0) < 0:
+            raise PolyError(f"negative exponent in {exponents}")
+        degree = sum(exponents)
+        if degree >= EXPONENT_LIMIT:
+            raise PolyError(f"total degree {degree} reaches the cap {EXPONENT_LIMIT}")
+        return int.from_bytes(self._layout.pack(degree, *exponents), "big")
+
+    def unpack(self, key) -> tuple:
+        """The exponent vector of a packed monomial."""
+        return self._layout.unpack(key.to_bytes(self._width, "big"))[1:]
+
+    def permutation(self, images):
+        """The map on packed monomials induced by x_i -> x_images[i], where
+        images is a permutation of 1..n (variable i is x_{i+1}).  It moves
+        whole fields, so its image of a valid packed monomial is valid."""
+        # word 0 is the total degree; word j holds the exponent of x_j
+        order = [0] * (len(images) + 1)
+        for i, j in enumerate(images, start=1):
+            order[j] = i
+        layout, width, fields = self._layout, self._width, itemgetter(*order)
+
+        def permute(key):
+            words = layout.unpack(key.to_bytes(width, "big"))
+            return int.from_bytes(layout.pack(*fields(words)), "big")
+
+        return permute
+
+    def degree(self, key) -> int:
+        return key >> self.degree_shift
+
+    def variable(self, name) -> int:
+        """The packed monomial of one variable."""
+        shift = (len(self.names) - 1 - self.index[name]) * EXPONENT_BITS
+        return 1 << self.degree_shift | 1 << shift
+
+    def check(self, key):
+        """Raise PolyError if a field of key, a sum of packed monomials,
+        reached EXPONENT_LIMIT."""
+        if key & self.guard:
+            raise PolyError(
+                f"monomial product reaches the exponent cap {EXPONENT_LIMIT}"
+            )
+
+    def content(self, keys) -> int:
+        """The packed gcd (fieldwise minimum) of a nonempty list of packed
+        monomials."""
+        return self.pack(map(min, zip(*map(self.unpack, keys))))
+
+    def occurring(self, keys):
+        """(index, exponent in each key) for every variable that has a
+        nonzero exponent in some of the packed monomials keys."""
+        columns = zip(*map(self.unpack, keys))
+        return [(i, column) for i, column in enumerate(columns) if any(column)]
+
 
 def _check_compat(p: "Poly", q: "Poly"):
     if p.vars is not q.vars:
@@ -46,8 +138,25 @@ def _check_compat(p: "Poly", q: "Poly"):
         raise FieldError(f"mixed fields: {p.field.tag} vs {q.field.tag}")
 
 
+def _add_into(out: dict, terms: dict, field: Field):
+    """Add terms into the dict out in place, dropping sums that vanish."""
+    add, zero = field.add, field.zero()
+    for e, c in terms.items():
+        if e in out:
+            s = add(out[e], c)
+            if s == zero:
+                del out[e]
+            else:
+                out[e] = s
+        else:
+            out[e] = c
+
+
 class Poly:
-    """terms: dict mapping exponent tuples to nonzero payloads."""
+    """terms: dict mapping packed monomials to nonzero payloads.
+
+    A Poly is never changed after construction, so an operation may
+    return one of its operands."""
 
     __slots__ = ("vars", "field", "terms")
 
@@ -66,7 +175,7 @@ class Poly:
     def const(cls, vars, field, payload):
         if payload == field.zero():
             return cls.zero(vars, field)
-        return cls(vars, field, {(0,) * len(vars): payload})
+        return cls(vars, field, {0: payload})
 
     @classmethod
     def one(cls, vars, field):
@@ -76,15 +185,13 @@ class Poly:
     def var(cls, vars, field, name):
         if name not in vars:
             raise PolyError(f"unknown variable {name!r}")
-        exp = [0] * len(vars)
-        exp[vars.index[name]] = 1
-        return cls(vars, field, {tuple(exp): field.one()})
+        return cls(vars, field, {vars.variable(name): field.one()})
 
     @classmethod
     def monomial(cls, vars, field, payload, exponents):
         if payload == field.zero():
             return cls.zero(vars, field)
-        return cls(vars, field, {tuple(exponents): payload})
+        return cls(vars, field, {vars.pack(exponents): payload})
 
     # predicates -------------------------------------------------------
 
@@ -92,7 +199,7 @@ class Poly:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {(0,) * len(self.vars): self.field.one()}
+        return self.terms == {0: self.field.one()}
 
     def is_monomial(self):
         return len(self.terms) == 1
@@ -101,16 +208,16 @@ class Poly:
 
     def __add__(self, other):
         _check_compat(self, other)
-        f = self.field
-        zero = f.zero()
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = f.add(out.get(e, zero), c)
-            if s == zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Poly(self.vars, f, out)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        big, small = (
+            (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        )
+        out = dict(big.terms)
+        _add_into(out, small.terms, self.field)
+        return Poly(self.vars, self.field, out)
 
     def __neg__(self):
         f = self.field
@@ -121,21 +228,40 @@ class Poly:
 
     def __mul__(self, other):
         _check_compat(self, other)
-        f = self.field
-        zero = f.zero()
+        p, q = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        a, b = p.terms, q.terms
+        if not a:
+            return p
+        vt, f = self.vars, self.field
+        mul = f.mul
+        if len(a) == 1:
+            (e, c), = a.items()
+            one = f.one()
+            if not e and c == one:
+                return q
+            if len(b) == 1 and b.get(0) == one:
+                return p
+            # a field has no zero divisors and e + k is injective in k
+            vt.check(e + max(b))
+            return Poly(vt, f, {e + k: mul(c, d) for k, d in b.items()})
+        # every field of a product is at most its total degree, so
+        # checking the product of the two leading monomials covers all pairs
+        vt.check(max(a) + max(b))
+        add, zero = f.add, f.zero()
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                p = f.mul(c1, c2)
-                if p == zero:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = f.add(out.get(e, zero), p)
-                if s == zero:
-                    out.pop(e, None)
+        cancelled = False
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                if e in out:
+                    s = out[e] = add(out[e], mul(c1, c2))
+                    if s == zero:
+                        cancelled = True
                 else:
-                    out[e] = s
-        return Poly(self.vars, f, out)
+                    out[e] = mul(c1, c2)
+        if cancelled:
+            out = {e: c for e, c in out.items() if c != zero}
+        return Poly(vt, f, out)
 
     def scale(self, payload):
         f = self.field
@@ -151,8 +277,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -169,11 +296,13 @@ class Poly:
     # ordering / display -----------------------------------------------
 
     def sorted_terms(self):
-        """Graded lexicographic order, largest first, for stable output."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        """(exponent tuple, payload) pairs in graded lexicographic order,
+        largest first, for stable output."""
+        unpack = self.vars.unpack
+        return [(unpack(e), c) for e, c in sorted(self.terms.items(), reverse=True)]
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return self.vars.degree(max(self.terms, default=0))
 
     def __str__(self):
         if not self.terms:
@@ -322,28 +451,20 @@ def _strip_content(num: Poly, den: Poly):
     coefficient 1.  Heuristic only: equality never relies on it."""
     if num.is_zero():
         return num, Poly.one(den.vars, den.field)
-    n = len(num.vars)
-    mins = [None] * n
-    for terms in (num.terms, den.terms):
-        for e in terms:
-            for i, k in enumerate(e):
-                if mins[i] is None or k < mins[i]:
-                    mins[i] = k
-    if any(mins):
-        shift = tuple(mins)
-        num = Poly(num.vars, num.field, {_esub(e, shift): c for e, c in num.terms.items()})
-        den = Poly(den.vars, den.field, {_esub(e, shift): c for e, c in den.terms.items()})
+    vt = num.vars
+    # a constant term on either side leaves no common content
+    if 0 not in num.terms and 0 not in den.terms:
+        shift = vt.content([*num.terms, *den.terms])
+        if shift:
+            num = Poly(vt, num.field, {e - shift: c for e, c in num.terms.items()})
+            den = Poly(vt, den.field, {e - shift: c for e, c in den.terms.items()})
     f = den.field
-    lead = den.terms[max(den.terms, key=lambda e: (sum(e), e))]
+    lead = den.terms[max(den.terms)]
     if lead != f.one():
         inv = f.inv(lead)
         num = num.scale(inv)
         den = den.scale(inv)
     return num, den
-
-
-def _esub(e, shift):
-    return tuple(a - b for a, b in zip(e, shift))
 
 
 class Substitution:
@@ -385,6 +506,7 @@ def substitute(p: Poly, s: Substitution) -> RatFunc:
     Uses a single common denominator: with images n_i/d_i and M_i the
     largest exponent of variable i in p, the result is
     (sum_terms c * prod n_i^{e_i} d_i^{M_i - e_i}) / prod d_i^{M_i}.
+    Only variables that occur in p take part.
     """
     if p.vars is not s.source:
         raise PolyError("polynomial is not over the substitution's source table")
@@ -396,28 +518,26 @@ def substitute(p: Poly, s: Substitution) -> RatFunc:
     tgt = s.target
     if p.is_zero():
         return RatFunc.from_poly(Poly.zero(tgt, field))
-    n = len(p.vars)
-    maxes = [0] * n
-    for e in p.terms:
-        for i, k in enumerate(e):
-            if k > maxes[i]:
-                maxes[i] = k
-    num_pows = [_power_cache(s.images[i].num, maxes[i]) for i in range(n)]
-    den_pows = [_power_cache(s.images[i].den, maxes[i]) for i in range(n)]
-    total = Poly.zero(tgt, field)
-    for e, c in p.terms.items():
-        term = Poly.const(tgt, field, c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * num_pows[i][k]
-            if maxes[i] - k:
-                term = term * den_pows[i][maxes[i] - k]
-        total = total + term
+    # factors[t]: the powers of images that multiply the t-th term
+    factors = [[] for _ in p.terms]
     den = Poly.one(tgt, field)
-    for i in range(n):
-        if maxes[i]:
-            den = den * den_pows[i][maxes[i]]
-    return RatFunc(total, den)
+    for i, exps in p.vars.occurring(p.terms):
+        top = max(exps)
+        num_pows = _power_cache(s.images[i].num, top)
+        den_pows = _power_cache(s.images[i].den, top)
+        for t, k in enumerate(exps):
+            if k:
+                factors[t].append(num_pows[k])
+            if top - k:
+                factors[t].append(den_pows[top - k])
+        den = den * den_pows[top]
+    out = {}
+    for c, powers in zip(p.terms.values(), factors):
+        term = Poly.const(tgt, field, c)
+        for power in powers:
+            term = term * power
+        _add_into(out, term.terms, field)
+    return RatFunc(Poly(tgt, field, out), den)
 
 
 def _power_cache(p: Poly, up_to: int):
@@ -433,13 +553,3 @@ def substitute_ratfunc(r: RatFunc, s: Substitution) -> RatFunc:
     if den.is_zero():
         raise ZeroDivisionError("substitution makes the denominator vanish")
     return num / den
-
-
-def poly_arith(p: Poly, q: Poly, op: str) -> Poly:
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")

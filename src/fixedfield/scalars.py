@@ -353,15 +353,3 @@ def scalar(field: Field, n: int) -> Scalar:
 def zeta3(field: Field) -> Scalar:
     return Scalar(field, field.zeta3())
 
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch helper mirroring the four binary operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

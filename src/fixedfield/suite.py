@@ -583,7 +583,7 @@ _CHECK_SHAPES = {
     "gl23": ((), ("elem", "matrix")),
     "invariance": ((" under ",), ()),
     "table": ((), ("elem",)),
-    "identity": ((), ()),
+    "identity": (("==",), ()),
     "distinct": ((), ()),
     "degree": (("=",), ()),
     "monomial": ((" under ",), ()),
@@ -597,8 +597,14 @@ _CHECK_SHAPES = {
     "induced": (("=",), ("elem",)),
     "induced-order": ((" under ", "="), ()),
 }
-# kinds whose payload ends in an integer after the last separator
-_INT_TAIL = {"order", "degree", "induced-order"}
+# kind -> (pattern, description) of what must follow the last separator
+_TAILS = {
+    "order": (r"\d+", "an integer"),
+    "degree": (r"\d+", "an integer"),
+    "induced-order": (r"\d+", "an integer"),
+    # the runner expands only the left-hand side and compares it with zero
+    "identity": (r"0", "the right-hand side 0"),
+}
 
 
 def _parse_check(suite: Suite, rest, seq):
@@ -616,8 +622,12 @@ def _parse_check(suite: Suite, rest, seq):
                 f"check {kind} needs one {sep.strip()!r} in {payload!r}"
             )
         tail = tail.split(sep)[1]
-    if kind in _INT_TAIL and not re.fullmatch(r"\s*\d+\s*", tail):
-        raise SuiteError(f"check {kind} needs an integer after '=' in {payload!r}")
+    if kind in _TAILS:
+        pattern, what = _TAILS[kind]
+        if not re.fullmatch(rf"\s*{pattern}\s*", tail):
+            raise SuiteError(
+                f"check {kind} needs {what} after {separators[-1]!r} in {payload!r}"
+            )
     for name in required:
         if name not in attrs:
             raise SuiteError(f"check {kind} is missing its {name}=")
@@ -633,9 +643,38 @@ def _parse_check(suite: Suite, rest, seq):
         "attrs": attrs,
         "id": attrs.get("id", f"{kind}-{seq:03d}"),
     }
+    if kind == "wreath":
+        check["wreath"] = _parse_wreath(payload)
+    elif kind == "gl23":
+        check["matrix"] = _parse_gl23_matrix(attrs["matrix"])
     if any(c["id"] == check["id"] for c in suite.checks):
         raise SuiteError(f"duplicate check id {check['id']!r}")
     suite.checks.append(check)
+
+
+def _int_list(text, what):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise SuiteError(f"{what} entry is not an integer in {text!r}") from None
+
+
+def _parse_wreath(payload):
+    """(group, inner, outer, blocks) of a wreath check."""
+    m = re.match(r"(\S+)\s*=\s*(\S+)\s+wr\s+(\S+)\s+blocks\s*=\s*(.+)$", payload)
+    if not m:
+        raise SuiteError(f"bad wreath check {payload!r}")
+    gname, inner, outer, blockstext = m.groups()
+    blocks = [_int_list(b, "wreath block") for b in blockstext.split("|")]
+    return gname, inner, outer, blocks
+
+
+def _parse_gl23_matrix(text):
+    """The rows, reduced mod 3, of a gl23 check's matrix=a,b;c,d."""
+    rows = [_int_list(row, "gl23 matrix") for row in text.split(";")]
+    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+        raise SuiteError("gl23 matrix must be 2x2")
+    return [[x % 3 for x in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -730,18 +769,14 @@ def _run_check(suite: Suite, check):
         return same, f"element sets of {left} and {right}"
 
     if kind == "wreath":
-        m = re.match(r"(\S+)\s*=\s*(\S+)\s+wr\s+(\S+)\s+blocks\s*=\s*(.+)$", payload)
-        if not m:
-            raise SuiteError(f"bad wreath check {payload!r}")
-        gname, inner, outer, blockstext = m.groups()
-        blocks = [[int(x) for x in b.split(",")] for b in blockstext.split("|")]
+        gname, inner, outer, blocks = check["wreath"]
         w = wreath_product(named_group(inner), named_group(outer), blocks)
         g = suite.group(gname)
         same = groups_equal(w, g)
         return same, f"{inner} wr {outer} order {w.order} vs {gname} order {g.order}"
 
     if kind == "gl23":
-        return _check_gl23(suite, attrs)
+        return _check_gl23(suite, attrs["elem"], check["matrix"])
 
     if kind == "invariance":
         expr, gname = payload.rsplit(" under ", 1)
@@ -890,13 +925,10 @@ def _expand_word_symbols(text):
     return syms
 
 
-def _check_gl23(suite: Suite, attrs):
+def _check_gl23(suite: Suite, elem, rows):
     if not suite.gl23map:
         raise SuiteError("gl23 check without gl23map")
-    g = suite.perm_word(attrs["elem"])
-    rows = [[int(x) % 3 for x in row.split(",")] for row in attrs["matrix"].split(";")]
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise SuiteError("gl23 matrix must be 2x2")
+    g = suite.perm_word(elem)
     images = [0] * len(suite.gl23map)
     for (a, b), idx in suite.gl23map.items():
         ia = (rows[0][0] * a + rows[0][1] * b) % 3

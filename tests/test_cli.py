@@ -118,3 +118,15 @@ def test_verify_all_json_deterministic(capsys):
         "catalog", "prop22", "prop29", "thm210", "sec4", "sec5_char0",
         "sec5_char2", "sec6_char0", "sec6_char2", "sec7_char0", "sec7_char2",
     ]
+
+
+def test_verify_malformed_suite_exits_2(capsys, monkeypatch):
+    import fixedfield.suite as suite_mod
+
+    text = ('suite catalog field=Q\npoints 3\nvars x = x1 x2 x3\n'
+            'check identity x1 - x1 == 1 ref="r"\n')
+    monkeypatch.setattr(suite_mod, "load_suite", lambda name: suite_mod.parse_suite_text(text))
+    code, out, err = run(["verify", "--suite", "catalog"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 4: check identity needs the right-hand side 0")

@@ -1,7 +1,10 @@
 import hashlib
+import importlib.util
 import re
+import sys
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -108,9 +111,17 @@ def test_loader_rejects_wrong_group_order():
         ('check matrix-kernel x under A3 ref="r"', "needs one '='"),
         ('check faithful x ref="r"', "needs one 'under'"),
         ('check order A3 = three ref="r"', "needs an integer"),
+        ('check identity x1 - x1 == x2 ref="r"', "needs the right-hand side 0"),
+        ('check identity x1 - x1 ref="r"', "needs one '=='"),
+        ('check gl23 elem=a matrix=1,x;0,1 ref="r"', "gl23 matrix entry is not an integer"),
+        ('check gl23 elem=a matrix=1,0,0;0,1 ref="r"', "gl23 matrix must be 2x2"),
+        ('check wreath A3 = C3 wr C1 blocks = 1,2|3,y ref="r"',
+         "wreath block entry is not an integer"),
     ],
     ids=["degree-without-eq", "table-without-elem", "matrix-kernel-without-target",
-         "faithful-without-under", "order-not-an-integer"],
+         "faithful-without-under", "order-not-an-integer", "identity-nonzero-rhs",
+         "identity-without-rhs", "gl23-non-integer-entry", "gl23-not-2x2",
+         "wreath-non-integer-block"],
 )
 def test_loader_rejects_malformed_checks(check, message):
     # rejected at load time with the line number, not left to crash the
@@ -630,3 +641,28 @@ def test_mutated_kernel_claims_fail():
         for c in rep.checks:
             assert c.status == FAIL, (c.id, c.detail)
             assert not c.detail.startswith("error:"), (c.id, c.detail)
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, imported by path (it is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_algebra_workload_verdicts_match_construction(seed):
+    # the benchmark's algebra suites carry verdicts known from how they were
+    # built, true checks and their mutated twins alike
+    workload = _perfbench_workloads().algebra(seed)
+    for name, text in workload.suites:
+        report = run_parsed_suite(parse_suite_text(text))
+        expected = workload.expected[name]
+        got = {c.id: c for c in report.checks}
+        assert got.keys() == expected.keys(), name
+        for cid, status in expected.items():
+            assert got[cid].status == status, (name, cid, got[cid].detail)
+            assert not got[cid].detail.startswith("error:"), (name, cid, got[cid].detail)
