@@ -9,25 +9,14 @@ degrees into machine-checked assertions.
 """
 
 from .actions import (
-    GeneratorSet,
     extract_monomial_action,
     induced_permutation,
     induced_scaled_permutation,
     perm_act,
-    verify_action_table,
     verify_faithful,
-    verify_identity,
-    verify_invariance,
 )
 from .catalog import CatalogEntry, catalog_group, catalog_lookup, catalog_names
-from .monomial import (
-    det_fraction_free,
-    exponent_matrix,
-    is_purely_monomial,
-    matrix_group_order,
-    matrix_word,
-    verify_degree,
-)
+from .monomial import det_fraction_free, exponent_matrix, matrix_word
 from .parser import ParseError, format_ratfunc, parse_expr
 from .perms import (
     Perm,
@@ -48,11 +37,9 @@ __all__ = [
     "ratfunc_eq", "parse_expr", "format_ratfunc", "ParseError",
     "Perm", "PermGroup", "parse_cycles", "group_closure", "is_normal",
     "is_transitive", "wreath_product",
-    "GeneratorSet", "perm_act", "verify_invariance", "verify_action_table",
-    "verify_identity", "induced_permutation", "induced_scaled_permutation",
+    "perm_act", "induced_permutation", "induced_scaled_permutation",
     "verify_faithful", "extract_monomial_action",
-    "exponent_matrix", "det_fraction_free", "verify_degree", "matrix_word",
-    "matrix_group_order", "is_purely_monomial",
+    "exponent_matrix", "det_fraction_free", "matrix_word",
     "CatalogEntry", "catalog_lookup", "catalog_group", "catalog_names",
     "SuiteReport", "list_suites", "run_suite",
 ]

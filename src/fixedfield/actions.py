@@ -1,7 +1,9 @@
-"""Verification of invariance claims, action tables, identities, and
-induced permutations on derived generator sets.
+"""Permutation actions on rational functions: induced (scaled)
+permutations of generator sets, action kernels, faithfulness, and
+monomial-action extraction.
 
-All checks compare exact rational functions; nothing is ever solved for.
+All comparisons are between exact rational functions; nothing is ever
+solved for.
 A permutation g acts on a rational function over an n-variable table by
 sending variable i to variable g(i); this is a left action:
 perm_act(g*h, f) == perm_act(g, perm_act(h, f)).
@@ -16,7 +18,7 @@ from .monomial import (
     solve_int_combination,
 )
 from .perms import Perm, PermGroup
-from .poly import Poly, RatFunc, Substitution, VarTable, ratfunc_eq
+from .poly import Poly, RatFunc, ratfunc_eq
 
 
 class ActionError(ValueError):
@@ -33,64 +35,6 @@ def perm_act(g: Perm, f):
         )
     move = f.vars.permutation(g.images)
     return Poly(f.vars, f.field, {move(e): c for e, c in f.terms.items()})
-
-
-class GeneratorSet:
-    """Named derived generators: one RatFunc over the ambient table per
-    derived variable."""
-
-    def __init__(self, name, derived_vars: VarTable, definitions):
-        definitions = list(definitions)
-        if len(definitions) != len(derived_vars):
-            raise ActionError("definition count does not match the derived table")
-        ambient = definitions[0].vars
-        for d in definitions:
-            if d.vars is not ambient:
-                raise ActionError("definitions over different ambient tables")
-            if d.num.is_zero():
-                raise ActionError(f"zero definition in generator set {name!r}")
-        self.name = name
-        self.vars = derived_vars
-        self.ambient = ambient
-        self.definitions = definitions
-
-    def substitution(self) -> Substitution:
-        return Substitution(self.vars, self.definitions)
-
-    def __len__(self):
-        return len(self.definitions)
-
-    def __repr__(self):
-        return f"GeneratorSet({self.name}, {len(self)} defs over {self.ambient!r})"
-
-
-def verify_invariance(f: RatFunc, group: PermGroup) -> bool:
-    """True iff every generator of the group fixes f (hence the whole group)."""
-    return all(ratfunc_eq(perm_act(g, f), f) for g in group.generators)
-
-
-def verify_action_table(y: GeneratorSet, g: Perm, row) -> bool:
-    """True iff acting by g on each definition equals the claimed image
-    re-expressed through the definitions."""
-    row = list(row)
-    if len(row) != len(y):
-        raise ActionError("row does not cover every derived variable")
-    sub = y.substitution()
-    for d, image in zip(y.definitions, row):
-        lhs = perm_act(g, d)
-        rhs = sub(image)
-        if not ratfunc_eq(lhs, rhs):
-            return False
-    return True
-
-
-def verify_identity(defs, identity: RatFunc) -> bool:
-    """defs: list of (name, RatFunc over a common ambient); identity: a
-    RatFunc over exactly those names.  True iff substitution yields zero."""
-    if tuple(n for n, _ in defs) != identity.vars.names:
-        raise ActionError("identity variables do not match the definition names")
-    sub = Substitution(identity.vars, [r for _, r in defs])
-    return sub(identity).is_zero()
 
 
 def scaled_match(img: RatFunc, target: RatFunc):

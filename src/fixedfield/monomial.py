@@ -40,10 +40,6 @@ def mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def is_square(a):
     return all(len(r) == len(a) for r in a)
 
@@ -86,10 +82,6 @@ def matrix_word(word, alphabet):
     if out is None:
         raise MonomialError("empty word needs an explicit size; pass ['I'] instead")
     return out
-
-
-def matrix_group_order(gens, cap=MATRIX_GROUP_CAP) -> int:
-    return len(matrix_group_elements(gens, cap))
 
 
 def matrix_group_elements(gens, cap=MATRIX_GROUP_CAP):
@@ -150,13 +142,6 @@ def exponent_matrix(defs):
     return mat_from_rows(rows)
 
 
-def verify_degree(defs, expected: int) -> bool:
-    m = exponent_matrix(defs)
-    if not is_square(m):
-        raise MonomialError("exponent matrix is not square")
-    return abs(det_fraction_free(m)) == expected
-
-
 def solve_int_combination(rows, target):
     """Integer coefficients a with sum_i a[i]*rows[i] == target, or None.
 
@@ -190,23 +175,3 @@ def solve_int_combination(rows, target):
     if any(x.denominator != 1 for x in sol):
         return None
     return tuple(int(x) for x in sol)
-
-
-class MonomialAction:
-    """Matrices and coefficient vectors for each generator of a group."""
-
-    def __init__(self, gens):
-        self.gens = list(gens)  # list of (perm, matrix, coeff tuple, field)
-
-    def is_purely_monomial(self):
-        for _, _, coeffs, field in self.gens:
-            if any(c != field.one() for c in coeffs):
-                return False
-        return True
-
-    def matrices(self):
-        return [m for _, m, _, _ in self.gens]
-
-
-def is_purely_monomial(action: MonomialAction) -> bool:
-    return action.is_purely_monomial()

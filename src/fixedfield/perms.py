@@ -77,9 +77,6 @@ class Perm:
             n >>= 1
         return out
 
-    def is_identity(self):
-        return all(j == i for i, j in enumerate(self.images, start=1))
-
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
 

@@ -493,12 +493,6 @@ class Substitution:
             return substitute_ratfunc(p, self)
         return substitute(p, self)
 
-    def compose(self, other: "Substitution") -> "Substitution":
-        """self then other: variables of self.source land over other.target."""
-        if self.target is not other.source:
-            raise PolyError("composition tables do not match")
-        return Substitution(self.source, [other(im) for im in self.images])
-
 
 def substitute(p: Poly, s: Substitution) -> RatFunc:
     """Apply the ring homomorphism extension of s to p.

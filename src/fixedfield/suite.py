@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 
@@ -43,7 +44,6 @@ from .monomial import (
     MonomialError,
     det_fraction_free,
     exponent_matrix,
-    is_square,
     mat_from_rows,
     mat_identity,
     mat_mul,
@@ -64,7 +64,7 @@ from .perms import (
     wreath_product,
 )
 from .poly import PolyError, RatFunc, Substitution, VarTable, ratfunc_eq
-from .scalars import F4, QZ3, Field, FieldError, field_by_tag
+from .scalars import F4, QZ3, Field, FieldError, embed, field_by_tag
 
 
 class SuiteError(ValueError):
@@ -176,7 +176,7 @@ class Suite:
         self.group_expect: dict[str, int] = {}
         self.matrices: dict[str, tuple] = {}
         self.gl23map: dict[tuple[int, int], int] = {}
-        self.checks: list[dict] = []
+        self.checks: list[Check] = []
         self._actions: dict[tuple[str, str], tuple[list, bool]] = {}
         self._scaled_cache: dict = {}
 
@@ -302,21 +302,6 @@ class Suite:
         sub = Substitution(table.vt, [im.embed(fld) for im in images])
         return sub(g)
 
-    def apply_word(self, table: Table, word: str, f: RatFunc) -> RatFunc:
-        for sym in reversed(word.split("*")):
-            f = self.apply_symbol(table, sym.strip(), f)
-        return f
-
-    def root_word_act(self, word: str, f: RatFunc) -> RatFunc:
-        """Apply a word of permutations (and rho) at the root level."""
-        for sym in reversed(word.split("*")):
-            sym = sym.strip()
-            if sym == "rho":
-                f = f.conj()
-            else:
-                f = perm_act(self.perm_word(sym), f)
-        return f
-
     # ------------------------------------------------------------------
     # scaled monomial actions (recursing through the table ancestry)
 
@@ -369,7 +354,7 @@ class Suite:
             if all(s is not None for s in shapes):
                 bp, dp = self.scaled_action(table.parent, g)
                 dp = tuple(
-                    dv if table.parent.field is fld else _embed_payload(dv, table.parent.field, fld)
+                    dv if table.parent.field is fld else embed(dv, table.parent.field, fld)
                     for dv in dp
                 )
                 out = extract_monomial_action(
@@ -385,12 +370,6 @@ class Suite:
                 out = (permutation_matrix(p), tuple(scal))
         self._scaled_cache[key] = out
         return out
-
-
-def _embed_payload(value, src: Field, dst: Field):
-    from .scalars import embed
-
-    return embed(value, src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -568,88 +547,101 @@ def _parse_group(suite: Suite, rest):
         )
 
 
-# kind -> (separators the payload needs, each exactly once and in this
-# order; attributes the check cannot run without)
-_CHECK_SHAPES = {
-    "order": (("=",), ()),
-    "transitive": ((), ()),
-    "normal": ((" in ",), ()),
-    "permeq": (("==",), ()),
-    "permneq": (("!=",), ()),
-    "member": ((" in ",), ()),
-    "notmember": ((" in ",), ()),
-    "groupeq": (("==",), ()),
-    "wreath": ((), ()),
-    "gl23": ((), ("elem", "matrix")),
-    "invariance": ((" under ",), ()),
-    "table": ((), ("elem",)),
-    "identity": (("==",), ()),
-    "distinct": ((), ()),
-    "degree": (("=",), ()),
-    "monomial": ((" under ",), ()),
-    "word": ((), ("elem", "word")),
-    "matgroup": ((" under ", "=="), ()),
-    "matrix-kernel": ((" under ", "="), ()),
-    "action-kernel": ((" under ", "="), ()),
-    "faithful": ((" under ",), ()),
-    "stable": ((" under ",), ()),
-    "same-action": ((), ("elem",)),
-    "induced": (("=",), ("elem",)),
-    "induced-order": ((" under ", "="), ()),
-}
-# kind -> (pattern, description) of what must follow the last separator
-_TAILS = {
-    "order": (r"\d+", "an integer"),
-    "degree": (r"\d+", "an integer"),
-    "induced-order": (r"\d+", "an integer"),
-    # the runner expands only the left-hand side and compares it with zero
-    "identity": (r"0", "the right-hand side 0"),
+# ---------------------------------------------------------------------------
+# checks: every kind parses its payload once, when the suite loads, into the
+# fields its run reads; the groups, tables, permutation words and
+# expressions those fields name are resolved when the check runs
+
+
+@dataclass(frozen=True)
+class Check:
+    kind: str
+    id: str
+    ref: str
+    attrs: dict
+    payload: str
+    fields: tuple  # what the kind's parse read off the payload and attrs
+
+
+@dataclass(frozen=True)
+class CheckKind:
+    parse: Callable  # (payload, attrs) -> fields, or raises SuiteError
+    run: Callable  # (suite, check) -> (ok, detail)
+
+
+# attribute -> the values it accepts
+_ATTR_VALUES = {
+    "expect": ("fail",),
+    "via": ("ground", "parent"),
+    "pure": ("yes", "no"),
+    "transitive": ("yes", "no"),
 }
 
 
 def _parse_check(suite: Suite, rest, seq):
     body, attrs = _strip_attrs(" " + rest)
-    bits = body.split(None, 1)
-    kind = bits[0]
-    payload = bits[1] if len(bits) > 1 else ""
-    if kind not in _CHECK_SHAPES:
+    kind, _, payload = body.partition(" ")
+    if kind not in KINDS:
         raise SuiteError(f"unknown check kind {kind!r}")
-    separators, required = _CHECK_SHAPES[kind]
-    tail = payload
-    for sep in separators:
-        if tail.count(sep) != 1:
-            raise SuiteError(
-                f"check {kind} needs one {sep.strip()!r} in {payload!r}"
-            )
-        tail = tail.split(sep)[1]
-    if kind in _TAILS:
-        pattern, what = _TAILS[kind]
-        if not re.fullmatch(rf"\s*{pattern}\s*", tail):
-            raise SuiteError(
-                f"check {kind} needs {what} after {separators[-1]!r} in {payload!r}"
-            )
-    for name in required:
-        if name not in attrs:
-            raise SuiteError(f"check {kind} is missing its {name}=")
-    if "ref" not in attrs or not attrs["ref"].strip():
+    try:
+        fields = KINDS[kind].parse(payload, attrs)
+    except SuiteError as exc:
+        raise SuiteError(f"check {kind} {exc}") from None
+    if not attrs.get("ref", "").strip():
         raise SuiteError(f"check {kind} is missing its ref=\"...\"")
-    if attrs.get("expect") not in (None, "fail"):
-        raise SuiteError("expect= accepts only 'fail'")
+    for name, allowed in _ATTR_VALUES.items():
+        if name in attrs and attrs[name] not in allowed:
+            raise SuiteError(f"{name}= accepts only {' or '.join(map(repr, allowed))}")
     if attrs.get("expect") == "fail" and ("pair" not in attrs or "note" not in attrs):
         raise SuiteError("expect=fail checks need pair= and note=")
-    check = {
-        "kind": kind,
-        "payload": payload,
-        "attrs": attrs,
-        "id": attrs.get("id", f"{kind}-{seq:03d}"),
-    }
-    if kind == "wreath":
-        check["wreath"] = _parse_wreath(payload)
-    elif kind == "gl23":
-        check["matrix"] = _parse_gl23_matrix(attrs["matrix"])
-    if any(c["id"] == check["id"] for c in suite.checks):
-        raise SuiteError(f"duplicate check id {check['id']!r}")
+    check = Check(kind, attrs.get("id", f"{kind}-{seq:03d}"), attrs["ref"], attrs,
+                  payload, fields)
+    if any(c.id == check.id for c in suite.checks):
+        raise SuiteError(f"duplicate check id {check.id!r}")
     suite.checks.append(check)
+
+
+def _required(attrs, name):
+    if name not in attrs:
+        raise SuiteError(f"is missing its {name}=")
+    return attrs[name]
+
+
+def _shape(*seps, last=None, needs=(), takes=()):
+    """parse() for a payload of parts joined by seps, each exactly once and
+    in this order.  last converts the final part, raising ValueError with
+    what it needs; the values of the attributes in needs (required) and in
+    takes (optional, else None) follow the parts."""
+
+    def parse(payload, attrs):
+        parts, tail = [], payload
+        for sep in seps:
+            if tail.count(sep) != 1:
+                raise SuiteError(f"needs one {sep.strip()!r} in {payload!r}")
+            head, tail = tail.split(sep)
+            parts.append(head.strip())
+        parts.append(tail.strip())
+        if last is not None:
+            try:
+                parts[-1] = last(parts[-1])
+            except ValueError as exc:
+                raise SuiteError(f"needs {exc} after {seps[-1]!r} in {payload!r}") from None
+        return (*parts, *[_required(attrs, n) for n in needs],
+                *[attrs.get(n) for n in takes])
+
+    return parse
+
+
+def _integer(text):
+    if not re.fullmatch(r"\d+", text):
+        raise ValueError("an integer")
+    return int(text)
+
+
+def _zero(text):
+    # the runner expands only the left-hand side and compares it with zero
+    if text != "0":
+        raise ValueError("the right-hand side 0")
 
 
 def _int_list(text, what):
@@ -659,67 +651,8 @@ def _int_list(text, what):
         raise SuiteError(f"{what} entry is not an integer in {text!r}") from None
 
 
-def _parse_wreath(payload):
-    """(group, inner, outer, blocks) of a wreath check."""
-    m = re.match(r"(\S+)\s*=\s*(\S+)\s+wr\s+(\S+)\s+blocks\s*=\s*(.+)$", payload)
-    if not m:
-        raise SuiteError(f"bad wreath check {payload!r}")
-    gname, inner, outer, blockstext = m.groups()
-    blocks = [_int_list(b, "wreath block") for b in blockstext.split("|")]
-    return gname, inner, outer, blocks
-
-
-def _parse_gl23_matrix(text):
-    """The rows, reduced mod 3, of a gl23 check's matrix=a,b;c,d."""
-    rows = [_int_list(row, "gl23 matrix") for row in text.split(";")]
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise SuiteError("gl23 matrix must be 2x2")
-    return [[x % 3 for x in row] for row in rows]
-
-
-# ---------------------------------------------------------------------------
-# runner
-
-
-def run_parsed_suite(suite: Suite, fail_fast: bool = False) -> SuiteReport:
-    results = []
-    raw_status = {}
-    for check in suite.checks:
-        cid = check["id"]
-        attrs = check["attrs"]
-        try:
-            ok, detail = _run_check(suite, check)
-        except (SuiteError, ActionError, MonomialError, PolyError, FieldError,
-                PermError, ParseError, ZeroDivisionError) as exc:
-            ok, detail = False, f"error: {exc}"
-        raw_status[cid] = ok
-        if attrs.get("expect") == "fail":
-            if ok:
-                status = FAIL
-                detail = "expected to fail but passed; " + detail
-            else:
-                status = FLAGGED
-                detail = attrs.get("note", "") + (f" [{detail}]" if detail else "")
-        else:
-            status = PASS if ok else FAIL
-            if not ok and attrs.get("note"):
-                detail = f"{attrs['note']}; {detail}" if detail else attrs["note"]
-        results.append(CheckResult(cid, attrs["ref"], status, detail))
-        if fail_fast and status == FAIL:
-            break
-    # a flagged discrepancy is only legitimate when its paired corrected
-    # check passed; otherwise it is an ordinary failure
-    for res, check in zip(results, suite.checks):
-        if res.status == FLAGGED:
-            pair = check["attrs"]["pair"]
-            if not raw_status.get(pair, False):
-                res.status = FAIL
-                res.detail += f" (paired corrected check {pair} did not pass)"
-    return SuiteReport(suite.name, results)
-
-
 def _split_exprs(payload):
-    return [e.strip() for e in payload.split(",") if e.strip()]
+    return tuple(e.strip() for e in payload.split(",") if e.strip())
 
 
 def _compare(a: RatFunc, b: RatFunc) -> bool:
@@ -727,205 +660,71 @@ def _compare(a: RatFunc, b: RatFunc) -> bool:
     return ratfunc_eq(a.embed(fld), b.embed(fld))
 
 
-def _run_check(suite: Suite, check):
-    kind = check["kind"]
-    payload = check["payload"]
-    attrs = check["attrs"]
-
-    if kind == "order":
-        name, num = payload.split("=")
-        g = suite.group(name.strip())
-        want = int(num)
-        return g.order == want, f"order {g.order}, expected {want}"
-
-    if kind == "transitive":
-        g = suite.group(payload.strip())
-        return is_transitive(g), f"orbit of 1 under {payload.strip()}"
-
-    if kind == "normal":
-        hname, gname = [s.strip() for s in payload.split(" in ")]
-        return (
-            is_normal(suite.group(hname), suite.group(gname)),
-            f"{hname} normal in {gname}",
-        )
-
-    if kind in ("permeq", "permneq"):
-        sep = "==" if kind == "permeq" else "!="
-        left, right = [s.strip() for s in payload.split(sep)]
-        lp, rp = suite.perm_word(left), suite.perm_word(right)
-        same = lp == rp
-        detail = f"{left} = {lp}, {right} = {rp}"
-        return (same if kind == "permeq" else not same), detail
-
-    if kind in ("member", "notmember"):
-        wtext, gname = [s.strip() for s in payload.split(" in ")]
-        p = suite.perm_word(wtext)
-        inside = p in suite.group(gname)
-        return (inside if kind == "member" else not inside), f"{p} vs {gname}"
-
-    if kind == "groupeq":
-        left, right = [s.strip() for s in payload.split("==")]
-        same = groups_equal(suite.group(left), suite.group(right))
-        return same, f"element sets of {left} and {right}"
-
-    if kind == "wreath":
-        gname, inner, outer, blocks = check["wreath"]
-        w = wreath_product(named_group(inner), named_group(outer), blocks)
-        g = suite.group(gname)
-        same = groups_equal(w, g)
-        return same, f"{inner} wr {outer} order {w.order} vs {gname} order {g.order}"
-
-    if kind == "gl23":
-        return _check_gl23(suite, attrs["elem"], check["matrix"])
-
-    if kind == "invariance":
-        expr, gname = payload.rsplit(" under ", 1)
-        f = suite.ground_expr(expr.strip())
-        group = suite.group(gname.strip())
-        for gen in group.generators:
-            if not _compare(perm_act(gen, f), f):
-                return False, f"moved by {gen}"
-        return True, f"fixed by all generators of {gname.strip()}"
-
-    if kind == "table":
-        return _check_table(suite, payload, attrs)
-
-    if kind == "identity":
-        expr = payload.rsplit("==", 1)[0].strip()
-        stop = suite.table(attrs["over"]) if "over" in attrs else None
-        val = suite.ground_expr(expr, stop=stop)
-        return val.is_zero(), "expands to zero" if val.is_zero() else "nonzero"
-
-    if kind == "distinct":
-        exprs = _split_exprs(payload)
-        vals = [suite.ground_expr(e) for e in exprs]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if _compare(vals[i], vals[j]):
-                    return False, f"expressions {i + 1} and {j + 1} coincide"
-        return True, "pairwise distinct"
-
-    if kind == "degree":
-        tname, num = payload.split("=")
-        table = suite.table(tname.strip())
-        m = exponent_matrix(table.defs)
-        if not is_square(m):
-            raise SuiteError(f"exponent matrix of {tname.strip()} is not square")
-        d = abs(det_fraction_free(m))
-        return d == int(num), f"|det| = {d}, expected {int(num)}"
-
-    if kind == "monomial":
-        tname, gname = [s.strip() for s in payload.split(" under ")]
-        table = suite.table(tname)
-        group = suite.group(gname)
-        impure = []
-        for gen in group.generators:
-            _, dvec = suite.scaled_action(table, gen)
-            if any(c != table.field.one() for c in dvec):
-                impure.append(str(gen))
-        want = attrs.get("pure")
-        if want == "yes":
-            return not impure, f"impure generators: {impure}" if impure else "purely monomial"
-        if want == "no":
-            return bool(impure), "no impure generator found" if not impure else \
-                f"impure generators: {', '.join(impure)}"
-        return True, "monomial action (purity not asserted)"
-
-    if kind == "word":
-        tname = payload.strip()
-        table = suite.table(tname)
-        g = suite.perm_word(attrs["elem"])
-        syms = _expand_word_symbols(attrs["word"])
-        target = matrix_word(syms, suite.matrices)
-        bmat, _ = suite.scaled_action(table, g)
-        return bmat == target, f"extracted matrix vs word {attrs['word']}"
-
-    if kind == "matgroup":
-        tname, rest = [s.strip() for s in payload.split(" under ")]
-        gname, syms = [s.strip() for s in rest.split("==")]
-        table = suite.table(tname)
-        group = suite.group(gname)
-        gens = [suite.scaled_action(table, gen)[0] for gen in group.generators]
-        left = matrix_group_elements(gens)
-        right = matrix_group_elements([suite.matrices[s] for s in syms.split()])
-        return left == right, f"orders {len(left)} vs {len(right)}"
-
-    if kind == "matrix-kernel":
-        tname, rest = [s.strip() for s in payload.split(" under ")]
-        gname, hname = [s.strip() for s in rest.split("=")]
-        kernel = suite.matrix_kernel(suite.table(tname), suite.group(gname))
-        target = suite.group(hname).elements
-        return kernel == target, f"kernel order {len(kernel)} vs |{hname}| = {len(target)}"
-
-    if kind == "action-kernel":
-        tname, rest = [s.strip() for s in payload.split(" under ")]
-        gname, hname = [s.strip() for s in rest.split("=")]
-        table = suite.table(tname)
-        kernel = action_kernel(table.grounded(), suite.group(gname))
-        target = suite.group(hname).elements
-        return kernel == target, f"kernel order {len(kernel)} vs |{hname}| = {len(target)}"
-
-    if kind == "faithful":
-        tname, gname = [s.strip() for s in payload.split(" under ")]
-        table = suite.table(tname)
-        ok = verify_faithful(table.grounded(), suite.group(gname))
-        return ok, f"kernel of {gname} acting on {tname}"
-
-    if kind == "stable":
-        tname, gname = [s.strip() for s in payload.split(" under ")]
-        table = suite.table(tname)
-        defs = table.grounded()
-        for gen in suite.group(gname).generators:
-            if induced_scaled_permutation(defs, gen) is None:
-                return False, f"{gen} leaves the span of {tname}"
-        return True, "every generator acts by a scaled permutation"
-
-    if kind == "same-action":
-        tname = payload.strip()
-        table = suite.table(tname)
-        g = suite.perm_word(attrs["elem"])
-        p = suite.induced_perm(table, g)
-        return p == g, f"induced {p} vs {g}"
-
-    if kind == "induced":
-        tname, cycles = [s.strip() for s in payload.split("=", 1)]
-        table = suite.table(tname)
-        g = suite.perm_word(attrs["elem"])
-        p = suite.induced_perm(table, g)
-        want = parse_cycles(cycles, len(table.vt))
-        return p == want, f"induced {p}, expected {want}"
-
-    if kind == "induced-order":
-        tname, rest = [s.strip() for s in payload.split(" under ")]
-        gname, num = [s.strip() for s in rest.split("=")]
-        table = suite.table(tname)
-        group = suite.group(gname)
-        perms = [suite.induced_perm(table, gen) for gen in group.generators]
-        ind = PermGroup(perms, degree=len(table.vt))
-        ok = ind.order == int(num)
-        detail = f"induced order {ind.order}, expected {num}"
-        if "transitive" in attrs:
-            trans = is_transitive(ind)
-            want_t = attrs["transitive"] == "yes"
-            ok = ok and trans == want_t
-            detail += f"; transitive = {trans}"
-        return ok, detail
-
-    raise SuiteError(f"unhandled check kind {kind!r}")
+def _run_order(suite: Suite, check: Check):
+    name, want = check.fields
+    g = suite.group(name)
+    return g.order == want, f"order {g.order}, expected {want}"
 
 
-def _expand_word_symbols(text):
-    syms = []
-    for part in text.split("*"):
-        if "^" in part:
-            base, k = part.split("^")
-            syms.extend([base] * int(k))
-        else:
-            syms.append(part)
-    return syms
+def _run_transitive(suite: Suite, check: Check):
+    (name,) = check.fields
+    return is_transitive(suite.group(name)), f"orbit of 1 under {name}"
 
 
-def _check_gl23(suite: Suite, elem, rows):
+def _run_normal(suite: Suite, check: Check):
+    hname, gname = check.fields
+    return (
+        is_normal(suite.group(hname), suite.group(gname)),
+        f"{hname} normal in {gname}",
+    )
+
+
+def _run_permeq(suite: Suite, check: Check):
+    left, right = check.fields
+    lp, rp = suite.perm_word(left), suite.perm_word(right)
+    return (lp == rp) == (check.kind == "permeq"), f"{left} = {lp}, {right} = {rp}"
+
+
+def _run_member(suite: Suite, check: Check):
+    wtext, gname = check.fields
+    p = suite.perm_word(wtext)
+    inside = p in suite.group(gname)
+    return inside == (check.kind == "member"), f"{p} vs {gname}"
+
+
+def _run_groupeq(suite: Suite, check: Check):
+    left, right = check.fields
+    same = groups_equal(suite.group(left), suite.group(right))
+    return same, f"element sets of {left} and {right}"
+
+
+def _parse_wreath(payload, attrs):
+    m = re.fullmatch(r"(\S+)\s*=\s*(\S+)\s+wr\s+(\S+)\s+blocks\s*=\s*(.+)", payload)
+    if not m:
+        raise SuiteError(f"needs 'G = H wr K blocks = ...' in {payload!r}")
+    gname, inner, outer, blocks = m.groups()
+    return gname, inner, outer, [_int_list(b, "block") for b in blocks.split("|")]
+
+
+def _run_wreath(suite: Suite, check: Check):
+    gname, inner, outer, blocks = check.fields
+    w = wreath_product(named_group(inner), named_group(outer), blocks)
+    g = suite.group(gname)
+    same = groups_equal(w, g)
+    return same, f"{inner} wr {outer} order {w.order} vs {gname} order {g.order}"
+
+
+def _parse_gl23(payload, attrs):
+    """elem= and the rows, reduced mod 3, of matrix=a,b;c,d."""
+    elem = _required(attrs, "elem")
+    rows = [_int_list(row, "matrix") for row in _required(attrs, "matrix").split(";")]
+    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+        raise SuiteError("matrix must be 2x2")
+    return elem, [[x % 3 for x in row] for row in rows]
+
+
+def _run_gl23(suite: Suite, check: Check):
+    elem, rows = check.fields
     if not suite.gl23map:
         raise SuiteError("gl23 check without gl23map")
     g = suite.perm_word(elem)
@@ -940,67 +739,279 @@ def _check_gl23(suite: Suite, elem, rows):
     return induced == g, f"matrix induces {induced}, expected {g}"
 
 
-def _check_table(suite: Suite, payload, attrs):
-    m = re.match(r"(\S+)\s+images\s*=\s*(.+)$", payload)
+def _run_invariance(suite: Suite, check: Check):
+    expr, gname = check.fields
+    f = suite.ground_expr(expr)
+    for gen in suite.group(gname).generators:
+        if not _compare(perm_act(gen, f), f):
+            return False, f"moved by {gen}"
+    return True, f"fixed by all generators of {gname}"
+
+
+def _parse_table(payload, attrs):
+    """(table, image texts, symbols of elem=, via) of a table row."""
+    m = re.fullmatch(r"(\S+)\s+images\s*=\s*(.+)", payload)
     if not m:
-        raise SuiteError(f"bad table check {payload!r}")
-    tname, imagestext = m.groups()
+        raise SuiteError(f"needs '<table> images = <expressions>' in {payload!r}")
+    tname, images = m.groups()
+    symbols = tuple(_required(attrs, "elem").split("*"))
+    return tname, _split_exprs(images), symbols, attrs.get("via", "ground")
+
+
+def _run_table(suite: Suite, check: Check):
+    tname, image_texts, symbols, via = check.fields
     table = suite.table(tname)
-    word = attrs["elem"]
-    image_texts = _split_exprs(imagestext)
     if len(image_texts) != len(table.vt):
         raise SuiteError(
             f"row covers {len(image_texts)} of {len(table.vt)} variables of {tname}"
         )
-    via = attrs.get("via", "ground")
     fld = table.field
     if any("zeta3" in t for t in image_texts) and not fld.has_zeta3:
         fld = F4 if fld.char == 2 else QZ3
     images = [parse_expr(t, table.vt, fld) for t in image_texts]
-    ok, detail = verify_table_row(suite, table, word, images, via)
+    ok, detail = verify_table_row(suite, table, symbols, images, via)
     # only verified single-element rows become actions later tables build on
-    symbols = word.split("*")
-    if ok and len(symbols) == 1 and attrs.get("expect") != "fail":
+    if ok and len(symbols) == 1 and check.attrs.get("expect") != "fail":
         suite.register_action(table, symbols[0], images, conj=(symbols[0] == "rho"))
     if ok and not detail:
         detail = f"all {len(images)} images verified via {via}"
     return ok, detail
 
 
-def verify_table_row(suite: Suite, table: Table, word: str, images, via: str):
+def verify_table_row(suite: Suite, table: Table, symbols, images, via: str):
     """Check one action-table row: the claimed images, pushed through the
-    definitions, must match the action applied to the definitions.
+    definitions, must match the action of the word (its symbols, applied
+    right to left) on the definitions.
 
     via='ground' compares at the root under the permutation (and rho)
     action; via='parent' compares one level down using the parent's
     registered rows."""
-    symbols = [s.strip() for s in word.split("*")]
-    fld = table.field
-    for img in images:
-        fld = _join_fields(fld, img.field)
     if via == "parent":
         if table.is_root:
             raise SuiteError("via=parent on a root table")
-        parent = table.parent
-        defsub = Substitution(table.vt, [d.embed(fld) for d in table.defs])
-        for i, (d, img) in enumerate(zip(table.defs, images)):
-            lhs = d
-            for sym in reversed(symbols):
-                lhs = suite.apply_symbol(parent, sym, lhs)
-            rhs = defsub(img)
-            if not _compare(lhs, rhs):
-                return False, f"row entry {i + 1} ({table.vt.names[i]}) mismatches"
-        return True, ""
-    if via == "ground":
-        grounded = table.grounded()
-        gsub = Substitution(table.vt, [g.embed(fld) for g in grounded])
-        for i, (d, img) in enumerate(zip(grounded, images)):
-            lhs = suite.root_word_act(word, d)
-            rhs = gsub(img)
-            if not _compare(lhs, rhs):
-                return False, f"row entry {i + 1} ({table.vt.names[i]}) mismatches"
-        return True, ""
-    raise SuiteError(f"unknown via={via!r}")
+        level, defs = table.parent, table.defs
+    else:
+        level, defs = table.root(), table.grounded()
+    fld = table.field
+    for img in images:
+        fld = _join_fields(fld, img.field)
+    sub = Substitution(table.vt, [d.embed(fld) for d in defs])
+    for i, (d, img) in enumerate(zip(defs, images)):
+        for sym in reversed(symbols):
+            d = suite.apply_symbol(level, sym, d)
+        if not _compare(d, sub(img)):
+            return False, f"row entry {i + 1} ({table.vt.names[i]}) mismatches"
+    return True, ""
+
+
+def _run_identity(suite: Suite, check: Check):
+    expr, _, over = check.fields
+    stop = suite.table(over) if over else None
+    val = suite.ground_expr(expr, stop=stop)
+    return val.is_zero(), "expands to zero" if val.is_zero() else "nonzero"
+
+
+def _run_distinct(suite: Suite, check: Check):
+    vals = [suite.ground_expr(e) for e in check.fields]
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            if _compare(vals[i], vals[j]):
+                return False, f"expressions {i + 1} and {j + 1} coincide"
+    return True, "pairwise distinct"
+
+
+def _run_degree(suite: Suite, check: Check):
+    tname, want = check.fields
+    d = abs(det_fraction_free(exponent_matrix(suite.table(tname).defs)))
+    return d == want, f"|det| = {d}, expected {want}"
+
+
+def _run_monomial(suite: Suite, check: Check):
+    tname, gname, pure = check.fields
+    table = suite.table(tname)
+    group = suite.group(gname)
+    impure = []
+    for gen in group.generators:
+        _, dvec = suite.scaled_action(table, gen)
+        if any(c != table.field.one() for c in dvec):
+            impure.append(str(gen))
+    if pure == "yes":
+        return not impure, f"impure generators: {impure}" if impure else "purely monomial"
+    if pure == "no":
+        return bool(impure), "no impure generator found" if not impure else \
+            f"impure generators: {', '.join(impure)}"
+    return True, "monomial action (purity not asserted)"
+
+
+def _parse_word(payload, attrs):
+    """(table, elem=, the matrix symbols of word=a^2*b): a factor name^k
+    stands for k copies of name, k >= 1 (there is no inverse to give k < 1
+    a meaning)."""
+    elem, syms = _required(attrs, "elem"), []
+    for part in _required(attrs, "word").split("*"):
+        m = re.fullmatch(r"([^^]+)(?:\^([1-9][0-9]*))?", part)
+        if not m:
+            raise SuiteError(
+                f"needs word= factors name or name^k with an integer k >= 1, got {part!r}"
+            )
+        syms.extend([m.group(1)] * int(m.group(2) or 1))
+    return payload.strip(), elem, syms
+
+
+def _run_word(suite: Suite, check: Check):
+    tname, elem, syms = check.fields
+    table = suite.table(tname)
+    g = suite.perm_word(elem)
+    target = matrix_word(syms, suite.matrices)
+    bmat, _ = suite.scaled_action(table, g)
+    return bmat == target, f"extracted matrix vs word {check.attrs['word']}"
+
+
+def _run_matgroup(suite: Suite, check: Check):
+    tname, gname, syms = check.fields
+    table = suite.table(tname)
+    group = suite.group(gname)
+    gens = [suite.scaled_action(table, gen)[0] for gen in group.generators]
+    left = matrix_group_elements(gens)
+    right = matrix_group_elements([suite.matrices[s] for s in syms])
+    return left == right, f"orders {len(left)} vs {len(right)}"
+
+
+def _run_matrix_kernel(suite: Suite, check: Check):
+    tname, gname, hname = check.fields
+    kernel = suite.matrix_kernel(suite.table(tname), suite.group(gname))
+    target = suite.group(hname).elements
+    return kernel == target, f"kernel order {len(kernel)} vs |{hname}| = {len(target)}"
+
+
+def _run_action_kernel(suite: Suite, check: Check):
+    tname, gname, hname = check.fields
+    table = suite.table(tname)
+    kernel = action_kernel(table.grounded(), suite.group(gname))
+    target = suite.group(hname).elements
+    return kernel == target, f"kernel order {len(kernel)} vs |{hname}| = {len(target)}"
+
+
+def _run_faithful(suite: Suite, check: Check):
+    tname, gname = check.fields
+    table = suite.table(tname)
+    ok = verify_faithful(table.grounded(), suite.group(gname))
+    return ok, f"kernel of {gname} acting on {tname}"
+
+
+def _run_stable(suite: Suite, check: Check):
+    tname, gname = check.fields
+    defs = suite.table(tname).grounded()
+    for gen in suite.group(gname).generators:
+        if induced_scaled_permutation(defs, gen) is None:
+            return False, f"{gen} leaves the span of {tname}"
+    return True, "every generator acts by a scaled permutation"
+
+
+def _run_same_action(suite: Suite, check: Check):
+    tname, elem = check.fields
+    g = suite.perm_word(elem)
+    p = suite.induced_perm(suite.table(tname), g)
+    return p == g, f"induced {p} vs {g}"
+
+
+def _run_induced(suite: Suite, check: Check):
+    tname, cycles, elem = check.fields
+    table = suite.table(tname)
+    p = suite.induced_perm(table, suite.perm_word(elem))
+    want = parse_cycles(cycles, len(table.vt))
+    return p == want, f"induced {p}, expected {want}"
+
+
+def _run_induced_order(suite: Suite, check: Check):
+    tname, gname, want, transitive = check.fields
+    table = suite.table(tname)
+    group = suite.group(gname)
+    perms = [suite.induced_perm(table, gen) for gen in group.generators]
+    ind = PermGroup(perms, degree=len(table.vt))
+    ok = ind.order == want
+    detail = f"induced order {ind.order}, expected {want}"
+    if transitive is not None:
+        trans = is_transitive(ind)
+        ok = ok and trans == (transitive == "yes")
+        detail += f"; transitive = {trans}"
+    return ok, detail
+
+
+# kind -> its parse, run when the suite loads, and its run
+KINDS: dict[str, CheckKind] = {
+    "order": CheckKind(_shape("=", last=_integer), _run_order),
+    "transitive": CheckKind(_shape(), _run_transitive),
+    "normal": CheckKind(_shape(" in "), _run_normal),
+    "permeq": CheckKind(_shape("=="), _run_permeq),
+    "permneq": CheckKind(_shape("!="), _run_permeq),
+    "member": CheckKind(_shape(" in "), _run_member),
+    "notmember": CheckKind(_shape(" in "), _run_member),
+    "groupeq": CheckKind(_shape("=="), _run_groupeq),
+    "wreath": CheckKind(_parse_wreath, _run_wreath),
+    "gl23": CheckKind(_parse_gl23, _run_gl23),
+    "invariance": CheckKind(_shape(" under "), _run_invariance),
+    "table": CheckKind(_parse_table, _run_table),
+    "identity": CheckKind(_shape("==", last=_zero, takes=("over",)), _run_identity),
+    "distinct": CheckKind(lambda payload, attrs: _split_exprs(payload), _run_distinct),
+    "degree": CheckKind(_shape("=", last=_integer), _run_degree),
+    "monomial": CheckKind(_shape(" under ", takes=("pure",)), _run_monomial),
+    "word": CheckKind(_parse_word, _run_word),
+    "matgroup": CheckKind(_shape(" under ", "==", last=str.split), _run_matgroup),
+    "matrix-kernel": CheckKind(_shape(" under ", "="), _run_matrix_kernel),
+    "action-kernel": CheckKind(_shape(" under ", "="), _run_action_kernel),
+    "faithful": CheckKind(_shape(" under "), _run_faithful),
+    "stable": CheckKind(_shape(" under "), _run_stable),
+    "same-action": CheckKind(_shape(needs=("elem",)), _run_same_action),
+    "induced": CheckKind(_shape("=", needs=("elem",)), _run_induced),
+    "induced-order": CheckKind(
+        _shape(" under ", "=", last=_integer, takes=("transitive",)), _run_induced_order
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# runner
+
+
+def run_parsed_suite(suite: Suite, fail_fast: bool = False) -> SuiteReport:
+    results = []
+    raw_status = {}
+    for check in suite.checks:
+        attrs = check.attrs
+        try:
+            ok, detail = _run_check(suite, check)
+        except (SuiteError, ActionError, MonomialError, PolyError, FieldError,
+                PermError, ParseError, ZeroDivisionError) as exc:
+            ok, detail = False, f"error: {exc}"
+        raw_status[check.id] = ok
+        if attrs.get("expect") == "fail":
+            if ok:
+                status = FAIL
+                detail = "expected to fail but passed; " + detail
+            else:
+                status = FLAGGED
+                detail = attrs.get("note", "") + (f" [{detail}]" if detail else "")
+        else:
+            status = PASS if ok else FAIL
+            if not ok and attrs.get("note"):
+                detail = f"{attrs['note']}; {detail}" if detail else attrs["note"]
+        results.append(CheckResult(check.id, check.ref, status, detail))
+        if fail_fast and status == FAIL:
+            break
+    # a flagged discrepancy is only legitimate when its paired corrected
+    # check passed; otherwise it is an ordinary failure
+    for res, check in zip(results, suite.checks):
+        if res.status == FLAGGED:
+            pair = check.attrs["pair"]
+            if not raw_status.get(pair, False):
+                res.status = FAIL
+                res.detail += f" (paired corrected check {pair} did not pass)"
+    return SuiteReport(suite.name, results)
+
+
+def _run_check(suite: Suite, check: Check):
+    return KINDS[check.kind].run(suite, check)
 
 
 # ---------------------------------------------------------------------------

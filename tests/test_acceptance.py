@@ -135,7 +135,7 @@ def test_criterion_4_action_tables(all_reports):
     table_checks = 0
     for name in list_suites():
         suite = load_suite(name)
-        table_checks += sum(1 for c in suite.checks if c["kind"] == "table")
+        table_checks += sum(1 for c in suite.checks if c.kind == "table")
     ok = (
         not fails
         and flagged == [("sec5_char0", "g14-kappa-printed")]

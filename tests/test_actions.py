@@ -4,21 +4,17 @@ import pytest
 
 from fixedfield.actions import (
     ActionError,
-    GeneratorSet,
     action_kernel,
-    extract_monomial_action,
     induced_permutation,
     induced_scaled_permutation,
     perm_act,
-    verify_action_table,
     verify_faithful,
-    verify_identity,
-    verify_invariance,
 )
 from fixedfield.parser import parse_expr
 from fixedfield.perms import Perm, group_closure, parse_cycles
-from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq
+from fixedfield.poly import Poly, RatFunc, Substitution, VarTable, ratfunc_eq
 from fixedfield.scalars import F2, QQ
+from fixedfield.suite import FAIL, PASS, parse_suite_text, run_parsed_suite
 
 X8 = VarTable([f"x{i}" for i in range(1, 9)])
 X3 = VarTable(["x1", "x2", "x3"])
@@ -82,33 +78,61 @@ def v8():
                           P("(1,5)(2,6)(3,7)(4,8)")])
 
 
+def statuses(text):
+    """The statuses of a suite's checks, run through the suite runner; a
+    failure must be a verdict, not an error."""
+    checks = run_parsed_suite(parse_suite_text(text)).checks
+    assert not [c.detail for c in checks if c.detail.startswith("error:")]
+    return [c.status for c in checks]
+
+
+def suite_text(field, tables, statements, checks):
+    """A suite over field: declaration statements, then tables given as
+    {name: (variables, definitions or None for a root table)}, then checks."""
+    lines = [f"suite mini field={field}", *statements]
+    for name, (names, defs) in tables.items():
+        lines.append(f"vars {name} = {' '.join(names)}")
+        for var, text in zip(names, defs or ()):
+            lines.append(f"def {name}.{var} = {text}")
+    lines += [f'{c} ref="r"' for c in checks]
+    return "\n".join(lines) + "\n"
+
+
+X8_NAMES = [f"x{i}" for i in range(1, 9)]
+
+
 def test_verify_invariance_examples():
-    a3 = group_closure([parse_cycles("(1,2,3)", 3)])
-    for text in A3_GENERATORS:
-        assert verify_invariance(parse_expr(text, X3, QQ), a3)
-    group = v8()
-    for text in W_INVARIANTS:
-        assert verify_invariance(f28(text), group)
-    assert not verify_invariance(parse_expr("x1", X3, QQ),
-                                 group_closure([parse_cycles("(1,2)", 3)]))
+    text = suite_text(
+        "Q", {"x": (["x1", "x2", "x3"], None)},
+        ["points 3", "group A3 = (1,2,3) expect_order=3", "group S2 = (1,2) expect_order=2"],
+        [f"check invariance {t} under A3" for t in A3_GENERATORS]
+        + ["check invariance x1 under S2"],
+    )
+    assert statuses(text) == [PASS, PASS, PASS, FAIL]
+    text = suite_text(
+        "F2", {"x": (X8_NAMES, None)},
+        ["group V8 = (1,2)(3,4)(5,6)(7,8) (1,3)(2,4)(5,7)(6,8) (1,5)(2,6)(3,7)(4,8) "
+         "expect_order=8"],
+        [f"check invariance {t} under V8" for t in W_INVARIANTS],
+    )
+    assert statuses(text) == [PASS] * 8
 
 
-def degree7_zset():
-    yt = VarTable([f"y{i}" for i in range(1, 9)])
-    texts = ["y1", "y2*y3/y6", "y3*y7/y8", "y4*y5/y3", "y5*y6/y7", "y6*y8/y4",
-             "y7*y4/y2", "y8*y2/y5"]
-    zt = VarTable([f"z{i}" for i in range(1, 9)])
-    return GeneratorSet("z", zt, [parse_expr(t, yt, QQ) for t in texts]), zt
+DEGREE7_ZSET = ["y1", "y2*y3/y6", "y3*y7/y8", "y4*y5/y3", "y5*y6/y7", "y6*y8/y4",
+                "y7*y4/y2", "y8*y2/y5"]
 
 
 def test_verify_action_table_seven_cycle_row():
-    zset, zt = degree7_zset()
-    theta = P("(2,3,7,4,5,6,8)")
-    row = [parse_expr(t, zt, QQ)
-           for t in ["z1", "z3", "z7", "z5", "z6", "z8", "z4", "z2"]]
-    assert verify_action_table(zset, theta, row)
+    row = ["z1", "z3", "z7", "z5", "z6", "z8", "z4", "z2"]
     bad = row[:1] + row[2:3] + row[1:2] + row[3:]
-    assert not verify_action_table(zset, theta, bad)
+    text = suite_text(
+        "Q",
+        {"y": ([f"y{i}" for i in range(1, 9)], None),
+         "z": ([f"z{i}" for i in range(1, 9)], DEGREE7_ZSET)},
+        ["perm theta = (2,3,7,4,5,6,8)"],
+        [f"check table z elem=theta images = {', '.join(r)}" for r in (row, bad)],
+    )
+    assert statuses(text) == [PASS, FAIL]
 
 
 def quaternion_zset():
@@ -120,24 +144,20 @@ def quaternion_zset():
         "y1^2 + y2^2 + y3^2 + y4^2",
     ]
     zt = VarTable(["z1", "z2", "z3", "z4"])
-    gens = GeneratorSet("z", zt, [parse_expr(t, yt, QQ) for t in texts])
-    return gens, zt, yt
+    return [parse_expr(t, yt, QQ) for t in texts], zt, yt
 
 
 def test_verify_action_table_eight_cycle_on_quaternion_basis():
     # the 8-cycle acts on y1..y4 by y1->y2->y3->y4->-y1; on the invariants
     # the claimed images are (1/z2, 1/z1, 1/z3, z4)
-    gens, zt, yt = quaternion_zset()
-    g = parse_cycles("(1,2,3,4)", 4)  # with a sign on the wrap-around
-    # realize the signed 4-cycle as a substitution check instead: build the
-    # action table via an explicit signed image comparison
+    defs, zt, yt = quaternion_zset()
+    # the signed 4-cycle is no permutation of the variables, so the row is
+    # compared through an explicit substitution of the signed images
     y_images = [parse_expr(t, yt, QQ) for t in ["y2", "y3", "y4", "-y1"]]
-    from fixedfield.poly import Substitution
-
     s = Substitution(yt, y_images)
     row = [parse_expr(t, zt, QQ) for t in ["1/z2", "1/z1", "1/z3", "z4"]]
-    sub = gens.substitution()
-    for d, image in zip(gens.definitions, row):
+    sub = Substitution(zt, defs)
+    for d, image in zip(defs, row):
         assert ratfunc_eq(s(d), sub(image))
 
 
@@ -151,15 +171,14 @@ def test_verify_action_table_on_grounded_quaternion_invariants():
         f"({y[4]}*{y[1]} - {y[2]}*{y[3]})/({y[1]}*{y[2]} + {y[3]}*{y[4]})",
         f"{y[1]}^2 + {y[2]}^2 + {y[3]}^2 + {y[4]}^2",
     ]
-    zt = VarTable(["z1", "z2", "z3", "z4"])
-    gens = GeneratorSet("z", zt, [q8(t) for t in texts])
-    eight = P("(1,2,3,4,5,6,7,8)")
-    row = [parse_expr(t, zt, QQ) for t in ["1/z2", "1/z1", "1/z3", "z4"]]
-    assert verify_action_table(gens, eight, row)
-    three = P("(1,2,4)(5,6,8)")
-    cycle_row = [parse_expr(t, zt, QQ) for t in ["z2", "z3", "z1", "z4"]]
-    assert verify_action_table(gens, three, cycle_row)
-    assert not verify_action_table(gens, eight, cycle_row)
+    text = suite_text(
+        "Q", {"x": (X8_NAMES, None), "z": (["z1", "z2", "z3", "z4"], texts)},
+        ["perm eight = (1,2,3,4,5,6,7,8)", "perm three = (1,2,4)(5,6,8)"],
+        ["check table z elem=eight images = 1/z2, 1/z1, 1/z3, z4",
+         "check table z elem=three images = z2, z3, z1, z4",
+         "check table z elem=eight images = z2, z3, z1, z4"],
+    )
+    assert statuses(text) == [PASS, PASS, FAIL]
 
 
 def test_induced_permutation_on_grounded_block_invariants():
@@ -185,45 +204,57 @@ PROP_V4 = [
 ]
 
 
+def prop_v4_table():
+    return [n for n, _ in PROP_V4], [t for _, t in PROP_V4]
+
+
 def test_verify_identity_examples():
-    x4 = VarTable(["x1", "x2", "x3", "x4"])
-    names = VarTable(["u1", "u2", "v1", "v2", "v3", "v4"])
-    defs = [("u1", parse_expr("x1 + x2", x4, F2)), ("u2", parse_expr("x1*x2", x4, F2))]
-    defs += [(n, parse_expr(t, x4, F2)) for n, t in PROP_V4]
-    ident1 = parse_expr("u1^2 + v1*u1 + v3 + v4", names, F2)
-    assert verify_identity(defs, ident1)
-    ident2 = parse_expr("(v3 + v4)^2*u2 + u1^4*u2 + v2*u1^4 + v3*v4*u1^2", names, F2)
-    assert verify_identity(defs, ident2)
-    not_zero = parse_expr("u1 + v1", names, F2)
-    assert not verify_identity(defs, not_zero)
+    text = suite_text(
+        "F2",
+        {"x": (["x1", "x2", "x3", "x4"], None),
+         "u": (["u1", "u2"], ["x1 + x2", "x1*x2"]),
+         "v": prop_v4_table()},
+        [],
+        ["check identity u1^2 + v1*u1 + v3 + v4 == 0",
+         "check identity (v3 + v4)^2*u2 + u1^4*u2 + v2*u1^4 + v3*v4*u1^2 == 0",
+         "check identity u1 + v1 == 0"],
+    )
+    assert statuses(text) == [PASS, PASS, FAIL]
 
 
 def test_verify_identity_v8_chain():
-    names = VarTable(["v1", "v2", "v3", "v4"] + [f"w{i}" for i in range(1, 9)])
-    defs = [(n, f28(t)) for n, t in PROP_V4]
-    defs += [(f"w{i}", f28(t)) for i, t in enumerate(W_INVARIANTS, start=1)]
-    ident3 = parse_expr("v1^2 + w1*v1 + w5 + w6 + w7 + w8", names, F2)
-    assert verify_identity(defs, ident3)
+    text = suite_text(
+        "F2",
+        {"x": (X8_NAMES, None), "v": prop_v4_table(),
+         "w": ([f"w{i}" for i in range(1, 9)], W_INVARIANTS)},
+        [],
+        ["check identity v1^2 + w1*v1 + w5 + w6 + w7 + w8 == 0"],
+    )
+    assert statuses(text) == [PASS]
 
 
 def test_seventh_relation_at_free_level():
     # w0^3 = w2 w3 w4 w5 w6 w7 w8 once each w is expanded through the z's
-    zt = VarTable([f"z{i}" for i in range(2, 9)])
     wdefs = {
         "w0": "z2*z3*z4*z5*z6*z7*z8",
         "w2": "z2*z7*z5", "w3": "z3*z4*z6", "w4": "z4*z6*z2", "w5": "z5*z8*z3",
         "w6": "z6*z2*z7", "w7": "z7*z5*z8", "w8": "z8*z3*z4",
     }
-    names = VarTable(list(wdefs))
-    defs = [(n, parse_expr(t, zt, QQ)) for n, t in wdefs.items()]
-    ident = parse_expr("w0^3 - w2*w3*w4*w5*w6*w7*w8", names, QQ)
-    assert verify_identity(defs, ident)
+    text = suite_text(
+        "Q",
+        {"z": ([f"z{i}" for i in range(2, 9)], None),
+         "w": (list(wdefs), list(wdefs.values()))},
+        [],
+        ["check identity w0^3 - w2*w3*w4*w5*w6*w7*w8 == 0"],
+    )
+    assert statuses(text) == [PASS]
 
 
 def test_induced_permutation_examples():
-    zset, _ = degree7_zset()
+    yt = VarTable([f"y{i}" for i in range(1, 9)])
+    zdefs = [parse_expr(t, yt, QQ) for t in DEGREE7_ZSET]
     theta = P("(2,3,7,4,5,6,8)")
-    assert induced_permutation(zset.definitions, theta) == theta
+    assert induced_permutation(zdefs, theta) == theta
 
     # the 8-cycle sends y4 = x4 - x8 to x5 - x1 = -y1: a sign appears,
     # so the action is a scaled permutation but not a plain one

@@ -10,20 +10,23 @@ from fixedfield.monomial import (
     mat_from_rows,
     mat_identity,
     mat_mul,
-    mat_neg,
-    matrix_group_order,
+    matrix_group_elements,
     matrix_word,
     monomial_shape,
     solve_int_combination,
-    verify_degree,
 )
 from fixedfield.parser import parse_expr
 from fixedfield.perms import Perm, parse_cycles
 from fixedfield.poly import VarTable
 from fixedfield.scalars import QQ
+from fixedfield.suite import FAIL, PASS, parse_suite_text, run_parsed_suite
 
 SIGMA_4A = mat_from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
 LAMBDA_1 = mat_from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
+
+
+def mat_neg(a):
+    return mat_from_rows([[-x for x in row] for row in a])
 
 
 def smith_diagonal(m):
@@ -82,12 +85,12 @@ def test_matrix_word_examples():
 
 
 def test_matrix_group_orders():
-    assert matrix_group_order([mat_identity(3)]) == 1
-    assert matrix_group_order([mat_neg(mat_identity(3))]) == 2
+    assert len(matrix_group_elements([mat_identity(3)])) == 1
+    assert len(matrix_group_elements([mat_neg(mat_identity(3))])) == 2
     # the dihedral group generated by -sigma_4A (order 4) and lambda_1
-    assert matrix_group_order([mat_neg(SIGMA_4A), LAMBDA_1]) == 8
+    assert len(matrix_group_elements([mat_neg(SIGMA_4A), LAMBDA_1])) == 8
     with pytest.raises(MonomialError):
-        matrix_group_order([mat_from_rows([[2, 0], [0, 1]])])
+        matrix_group_elements([mat_from_rows([[2, 0], [0, 1]])])
 
 
 SEC6_BLOCK = [[1, 1, -1], [-1, 1, 1], [1, -1, 1]]
@@ -141,15 +144,27 @@ def test_det_against_smith_oracle_random():
 
 
 def test_verify_degree_examples():
-    yt = VarTable(["y2", "y3", "y4"])
-    defs = [parse_expr(t, yt, QQ) for t in ["y2*y3/y4", "y3*y4/y2", "y4*y2/y3"]]
-    assert verify_degree(defs, 4)
-    assert not verify_degree(defs, 5)
-    yt7 = VarTable([f"y{i}" for i in range(2, 9)])
-    defs7 = [parse_expr(t, yt7, QQ) for t in SEC7_TEXTS]
-    assert verify_degree(defs7, 8)
-    xt = VarTable(["x1", "x2"])
-    assert verify_degree([parse_expr("x1", xt, QQ), parse_expr("x2", xt, QQ)], 1)
+    # the degree checks of a suite, each over its own root table
+    text = "\n".join([
+        "suite mini field=Q",
+        "vars y = y2 y3 y4",
+        "vars b = b1 b2 b3",
+        *[f"def b.b{i} = {t}" for i, t in enumerate(["y2*y3/y4", "y3*y4/y2", "y4*y2/y3"], 1)],
+        "vars s = " + " ".join(f"s{i}" for i in range(2, 9)),
+        "vars l = " + " ".join(f"l{i}" for i in range(1, 8)),
+        *[f"def l.l{i} = {t.replace('y', 's')}" for i, t in enumerate(SEC7_TEXTS, 1)],
+        "vars x = x1 x2",
+        "vars e = e1 e2",
+        "def e.e1 = x1",
+        "def e.e2 = x2",
+        'check degree b = 4 ref="r"',
+        'check degree b = 5 ref="r"',
+        'check degree l = 8 ref="r"',
+        'check degree e = 1 ref="r"',
+    ]) + "\n"
+    checks = run_parsed_suite(parse_suite_text(text)).checks
+    assert [c.status for c in checks] == [PASS, FAIL, PASS, PASS]
+    assert checks[1].detail == "|det| = 4, expected 5"
 
 
 def test_solve_int_combination():
@@ -193,22 +208,17 @@ def test_extract_with_signed_ambient_action():
 
 
 def test_is_purely_monomial_on_extracted_actions():
-    from fixedfield.monomial import MonomialAction, is_purely_monomial
-
+    # purely monomial: every coefficient of the extracted action is 1
     defs = zset_for_extraction()
-    ident = Perm.identity(3)
-    swap = parse_cycles("(1,2)", 3)
-    gens = []
-    for g in (ident, swap):
-        amat, cvec = extract_monomial_action(defs, g)
-        gens.append((g, amat, cvec, QQ))
-    assert is_purely_monomial(MonomialAction(gens))
+    for g in (Perm.identity(3), parse_cycles("(1,2)", 3)):
+        _, cvec = extract_monomial_action(defs, g)
+        assert all(c == QQ.one() for c in cvec)
 
-    signed = MonomialAction(
-        gens + [(ident, mat_identity(3), (QQ.from_int(-1), QQ.one(), QQ.one()), QQ)]
-    )
-    assert not is_purely_monomial(signed)
-    assert len(signed.matrices()) == 3
+    # z1 -> -z1 scales every Z_j by -1: the same matrix, but not pure
+    signed = (mat_identity(3), (QQ.from_int(-1), QQ.one(), QQ.one()))
+    amat, cvec = extract_monomial_action(defs, Perm.identity(3), ambient_action=signed)
+    assert amat == mat_identity(3)
+    assert cvec == (QQ.from_int(-1),) * 3
 
 
 def test_monomial_shape():

@@ -21,6 +21,7 @@ from fixedfield.poly import Substitution, ratfunc_eq
 from fixedfield.suite import (
     FAIL,
     FLAGGED,
+    KINDS,
     PASS,
     SuiteError,
     list_suites,
@@ -117,17 +118,38 @@ def test_loader_rejects_wrong_group_order():
         ('check gl23 elem=a matrix=1,0,0;0,1 ref="r"', "gl23 matrix must be 2x2"),
         ('check wreath A3 = C3 wr C1 blocks = 1,2|3,y ref="r"',
          "wreath block entry is not an integer"),
+        ('check word x elem=(ID) word=a^b ref="r"', "with an integer k >= 1, got 'a^b'"),
+        ('check word x elem=(ID) word=I*S^-1 ref="r"', "with an integer k >= 1, got 'S^-1'"),
+        ('check word x elem=(ID) word=S^0 ref="r"', "with an integer k >= 1, got 'S^0'"),
+        ('check monomial x under A3 pure=maybe ref="r"', "pure= accepts only 'yes' or 'no'"),
+        ('check induced-order x under A3 = 3 transitive=perhaps ref="r"',
+         "transitive= accepts only 'yes' or 'no'"),
+        ('check table x elem=(1,2,3) via=sideways images = x2, x3, x1 ref="r"',
+         "via= accepts only 'ground' or 'parent'"),
     ],
     ids=["degree-without-eq", "table-without-elem", "matrix-kernel-without-target",
          "faithful-without-under", "order-not-an-integer", "identity-nonzero-rhs",
          "identity-without-rhs", "gl23-non-integer-entry", "gl23-not-2x2",
-         "wreath-non-integer-block"],
+         "wreath-non-integer-block", "word-non-integer-exponent",
+         "word-negative-exponent", "word-zero-exponent", "pure-not-yes-or-no",
+         "transitive-not-yes-or-no", "via-not-ground-or-parent"],
 )
 def test_loader_rejects_malformed_checks(check, message):
     # rejected at load time with the line number, not left to crash the
     # runner with a raw ValueError or KeyError
     with pytest.raises(SuiteError, match=r"^line 5: .*" + re.escape(message)):
         _mini(check)
+
+
+def test_check_kinds_match_readme_and_shipped_suites(executed_suites):
+    # the README documents exactly the registered kinds, and every kind is
+    # exercised by some shipped suite
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Check kinds", 1)[1].split("\n#", 1)[0]
+    documented = re.findall(r"^- `([a-z0-9-]+)`", section, flags=re.M)
+    assert sorted(documented) == sorted(KINDS)
+    shipped = {c.kind for suite in executed_suites.values() for c in suite.checks}
+    assert shipped == set(KINDS)
 
 
 def test_flagged_requires_passing_pair():
@@ -390,7 +412,7 @@ def _check_expressions(suite):
 
     out = []
     for check in suite.checks:
-        kind, payload, attrs = check["kind"], check["payload"], check["attrs"]
+        kind, payload = check.kind, check.payload
         texts = []
         if kind == "invariance":
             texts.append(payload.rsplit(" under ", 1)[0])
@@ -461,7 +483,7 @@ def test_table_rows_compose(executed_suites):
                         via = "ground"
                     composed = _composed_row(suite, table, row_g, row_h)
                     ok, detail = verify_table_row(
-                        suite, table, f"{sym_g}*{sym_h}", composed, via
+                        suite, table, (sym_g, sym_h), composed, via
                     )
                     assert ok, f"{name}/{tname}: {sym_g}*{sym_h} {detail}"
                     checked += 1
@@ -579,7 +601,7 @@ def test_degree_oracle_smith_normal_form(executed_suites):
 
 
 def _kernel_check_args(suite, check):
-    tname, rest = [s.strip() for s in check["payload"].split(" under ")]
+    tname, rest = [s.strip() for s in check.payload.split(" under ")]
     return suite.table(tname), suite.group(rest.split("=")[0].strip())
 
 
@@ -588,7 +610,7 @@ def test_kernels_match_element_by_element_oracle(executed_suites):
     carried = 0
     for name, suite in executed_suites.items():
         for check in suite.checks:
-            kind = check["kind"]
+            kind = check.kind
             if kind not in ("matrix-kernel", "action-kernel", "faithful"):
                 continue
             table, group = _kernel_check_args(suite, check)
@@ -612,8 +634,8 @@ def test_kernels_match_element_by_element_oracle(executed_suites):
                     for g in group.sorted_elements()[:12]:
                         p, scalars = induced_scaled_permutation(defs, g)
                         want = (tuple(j - 1 for j in p.images), tuple(scalars))
-                        assert images[g] == want, (name, check["id"], g)
-            assert shortcut == oracle, (name, check["id"])
+                        assert images[g] == want, (name, check.id, g)
+            assert shortcut == oracle, (name, check.id)
             counts[kind] += 1
     assert counts == {"matrix-kernel": 11, "action-kernel": 13, "faithful": 17}
     # all but the two (u_2, u_4) checks of sec5_char0, whose generators do
@@ -635,7 +657,7 @@ def test_mutated_kernel_claims_fail():
     for name, lines in mutations.items():
         path = resources.files("fixedfield").joinpath("data", f"{name}.suite")
         suite = parse_suite_text(path.read_text(encoding="utf-8") + "\n".join(lines) + "\n")
-        suite.checks = [c for c in suite.checks if c["id"].startswith("mut-")]
+        suite.checks = [c for c in suite.checks if c.id.startswith("mut-")]
         rep = run_parsed_suite(suite)
         assert len(rep.checks) == len(lines)
         for c in rep.checks:
