@@ -2,26 +2,45 @@
 
 Composition convention: (g*h)(i) = g(h(i)), i.e. h acts first.  Cycle
 words written side by side multiply left to right in that convention,
-so the leftmost cycle is applied last.  Group closure is plain
-breadth-first multiplication; the orders involved never exceed a few
-thousand, so no stabilizer chains are needed.
+so the leftmost cycle is applied last.
+
+Group closure is Dimino's coset enumeration (Butler, Fundamental
+Algorithms for Permutation Groups, 1991): the generators are added one at
+a time, a generator already in the group built so far is skipped, and
+each new one grows the previous subgroup H into a union of left cosets
+r*H, so every element costs about one product.  The orders involved
+never exceed a few thousand, so no stabilizer chains are needed.  The
+enumeration runs on plain image tuples: with g padded as (0,) + images,
+the tuple of g*h is itemgetter(*h) applied to it, one C call per product,
+and each element becomes a Perm once, at the end.
 
 A homomorphism out of a group is given by the images of its generators:
-PermGroup.images_under carries them along the same breadth-first walk
-and checks, on every edge of the walk, that the images multiply
-consistently, so kernels need one product per edge instead of one
-action computation per element.
+PermGroup.images_under carries them along a breadth-first walk of the
+group by left multiplication with the generators, on the same tuples.
+It visits every edge of that Cayley graph, not only the edges that first
+reach an element, and checks that the images multiply consistently on
+each, because a map that agrees on the edges of a spanning tree alone
+need not be a homomorphism.  Kernels then need one product per edge
+instead of one action computation per element.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 CLOSURE_CAP = 50000
 
 
 class PermError(ValueError):
     pass
+
+
+def _times(h):
+    """The function p -> p*h on image tuples, for p padded as (0,) + p."""
+    if len(h) < 2:  # itemgetter of one index returns the item, not a tuple
+        return lambda p: tuple([p[j] for j in h])
+    return itemgetter(*h)
 
 
 class Perm:
@@ -168,21 +187,37 @@ class PermGroup:
 
     @staticmethod
     def _close(generators, degree, cap):
-        ident = Perm.identity(degree)
+        ident = tuple(range(1, degree + 1))
+        elements = [ident]
         seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in generators:
-                    p = g * h
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.append(p)
-                        if len(seen) > cap:
-                            raise PermError(f"closure exceeded cap {cap}")
-            frontier = nxt
-        return frozenset(seen)
+        times = []  # times[i] is _times(elements[i]), made when needed
+        gens = []  # padded generators that were not yet in the group
+        for g in generators:
+            if g.images in seen:
+                continue
+            gens.append((0,) + g.images)
+            # elements is the previous subgroup H; grow it by the left
+            # cosets s*r*H that are new, for s among the generators and
+            # r among the coset representatives found so far
+            order = len(elements)
+            times.extend(map(_times, elements[len(times):]))
+            reps = [ident]
+            for r in reps:  # reps grows while it is walked
+                times_r = _times(r)
+                for s in gens:
+                    q = times_r(s)
+                    if q in seen:
+                        continue
+                    if len(elements) + order > cap:
+                        raise PermError(f"closure exceeded cap {cap}")
+                    padded = (0,) + q
+                    coset = [f(padded) for f in times]  # all of H
+                    seen.update(coset)
+                    elements.extend(coset)
+                    reps.append(q)
+        # a set copied into a frozenset gets a table sized to its contents;
+        # one grown from an iterator keeps the slack of its last resize
+        return frozenset(set(map(Perm._trusted, elements)))
 
     def images_under(self, gen_images, one, mul):
         """{element: image} for the homomorphism sending generators[i] to
@@ -197,8 +232,9 @@ class PermGroup:
         gen_images = list(gen_images)
         if len(gen_images) != len(self.generators):
             raise PermError("one image per generator required")
-        gens = list(zip(self.generators, gen_images))
-        ident = Perm.identity(self.degree)
+        gens = [((0,) + g.images, image_g)
+                for g, image_g in zip(self.generators, gen_images)]
+        ident = tuple(range(1, self.degree + 1))
         images = {ident: one}
         missing = object()
         frontier = [ident]
@@ -206,8 +242,9 @@ class PermGroup:
             nxt = []
             for h in frontier:
                 image_h = images[h]
+                times_h = _times(h)
                 for g, image_g in gens:
-                    p = g * h
+                    p = times_h(g)
                     image_p = mul(image_g, image_h)
                     seen = images.get(p, missing)
                     if seen is missing:
@@ -215,10 +252,11 @@ class PermGroup:
                         nxt.append(p)
                     elif seen != image_p:
                         raise PermError(
-                            f"generator images are not a homomorphism: {p} "
-                            f"reached with {image_p!r} and {seen!r}"
+                            f"generator images are not a homomorphism: "
+                            f"{Perm._trusted(p)} reached with {image_p!r} and {seen!r}"
                         )
             frontier = nxt
+        images = {Perm._trusted(p): image for p, image in images.items()}
         if images.keys() != self.elements:
             raise PermError("walk from the generators does not reach the group")
         return images

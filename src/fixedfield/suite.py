@@ -177,6 +177,7 @@ class Suite:
         self.matrices: dict[str, tuple] = {}
         self.gl23map: dict[tuple[int, int], int] = {}
         self.checks: list[Check] = []
+        self.check_ids: set[str] = set()
         self._actions: dict[tuple[str, str], tuple[list, bool]] = {}
         self._scaled_cache: dict = {}
 
@@ -596,8 +597,9 @@ def _parse_check(suite: Suite, rest, seq):
         raise SuiteError("expect=fail checks need pair= and note=")
     check = Check(kind, attrs.get("id", f"{kind}-{seq:03d}"), attrs["ref"], attrs,
                   payload, fields)
-    if any(c.id == check.id for c in suite.checks):
+    if check.id in suite.check_ids:
         raise SuiteError(f"duplicate check id {check.id!r}")
+    suite.check_ids.add(check.id)
     suite.checks.append(check)
 
 
@@ -822,7 +824,10 @@ def _run_distinct(suite: Suite, check: Check):
 
 def _run_degree(suite: Suite, check: Check):
     tname, want = check.fields
-    d = abs(det_fraction_free(exponent_matrix(suite.table(tname).defs)))
+    table = suite.table(tname)
+    if table.defs is None:
+        raise SuiteError(f"table {tname!r} has no definitions to take degrees of")
+    d = abs(det_fraction_free(exponent_matrix(table.defs)))
     return d == want, f"|det| = {d}, expected {want}"
 
 
@@ -873,7 +878,7 @@ def _run_matgroup(suite: Suite, check: Check):
     group = suite.group(gname)
     gens = [suite.scaled_action(table, gen)[0] for gen in group.generators]
     left = matrix_group_elements(gens)
-    right = matrix_group_elements([suite.matrices[s] for s in syms])
+    right = matrix_group_elements([matrix_word([s], suite.matrices) for s in syms])
     return left == right, f"orders {len(left)} vs {len(right)}"
 
 

@@ -220,3 +220,107 @@ def test_images_under_rejects_non_homomorphisms():
     c2.elements = c2.elements | {P("(1,2,3)", 3)}
     with pytest.raises(PermError, match="does not reach"):
         c2.images_under([-1], 1, lambda a, b: a * b)
+
+
+def _bfs_closure(generators, degree):
+    """Breadth-first closure by left multiplication with the generators:
+    the reference the coset enumeration of PermGroup must agree with."""
+    ident = Perm.identity(degree)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in generators:
+                p = g * h
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def _assert_closes_like_bfs(group):
+    assert group.elements == _bfs_closure(group.generators, group.degree)
+    assert group.order == len(group.elements)
+    assert all(type(p) is Perm and type(p.images) is tuple for p in group.elements)
+
+
+def test_closure_matches_bfs_on_shipped_suites():
+    from fixedfield.suite import list_suites, load_suite
+
+    closed = 0
+    for name in list_suites():
+        for group in load_suite(name).groups.values():
+            _assert_closes_like_bfs(group)
+            closed += 1
+    assert closed >= 48
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_closure_matches_bfs_on_relabeled_catalog(seed, perfbench_workloads):
+    from fixedfield.suite import parse_suite_text
+
+    [(_, text)] = perfbench_workloads.groups(seed).suites
+    groups = parse_suite_text(text).groups
+    assert len(groups) > 48  # the catalog plus redundant generating sets
+    for group in groups.values():
+        _assert_closes_like_bfs(group)
+
+
+def _random_generating_set(rng, n):
+    """Up to five generators on n points: random cycles of length up to 6,
+    the identity, a repeat, or a product of earlier generators (already in
+    the group they generate)."""
+    gens = []
+    for _ in range(rng.randrange(6)):
+        roll = rng.random()
+        if gens and roll < 0.15:
+            gens.append(rng.choice(gens))
+        elif gens and roll < 0.3:
+            gens.append(rng.choice(gens) * rng.choice(gens))
+        elif roll < 0.4:
+            gens.append(Perm.identity(n))
+        else:
+            cycle = rng.sample(range(1, n + 1), rng.randint(min(n, 2), min(n, 6)))
+            images = list(range(1, n + 1))
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a - 1] = b
+            gens.append(Perm(images))
+    return gens
+
+
+def test_closure_matches_bfs_on_random_generating_sets():
+    rng = random.Random(29)
+    for trial in range(160):
+        n = trial % 8 + 1
+        gens = _random_generating_set(rng, n)
+        group = PermGroup(gens, degree=n)
+        _assert_closes_like_bfs(group)
+        # the identity map is a homomorphism, walked on the same tuples
+        images = group.images_under(gens, Perm.identity(n), Perm.__mul__)
+        assert all(image == p for p, image in images.items())
+    # the edge cases, each on every degree
+    for n in range(1, 9):
+        cycle = Perm(list(range(2, n + 1)) + [1])
+        for gens in ([], [Perm.identity(n)], [cycle, cycle], [cycle, cycle * cycle]):
+            _assert_closes_like_bfs(PermGroup(gens, degree=n))
+
+
+def test_closure_cap_is_exact():
+    s8 = [P("(1,2)"), P("(1,2,3,4,5,6,7,8)")]
+    with pytest.raises(PermError, match="^closure exceeded cap 40319$"):
+        PermGroup(s8, cap=40319)
+    assert PermGroup(s8, cap=40320).order == 40320
+
+
+def test_images_under_checks_edges_off_the_walks_tree():
+    # V4 = <a, b> sent to two transpositions of S3 that do not commute.
+    # Each image squares to 1 like its generator, so the walk's tree edges
+    # and the edges a*a = 1 pass; only the edge closing a*b = b*a fails.
+    v4 = group_closure([P("(1,2)", 4), P("(3,4)", 4)])
+    images = [P("(1,2)", 3), P("(2,3)", 3)]
+    with pytest.raises(PermError, match=r"not a homomorphism: \(1,2\)\(3,4\) reached"):
+        v4.images_under(images, Perm.identity(3), Perm.__mul__)
+    # the same images on commuting transpositions are a homomorphism
+    v4.images_under([P("(1,2)", 4), P("(3,4)", 4)], Perm.identity(4), Perm.__mul__)

@@ -1,7 +1,5 @@
 import hashlib
-import importlib.util
 import re
-import sys
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -91,8 +89,33 @@ def test_loader_requires_pair_and_note_for_expected_failures():
 
 
 def test_loader_rejects_duplicate_ids():
-    with pytest.raises(SuiteError, match="duplicate"):
+    with pytest.raises(SuiteError, match="^line 6: duplicate check id 'a'$"):
         _mini('check transitive A3 id=a ref="r"\ncheck transitive A3 id=a ref="r"')
+    # an explicit id may not repeat a generated one either
+    with pytest.raises(SuiteError, match="^line 6: duplicate check id 'transitive-001'$"):
+        _mini('check transitive A3 ref="r"\ncheck transitive A3 id=transitive-001 ref="r"')
+
+
+def test_degree_of_a_root_table_is_an_error_verdict():
+    # a root table has no definitions, so it has no exponent matrix
+    [check] = run_parsed_suite(_mini('check degree x = 1 ref="r"')).checks
+    assert check.status == FAIL
+    assert check.detail == "error: table 'x' has no definitions to take degrees of"
+
+
+def test_matgroup_naming_an_undeclared_matrix_is_an_error_verdict():
+    # A3 acts on m by cyclic permutation matrices: C generates their group
+    text = """vars m = m1 m2 m3
+def m.m1 = x1
+def m.m2 = x2
+def m.m3 = x3
+matrix C = 0,0,1 / 1,0,0 / 0,1,0
+check matgroup m under A3 == C ref="r"
+check matgroup m under A3 == C foo ref="r"
+"""
+    checks = run_parsed_suite(_mini(text)).checks
+    assert [c.status for c in checks] == [PASS, FAIL]
+    assert checks[1].detail == "error: unknown matrix symbol 'foo'"
 
 
 def test_loader_rejects_wrong_group_order():
@@ -665,21 +688,11 @@ def test_mutated_kernel_claims_fail():
             assert not c.detail.startswith("error:"), (c.id, c.detail)
 
 
-def _perfbench_workloads():
-    """perfbench/workloads.py, imported by path (it is not a package)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", [1, 2])
-def test_algebra_workload_verdicts_match_construction(seed):
+def test_algebra_workload_verdicts_match_construction(seed, perfbench_workloads):
     # the benchmark's algebra suites carry verdicts known from how they were
     # built, true checks and their mutated twins alike
-    workload = _perfbench_workloads().algebra(seed)
+    workload = perfbench_workloads.algebra(seed)
     for name, text in workload.suites:
         report = run_parsed_suite(parse_suite_text(text))
         expected = workload.expected[name]
