@@ -14,7 +14,6 @@ from __future__ import annotations
 from .monomial import (
     MonomialError,
     mat_from_rows,
-    monomial_shape,
     solve_int_combination,
 )
 from .perms import Perm, PermGroup
@@ -27,14 +26,20 @@ class ActionError(ValueError):
 
 def perm_act(g: Perm, f):
     """Apply x_i -> x_{g(i)} to a Poly or RatFunc over an n-variable table."""
-    if isinstance(f, RatFunc):
-        return RatFunc(perm_act(g, f.num), perm_act(g, f.den), simplify=False)
     if g.degree != len(f.vars):
         raise ActionError(
             f"permutation degree {g.degree} != variable count {len(f.vars)}"
         )
     move = f.vars.permutation(g.images)
-    return Poly(f.vars, f.field, {move(e): c for e, c in f.terms.items()})
+    if not isinstance(f, RatFunc):
+        return _moved(f, move)
+    # a constant has the empty monomial 0 only, which every permutation fixes
+    den = f.den if f.den.terms.keys() == {0} else _moved(f.den, move)
+    return RatFunc(_moved(f.num, move), den, simplify=False)
+
+
+def _moved(p: Poly, move) -> Poly:
+    return Poly(p.vars, p.field, {move(e): c for e, c in p.terms.items()})
 
 
 def scaled_match(img: RatFunc, target: RatFunc):
@@ -158,23 +163,21 @@ def permutation_matrix(g: Perm):
     )
 
 
-def extract_monomial_action(definitions, g: Perm, ambient_action=None, field=None):
+def extract_monomial_action(lattice, g: Perm, ambient_action=None, field=None):
     """(A, c) with  action(g)(def_j) == c_j * prod_i def_i^{A[i][j]}.
 
-    Every definition must be a scaled Laurent monomial over the ambient.
-    ambient_action describes how g transforms the ambient variables, as a
-    pair (B, d) in the same column convention; it defaults to the plain
-    permutation of ambient variables.
+    lattice is the monomial.Lattice of the definitions; every definition
+    must be a scaled Laurent monomial over the ambient.  ambient_action
+    describes how g transforms the ambient variables, as a pair (B, d) in
+    the same column convention; it defaults to the plain permutation of
+    ambient variables.
     """
     if field is None:
-        field = definitions[0].field
-    shapes = []
-    for i, d in enumerate(definitions):
-        s = monomial_shape(d)
-        if s is None:
-            raise MonomialError(f"definition {i + 1} is not a Laurent monomial")
-        shapes.append(s)
-    m = len(definitions[0].vars)
+        field = lattice.field
+    if not lattice.monomial:
+        i = lattice.shapes.index(None)
+        raise MonomialError(f"definition {i + 1} is not a Laurent monomial")
+    m = len(lattice.columns)
     if ambient_action is None:
         if g.degree != m:
             raise ActionError("permutation degree does not match the ambient table")
@@ -182,13 +185,12 @@ def extract_monomial_action(definitions, g: Perm, ambient_action=None, field=Non
         dvec = [field.one()] * m
     else:
         bmat, dvec = ambient_action
-    rows = [exps for _, exps in shapes]
-    coeffs = [c for c, _ in shapes]
+    coeffs = lattice.coeffs
     acols = []
     cvec = []
-    for j, (a_j, m_j) in enumerate(shapes):
+    for j, (a_j, m_j) in enumerate(lattice.shapes):
         target = [sum(bmat[k][i] * m_j[i] for i in range(m)) for k in range(m)]
-        col = solve_int_combination(rows, target)
+        col = solve_int_combination(lattice, target)
         if col is None:
             raise MonomialError(
                 f"image of definition {j + 1} is not an integer monomial "
@@ -203,6 +205,6 @@ def extract_monomial_action(definitions, g: Perm, ambient_action=None, field=Non
                 coeff = field.div(coeff, field.pow(coeffs[i], e))
         acols.append(col)
         cvec.append(coeff)
-    n = len(definitions)
+    n = len(coeffs)
     amat = mat_from_rows([[acols[j][i] for j in range(n)] for i in range(n)])
     return amat, tuple(cvec)

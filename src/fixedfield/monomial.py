@@ -6,11 +6,25 @@ everything stays monomial, an integer matrix A and a coefficient vector
 c with  g(f_j) = c_j * prod_i f_i^{A[i][j]}  (columns are images).  The
 extension degree of a monomial generator set is |det| of its exponent
 matrix, computed here by fraction-free (Bareiss) elimination.
+
+Each column of A solves  sum_i a_i * row_i == target  over the integers,
+and one table's rows are solved against many targets.  So a Lattice
+factors the rows once, by one Gauss-Jordan elimination over Q: it keeps
+k pivot coordinates on which the k rows are independent, and the inverse
+of the rows' pivot submatrix as an integer matrix over a denominator d.
+A solve is then integer arithmetic only: a mat-vec on the target's pivot
+coordinates, a divisibility test by d, and a residual check of the sum
+on every coordinate.  The rows are independent, so at most one rational
+a exists; the residual check alone makes an answer exact (an integer a
+that reproduces every coordinate is that one), and the divisibility
+test only rejects a non-integral a before the residual is summed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 MATRIX_GROUP_CAP = 10000
 
@@ -127,51 +141,116 @@ def monomial_shape(r):
     return coeff, tuple(a - b for a, b in zip(unpack(en), unpack(ed)))
 
 
+def _unit_row(i, shape, one):
+    if shape is None:
+        raise MonomialError(f"definition {i + 1} is not a Laurent monomial")
+    coeff, exps = shape
+    if coeff != one:
+        raise MonomialError(f"definition {i + 1} has coefficient != 1")
+    return exps
+
+
 def exponent_matrix(defs):
     """Rows of exponents, one per definition; every definition must be a
     Laurent monomial with coefficient exactly 1."""
-    rows = []
-    for i, d in enumerate(defs):
-        shape = monomial_shape(d)
-        if shape is None:
-            raise MonomialError(f"definition {i + 1} is not a Laurent monomial")
-        coeff, exps = shape
-        if coeff != d.field.one():
-            raise MonomialError(f"definition {i + 1} has coefficient != 1")
-        rows.append(exps)
-    return mat_from_rows(rows)
+    return mat_from_rows(
+        [_unit_row(i, monomial_shape(d), d.field.one()) for i, d in enumerate(defs)]
+    )
 
 
-def solve_int_combination(rows, target):
-    """Integer coefficients a with sum_i a[i]*rows[i] == target, or None.
+class Lattice:
+    """The monomial shapes of a generator set and, when every definition is
+    a scaled Laurent monomial, its exponent lattice factored once.
 
-    rows must be linearly independent over Q.  Solved by Gaussian
-    elimination with exact rationals and an integrality check.
+    shapes[i] is monomial_shape(defs[i]).  For a monomial set, rows are the
+    exponent rows (linearly independent over Q, else MonomialError here),
+    coeffs their coefficients, columns the rows transposed, pivots k
+    coordinates on which the rows are independent, and inverse/den the
+    integer matrix with  a = inverse * target[pivots] / den  the unique
+    rational a satisfying sum_i a[i]*rows[i] == target on the pivots.
     """
-    k = len(rows)
-    if k == 0:
-        return () if all(t == 0 for t in target) else None
-    n = len(rows[0])
-    # columns are the rows: solve rows^T * a = target
-    aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(target[j])]
-           for j in range(n)]
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
+
+    __slots__ = ("field", "shapes", "coeffs", "rows", "columns", "pivots",
+                 "inverse", "den")
+
+    def __init__(self, defs):
+        self.field = defs[0].field
+        self.shapes = tuple(monomial_shape(d) for d in defs)
+        self.rows = None
+        if None in self.shapes:
+            return
+        self.coeffs = tuple(c for c, _ in self.shapes)
+        self.rows = mat_from_rows([e for _, e in self.shapes])
+        self.columns = tuple(zip(*self.rows))
+        self.pivots, self.inverse, self.den = _factor(self.rows)
+
+    @property
+    def monomial(self):
+        return self.rows is not None
+
+    def unit_rows(self):
+        """exponent_matrix of the definitions, read off the shapes."""
+        one = self.field.one()
+        for i, shape in enumerate(self.shapes):
+            _unit_row(i, shape, one)
+        return self.rows
+
+
+def _factor(rows):
+    """(pivots, inverse, den) of Lattice for k independent rows.
+
+    Gauss-Jordan on [rows | I_k] reaches [U*rows | U], where U*rows is the
+    identity on the pivot columns, so U inverts the pivot submatrix P:
+    a*P == target[pivots] gives a == target[pivots] * U, and inverse is
+    den * U transposed, with den the least common denominator of U.
+    """
+    k, n = len(rows), len(rows[0])
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+         for i, row in enumerate(rows)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == k:
+            break
+        piv = next((i for i in range(r, k) if a[i][c]), None)
         if piv is None:
-            raise MonomialError("exponent rows are linearly dependent")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    sol = [aug[i][k] for i in range(k)]
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None  # inconsistent: target outside the lattice span
-    if any(x.denominator != 1 for x in sol):
-        return None
-    return tuple(int(x) for x in sol)
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(k):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    if len(pivots) < k:
+        raise MonomialError("exponent rows are linearly dependent")
+    u = [row[n:] for row in a]
+    den = lcm(*(x.denominator for row in u for x in row))
+    inverse = tuple(tuple(int(u[p][i] * den) for p in range(k)) for i in range(k))
+    return tuple(pivots), inverse, den
+
+
+def solve_int_combination(lattice, target):
+    """Integer coefficients a with sum_i a[i]*lattice.rows[i] == target, or
+    None.
+
+    The rows are independent, so exactly one rational a agrees with target
+    on the pivot coordinates: the mat-vec gives it, a remainder mod den
+    means it is not integral, and the residual over every coordinate
+    decides whether it reaches target at all.
+    """
+    if len(target) != len(lattice.columns):
+        raise MonomialError("target length differs from the exponent rows")
+    den = lattice.den
+    tp = [target[p] for p in lattice.pivots]
+    sol = []
+    for row in lattice.inverse:
+        q, r = divmod(sum(map(mul, row, tp)), den)
+        if r:
+            return None
+        sol.append(q)
+    for col, t in zip(lattice.columns, target):
+        if sum(map(mul, sol, col)) != t:
+            return None
+    return tuple(sol)

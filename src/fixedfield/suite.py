@@ -41,15 +41,14 @@ from .actions import (
     verify_faithful,
 )
 from .monomial import (
+    Lattice,
     MonomialError,
     det_fraction_free,
-    exponent_matrix,
     mat_from_rows,
     mat_identity,
     mat_mul,
     matrix_group_elements,
     matrix_word,
-    monomial_shape,
 )
 from .parser import ParseError, expression_variables, parse_expr
 from .perms import (
@@ -128,6 +127,7 @@ class Table:
         self.parent = parent
         self.defs = None  # RatFuncs over parent.vt, set once complete
         self._defs_to = {}
+        self._lattice = None
 
     @property
     def is_root(self):
@@ -157,6 +157,14 @@ class Table:
 
     def grounded(self):
         return self.defs_to(self.root())
+
+    def lattice(self) -> Lattice:
+        """The monomial shapes and factored exponent lattice of the
+        definitions, built on first use; MonomialError if the exponent rows
+        are linearly dependent."""
+        if self._lattice is None:
+            self._lattice = Lattice(self.defs)
+        return self._lattice
 
 
 _WORD_ATOM = re.compile(r"(\(ID\)|[A-Za-z_][A-Za-z_0-9]*|(?:\(\s*\d+(?:\s*,\s*\d+)*\s*\))+)(?:\^(-?\d+))?$")
@@ -309,13 +317,13 @@ class Suite:
     def induced_perm(self, table: Table, g: Perm) -> Perm:
         """Induced permutation on a generator set; exponent-lattice route
         for monomial tables, direct grounded comparison otherwise."""
-        if table.defs is not None and all(
-            monomial_shape(d) is not None for d in table.defs
-        ):
-            try:
+        try:
+            monomial = not table.is_root and table.lattice().monomial
+            if monomial:
                 bmat, dvec = self.scaled_action(table, g)
-            except (MonomialError, SuiteError):
-                return induced_permutation(table.grounded(), g)
+        except (MonomialError, SuiteError):
+            monomial = False
+        if monomial:
             n = len(table.vt)
             one = table.field.one()
             images = [0] * n
@@ -351,15 +359,15 @@ class Suite:
                 raise SuiteError("permutation degree does not match the root table")
             out = (permutation_matrix(g), tuple(fld.one() for _ in table.vt.names))
         else:
-            shapes = [monomial_shape(d) for d in table.defs]
-            if all(s is not None for s in shapes):
+            lattice = table.lattice()
+            if lattice.monomial:
                 bp, dp = self.scaled_action(table.parent, g)
                 dp = tuple(
                     dv if table.parent.field is fld else embed(dv, table.parent.field, fld)
                     for dv in dp
                 )
                 out = extract_monomial_action(
-                    table.defs, g, ambient_action=(bp, dp), field=fld
+                    lattice, g, ambient_action=(bp, dp), field=fld
                 )
             else:
                 res = induced_scaled_permutation(table.grounded(), g)
@@ -417,6 +425,7 @@ def _logical_lines(text):
 def parse_suite_text(text: str) -> Suite:
     suite = None
     check_seq = 0
+    last_def = {}  # table with definitions -> line of its last def
     for lineno, line in _logical_lines(text):
         try:
             head, rest = (line.split(None, 1) + [""])[:2]
@@ -436,7 +445,7 @@ def parse_suite_text(text: str) -> Suite:
             elif head == "vars":
                 _parse_vars(suite, rest)
             elif head == "def":
-                _parse_def(suite, rest)
+                last_def[_parse_def(suite, rest)] = lineno
             elif head == "perm":
                 name, word = [s.strip() for s in rest.split("=", 1)]
                 if name in suite.perms:
@@ -467,6 +476,13 @@ def parse_suite_text(text: str) -> Suite:
             raise SuiteError(f"line {lineno}: {exc}") from exc
     if suite is None:
         raise SuiteError("empty suite file")
+    for table, lineno in last_def.items():
+        if table.defs is None:
+            missing = [n for n in table.vt.names if n not in table._pending_defs]
+            raise SuiteError(
+                f"line {lineno}: table {table.name!r} has no definition for "
+                + " ".join(missing)
+            )
     return suite
 
 
@@ -525,6 +541,7 @@ def _parse_def(suite: Suite, rest):
             if d.num.is_zero():
                 raise SuiteError(f"zero definition in table {tname!r}")
         del table._pending_defs
+    return table
 
 
 def _parse_group(suite: Suite, rest):
@@ -827,7 +844,7 @@ def _run_degree(suite: Suite, check: Check):
     table = suite.table(tname)
     if table.defs is None:
         raise SuiteError(f"table {tname!r} has no definitions to take degrees of")
-    d = abs(det_fraction_free(exponent_matrix(table.defs)))
+    d = abs(det_fraction_free(table.lattice().unit_rows()))
     return d == want, f"|det| = {d}, expected {want}"
 
 

@@ -130,3 +130,16 @@ def test_verify_malformed_suite_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 4: check identity needs the right-hand side 0")
+
+
+def test_verify_partial_table_exits_2(capsys, monkeypatch):
+    import fixedfield.suite as suite_mod
+
+    text = ('suite catalog field=Q\npoints 3\ngroup A3 = (1,2,3) expect_order=3\n'
+            'vars x = x1 x2 x3\nvars m = m1 m2\ndef m.m1 = x1\n'
+            'check invariance m1 under A3 ref="r"\n')
+    monkeypatch.setattr(suite_mod, "load_suite", lambda name: suite_mod.parse_suite_text(text))
+    code, out, err = run(["verify", "--suite", "catalog"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 6: table 'm' has no definition for m2")

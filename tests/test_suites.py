@@ -164,6 +164,27 @@ def test_loader_rejects_malformed_checks(check, message):
         _mini(check)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("vars m = m1 m2\ndef m.m1 = x1\ncheck invariance m1 under A3 ref=\"r\"",
+         "line 6: table 'm' has no definition for m2"),
+        ("vars m = m1 m2 m3\ndef m.m3 = x3\ncheck order A3 = 3 ref=\"r\"\n"
+         "def m.m1 = x1\ncheck stable m under A3 ref=\"r\"",
+         "line 8: table 'm' has no definition for m2"),
+        ("vars m = m1 m2\nvars n = n1 n2\ndef n.n1 = x1\ndef m.m2 = x2\n"
+         "def n.n2 = x2",
+         "line 8: table 'm' has no definition for m1"),
+    ],
+    ids=["one-of-two", "interleaved-with-checks", "first-incomplete-table"],
+)
+def test_loader_rejects_partial_tables(body, message):
+    # a table whose defs cover only some of its variables has no definitions
+    # to ground through; it used to load and then crash the runner
+    with pytest.raises(SuiteError, match="^" + re.escape(message) + "$"):
+        _mini(body)
+
+
 def test_check_kinds_match_readme_and_shipped_suites(executed_suites):
     # the README documents exactly the registered kinds, and every kind is
     # exercised by some shipped suite
