@@ -10,10 +10,8 @@ degrees into machine-checked assertions.
 
 from .actions import (
     extract_monomial_action,
-    induced_permutation,
     induced_scaled_permutation,
     perm_act,
-    verify_faithful,
 )
 from .catalog import CatalogEntry, catalog_group, catalog_lookup, catalog_names
 from .monomial import det_fraction_free, exponent_matrix, matrix_word
@@ -21,7 +19,6 @@ from .parser import ParseError, format_ratfunc, parse_expr
 from .perms import (
     Perm,
     PermGroup,
-    group_closure,
     is_normal,
     is_transitive,
     parse_cycles,
@@ -35,10 +32,10 @@ __all__ = [
     "F2", "F4", "QQ", "QZ3", "Scalar", "field_by_tag",
     "VarTable", "Poly", "RatFunc", "Substitution", "substitute",
     "ratfunc_eq", "parse_expr", "format_ratfunc", "ParseError",
-    "Perm", "PermGroup", "parse_cycles", "group_closure", "is_normal",
+    "Perm", "PermGroup", "parse_cycles", "is_normal",
     "is_transitive", "wreath_product",
-    "perm_act", "induced_permutation", "induced_scaled_permutation",
-    "verify_faithful", "extract_monomial_action",
+    "perm_act", "induced_scaled_permutation",
+    "extract_monomial_action",
     "exponent_matrix", "det_fraction_free", "matrix_word",
     "CatalogEntry", "catalog_lookup", "catalog_group", "catalog_names",
     "SuiteReport", "list_suites", "run_suite",

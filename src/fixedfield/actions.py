@@ -1,12 +1,15 @@
-"""Permutation actions on rational functions: induced (scaled)
-permutations of generator sets, action kernels, faithfulness, and
-monomial-action extraction.
+"""Permutation actions on rational functions: scaled permutations of
+generator sets, monomial-action extraction, and the product of scaled
+actions.
 
 All comparisons are between exact rational functions; nothing is ever
 solved for.
 A permutation g acts on a rational function over an n-variable table by
 sending variable i to variable g(i); this is a left action:
-perm_act(g*h, f) == perm_act(g, perm_act(h, f)).
+perm_act(g*h, f) == perm_act(g, perm_act(h, f)).  So when the scaled
+action (B, d) of each g on a generator set is unique, g -> (B, d) is a
+homomorphism for the product scaled_times, and kernels and faithfulness
+are read off the group its generators' images generate (monomial.close).
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from __future__ import annotations
 from .monomial import (
     MonomialError,
     mat_from_rows,
+    mat_mul,
     solve_int_combination,
 )
-from .perms import Perm, PermGroup
-from .poly import Poly, RatFunc, ratfunc_eq
+from .perms import Perm
+from .poly import Poly, RatFunc
 
 
 class ActionError(ValueError):
@@ -58,26 +62,6 @@ def scaled_match(img: RatFunc, target: RatFunc):
     return None
 
 
-def induced_permutation(definitions, g: Perm) -> Perm:
-    """The permutation p with perm_act(g, def_i) == def_{p(i)} for all i."""
-    n = len(definitions)
-    images = [0] * n
-    used = set()
-    for i, d in enumerate(definitions):
-        moved = perm_act(g, d)
-        for j, t in enumerate(definitions):
-            if j + 1 not in used and ratfunc_eq(moved, t):
-                images[i] = j + 1
-                used.add(j + 1)
-                break
-        else:
-            raise ActionError(
-                f"image of definition {i + 1} under {g} is not a plain "
-                "member of the generator set"
-            )
-    return Perm(images)
-
-
 def induced_scaled_permutation(definitions, g: Perm):
     """(p, scalars) with perm_act(g, def_i) == scalars[i] * def_{p(i)},
     or None when no such signed/scaled permutation exists."""
@@ -101,58 +85,38 @@ def induced_scaled_permutation(definitions, g: Perm):
     return Perm(images), scalars
 
 
-def scaled_permutation_images(definitions, group: PermGroup):
-    """{g: (p, scalars)} with perm_act(g, def_i) == scalars[i] * def_{p[i]}
-    (0-based indices) for every element g, carried from the generators'
-    images along the group (PermGroup.images_under); None when two
-    definitions are proportional, so that the action does not determine
-    (p, scalars), or when some generator does not act by a scaled
-    permutation."""
-    n = len(definitions)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if scaled_match(definitions[i], definitions[j]) is not None:
-                return None
-    gen_images = []
-    for g in group.generators:
-        res = induced_scaled_permutation(definitions, g)
-        if res is None:
-            return None
-        perm, scalars = res
-        gen_images.append((tuple(j - 1 for j in perm.images), tuple(scalars)))
-    muls = [d.field.mul for d in definitions]
-
-    def mul(a, b):
-        # (gh)(def_i) = s_h[i] * g(def_{p_h[i]})
-        #             = s_h[i] * s_g[p_h[i]] * def_{p_g[p_h[i]]}
-        pa, sa = a
-        pb, sb = b
-        return (
-            tuple([pa[k] for k in pb]),
-            tuple([m(s, sa[k]) for m, s, k in zip(muls, sb, pb)]),
-        )
-
-    one = (tuple(range(n)), tuple(d.field.one() for d in definitions))
-    return group.images_under(gen_images, one, mul)
+def require_unproportional(definitions):
+    """ActionError when two definitions are proportional, so that a scaled
+    permutation of them is not unique."""
+    for i, d in enumerate(definitions):
+        for j in range(i + 1, len(definitions)):
+            if scaled_match(d, definitions[j]) is not None:
+                raise ActionError(f"definitions {i + 1} and {j + 1} are proportional")
 
 
-def action_kernel(definitions, group: PermGroup) -> frozenset:
-    """All group elements fixing every definition: read off the carried
-    scaled permutations when scaled_permutation_images applies, else
-    compared element by element."""
-    images = scaled_permutation_images(definitions, group)
-    if images is not None:
-        one = images[Perm.identity(group.degree)]
-        return frozenset(g for g, image in images.items() if image == one)
-    return frozenset(
-        g for g in group.elements
-        if all(ratfunc_eq(perm_act(g, d), d) for d in definitions)
-    )
+def scaled_times(field):
+    """times of monomial.close for scaled actions (B, d) with
+    g(t_j) = d_j * prod_k t_k^{B[k][j]}: times(h) is x -> x*h.  As
+    perm_act is a left action, x(h(t_j)) = d_h[j] * prod_k x(t_k)^{B_h[k][j]},
+    so x*h is (B_x B_h, d') with d'_j = d_h[j] * prod_k d_x[k]^{B_h[k][j]}."""
+    mul, power = field.mul, field.pow
 
+    def times(h):
+        bh, dh = h
+        cols = [[(k, e) for k, e in enumerate(col) if e] for col in zip(*bh)]
 
-def verify_faithful(definitions, group: PermGroup) -> bool:
-    """True iff no non-identity element of the group fixes every definition."""
-    return len(action_kernel(definitions, group)) == 1
+        def right(x):
+            bx, dx = x
+            d = []
+            for c, col in zip(dh, cols):
+                for k, e in col:
+                    c = mul(c, dx[k] if e == 1 else power(dx[k], e))
+                d.append(c)
+            return mat_mul(bx, bh), tuple(d)
+
+        return right
+
+    return times
 
 
 def permutation_matrix(g: Perm):

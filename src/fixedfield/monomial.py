@@ -51,7 +51,7 @@ def mat_mul(a, b):
     if len(a[0]) != len(b):
         raise MonomialError("matrix size mismatch")
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def is_square(a):
@@ -98,6 +98,43 @@ def matrix_word(word, alphabet):
     return out
 
 
+def close(generators, one, times, cap):
+    """The set of elements of the group generated by hashable elements,
+    by Dimino's coset enumeration: times(h) is the map x -> x*h, a
+    generator already in the group built so far is skipped, and each new
+    one grows the previous subgroup H by the right cosets H*r*s that are
+    new, for r among the coset representatives found so far and s among
+    the generators taken so far.  MonomialError when the group has more
+    than cap elements."""
+    elements = [one]
+    seen = {one}
+    gens = []  # times(s) for the generators taken so far
+    for g in generators:
+        if g in seen:
+            continue
+        gens.append(times(g))
+        subgroup = list(elements)
+        reps = [one]
+        for r in reps:  # reps grows while it is walked
+            for times_s in gens:
+                q = times_s(r)
+                if q in seen:
+                    continue
+                if len(elements) + len(subgroup) > cap:
+                    raise MonomialError(f"group exceeded cap {cap}")
+                times_q = times(q)
+                coset = [times_q(h) for h in subgroup]  # H*q
+                seen.update(coset)
+                elements.extend(coset)
+                reps.append(q)
+    return seen
+
+
+def matrix_times(h):
+    """times of close for integer matrices: x -> x*h."""
+    return lambda x: mat_mul(x, h)
+
+
 def matrix_group_elements(gens, cap=MATRIX_GROUP_CAP):
     gens = [mat_from_rows(g) for g in gens]
     if not gens:
@@ -108,21 +145,7 @@ def matrix_group_elements(gens, cap=MATRIX_GROUP_CAP):
             raise MonomialError("generators of mixed size")
         if det_fraction_free(g) not in (1, -1):
             raise MonomialError("generator with |det| != 1")
-    ident = mat_identity(n)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                p = mat_mul(g, h)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-                    if len(seen) > cap:
-                        raise MonomialError(f"matrix group exceeded cap {cap}")
-        frontier = nxt
-    return seen
+    return close(gens, mat_identity(n), matrix_times, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,9 @@ enumeration runs on plain image tuples: with g padded as (0,) + images,
 the tuple of g*h is itemgetter(*h) applied to it, one C call per product,
 and each element becomes a Perm once, at the end.
 
-A homomorphism out of a group is given by the images of its generators:
-PermGroup.images_under carries them along a breadth-first walk of the
-group by left multiplication with the generators, on the same tuples.
-It visits every edge of that Cayley graph, not only the edges that first
-reach an element, and checks that the images multiply consistently on
-each, because a map that agrees on the edges of a spanning tree alone
-need not be a homomorphism.  Kernels then need one product per edge
-instead of one action computation per element.
+monomial.close is Dimino's enumeration, by right cosets, for any hashable
+elements with a product, such as integer matrices and scaled monomial
+actions; it serves the groups of images that kernels are read from.
 """
 
 from __future__ import annotations
@@ -219,48 +214,6 @@ class PermGroup:
         # one grown from an iterator keeps the slack of its last resize
         return frozenset(set(map(Perm._trusted, elements)))
 
-    def images_under(self, gen_images, one, mul):
-        """{element: image} for the homomorphism sending generators[i] to
-        gen_images[i], with identity image `one` and product mul(a, b)
-        for the image of g*h from those of g and h.
-
-        Walks the group breadth-first from the identity by left
-        multiplication with the generators.  Every edge that reaches an
-        element already seen must carry the image stored for it, so data
-        that is not a homomorphism raises PermError instead of being
-        trusted."""
-        gen_images = list(gen_images)
-        if len(gen_images) != len(self.generators):
-            raise PermError("one image per generator required")
-        gens = [((0,) + g.images, image_g)
-                for g, image_g in zip(self.generators, gen_images)]
-        ident = tuple(range(1, self.degree + 1))
-        images = {ident: one}
-        missing = object()
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                image_h = images[h]
-                times_h = _times(h)
-                for g, image_g in gens:
-                    p = times_h(g)
-                    image_p = mul(image_g, image_h)
-                    seen = images.get(p, missing)
-                    if seen is missing:
-                        images[p] = image_p
-                        nxt.append(p)
-                    elif seen != image_p:
-                        raise PermError(
-                            f"generator images are not a homomorphism: "
-                            f"{Perm._trusted(p)} reached with {image_p!r} and {seen!r}"
-                        )
-            frontier = nxt
-        images = {Perm._trusted(p): image for p, image in images.items()}
-        if images.keys() != self.elements:
-            raise PermError("walk from the generators does not reach the group")
-        return images
-
     def __contains__(self, p: Perm):
         return p in self.elements
 
@@ -279,10 +232,6 @@ class PermGroup:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"PermGroup(order={self.order}, gens=[{gens}])"
-
-
-def group_closure(gens, degree=None) -> PermGroup:
-    return PermGroup(gens, degree=degree)
 
 
 def is_normal(h: PermGroup, g: PermGroup) -> bool:

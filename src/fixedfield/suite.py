@@ -32,22 +32,22 @@ from importlib import resources
 
 from .actions import (
     ActionError,
-    action_kernel,
     extract_monomial_action,
-    induced_permutation,
     induced_scaled_permutation,
     perm_act,
     permutation_matrix,
-    verify_faithful,
+    require_unproportional,
+    scaled_times,
 )
 from .monomial import (
     Lattice,
     MonomialError,
+    close,
     det_fraction_free,
     mat_from_rows,
     mat_identity,
-    mat_mul,
     matrix_group_elements,
+    matrix_times,
     matrix_word,
 )
 from .parser import ParseError, expression_variables, parse_expr
@@ -128,6 +128,7 @@ class Table:
         self.defs = None  # RatFuncs over parent.vt, set once complete
         self._defs_to = {}
         self._lattice = None
+        self.unproportional = False  # set once no two grounded defs are proportional
 
     @property
     def is_root(self):
@@ -315,37 +316,13 @@ class Suite:
     # scaled monomial actions (recursing through the table ancestry)
 
     def induced_perm(self, table: Table, g: Perm) -> Perm:
-        """Induced permutation on a generator set; exponent-lattice route
-        for monomial tables, direct grounded comparison otherwise."""
-        try:
-            monomial = not table.is_root and table.lattice().monomial
-            if monomial:
-                bmat, dvec = self.scaled_action(table, g)
-        except (MonomialError, SuiteError):
-            monomial = False
-        if monomial:
-            n = len(table.vt)
-            one = table.field.one()
-            images = [0] * n
-            for j in range(n):
-                col = [bmat[i][j] for i in range(n)]
-                nonzero = [i for i, v in enumerate(col) if v]
-                if len(nonzero) != 1 or col[nonzero[0]] != 1 or dvec[j] != one:
-                    raise ActionError(
-                        f"{g} does not act on {table.name} by a pure permutation"
-                    )
-                images[j] = nonzero[0] + 1
-            return Perm(images)
-        return induced_permutation(table.grounded(), g)
-
-    def matrix_kernel(self, table: Table, group: PermGroup) -> frozenset:
-        """Elements of the group whose lattice matrix on the table is the
-        identity, from the generators' matrices carried along the group
-        (B(gh) = B(g) B(h))."""
-        ident = mat_identity(len(table.vt))
-        gen_mats = [self.scaled_action(table, g)[0] for g in group.generators]
-        images = group.images_under(gen_mats, ident, mat_mul)
-        return frozenset(g for g, bmat in images.items() if bmat == ident)
+        """The permutation g induces on the table's variables: its scaled
+        action must be a permutation matrix with every scalar 1."""
+        bmat, dvec = self.scaled_action(table, g)
+        one, unit = table.field.one(), [0] * (len(dvec) - 1) + [1]
+        if any(c != one or sorted(col) != unit for col, c in zip(zip(*bmat), dvec)):
+            raise ActionError(f"{g} does not act on {table.name} by a pure permutation")
+        return Perm([col.index(1) + 1 for col in zip(*bmat)])
 
     def scaled_action(self, table: Table, g: Perm):
         """(B, d) with g(t_j) = d_j * prod_k t_k^{B[k][j]}, payloads in
@@ -525,6 +502,9 @@ def _parse_def(suite: Suite, rest):
     if table.parent is None:
         if parent is table:
             raise SuiteError(f"definition of {target} refers to its own table")
+        if _join_fields(table.field, parent.field) is not table.field:
+            raise SuiteError(f"table {tname!r} field {table.field.tag} does not "
+                             f"contain field {parent.field.tag} of {parent.name!r}")
         table.parent = parent
     elif parent is not table.parent:
         raise SuiteError(
@@ -899,26 +879,42 @@ def _run_matgroup(suite: Suite, check: Check):
     return left == right, f"orders {len(left)} vs {len(right)}"
 
 
-def _run_matrix_kernel(suite: Suite, check: Check):
-    tname, gname, hname = check.fields
-    kernel = suite.matrix_kernel(suite.table(tname), suite.group(gname))
-    target = suite.group(hname).elements
-    return kernel == target, f"kernel order {len(kernel)} vs |{hname}| = {len(target)}"
+def _image_group(suite: Suite, check: Check):
+    """(G, phi, phi(1), |phi(G)|) of a kernel kind: phi(g) is
+    scaled_action(table, g), B alone for matrix-kernel, and phi(G) is
+    closed on the generators' images.  phi is a homomorphism as long as
+    phi(g) is unique: Lattice rejects dependent exponent rows, and no two
+    definitions of a table that is not monomial may be proportional."""
+    tname, gname = check.fields[:2]
+    table, group = suite.table(tname), suite.group(gname)
+    if not (table.is_root or table.lattice().monomial or table.unproportional):
+        require_unproportional(table.grounded())
+        table.unproportional = True
+    n = len(table.vt)
+    if check.kind == "matrix-kernel":
+        one, times = mat_identity(n), matrix_times
+        phi = lambda g: suite.scaled_action(table, g)[0]
+    else:
+        one, times = (mat_identity(n), (table.field.one(),) * n), scaled_times(table.field)
+        phi = lambda g: suite.scaled_action(table, g)
+    return group, phi, one, len(close(map(phi, group.generators), one, times, group.order))
 
 
-def _run_action_kernel(suite: Suite, check: Check):
-    tname, gname, hname = check.fields
-    table = suite.table(tname)
-    kernel = action_kernel(table.grounded(), suite.group(gname))
-    target = suite.group(hname).elements
-    return kernel == target, f"kernel order {len(kernel)} vs |{hname}| = {len(target)}"
+def _run_kernel(suite: Suite, check: Check):
+    """ker phi = H iff H <= G, phi(H) = 1 and |G| = |H|*|phi(G)|."""
+    group, phi, one, image = _image_group(suite, check)
+    hname = check.fields[2]
+    claimed = suite.group(hname)
+    ok = claimed.order * image == group.order and all(
+        h in group and phi(h) == one for h in claimed.generators
+    )
+    return ok, f"kernel order {group.order // image} vs |{hname}| = {claimed.order}"
 
 
 def _run_faithful(suite: Suite, check: Check):
     tname, gname = check.fields
-    table = suite.table(tname)
-    ok = verify_faithful(table.grounded(), suite.group(gname))
-    return ok, f"kernel of {gname} acting on {tname}"
+    group, _, _, image = _image_group(suite, check)
+    return image == group.order, f"kernel of {gname} acting on {tname}"
 
 
 def _run_stable(suite: Suite, check: Check):
@@ -980,8 +976,8 @@ KINDS: dict[str, CheckKind] = {
     "monomial": CheckKind(_shape(" under ", takes=("pure",)), _run_monomial),
     "word": CheckKind(_parse_word, _run_word),
     "matgroup": CheckKind(_shape(" under ", "==", last=str.split), _run_matgroup),
-    "matrix-kernel": CheckKind(_shape(" under ", "="), _run_matrix_kernel),
-    "action-kernel": CheckKind(_shape(" under ", "="), _run_action_kernel),
+    "matrix-kernel": CheckKind(_shape(" under ", "="), _run_kernel),
+    "action-kernel": CheckKind(_shape(" under ", "="), _run_kernel),
     "faithful": CheckKind(_shape(" under "), _run_faithful),
     "stable": CheckKind(_shape(" under "), _run_stable),
     "same-action": CheckKind(_shape(needs=("elem",)), _run_same_action),

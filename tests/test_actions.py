@@ -4,14 +4,12 @@ import pytest
 
 from fixedfield.actions import (
     ActionError,
-    action_kernel,
-    induced_permutation,
     induced_scaled_permutation,
     perm_act,
-    verify_faithful,
+    scaled_times,
 )
 from fixedfield.parser import parse_expr
-from fixedfield.perms import Perm, group_closure, parse_cycles
+from fixedfield.perms import Perm, parse_cycles
 from fixedfield.poly import Poly, RatFunc, Substitution, VarTable, ratfunc_eq
 from fixedfield.scalars import F2, QQ
 from fixedfield.suite import FAIL, PASS, parse_suite_text, run_parsed_suite
@@ -73,17 +71,22 @@ W_INVARIANTS = [
 ]
 
 
-def v8():
-    return group_closure([P("(1,2)(3,4)(5,6)(7,8)"), P("(1,3)(2,4)(5,7)(6,8)"),
-                          P("(1,5)(2,6)(3,7)(4,8)")])
+V8_GROUP = ("group V8 = (1,2)(3,4)(5,6)(7,8) (1,3)(2,4)(5,7)(6,8) (1,5)(2,6)(3,7)(4,8) "
+            "expect_order=8")
+
+
+def results(text):
+    """The (status, detail) of each of a suite's checks, run through the
+    suite runner."""
+    return [(c.status, c.detail) for c in run_parsed_suite(parse_suite_text(text)).checks]
 
 
 def statuses(text):
-    """The statuses of a suite's checks, run through the suite runner; a
-    failure must be a verdict, not an error."""
-    checks = run_parsed_suite(parse_suite_text(text)).checks
-    assert not [c.detail for c in checks if c.detail.startswith("error:")]
-    return [c.status for c in checks]
+    """The statuses of a suite's checks; a failure must be a verdict, not
+    an error."""
+    checks = results(text)
+    assert not [detail for _, detail in checks if detail.startswith("error:")]
+    return [status for status, _ in checks]
 
 
 def suite_text(field, tables, statements, checks):
@@ -110,9 +113,7 @@ def test_verify_invariance_examples():
     )
     assert statuses(text) == [PASS, PASS, PASS, FAIL]
     text = suite_text(
-        "F2", {"x": (X8_NAMES, None)},
-        ["group V8 = (1,2)(3,4)(5,6)(7,8) (1,3)(2,4)(5,7)(6,8) (1,5)(2,6)(3,7)(4,8) "
-         "expect_order=8"],
+        "F2", {"x": (X8_NAMES, None)}, [V8_GROUP],
         [f"check invariance {t} under V8" for t in W_INVARIANTS],
     )
     assert statuses(text) == [PASS] * 8
@@ -188,12 +189,17 @@ def test_induced_permutation_on_grounded_block_invariants():
         2: "(x1 + x2 - x3 - x4)", 3: "(x1 - x2 + x3 - x4)", 4: "(x1 - x2 - x3 + x4)",
         6: "(x5 + x6 - x7 - x8)", 7: "(x5 - x6 + x7 - x8)", 8: "(x5 - x6 - x7 + x8)",
     }
-    defs = [
-        q8(f"{y[2]}*{y[3]}/{y[4]}"), q8(f"{y[3]}*{y[4]}/{y[2]}"), q8(f"{y[4]}*{y[2]}/{y[3]}"),
-        q8(f"{y[6]}*{y[7]}/{y[8]}"), q8(f"{y[7]}*{y[8]}/{y[6]}"), q8(f"{y[8]}*{y[6]}/{y[7]}"),
+    texts = [
+        f"{y[2]}*{y[3]}/{y[4]}", f"{y[3]}*{y[4]}/{y[2]}", f"{y[4]}*{y[2]}/{y[3]}",
+        f"{y[6]}*{y[7]}/{y[8]}", f"{y[7]}*{y[8]}/{y[6]}", f"{y[8]}*{y[6]}/{y[7]}",
     ]
-    kappa = P("(1,5)(2,6)(3,7)(4,8)")
-    assert induced_permutation(defs, kappa) == parse_cycles("(1,4)(2,5)(3,6)", 6)
+    text = suite_text(
+        "Q", {"x": (X8_NAMES, None), "m": ([f"m{i}" for i in range(1, 7)], texts)},
+        ["perm kappa = (1,5)(2,6)(3,7)(4,8)"],
+        ["check induced m = (1,4)(2,5)(3,6) elem=kappa",
+         "check induced m = (1,4)(2,6)(3,5) elem=kappa"],
+    )
+    assert statuses(text) == [PASS, FAIL]
 
 
 PROP_V4 = [
@@ -251,20 +257,36 @@ def test_seventh_relation_at_free_level():
 
 
 def test_induced_permutation_examples():
-    yt = VarTable([f"y{i}" for i in range(1, 9)])
-    zdefs = [parse_expr(t, yt, QQ) for t in DEGREE7_ZSET]
-    theta = P("(2,3,7,4,5,6,8)")
-    assert induced_permutation(zdefs, theta) == theta
+    text = suite_text(
+        "Q",
+        {"y": ([f"y{i}" for i in range(1, 9)], None),
+         "z": ([f"z{i}" for i in range(1, 9)], DEGREE7_ZSET)},
+        ["perm theta = (2,3,7,4,5,6,8)"],
+        ["check same-action z elem=theta", "check same-action z elem=theta^2"],
+    )
+    assert statuses(text) == [PASS, PASS]
 
     # the 8-cycle sends y4 = x4 - x8 to x5 - x1 = -y1: a sign appears,
     # so the action is a scaled permutation but not a plain one
-    ydefs = [q8(f"x{i} - x{i + 4}") for i in range(1, 5)]
-    eight = P("(1,2,3,4,5,6,7,8)")
-    with pytest.raises(ActionError):
-        induced_permutation(ydefs, eight)
-    p, scalars = induced_scaled_permutation(ydefs, eight)
+    ytexts = [f"x{i} - x{i + 4}" for i in range(1, 5)]
+    text = suite_text(
+        "Q", {"x": (X8_NAMES, None), "y": (["y1", "y2", "y3", "y4"], ytexts)},
+        ["perm eight = (1,2,3,4,5,6,7,8)"],
+        ["check induced y = (1,2,3,4) elem=eight"],
+    )
+    assert results(text) == [
+        (FAIL, "error: (1,2,3,4,5,6,7,8) does not act on y by a pure permutation")
+    ]
+    p, scalars = induced_scaled_permutation([q8(t) for t in ytexts], P("(1,2,3,4,5,6,7,8)"))
     assert p == parse_cycles("(1,2,3,4)", 4)
     assert scalars == [QQ.one(), QQ.one(), QQ.one(), QQ.from_int(-1)]
+
+
+def _plain(definitions, g):
+    """The induced permutation, as a scaled one whose scalars are all 1."""
+    p, scalars = induced_scaled_permutation(definitions, g)
+    assert set(scalars) == {definitions[0].field.one()}
+    return p
 
 
 def test_induced_permutation_is_homomorphism():
@@ -274,23 +296,81 @@ def test_induced_permutation_is_homomorphism():
     phi1 = P("(2,3,4)(7,6,5)")
     phi2 = P("(2,3)(7,6)")
     for g, h in [(theta, phi1), (theta, phi2), (phi1, phi2)]:
-        a = induced_permutation(wdefs, g)
-        b = induced_permutation(wdefs, h)
-        assert induced_permutation(wdefs, g * h) == a * b
+        a = _plain(wdefs, g)
+        b = _plain(wdefs, h)
+        assert _plain(wdefs, g * h) == a * b
 
 
 def test_verify_faithful_examples():
-    total = f28("x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8")
-    assert not verify_faithful([total], v8())
+    total = "x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8"
+    text = suite_text("F2", {"x": (X8_NAMES, None), "t": (["t1"], [total])},
+                      [V8_GROUP], ["check faithful t under V8"])
+    assert statuses(text) == [FAIL]
 
     # the first-family restricted action: y_i = x_i - x_{i+4}
-    yt_defs = [q8(f"x{i} - x{i + 4}") for i in range(1, 5)]
-    g26 = group_closure([P("(1,2,3,4,5,6,7,8)"), P("(1,5)(2,6)"), P("(1,5)(2,8)(4,6)")])
-    assert g26.order == 64
-    assert verify_faithful(yt_defs, g26)
+    text = suite_text(
+        "Q",
+        {"x": (X8_NAMES, None),
+         "y": (["y1", "y2", "y3", "y4"], [f"x{i} - x{i + 4}" for i in range(1, 5)])},
+        ["group G26 = (1,2,3,4,5,6,7,8) (1,5)(2,6) (1,5)(2,8)(4,6) expect_order=64"],
+        ["check faithful y under G26"],
+    )
+    assert statuses(text) == [PASS]
 
 
 def test_action_kernel():
-    total = f28("x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8")
-    group = v8()
-    assert action_kernel([total], group) == group.elements
+    total = "x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8"
+    text = suite_text(
+        "F2", {"x": (X8_NAMES, None), "t": (["t1"], [total])},
+        [V8_GROUP, "group E = (ID) expect_order=1",
+         "group T3 = (1,2) (3,4) (5,6) expect_order=8"],
+        ["check action-kernel t under V8 = V8", "check action-kernel t under V8 = E",
+         # T3 has the kernel's order and fixes t, but is no subgroup of V8
+         "check action-kernel t under V8 = T3"],
+    )
+    assert statuses(text) == [PASS, FAIL, FAIL]
+
+
+def test_kernel_kinds_need_a_unique_scaled_action():
+    # t2 = -t1, so (1,2) sends t1 both to t2 and to -t1: its scaled
+    # permutation of the definitions is not unique
+    text = suite_text(
+        "Q", {"x": (["x1", "x2"], None), "t": (["t1", "t2"], ["x1 - x2", "x2 - x1"])},
+        ["points 2", "group S2 = (1,2) expect_order=2", "group E = (ID) expect_order=1"],
+        ["check faithful t under S2", "check action-kernel t under S2 = E",
+         "check matrix-kernel t under S2 = E"],
+    )
+    assert results(text) == [(FAIL, "error: definitions 1 and 2 are proportional")] * 3
+    # (1,3) sends u1 = x1 + x2 to x3 + x2, which is no multiple of u1 or u2
+    text = suite_text(
+        "Q", {"x": (["x1", "x2", "x3"], None), "u": (["u1", "u2"], ["x1 + x2", "x1*x2"])},
+        ["points 3", "group C2 = (1,3) expect_order=2", "group E = (ID) expect_order=1"],
+        ["check faithful u under C2", "check action-kernel u under C2 = E"],
+    )
+    assert results(text) == [
+        (FAIL, "error: (1,3) does not act by a scaled permutation on u")
+    ] * 2
+
+
+def test_scaled_times_composes_scaled_actions():
+    # the coefficients 2 and 1/3 of t give scalars other than 1 and -1,
+    # and u's exponent rows give lattice matrices with entries other than
+    # 0, 1 and -1, so the cocycle raises scalars to powers beyond 1
+    text = suite_text(
+        "Q",
+        {"x": (["x1", "x2", "x3"], None),
+         "t": (["t1", "t2", "t3"], ["2*x1", "x2", "x3/3"]),
+         "u": (["u1", "u2", "u3"], ["t1^2*t2", "t1*t2", "t3"])},
+        ["points 3", "group S3 = (1,2) (1,2,3) expect_order=6"],
+        ["check faithful u under S3"],
+    )
+    suite = parse_suite_text(text)
+    table, group = suite.table("u"), suite.group("S3")
+    phi = {g: suite.scaled_action(table, g) for g in group.elements}
+    assert max(abs(e) for b, _ in phi.values() for row in b for e in row) > 1
+    assert {c for _, d in phi.values() for c in d} - {1, -1}
+    times = scaled_times(table.field)
+    for g in group.elements:
+        for h in group.elements:
+            assert times(phi[h])(phi[g]) == phi[g * h], (g, h)
+    assert statuses(text) == [PASS]

@@ -5,14 +5,17 @@ import pytest
 
 from fixedfield.actions import extract_monomial_action
 from fixedfield.monomial import (
+    MATRIX_GROUP_CAP,
     Lattice,
     MonomialError,
+    close,
     det_fraction_free,
     exponent_matrix,
     mat_from_rows,
     mat_identity,
     mat_mul,
     matrix_group_elements,
+    matrix_times,
     matrix_word,
     monomial_shape,
     solve_int_combination,
@@ -93,6 +96,73 @@ def test_matrix_group_orders():
     assert len(matrix_group_elements([mat_neg(SIGMA_4A), LAMBDA_1])) == 8
     with pytest.raises(MonomialError):
         matrix_group_elements([mat_from_rows([[2, 0], [0, 1]])])
+
+
+def _bfs_matrix_group(gens):
+    """Breadth-first closure by left multiplication with the generators:
+    the reference the coset enumeration of close must agree with."""
+    ident = mat_identity(len(gens[0]))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                p = mat_mul(g, h)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return seen
+
+
+def _closes_like_bfs(gens):
+    group = close(gens, mat_identity(len(gens[0])), matrix_times, MATRIX_GROUP_CAP)
+    assert group == _bfs_matrix_group(gens)
+    assert matrix_group_elements(gens) == group
+    return len(group)
+
+
+def test_close_matches_bfs_on_shipped_matgroups():
+    suite = load_suite("sec5_char0")
+    orders = []
+    for check in suite.checks:
+        if check.kind != "matgroup":
+            continue
+        tname, gname, syms = check.fields
+        table = suite.table(tname)
+        lattice = [suite.scaled_action(table, g)[0] for g in suite.group(gname).generators]
+        named = [suite.matrices[s] for s in syms]
+        orders.append((_closes_like_bfs(lattice), _closes_like_bfs(named)))
+    assert len(orders) == 6
+    assert all(a == b for a, b in orders)
+
+
+def _signed_permutation_matrix(rng, n):
+    perm = rng.sample(range(n), n)
+    return mat_from_rows(
+        [[rng.choice((1, -1)) if perm[j] == i else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def test_close_matches_bfs_on_random_signed_permutation_matrices():
+    rng = random.Random(41)
+    for trial in range(60):
+        n = trial % 4 + 1
+        gens = [_signed_permutation_matrix(rng, n) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:  # a generator already in the group
+            gens.append(mat_mul(rng.choice(gens), rng.choice(gens)))
+        _closes_like_bfs(gens)
+
+
+def test_close_cap_is_exact():
+    # -sigma_4A and lambda_1 generate a dihedral group of order 8
+    gens = [mat_neg(SIGMA_4A), LAMBDA_1]
+    with pytest.raises(MonomialError, match="^group exceeded cap 7$"):
+        close(gens, mat_identity(3), matrix_times, 7)
+    assert len(close(gens, mat_identity(3), matrix_times, 8)) == 8
+    with pytest.raises(MonomialError, match="^group exceeded cap 7$"):
+        matrix_group_elements(gens, cap=7)
 
 
 SEC6_BLOCK = [[1, 1, -1], [-1, 1, 1], [1, -1, 1]]

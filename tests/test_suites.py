@@ -6,12 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fixedfield.actions import (
-    action_kernel,
-    induced_scaled_permutation,
-    perm_act,
-    scaled_permutation_images,
-)
+from fixedfield.actions import perm_act
 from fixedfield.catalog import ELEMENT_ORDERS, CatalogError, catalog_group, catalog_lookup
 from fixedfield.monomial import mat_identity
 from fixedfield.parser import format_ratfunc, parse_expr
@@ -22,6 +17,7 @@ from fixedfield.suite import (
     KINDS,
     PASS,
     SuiteError,
+    _image_group,
     list_suites,
     load_suite,
     parse_suite_text,
@@ -162,6 +158,16 @@ def test_loader_rejects_malformed_checks(check, message):
     # runner with a raw ValueError or KeyError
     with pytest.raises(SuiteError, match=r"^line 5: .*" + re.escape(message)):
         _mini(check)
+
+
+def test_loader_rejects_a_table_over_a_larger_field():
+    # the scalars of its action would lie outside its own field, where the
+    # kernel kinds cannot multiply them and a scalar 1 reads as impure
+    text = ("suite mini field=Q\npoints 3\nvars x field=Qz3 = x1 x2 x3\n"
+            "vars t = t1 t2 t3\ndef t.t1 = x1 - x2\n")
+    with pytest.raises(SuiteError, match="^line 5: table 't' field Q does not contain "
+                       "field Qz3 of 'x'$"):
+        parse_suite_text(text)
 
 
 @pytest.mark.parametrize(
@@ -641,50 +647,38 @@ def test_degree_oracle_smith_normal_form(executed_suites):
     assert checked >= 10
 
 
-# --- kernels: the generator-homomorphism shortcut against per-element work --
-
-
-def _kernel_check_args(suite, check):
-    tname, rest = [s.strip() for s in check.payload.split(" under ")]
-    return suite.table(tname), suite.group(rest.split("=")[0].strip())
+# --- kernels: the order of the image group against per-element work ------
 
 
 def test_kernels_match_element_by_element_oracle(executed_suites):
     counts = Counter()
-    carried = 0
     for name, suite in executed_suites.items():
         for check in suite.checks:
             kind = check.kind
             if kind not in ("matrix-kernel", "action-kernel", "faithful"):
                 continue
-            table, group = _kernel_check_args(suite, check)
+            table, group = suite.table(check.fields[0]), suite.group(check.fields[1])
             if kind == "matrix-kernel":
                 ident = mat_identity(len(table.vt))
                 oracle = {
                     g for g in group.elements
                     if suite.scaled_action(table, g)[0] == ident
                 }
-                shortcut = suite.matrix_kernel(table, group)
             else:
                 defs = table.grounded()
                 oracle = {
                     g for g in group.elements
                     if all(ratfunc_eq(perm_act(g, d), d) for d in defs)
                 }
-                shortcut = action_kernel(defs, group)
-                images = scaled_permutation_images(defs, group)
-                if images is not None:
-                    carried += 1
-                    for g in group.sorted_elements()[:12]:
-                        p, scalars = induced_scaled_permutation(defs, g)
-                        want = (tuple(j - 1 for j in p.images), tuple(scalars))
-                        assert images[g] == want, (name, check.id, g)
-            assert shortcut == oracle, (name, check.id)
+            routed, _, _, image = _image_group(suite, check)
+            assert routed is group and group.order // image == len(oracle), (name, check.id)
+            want = len(oracle) == 1 if kind == "faithful" else (
+                oracle == suite.group(check.fields[2]).elements
+            )
+            assert KINDS[kind].run(suite, check)[0] == want, (name, check.id)
             counts[kind] += 1
+    # every kernel check of the shipped suites takes the image-group route
     assert counts == {"matrix-kernel": 11, "action-kernel": 13, "faithful": 17}
-    # all but the two (u_2, u_4) checks of sec5_char0, whose generators do
-    # not act by scaled permutations, take the carried path
-    assert carried == 28
 
 
 def test_mutated_kernel_claims_fail():
@@ -692,10 +686,15 @@ def test_mutated_kernel_claims_fail():
         "sec5_char0": [
             'check matrix-kernel Za under G26 = G26 id=mut-matrix ref="r"',
             'check matrix-kernel Za under G26 = Lam2 id=mut-matrix-other ref="r"',
+            # a subgroup of G26 of the kernel's order that is not the kernel
+            "group Hmut = (3,7)(4,8) (2,4,6,8) expect_order=8",
+            'check matrix-kernel Za under G26 = Hmut id=mut-matrix-same-order ref="r"',
         ],
         "sec6_char0": [
             'check action-kernel zs under G33 = G33 id=mut-action ref="r"',
             'check faithful zs under G33 id=mut-faithful ref="r"',
+            "group Hmut = (5,6)(7,8) (1,5,3,7)(2,6,4,8) expect_order=16",
+            'check action-kernel zs under G33 = Hmut id=mut-action-same-order ref="r"',
         ],
     }
     for name, lines in mutations.items():
@@ -703,7 +702,7 @@ def test_mutated_kernel_claims_fail():
         suite = parse_suite_text(path.read_text(encoding="utf-8") + "\n".join(lines) + "\n")
         suite.checks = [c for c in suite.checks if c.id.startswith("mut-")]
         rep = run_parsed_suite(suite)
-        assert len(rep.checks) == len(lines)
+        assert len(rep.checks) == sum(line.startswith("check ") for line in lines)
         for c in rep.checks:
             assert c.status == FAIL, (c.id, c.detail)
             assert not c.detail.startswith("error:"), (c.id, c.detail)
