@@ -15,7 +15,7 @@ from .actions import (
 )
 from .catalog import CatalogEntry, catalog_group, catalog_lookup, catalog_names
 from .monomial import det_fraction_free, exponent_matrix, matrix_word
-from .parser import ParseError, format_ratfunc, parse_expr
+from .parser import ParseError, parse_expr
 from .perms import (
     Perm,
     PermGroup,
@@ -25,13 +25,13 @@ from .perms import (
     wreath_product,
 )
 from .poly import Poly, RatFunc, Substitution, VarTable, ratfunc_eq, substitute
-from .scalars import F2, F4, QQ, QZ3, Scalar, field_by_tag
+from .scalars import F2, F4, QQ, QZ3, field_by_tag
 from .suite import SuiteReport, list_suites, run_suite
 
 __all__ = [
-    "F2", "F4", "QQ", "QZ3", "Scalar", "field_by_tag",
+    "F2", "F4", "QQ", "QZ3", "field_by_tag",
     "VarTable", "Poly", "RatFunc", "Substitution", "substitute",
-    "ratfunc_eq", "parse_expr", "format_ratfunc", "ParseError",
+    "ratfunc_eq", "parse_expr", "ParseError",
     "Perm", "PermGroup", "parse_cycles", "is_normal",
     "is_transitive", "wreath_product",
     "perm_act", "induced_scaled_permutation",

@@ -5,8 +5,11 @@
     factor := base ('^' integer)?
     base   := variable | integer | 'zeta3' | '(' expr ')' | '-' base
 
-Whitespace is insignificant; integers are arbitrary precision; variables
-must belong to the supplied table.  The result is always a RatFunc.
+Whitespace is insignificant; integers are arbitrary precision.  The
+result is always a RatFunc over the supplied table.  Each name evaluates
+through one resolver: by default to the table's variable of that name, or,
+given leaf, to leaf(name), which is how a suite grounds a check expression
+by evaluating it at the definitions of its variables.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME.pattern})|([()+\-*/^]))")
 
 
 def _tokenize(text):
@@ -47,12 +51,13 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, vars: VarTable, field: Field):
+    def __init__(self, text, vars: VarTable, field: Field, leaf):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.vars = vars
         self.field = field
+        self.leaf = leaf
 
     def peek(self):
         return self.tokens[self.i]
@@ -127,9 +132,10 @@ class _Parser:
                 if not self.field.has_zeta3:
                     raise ParseError(f"zeta3 is not available over {self.field.tag}", pos)
                 return RatFunc.const(self.vars, self.field, self.field.zeta3())
-            if val not in self.vars:
+            value = self.leaf(val)
+            if value is None:
                 raise ParseError(f"unknown variable {val!r}", pos)
-            return RatFunc.var(self.vars, self.field, val)
+            return value
         if kind == "op" and val == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -139,19 +145,17 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
-def parse_expr(text: str, vars: VarTable, field: Field) -> RatFunc:
-    return _Parser(text, vars, field).parse()
-
-
-def format_ratfunc(r: RatFunc) -> str:
-    """Print r so that parse_expr(format_ratfunc(r)) == r under ratfunc_eq."""
-    return str(r)
+def parse_expr(text: str, vars: VarTable, field: Field, leaf=None) -> RatFunc:
+    """The value of text over vars in field.  leaf(name) is a name's value,
+    a RatFunc over vars in field, or None when the name is unknown; by
+    default the names are the variables of vars.  str(r) parses back to r."""
+    if leaf is None:
+        leaf = lambda name: RatFunc.var(vars, field, name) if name in vars else None
+    return _Parser(text, vars, field, leaf).parse()
 
 
 def expression_variables(text: str):
-    """The set of identifiers appearing in an expression (zeta3 excluded)."""
-    return {
-        m.group(2)
-        for m in _TOKEN.finditer(text)
-        if m.group(2) is not None and m.group(2) != "zeta3"
-    }
+    """The set of identifiers appearing in an expression (zeta3 excluded).
+    A name cannot start inside an integer token, so scanning for names
+    alone finds the name tokens, without matching every other token."""
+    return set(_NAME.findall(text)) - {"zeta3"}

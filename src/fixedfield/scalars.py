@@ -8,13 +8,12 @@ F4         F2 adjoined z3, basis {1, z3}, reduced by z3^2 = 1 + z3
            (payloads are ints 0..3: bit 0 the constant, bit 1 the z3 part)
 
 Payloads are canonical: equal field elements have equal payloads.  Poly
-stores raw payloads for speed; Scalar wraps a payload with its field for
-the public surface.  Mixing payloads from different fields is an error.
+stores raw payloads and the field they lie in; mixing payloads from
+different fields is an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -305,51 +304,3 @@ def embed(value, src: Field, dst: Field):
 
 def can_embed(src: Field, dst: Field) -> bool:
     return src is dst or (src is F2 and dst is F4) or (src is QQ and dst is QZ3)
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A field element tagged with its field."""
-
-    field: Field
-    value: object
-
-    def _check(self, other: "Scalar"):
-        if self.field is not other.field:
-            raise FieldError(
-                f"mixed-field arithmetic: {self.field.tag} vs {other.field.tag}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def is_zero(self):
-        return self.value == self.field.zero()
-
-    def __str__(self):
-        return self.field.to_str(self.value)
-
-
-def scalar(field: Field, n: int) -> Scalar:
-    return Scalar(field, field.from_int(n))
-
-
-def zeta3(field: Field) -> Scalar:
-    return Scalar(field, field.zeta3())
-

@@ -14,12 +14,12 @@ A suite file is line oriented (``#`` comments, ``\\`` continuations):
 
 A table's parent is inferred from the variables its definitions use.
 Expressions in checks may mix variables from any tables sharing a root;
-they are grounded by substituting definitions down to the root table
-(or to the table named by ``over=``).  Action-table rows are verified
-either against the root permutation action (``via=ground``, default) or
-against the registered rows of the parent table (``via=parent``), which
-keeps deeply chained changes of variables affordable.  Every verified
-single-element row is registered so later tables can build on it.
+they are grounded by evaluating them at their variables' definitions over
+the root table (or the table named by ``over=``).  Action-table rows are
+verified either against the root permutation action (``via=ground``,
+default) or against the registered rows of the parent table
+(``via=parent``), which keeps deeply chained changes of variables
+affordable.  Every verified single-element row is registered for reuse.
 """
 
 from __future__ import annotations
@@ -232,58 +232,25 @@ class Suite:
     # ------------------------------------------------------------------
     # expression grounding
 
-    def _tables_of_expr(self, text):
-        used = expression_variables(text)
-        if not used:
-            return set()
-        tables = set()
-        for v in used:
-            if v not in self.var_owner:
-                raise SuiteError(f"expression uses unknown variable {v!r}: {text}")
-            tables.add(self.var_owner[v][0])
-        return tables
-
-    def _namespace(self):
-        if not hasattr(self, "_ns"):
-            names = []
-            for t in self.tables.values():
-                names.extend(t.vt.names)
-            self._ns = VarTable(names)
-        return self._ns
-
     def ground_expr(self, text, stop: Table | None = None) -> RatFunc:
-        tables = self._tables_of_expr(text)
+        """The expression evaluated with each variable taken as its definition
+        over stop (defs_to(stop)); stop defaults to the one root of the tables
+        it names.  A table's field contains its parent's, so the field is
+        stop's joined with the fields of the tables the expression names."""
+        owners = {v: self.var_owner[v] for v in expression_variables(text)}
         if stop is None:
-            roots = {t.root() for t in tables}
+            roots = {t.root() for t, _ in owners.values()}
             if len(roots) > 1:
                 raise SuiteError(f"expression mixes unrelated roots: {text}")
             stop = roots.pop() if roots else next(iter(self.tables.values())).root()
         fld = stop.field
-        chain_tables = set()
-        for t in tables:
-            chain = t
-            while chain is not stop:
-                chain_tables.add(chain)
-                if chain.parent is None:
-                    raise SuiteError(
-                        f"variable table {t.name} does not reach {stop.name}: {text}"
-                    )
-                chain = chain.parent
-        for t in chain_tables:
+        for t, _ in owners.values():
             fld = _join_fields(fld, t.field)
         if "zeta3" in text:
             fld = _join_fields(fld, F4 if fld.char == 2 else QZ3)
-        ns = self._namespace()
-        parsed = parse_expr(text, ns, fld)
-        zero = RatFunc.const(stop.vt, fld, fld.zero())
-        images = []
-        for v in ns.names:
-            owner, idx = self.var_owner[v]
-            if owner in tables:
-                images.append(owner.defs_to(stop)[idx].embed(fld))
-            else:
-                images.append(zero)
-        return Substitution(ns, images)(parsed)
+        leaves = {v: t.defs_to(stop)[i].embed(fld) if t is not stop
+                  else RatFunc.var(stop.vt, fld, v) for v, (t, i) in owners.items()}
+        return parse_expr(text, stop.vt, fld, leaves.get)
 
     # ------------------------------------------------------------------
     # registered element actions on tables
@@ -347,6 +314,9 @@ class Suite:
                     lattice, g, ambient_action=(bp, dp), field=fld
                 )
             else:
+                if not table.unproportional:
+                    require_unproportional(table.grounded())
+                    table.unproportional = True
                 res = induced_scaled_permutation(table.grounded(), g)
                 if res is None:
                     raise MonomialError(
@@ -479,8 +449,6 @@ def _parse_vars(suite: Suite, rest):
             raise SuiteError(f"variable {n!r} declared twice")
         suite.var_owner[n] = (table, i)
     table._pending_defs = {}
-    if hasattr(suite, "_ns"):
-        del suite._ns
 
 
 def _parse_def(suite: Suite, rest):
@@ -565,6 +533,7 @@ class Check:
 class CheckKind:
     parse: Callable  # (payload, attrs) -> fields, or raises SuiteError
     run: Callable  # (suite, check) -> (ok, detail)
+    grounds: Callable = lambda fields: ()  # fields -> the expressions run grounds
 
 
 # attribute -> the values it accepts
@@ -592,6 +561,12 @@ def _parse_check(suite: Suite, rest, seq):
             raise SuiteError(f"{name}= accepts only {' or '.join(map(repr, allowed))}")
     if attrs.get("expect") == "fail" and ("pair" not in attrs or "note" not in attrs):
         raise SuiteError("expect=fail checks need pair= and note=")
+    if "over" in attrs:
+        suite.table(attrs["over"])
+    for text in KINDS[kind].grounds(fields):
+        unknown = expression_variables(text) - suite.var_owner.keys()
+        if unknown:
+            raise SuiteError(f"check {kind} uses unknown variable {min(unknown)!r}")
     check = Check(kind, attrs.get("id", f"{kind}-{seq:03d}"), attrs["ref"], attrs,
                   payload, fields)
     if check.id in suite.check_ids:
@@ -882,14 +857,11 @@ def _run_matgroup(suite: Suite, check: Check):
 def _image_group(suite: Suite, check: Check):
     """(G, phi, phi(1), |phi(G)|) of a kernel kind: phi(g) is
     scaled_action(table, g), B alone for matrix-kernel, and phi(G) is
-    closed on the generators' images.  phi is a homomorphism as long as
-    phi(g) is unique: Lattice rejects dependent exponent rows, and no two
-    definitions of a table that is not monomial may be proportional."""
+    closed on the generators' images.  phi is a homomorphism because
+    scaled_action is unique: Lattice rejects dependent exponent rows, and
+    scaled_action rejects proportional definitions of any other table."""
     tname, gname = check.fields[:2]
     table, group = suite.table(tname), suite.group(gname)
-    if not (table.is_root or table.lattice().monomial or table.unproportional):
-        require_unproportional(table.grounded())
-        table.unproportional = True
     n = len(table.vt)
     if check.kind == "matrix-kernel":
         one, times = mat_identity(n), matrix_times
@@ -968,10 +940,12 @@ KINDS: dict[str, CheckKind] = {
     "groupeq": CheckKind(_shape("=="), _run_groupeq),
     "wreath": CheckKind(_parse_wreath, _run_wreath),
     "gl23": CheckKind(_parse_gl23, _run_gl23),
-    "invariance": CheckKind(_shape(" under "), _run_invariance),
+    "invariance": CheckKind(_shape(" under "), _run_invariance, lambda f: f[:1]),
     "table": CheckKind(_parse_table, _run_table),
-    "identity": CheckKind(_shape("==", last=_zero, takes=("over",)), _run_identity),
-    "distinct": CheckKind(lambda payload, attrs: _split_exprs(payload), _run_distinct),
+    "identity": CheckKind(_shape("==", last=_zero, takes=("over",)), _run_identity,
+                          lambda f: f[:1]),
+    "distinct": CheckKind(lambda payload, attrs: _split_exprs(payload), _run_distinct,
+                          lambda f: f),
     "degree": CheckKind(_shape("=", last=_integer), _run_degree),
     "monomial": CheckKind(_shape(" under ", takes=("pure",)), _run_monomial),
     "word": CheckKind(_parse_word, _run_word),

@@ -15,7 +15,7 @@ import pytest
 
 from fixedfield.catalog import catalog_lookup
 from fixedfield.monomial import det_fraction_free, exponent_matrix, is_square, mat_from_rows, monomial_shape
-from fixedfield.parser import format_ratfunc, parse_expr
+from fixedfield.parser import parse_expr
 from fixedfield.perms import Perm, is_transitive
 from fixedfield.poly import Poly, RatFunc, Substitution, VarTable, ratfunc_eq, substitute
 from fixedfield.scalars import F2, F4, QQ, QZ3
@@ -270,7 +270,7 @@ def test_criterion_8_property_suites():
         ok = ok and ratfunc_eq(perm_act(g * h, mono), perm_act(g, perm_act(h, mono)))
 
     # parser round trip on every expression in every suite file
-    from test_suites import _check_expressions
+    from test_suites import _check_expressions, _suite_variables
 
     total = 0
     for name in list_suites():
@@ -279,13 +279,13 @@ def test_criterion_8_property_suites():
             if table.defs is None:
                 continue
             for d in table.defs:
-                again = parse_expr(format_ratfunc(d), table.parent.vt, d.field)
+                again = parse_expr(str(d), table.parent.vt, d.field)
                 ok = ok and ratfunc_eq(again, d)
                 total += 1
-        ns = suite._namespace()
+        ns = _suite_variables(suite)
         for text, fld in _check_expressions(suite):
             parsed = parse_expr(text, ns, fld)
-            again = parse_expr(format_ratfunc(parsed), ns, fld)
+            again = parse_expr(str(parsed), ns, fld)
             ok = ok and ratfunc_eq(parsed, again)
             total += 1
     ok = ok and total > 500

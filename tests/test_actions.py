@@ -352,6 +352,19 @@ def test_kernel_kinds_need_a_unique_scaled_action():
     ] * 2
 
 
+def test_induced_kinds_name_proportional_definitions():
+    # the induced kinds and monomial read the same scaled_action as the
+    # kernel kinds, so t2 = -t1 is named as the cause, not read as (1,2)
+    # sending t1 to -t1
+    text = suite_text(
+        "Q", {"x": (["x1", "x2"], None), "t": (["t1", "t2"], ["x1 - x2", "x2 - x1"])},
+        ["points 2", "group S2 = (1,2) expect_order=2"],
+        ["check induced t = (1,2) elem=(1,2)", "check same-action t elem=(1,2)",
+         "check induced-order t under S2 = 2", "check monomial t under S2 pure=no"],
+    )
+    assert results(text) == [(FAIL, "error: definitions 1 and 2 are proportional")] * 4
+
+
 def test_scaled_times_composes_scaled_actions():
     # the coefficients 2 and 1/3 of t give scalars other than 1 and -1,
     # and u's exponent rows give lattice matrices with entries other than

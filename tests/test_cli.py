@@ -132,6 +132,18 @@ def test_verify_malformed_suite_exits_2(capsys, monkeypatch):
     assert err.startswith("error: line 4: check identity needs the right-hand side 0")
 
 
+def test_verify_unknown_variable_exits_2(capsys, monkeypatch):
+    import fixedfield.suite as suite_mod
+
+    text = ('suite catalog field=Q\npoints 3\ngroup A3 = (1,2,3) expect_order=3\n'
+            'vars x = x1 x2 x3\ncheck invariance x1 + q9 under A3 ref="r"\n')
+    monkeypatch.setattr(suite_mod, "load_suite", lambda name: suite_mod.parse_suite_text(text))
+    code, out, err = run(["verify", "--suite", "catalog"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 5: check invariance uses unknown variable 'q9'")
+
+
 def test_verify_partial_table_exits_2(capsys, monkeypatch):
     import fixedfield.suite as suite_mod
 

@@ -1,6 +1,6 @@
 import pytest
 
-from fixedfield.parser import ParseError, expression_variables, format_ratfunc, parse_expr
+from fixedfield.parser import ParseError, _tokenize, expression_variables, parse_expr
 from fixedfield.poly import VarTable, ratfunc_eq
 from fixedfield.scalars import F2, F4, QQ, QZ3
 
@@ -70,9 +70,13 @@ def test_zeta3_allowed_in_f4():
 )
 def test_round_trip(text, field):
     r = parse_expr(text, X, field)
-    again = parse_expr(format_ratfunc(r), X, field)
+    again = parse_expr(str(r), X, field)
     assert ratfunc_eq(r, again)
 
 
 def test_expression_variables():
     assert expression_variables("x1*zeta3 + foo^2/(bar - 1)") == {"x1", "foo", "bar"}
+    # the names are the tokenizer's name tokens, also right after an integer
+    for text in ("2x1 + 10y_2*zeta3 - _a3^12", "3zeta3*x10/(x2-x1)", "x1 @ y2"):
+        tokens = {val for kind, val, _ in _tokenize(text.replace("@", "+")) if kind == "name"}
+        assert expression_variables(text) == tokens - {"zeta3"}

@@ -13,7 +13,7 @@ from fixedfield.poly import (
     substitute,
     substitute_ratfunc,
 )
-from fixedfield.scalars import F2, QQ
+from fixedfield.scalars import F2, QQ, FieldError
 
 X = VarTable(["x1", "x2", "x3"])
 Y = VarTable(["y1", "y2", "y3", "y4", "y5", "y6", "y7", "y8"])
@@ -59,6 +59,11 @@ def test_poly_arith_dispatch_and_errors():
     other = Poly.var(Y, QQ, "y1")
     with pytest.raises(PolyError):
         a + other
+    # operands over different fields are refused, not coerced
+    with pytest.raises(FieldError):
+        a + Poly.one(X, F2)
+    with pytest.raises(FieldError):
+        q("x1") * f2("x1")
 
 
 def test_zero_poly_invariant():

@@ -9,8 +9,9 @@ import pytest
 from fixedfield.actions import perm_act
 from fixedfield.catalog import ELEMENT_ORDERS, CatalogError, catalog_group, catalog_lookup
 from fixedfield.monomial import mat_identity
-from fixedfield.parser import format_ratfunc, parse_expr
-from fixedfield.poly import Substitution, ratfunc_eq
+from fixedfield.parser import expression_variables, parse_expr
+from fixedfield.poly import RatFunc, Substitution, VarTable, ratfunc_eq
+from fixedfield.scalars import F4, QZ3
 from fixedfield.suite import (
     FAIL,
     FLAGGED,
@@ -18,6 +19,7 @@ from fixedfield.suite import (
     PASS,
     SuiteError,
     _image_group,
+    _join_fields,
     list_suites,
     load_suite,
     parse_suite_text,
@@ -145,13 +147,19 @@ def test_loader_rejects_wrong_group_order():
          "transitive= accepts only 'yes' or 'no'"),
         ('check table x elem=(1,2,3) via=sideways images = x2, x3, x1 ref="r"',
          "via= accepts only 'ground' or 'parent'"),
+        ('check invariance x1 + q9 under A3 ref="r"',
+         "check invariance uses unknown variable 'q9'"),
+        ('check identity x1 - x1 == 0 over=w ref="r"', "unknown table 'w'"),
+        ('check distinct x1, x2*q9 ref="r"', "check distinct uses unknown variable 'q9'"),
     ],
     ids=["degree-without-eq", "table-without-elem", "matrix-kernel-without-target",
          "faithful-without-under", "order-not-an-integer", "identity-nonzero-rhs",
          "identity-without-rhs", "gl23-non-integer-entry", "gl23-not-2x2",
          "wreath-non-integer-block", "word-non-integer-exponent",
          "word-negative-exponent", "word-zero-exponent", "pure-not-yes-or-no",
-         "transitive-not-yes-or-no", "via-not-ground-or-parent"],
+         "transitive-not-yes-or-no", "via-not-ground-or-parent",
+         "invariance-unknown-variable", "identity-over-unknown-table",
+         "distinct-unknown-variable"],
 )
 def test_loader_rejects_malformed_checks(check, message):
     # rejected at load time with the line number, not left to crash the
@@ -441,7 +449,7 @@ def _suite_expressions(suite):
         if table.defs is not None:
             fld = table.field
             for d in table.defs:
-                out.append((format_ratfunc(d), table.parent.vt, fld, d))
+                out.append((str(d), table.parent.vt, fld, d))
     return out
 
 
@@ -458,8 +466,6 @@ def test_parser_round_trip_on_all_suite_definitions():
 
 def _check_expressions(suite):
     """(text, field) pairs for every expression embedded in a check."""
-    from fixedfield.scalars import F4, QZ3
-
     out = []
     for check in suite.checks:
         kind, payload = check.kind, check.payload
@@ -490,13 +496,160 @@ def test_parser_round_trip_on_all_check_expressions():
     seen = 0
     for name in ALL_SUITES:
         suite = load_suite(name)
-        ns = suite._namespace()
+        ns = _suite_variables(suite)
         for text, fld in _check_expressions(suite):
             parsed = parse_expr(text, ns, fld)
-            again = parse_expr(format_ratfunc(parsed), ns, fld)
+            again = parse_expr(str(parsed), ns, fld)
             assert ratfunc_eq(parsed, again), f"{name}: {text}"
             seen += 1
     assert seen > 300
+
+
+# --- grounding: ground_expr against the namespace substitution it replaced ---
+
+def _suite_variables(suite):
+    """Every variable of the suite, in declaration order, as one table."""
+    return VarTable([n for table in suite.tables.values() for n in table.vt.names])
+
+
+def _ground_by_substitution(suite, text, stop=None):
+    """An independent grounding: parse over the suite-wide namespace, then
+    substitute every variable at once, each used one by its definition over
+    stop (by default the expression's one root) and every other one by zero.
+    The field joins stop's field, the field of every table on the chains
+    from the used tables down to stop, and zeta3 when the text names it."""
+    tables = {suite.var_owner[v][0] for v in expression_variables(text)}
+    if stop is None:
+        (stop,) = {t.root() for t in tables} or {next(iter(suite.tables.values())).root()}
+    fld = stop.field
+    for chain in tables:
+        while chain is not stop:
+            if chain.parent is None:
+                raise SuiteError(f"table {chain.name} does not reach {stop.name}")
+            fld, chain = _join_fields(fld, chain.field), chain.parent
+    if "zeta3" in text:
+        fld = _join_fields(fld, F4 if fld.char == 2 else QZ3)
+    ns = _suite_variables(suite)
+    zero = RatFunc.const(stop.vt, fld, fld.zero())
+    images = []
+    for v in ns.names:
+        owner, i = suite.var_owner[v]
+        images.append(owner.defs_to(stop)[i].embed(fld) if owner in tables else zero)
+    return Substitution(ns, images)(parse_expr(text, ns, fld))
+
+
+def _grounded_expressions(suite):
+    """(text, over= table or None) of every expression that an invariance,
+    identity or distinct check grounds."""
+    out = []
+    for check in suite.checks:
+        over = check.attrs.get("over")
+        stop = suite.table(over) if over else None
+        if check.kind in ("invariance", "identity"):
+            out.append((check.fields[0], stop))
+        elif check.kind == "distinct":
+            out.extend((text, stop) for text in check.fields)
+    return out
+
+
+def _assert_grounding_matches_oracle(suite):
+    """ground_expr equals the namespace oracle, over the same variables and
+    field, on every grounded expression of the suite; returns how many."""
+    exprs = _grounded_expressions(suite)
+    for text, stop in exprs:
+        want = _ground_by_substitution(suite, text, stop)
+        got = suite.ground_expr(text, stop)
+        assert got.vars is want.vars and got.field is want.field, text
+        assert ratfunc_eq(got, want), text
+    return len(exprs)
+
+
+def test_ground_expr_matches_substitution_oracle_on_shipped_suites():
+    seen = over = 0
+    for name in ALL_SUITES:
+        suite = load_suite(name)
+        seen += _assert_grounding_matches_oracle(suite)
+        over += sum(stop is not None for _, stop in _grounded_expressions(suite))
+    assert seen == 157 and over == 2
+
+
+GROUNDING_MINIS = {
+    # rational definitions two levels deep, expressions mixing all three
+    # tables, a constant expression, and over= one level down
+    "rational-chain": """suite mini field=Q
+points 3
+group A3 = (1,2,3) expect_order=3
+vars x = x1 x2 x3
+vars t = t1 t2 t3
+def t.t1 = x1/x2
+def t.t2 = x2/x3
+def t.t3 = x1 + x2 + x3
+vars u = u1 u2
+def u.u1 = t1*t2 + 1/t3
+def u.u2 = (t1 - t2)/(t3^2 + 1)
+check identity t1*t2 - x1/x3 == 0 ref="r"
+check identity u1 - x1/x3 - 1/t3 == 0 ref="r"
+check identity u1 - t1*t2 - 1/t3 == 0 over=t ref="r"
+check identity 2 - 1 - 1 == 0 ref="r"
+check invariance t3^2/(x1 + x2 + x3) under A3 ref="r"
+check invariance (u1 - 1/t3)*x3 - x1 + x2 + x3 - t3 under A3 expect=fail pair=r1 \
+    note="x1*x3/x3 - x1 is zero, so x2 + x3 - t3 = -x1 is moved" ref="r"
+check identity u2*(t3^2 + 1) - t1 + t2 == 0 id=r1 ref="r"
+check distinct u1, u2, t3/x1, 2 ref="r"
+""",
+    # an F4 table over an F2 root whose definitions use zeta3, named by
+    # expressions that do not: their field comes from the leaves alone
+    "f4-over-f2": """suite mini field=F2
+points 3
+group A3 = (1,2,3) expect_order=3
+vars x = x1 x2 x3
+vars f field=F4 = f1 f2 f3
+def f.f1 = x1 + zeta3*x2 + zeta3^2*x3
+def f.f2 = x1 + zeta3^2*x2 + zeta3*x3
+def f.f3 = x1 + x2 + x3
+check invariance f1*f2 under A3 ref="r"
+check invariance f1^3 + f2^3 + x1 under A3 expect=fail pair=f3 note="x1 is moved" ref="r"
+check identity f1 + f2 + f3 - x1 == 0 id=f3 ref="r"
+check distinct f1, f2, f3, x1 ref="r"
+""",
+    # a Q suite whose expressions bring zeta3 in themselves
+    "qz3-expression": """suite mini field=Q
+points 3
+group A3 = (1,2,3) expect_order=3
+vars x = x1 x2 x3
+vars t = t1 t2
+def t.t1 = x1 + x2 + x3
+def t.t2 = x1*x2*x3
+check identity (x1 + zeta3*x2)*(x1 + zeta3^2*x2) - x1^2 + x1*x2 - x2^2 == 0 ref="r"
+check invariance zeta3*t1 + t2 under A3 ref="r"
+check distinct zeta3*t1, t1, zeta3^2*t1 ref="r"
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUNDING_MINIS))
+def test_ground_expr_matches_substitution_oracle_on_mini_suites(name):
+    suite = parse_suite_text(GROUNDING_MINIS[name])
+    assert _assert_grounding_matches_oracle(suite) >= 3
+    assert [c.status for c in run_parsed_suite(suite).checks if c.status == FAIL] == []
+
+
+def test_over_a_non_ancestor_is_an_error_verdict():
+    # over= must name a table the expression's variables reach
+    text = MINI.format(checks="""vars t = t1 t2
+def t.t1 = x1 + x2
+def t.t2 = x3
+vars y = y1
+check identity t1 - x1 - x2 == 0 over=y ref="r"
+check identity x1 - x1 == 0 over=t ref="r"
+""")
+    suite = parse_suite_text(text)
+    for stop in ("y", "t"):
+        with pytest.raises(SuiteError):
+            _ground_by_substitution(suite, "x1", suite.table(stop))
+    checks = run_parsed_suite(suite).checks
+    assert [c.status for c in checks] == [FAIL, FAIL]
+    assert all(c.detail.startswith("error: ") for c in checks), checks
 
 
 # --- composed rows stay consistent with the registered tables ----------------
