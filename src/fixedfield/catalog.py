@@ -46,7 +46,7 @@ def catalog_lookup(name: str) -> CatalogEntry:
     suite = _catalog_suite()
     if name in suite.group_words:
         return CatalogEntry(
-            name, "group", tuple(suite.group_words[name]), suite.group_expect[name]
+            name, "group", tuple(suite.group_words[name]), suite.groups[name].order
         )
     if name in ELEMENT_ORDERS:
         return CatalogEntry(

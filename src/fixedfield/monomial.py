@@ -100,12 +100,13 @@ def matrix_word(word, alphabet):
 
 def close(generators, one, times, cap):
     """The set of elements of the group generated by hashable elements,
-    by Dimino's coset enumeration: times(h) is the map x -> x*h, a
-    generator already in the group built so far is skipped, and each new
-    one grows the previous subgroup H by the right cosets H*r*s that are
-    new, for r among the coset representatives found so far and s among
-    the generators taken so far.  MonomialError when the group has more
-    than cap elements."""
+    by Dimino's coset enumeration; it closes permutation groups (on image
+    tuples), matrix groups and groups of scaled actions alike.  times(h)
+    is the map x -> x*h, a generator already in the group built so far is
+    skipped, and each new one grows the previous subgroup H by the right
+    cosets H*r*s that are new, for r among the coset representatives found
+    so far and s among the generators taken so far.  MonomialError when
+    the group has more than cap elements."""
     elements = [one]
     seen = {one}
     gens = []  # times(s) for the generators taken so far

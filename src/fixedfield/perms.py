@@ -5,24 +5,23 @@ words written side by side multiply left to right in that convention,
 so the leftmost cycle is applied last.
 
 Group closure is Dimino's coset enumeration (Butler, Fundamental
-Algorithms for Permutation Groups, 1991): the generators are added one at
-a time, a generator already in the group built so far is skipped, and
-each new one grows the previous subgroup H into a union of left cosets
-r*H, so every element costs about one product.  The orders involved
-never exceed a few thousand, so no stabilizer chains are needed.  The
-enumeration runs on plain image tuples: with g padded as (0,) + images,
-the tuple of g*h is itemgetter(*h) applied to it, one C call per product,
-and each element becomes a Perm once, at the end.
-
-monomial.close is Dimino's enumeration, by right cosets, for any hashable
-elements with a product, such as integer matrices and scaled monomial
-actions; it serves the groups of images that kernels are read from.
+Algorithms for Permutation Groups, 1991), run by monomial.close, the one
+enumeration for every group here: the generators are added one at a
+time, a generator already in the group built so far is skipped, and each
+new one grows the previous subgroup H by right cosets H*r, so every
+element costs about one product.  The orders involved never exceed a few
+thousand, so no stabilizer chains are needed.  A PermGroup closes on
+plain image tuples, where x*h is itemgetter(*[j - 1 for j in h]) applied
+to x, one C call per product, and each element becomes a Perm once, at
+the end.
 """
 
 from __future__ import annotations
 
 import re
 from operator import itemgetter
+
+from .monomial import MonomialError, close
 
 CLOSURE_CAP = 50000
 
@@ -32,10 +31,11 @@ class PermError(ValueError):
 
 
 def _times(h):
-    """The function p -> p*h on image tuples, for p padded as (0,) + p."""
-    if len(h) < 2:  # itemgetter of one index returns the item, not a tuple
-        return lambda p: tuple([p[j] for j in h])
-    return itemgetter(*h)
+    """times of monomial.close for image tuples: x -> x*h."""
+    index = [j - 1 for j in h]
+    if len(index) < 2:  # itemgetter of one index returns the item, not a tuple
+        return lambda x: tuple([x[j] for j in index])
+    return itemgetter(*index)
 
 
 class Perm:
@@ -177,42 +177,15 @@ class PermGroup:
                 raise PermError("generators of mixed degree")
         self.degree = degree
         self.generators = generators
-        self.elements = self._close(generators, degree, cap)
-        self.order = len(self.elements)
-
-    @staticmethod
-    def _close(generators, degree, cap):
-        ident = tuple(range(1, degree + 1))
-        elements = [ident]
-        seen = {ident}
-        times = []  # times[i] is _times(elements[i]), made when needed
-        gens = []  # padded generators that were not yet in the group
-        for g in generators:
-            if g.images in seen:
-                continue
-            gens.append((0,) + g.images)
-            # elements is the previous subgroup H; grow it by the left
-            # cosets s*r*H that are new, for s among the generators and
-            # r among the coset representatives found so far
-            order = len(elements)
-            times.extend(map(_times, elements[len(times):]))
-            reps = [ident]
-            for r in reps:  # reps grows while it is walked
-                times_r = _times(r)
-                for s in gens:
-                    q = times_r(s)
-                    if q in seen:
-                        continue
-                    if len(elements) + order > cap:
-                        raise PermError(f"closure exceeded cap {cap}")
-                    padded = (0,) + q
-                    coset = [f(padded) for f in times]  # all of H
-                    seen.update(coset)
-                    elements.extend(coset)
-                    reps.append(q)
+        try:
+            images = close([g.images for g in generators], tuple(range(1, degree + 1)),
+                           _times, cap)
+        except MonomialError:
+            raise PermError(f"closure exceeded cap {cap}") from None
         # a set copied into a frozenset gets a table sized to its contents;
         # one grown from an iterator keeps the slack of its last resize
-        return frozenset(set(map(Perm._trusted, elements)))
+        self.elements = frozenset(set(map(Perm._trusted, images)))
+        self.order = len(self.elements)
 
     def __contains__(self, p: Perm):
         return p in self.elements

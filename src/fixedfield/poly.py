@@ -385,6 +385,8 @@ class RatFunc:
         return self.num.is_zero()
 
     def __add__(self, other):
+        if self.den.terms == other.den.terms:
+            return RatFunc(self.num + other.num, self.den)
         return RatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
         )

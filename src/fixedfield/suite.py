@@ -182,7 +182,6 @@ class Suite:
         self.perm_words: dict[str, str] = {}
         self.groups: dict[str, PermGroup] = {}
         self.group_words: dict[str, list] = {}
-        self.group_expect: dict[str, int] = {}
         self.matrices: dict[str, tuple] = {}
         self.gl23map: dict[tuple[int, int], int] = {}
         self.checks: list[Check] = []
@@ -286,10 +285,10 @@ class Suite:
         """The permutation g induces on the table's variables: its scaled
         action must be a permutation matrix with every scalar 1."""
         bmat, dvec = self.scaled_action(table, g)
-        one, unit = table.field.one(), [0] * (len(dvec) - 1) + [1]
-        if any(c != one or sorted(col) != unit for col, c in zip(zip(*bmat), dvec)):
+        p = _matrix_permutation(bmat)
+        if p is None or any(c != table.field.one() for c in dvec):
             raise ActionError(f"{g} does not act on {table.name} by a pure permutation")
-        return Perm([col.index(1) + 1 for col in zip(*bmat)])
+        return p
 
     def scaled_action(self, table: Table, g: Perm):
         """(B, d) with g(t_j) = d_j * prod_k t_k^{B[k][j]}, payloads in
@@ -326,6 +325,16 @@ class Suite:
                 out = (permutation_matrix(p), tuple(scal))
         self._scaled_cache[key] = out
         return out
+
+
+def _matrix_permutation(bmat):
+    """The permutation p with bmat == permutation_matrix(p), or None when
+    bmat is not a permutation matrix."""
+    cols = list(zip(*bmat))
+    unit = [0] * (len(cols) - 1) + [1]
+    if any(sorted(col) != unit for col in cols):
+        return None
+    return Perm([col.index(1) + 1 for col in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +515,6 @@ def _parse_group(suite: Suite, rest):
     group = PermGroup(gens, degree=suite.points)
     suite.groups[name] = group
     suite.group_words[name] = words
-    suite.group_expect[name] = expect
     if group.order != expect:
         raise SuiteError(
             f"group {name!r} closed to order {group.order}, declared {expect}"
@@ -564,6 +572,8 @@ def _parse_check(suite: Suite, rest, seq):
     if "over" in attrs:
         suite.table(attrs["over"])
     for text in KINDS[kind].grounds(fields):
+        if not suite.tables:
+            raise SuiteError(f"check {kind} comes before any vars table")
         unknown = expression_variables(text) - suite.var_owner.keys()
         if unknown:
             raise SuiteError(f"check {kind} uses unknown variable {min(unknown)!r}")
@@ -891,9 +901,16 @@ def _run_faithful(suite: Suite, check: Check):
 
 def _run_stable(suite: Suite, check: Check):
     tname, gname = check.fields
-    defs = suite.table(tname).grounded()
+    table = t = suite.table(tname)
+    while t.parent is not None:  # dependent exponent rows are an error verdict
+        t.lattice()
+        t = t.parent
     for gen in suite.group(gname).generators:
-        if induced_scaled_permutation(defs, gen) is None:
+        try:
+            bmat, _ = suite.scaled_action(table, gen)
+        except MonomialError:
+            bmat = None
+        if bmat is None or _matrix_permutation(bmat) is None:
             return False, f"{gen} leaves the span of {tname}"
     return True, "every generator acts by a scaled permutation"
 

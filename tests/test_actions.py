@@ -360,9 +360,48 @@ def test_induced_kinds_name_proportional_definitions():
         "Q", {"x": (["x1", "x2"], None), "t": (["t1", "t2"], ["x1 - x2", "x2 - x1"])},
         ["points 2", "group S2 = (1,2) expect_order=2"],
         ["check induced t = (1,2) elem=(1,2)", "check same-action t elem=(1,2)",
-         "check induced-order t under S2 = 2", "check monomial t under S2 pure=no"],
+         "check induced-order t under S2 = 2", "check monomial t under S2 pure=no",
+         "check stable t under S2"],
     )
-    assert results(text) == [(FAIL, "error: definitions 1 and 2 are proportional")] * 4
+    assert results(text) == [(FAIL, "error: definitions 1 and 2 are proportional")] * 5
+
+
+def test_stable_fails_off_the_span():
+    # (1,5)(2,6)(3,7)(4,8) sends each ya_i = x_i - x_{i+4} to -ya_i, but
+    # (1,2) sends ya1 to x2 - x5, which is no multiple of any ya_i
+    yatexts = [f"x{i} - x{i + 4}" for i in range(1, 5)]
+    text = suite_text(
+        "Q", {"x": (X8_NAMES, None), "ya": (["ya1", "ya2", "ya3", "ya4"], yatexts)},
+        ["group C2 = (1,5)(2,6)(3,7)(4,8) expect_order=2",
+         "group D4 = (1,5)(2,6)(3,7)(4,8) (1,2) expect_order=8"],
+        ["check stable ya under C2", "check stable ya under D4"],
+    )
+    assert results(text) == [
+        (PASS, "every generator acts by a scaled permutation"),
+        (FAIL, "(1,2) leaves the span of ya"),
+    ]
+
+
+def test_stable_fails_on_a_monomial_action_off_the_permutation_matrices():
+    # (1,2) fixes t1 = x1*x2 and sends t2 = x1/x2 to 1/t2: a monomial
+    # action whose B = diag(1, -1) is no permutation matrix
+    text = suite_text(
+        "Q", {"x": (["x1", "x2"], None), "t": (["t1", "t2"], ["x1*x2", "x1/x2"])},
+        ["points 2", "group S2 = (1,2) expect_order=2"],
+        ["check stable t under S2", "check monomial t under S2"],
+    )
+    assert results(text) == [
+        (FAIL, "(1,2) leaves the span of t"),
+        (PASS, "monomial action (purity not asserted)"),
+    ]
+    # dependent exponent rows leave no unique action: an error, as for
+    # the other action kinds, not a verdict on the span
+    text = suite_text(
+        "Q", {"x": (["x1", "x2"], None), "t": (["t1", "t2"], ["x1*x2", "2*x1*x2"])},
+        ["points 2", "group S2 = (1,2) expect_order=2"],
+        ["check stable t under S2", "check monomial t under S2"],
+    )
+    assert results(text) == [(FAIL, "error: exponent rows are linearly dependent")] * 2
 
 
 def test_scaled_times_composes_scaled_actions():

@@ -82,6 +82,26 @@ def test_ratfunc_eq_examples():
     assert ratfunc_eq(q("(2*x1)/(2*x2)"), q("x1/x2"))
 
 
+def test_sum_over_a_shared_denominator_keeps_it():
+    a, b = q("x1/(x2 + x3 + 1)"), q("(x2 - x1^2)/(x2 + x3 + 1)")
+    total = a + b
+    assert total.den.terms == a.den.terms
+    assert ratfunc_eq(total, q("(x1 + x2 - x1^2)/(x2 + x3 + 1)"))
+    rng = random.Random(57)
+    for field in (QQ, F2):
+        for _ in range(30):
+            a = RatFunc(random_poly(X, field, rng) + Poly.one(X, field),
+                        random_poly(X, field, rng) + Poly.one(X, field))
+            if 0 not in a.den.terms:  # a monic den with a constant term stays as it is
+                continue
+            b = RatFunc(random_poly(X, field, rng), a.den)
+            cross = RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+            total = a + b
+            assert ratfunc_eq(total, cross)
+            if not total.is_zero():
+                assert total.den.terms == a.den.terms
+
+
 def test_ratfunc_eq_equivalence_random():
     rng = random.Random(11)
     for _ in range(60):

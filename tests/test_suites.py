@@ -151,6 +151,9 @@ def test_loader_rejects_wrong_group_order():
          "check invariance uses unknown variable 'q9'"),
         ('check identity x1 - x1 == 0 over=w ref="r"', "unknown table 'w'"),
         ('check distinct x1, x2*q9 ref="r"', "check distinct uses unknown variable 'q9'"),
+        ('check invariance 1 under A3 ref="r"', "check invariance comes before any vars table"),
+        ('check identity 1 - 1 == 0 ref="r"', "check identity comes before any vars table"),
+        ('check distinct 1, 2 ref="r"', "check distinct comes before any vars table"),
     ],
     ids=["degree-without-eq", "table-without-elem", "matrix-kernel-without-target",
          "faithful-without-under", "order-not-an-integer", "identity-nonzero-rhs",
@@ -159,13 +162,17 @@ def test_loader_rejects_wrong_group_order():
          "word-negative-exponent", "word-zero-exponent", "pure-not-yes-or-no",
          "transitive-not-yes-or-no", "via-not-ground-or-parent",
          "invariance-unknown-variable", "identity-over-unknown-table",
-         "distinct-unknown-variable"],
+         "distinct-unknown-variable", "invariance-before-vars", "identity-before-vars",
+         "distinct-before-vars"],
 )
 def test_loader_rejects_malformed_checks(check, message):
     # rejected at load time with the line number, not left to crash the
-    # runner with a raw ValueError or KeyError
+    # runner with a raw ValueError, KeyError or StopIteration
+    text = MINI.format(checks=check)
+    if "before any vars" in message:  # the check with no table to ground over
+        text = text.replace("vars x = x1 x2 x3\n", "\n")
     with pytest.raises(SuiteError, match=r"^line 5: .*" + re.escape(message)):
-        _mini(check)
+        parse_suite_text(text)
 
 
 def test_loader_rejects_a_table_over_a_larger_field():
