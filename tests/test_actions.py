@@ -404,6 +404,34 @@ def test_stable_fails_on_a_monomial_action_off_the_permutation_matrices():
     assert results(text) == [(FAIL, "error: exponent rows are linearly dependent")] * 2
 
 
+def test_stable_blames_the_table_not_its_parent():
+    # (1,2) fixes t1 = s1*s2 = x1*x2*x3 but sends s2 = x2*x3 to x1*x3, off
+    # the span of s: the action on t cannot be read through s, which is an
+    # error, not a verdict on the span of t
+    text = suite_text(
+        "Q", {"x": (["x1", "x2", "x3"], None), "s": (["s1", "s2"], ["x1", "x2*x3"]),
+              "t": (["t1"], ["s1*s2"])},
+        ["points 3", "group S2 = (1,2) expect_order=2"],
+        ["check stable s under S2", "check stable t under S2"],
+    )
+    (s_status, s_detail), (t_status, t_detail) = results(text)
+    assert (s_status, s_detail) == (FAIL, "(1,2) leaves the span of s")
+    assert t_status == FAIL and t_detail.startswith("error: ")
+    # a non-monomial table is acted on through its own grounded definitions,
+    # so dependent monomial rows in its parent leave a real verdict
+    text = suite_text(
+        "Q", {"x": (["x1", "x2", "x3"], None),
+              "s": (["s1", "s2"], ["x1*x2", "x1^2*x2^2"]), "t": (["t1"], ["s1 + s2"])},
+        ["points 3", "group S2 = (1,2) expect_order=2", "group S2b = (1,3) expect_order=2"],
+        ["check stable t under S2", "check stable t under S2b", "check stable s under S2"],
+    )
+    assert results(text) == [
+        (PASS, "every generator acts by a scaled permutation"),
+        (FAIL, "(1,3) leaves the span of t"),
+        (FAIL, "error: exponent rows are linearly dependent"),
+    ]
+
+
 def test_scaled_times_composes_scaled_actions():
     # the coefficients 2 and 1/3 of t give scalars other than 1 and -1,
     # and u's exponent rows give lattice matrices with entries other than
