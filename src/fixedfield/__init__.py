@@ -14,7 +14,7 @@ from .actions import (
     perm_act,
 )
 from .catalog import CatalogEntry, catalog_group, catalog_lookup, catalog_names
-from .monomial import det_fraction_free, exponent_matrix, matrix_word
+from .monomial import det_fraction_free, matrix_word
 from .parser import ParseError, parse_expr
 from .perms import (
     Perm,
@@ -24,19 +24,19 @@ from .perms import (
     parse_cycles,
     wreath_product,
 )
-from .poly import Poly, RatFunc, Substitution, VarTable, ratfunc_eq, substitute
+from .poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute
 from .scalars import F2, F4, QQ, QZ3, field_by_tag
 from .suite import SuiteReport, list_suites, run_suite
 
 __all__ = [
     "F2", "F4", "QQ", "QZ3", "field_by_tag",
-    "VarTable", "Poly", "RatFunc", "Substitution", "substitute",
+    "VarTable", "Poly", "RatFunc", "substitute",
     "ratfunc_eq", "parse_expr", "ParseError",
     "Perm", "PermGroup", "parse_cycles", "is_normal",
     "is_transitive", "wreath_product",
     "perm_act", "induced_scaled_permutation",
     "extract_monomial_action",
-    "exponent_matrix", "det_fraction_free", "matrix_word",
+    "det_fraction_free", "matrix_word",
     "CatalogEntry", "catalog_lookup", "catalog_group", "catalog_names",
     "SuiteReport", "list_suites", "run_suite",
 ]

@@ -127,28 +127,19 @@ def permutation_matrix(g: Perm):
     )
 
 
-def extract_monomial_action(lattice, g: Perm, ambient_action=None, field=None):
-    """(A, c) with  action(g)(def_j) == c_j * prod_i def_i^{A[i][j]}.
+def extract_monomial_action(lattice, ambient_action, field):
+    """(A, c) with  g(def_j) == c_j * prod_i def_i^{A[i][j]}, payloads in field.
 
     lattice is the monomial.Lattice of the definitions; every definition
-    must be a scaled Laurent monomial over the ambient.  ambient_action
-    describes how g transforms the ambient variables, as a pair (B, d) in
-    the same column convention; it defaults to the plain permutation of
-    ambient variables.
+    must be a scaled Laurent monomial over the ambient.  ambient_action is
+    the pair (B, d), payloads in field, by which g transforms the ambient
+    variables, in the same column convention.
     """
-    if field is None:
-        field = lattice.field
     if not lattice.monomial:
         i = lattice.shapes.index(None)
         raise MonomialError(f"definition {i + 1} is not a Laurent monomial")
     m = len(lattice.columns)
-    if ambient_action is None:
-        if g.degree != m:
-            raise ActionError("permutation degree does not match the ambient table")
-        bmat = permutation_matrix(g)
-        dvec = [field.one()] * m
-    else:
-        bmat, dvec = ambient_action
+    bmat, dvec = ambient_action
     coeffs = lattice.coeffs
     acols = []
     cvec = []

@@ -165,23 +165,6 @@ def monomial_shape(r):
     return coeff, tuple(a - b for a, b in zip(unpack(en), unpack(ed)))
 
 
-def _unit_row(i, shape, one):
-    if shape is None:
-        raise MonomialError(f"definition {i + 1} is not a Laurent monomial")
-    coeff, exps = shape
-    if coeff != one:
-        raise MonomialError(f"definition {i + 1} has coefficient != 1")
-    return exps
-
-
-def exponent_matrix(defs):
-    """Rows of exponents, one per definition; every definition must be a
-    Laurent monomial with coefficient exactly 1."""
-    return mat_from_rows(
-        [_unit_row(i, monomial_shape(d), d.field.one()) for i, d in enumerate(defs)]
-    )
-
-
 class Lattice:
     """The monomial shapes of a generator set and, when every definition is
     a scaled Laurent monomial, its exponent lattice factored once.
@@ -213,10 +196,14 @@ class Lattice:
         return self.rows is not None
 
     def unit_rows(self):
-        """exponent_matrix of the definitions, read off the shapes."""
+        """The exponent rows, one per definition; MonomialError unless every
+        definition is a Laurent monomial with coefficient exactly 1."""
         one = self.field.one()
         for i, shape in enumerate(self.shapes):
-            _unit_row(i, shape, one)
+            if shape is None:
+                raise MonomialError(f"definition {i + 1} is not a Laurent monomial")
+            if shape[0] != one:
+                raise MonomialError(f"definition {i + 1} has coefficient != 1")
         return self.rows
 
 

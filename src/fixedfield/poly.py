@@ -19,6 +19,11 @@ cross multiplication, never by a multivariate gcd.  A cheap
 simplification (stripping common monomial content and normalizing the
 denominator's leading coefficient) keeps intermediate fractions small;
 correctness never depends on it.
+
+Arithmetic on Polys and RatFuncs requires one table and one field.  The
+two functions that meet values from different tables, ratfunc_eq and
+substitute, first embed their operands into scalars.join of their
+fields, so a Q function meets a Qz3 one in Qz3, and Q meets F2 nowhere.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import struct
 from operator import itemgetter
 
-from .scalars import Field, FieldError, can_embed, embed
+from .scalars import Field, FieldError, embed, join
 
 # Bits per field of a packed monomial, guard bit included (VarTable reads
 # fields as 16-bit words).  Every exponent and every total degree stays
@@ -340,7 +345,7 @@ class Poly:
     def embed(self, field: Field) -> "Poly":
         if field is self.field:
             return self
-        if not can_embed(self.field, field):
+        if join(self.field, field) is not field:
             raise FieldError(f"cannot embed {self.field.tag} into {field.tag}")
         return Poly(
             self.vars, field, {e: embed(c, self.field, field) for e, c in self.terms.items()}
@@ -436,11 +441,13 @@ class RatFunc:
 
 
 def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
-    """a == b as elements of the fraction field: a.num*b.den == b.num*a.den."""
+    """a == b as elements of the fraction field over the join of their
+    fields: a.num*b.den == b.num*a.den."""
     if a.vars is not b.vars:
         raise PolyError("rational functions over different variable tables")
     if a.field is not b.field:
-        raise FieldError(f"mixed fields: {a.field.tag} vs {b.field.tag}")
+        field = join(a.field, b.field)
+        a, b = a.embed(field), b.embed(field)
     if a.num.terms == b.num.terms and a.den.terms == b.den.terms:
         return True
     if a.num.is_zero() or b.num.is_zero():
@@ -469,49 +476,37 @@ def _strip_content(num: Poly, den: Poly):
     return num, den
 
 
-class Substitution:
-    """Maps each source variable to a RatFunc over a target table."""
+def substitute(f, images) -> RatFunc:
+    """f, a Poly or RatFunc, with its i-th variable replaced by images[i].
 
-    __slots__ = ("source", "target", "images", "field")
-
-    def __init__(self, source: VarTable, images):
-        images = list(images)
-        if len(images) != len(source):
-            raise PolyError("substitution must cover every source variable")
-        tgt = images[0].vars
-        fld = images[0].field
-        for im in images:
-            if im.vars is not tgt:
-                raise PolyError("substitution images over different tables")
-            if im.field is not fld:
-                raise FieldError("substitution images over different fields")
-        self.source = source
-        self.target = tgt
-        self.images = images
-        self.field = fld
-
-    def __call__(self, p):
-        if isinstance(p, RatFunc):
-            return substitute_ratfunc(p, self)
-        return substitute(p, self)
+    The images are RatFuncs over one target table, one for each variable of
+    f.  f and the images are embedded into the join of their fields, so
+    the result lies there too.  ZeroDivisionError when the images make the
+    denominator of f vanish.
+    """
+    if len(images) != len(f.vars):
+        raise PolyError("substitution must cover every source variable")
+    target, field = images[0].vars, f.field
+    for im in images:
+        if im.vars is not target:
+            raise PolyError("substitution images over different tables")
+        if im.field is not field:
+            field = join(field, im.field)
+    images = [im.embed(field) for im in images]
+    if isinstance(f, Poly):
+        return _substitute(f.embed(field), images)
+    num = _substitute(f.num.embed(field), images)
+    return num / _substitute(f.den.embed(field), images)
 
 
-def substitute(p: Poly, s: Substitution) -> RatFunc:
-    """Apply the ring homomorphism extension of s to p.
-
-    Uses a single common denominator: with images n_i/d_i and M_i the
-    largest exponent of variable i in p, the result is
+def _substitute(p: Poly, images) -> RatFunc:
+    """p at the images, all over p's field, by a single common denominator:
+    with images n_i/d_i and M_i the largest exponent of variable i in p,
+    the result is
     (sum_terms c * prod n_i^{e_i} d_i^{M_i - e_i}) / prod d_i^{M_i}.
     Only variables that occur in p take part.
     """
-    if p.vars is not s.source:
-        raise PolyError("polynomial is not over the substitution's source table")
-    field = s.field
-    if p.field is not field:
-        if not can_embed(p.field, field):
-            raise FieldError(f"cannot substitute {field.tag} images into {p.field.tag} poly")
-        p = p.embed(field)
-    tgt = s.target
+    tgt, field = images[0].vars, p.field
     if p.is_zero():
         return RatFunc.from_poly(Poly.zero(tgt, field))
     # factors[t]: the powers of images that multiply the t-th term
@@ -519,8 +514,8 @@ def substitute(p: Poly, s: Substitution) -> RatFunc:
     den = Poly.one(tgt, field)
     for i, exps in p.vars.occurring(p.terms):
         top = max(exps)
-        num_pows = _power_cache(s.images[i].num, top)
-        den_pows = _power_cache(s.images[i].den, top)
+        num_pows = _power_cache(images[i].num, top)
+        den_pows = _power_cache(images[i].den, top)
         for t, k in enumerate(exps):
             if k:
                 factors[t].append(num_pows[k])
@@ -541,11 +536,3 @@ def _power_cache(p: Poly, up_to: int):
     for _ in range(2, up_to + 1):
         pows.append(pows[-1] * p)
     return pows
-
-
-def substitute_ratfunc(r: RatFunc, s: Substitution) -> RatFunc:
-    num = substitute(r.num, s)
-    den = substitute(r.den, s)
-    if den.is_zero():
-        raise ZeroDivisionError("substitution makes the denominator vanish")
-    return num / den

@@ -10,6 +10,11 @@ F4         F2 adjoined z3, basis {1, z3}, reduced by z3^2 = 1 + z3
 Payloads are canonical: equal field elements have equal payloads.  Poly
 stores raw payloads and the field they lie in; mixing payloads from
 different fields is an error.
+
+The fields form two chains, Q in Qz3 and F2 in F4.  join(a, b) is the
+one field of a pair that contains the other, and embed carries a payload
+up its chain; the entry points of poly that meet operands from two
+tables (ratfunc_eq, substitute) take the join, Poly arithmetic does not.
 """
 
 from __future__ import annotations
@@ -49,9 +54,6 @@ class Field:
 
     def neg(self, a):
         raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -115,11 +117,6 @@ class _RationalField(Field):
 
     def neg(self, a):
         return -a
-
-    def sub(self, a, b):
-        if type(a) is int and type(b) is int:
-            return a - b
-        return self._norm(a - b)
 
     def mul(self, a, b):
         if type(a) is int and type(b) is int:
@@ -192,9 +189,6 @@ class _CyclotomicField(Field):
 
     def neg(self, a):
         return (-a[0], -a[1])
-
-    def sub(self, a, b):
-        return (a[0] - b[0], a[1] - b[1])
 
     def mul(self, a, b):
         # (a0 + a1 z)(b0 + b1 z), z^2 = -1 - z
@@ -302,5 +296,18 @@ def embed(value, src: Field, dst: Field):
     raise FieldError(f"no embedding {src.tag} -> {dst.tag}")
 
 
-def can_embed(src: Field, dst: Field) -> bool:
-    return src is dst or (src is F2 and dst is F4) or (src is QQ and dst is QZ3)
+def join(a: Field, b: Field) -> Field:
+    """Whichever of a and b contains the other: the smallest field that
+    holds both.  FieldError when neither does (the characteristics differ,
+    as for Q and F2).  Within one characteristic the larger field is the
+    one with zeta3."""
+    if a.char != b.char:
+        raise FieldError(f"incompatible fields {a.tag} and {b.tag}")
+    return b if b.has_zeta3 else a
+
+
+def with_zeta3(field: Field) -> Field:
+    """The smallest field containing field and zeta3: Qz3 over Q, F4 over F2."""
+    if field.has_zeta3:
+        return field
+    return F4 if field.char == 2 else QZ3

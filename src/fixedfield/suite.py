@@ -62,8 +62,8 @@ from .perms import (
     parse_cycles,
     wreath_product,
 )
-from .poly import PolyError, RatFunc, Substitution, VarTable, ratfunc_eq
-from .scalars import F4, QZ3, Field, FieldError, embed, field_by_tag
+from .poly import PolyError, RatFunc, VarTable, ratfunc_eq, substitute
+from .scalars import Field, FieldError, embed, field_by_tag, join, with_zeta3
 
 
 class SuiteError(ValueError):
@@ -108,17 +108,6 @@ class SuiteReport:
         }
 
 
-def _join_fields(a: Field, b: Field) -> Field:
-    if a is b:
-        return a
-    pair = {a.tag, b.tag}
-    if pair == {"Q", "Qz3"}:
-        return QZ3
-    if pair == {"F2", "F4"}:
-        return F4
-    raise FieldError(f"incompatible fields {a.tag} and {b.tag}")
-
-
 class Table:
     def __init__(self, name, names, field: Field, parent: "Table | None"):
         self.name = name
@@ -149,11 +138,7 @@ class Table:
         key = stop.name
         if key not in self._defs_to:
             maps = self.parent.defs_to(stop)
-            fld = self.field
-            for m in maps:
-                fld = _join_fields(fld, m.field)
-            sub = Substitution(self.parent.vt, [m.embed(fld) for m in maps])
-            self._defs_to[key] = [sub(d.embed(fld)) for d in self.defs]
+            self._defs_to[key] = [substitute(d, maps) for d in self.defs]
         return self._defs_to[key]
 
     def grounded(self):
@@ -244,9 +229,9 @@ class Suite:
             stop = roots.pop() if roots else next(iter(self.tables.values())).root()
         fld = stop.field
         for t, _ in owners.values():
-            fld = _join_fields(fld, t.field)
+            fld = join(fld, t.field)
         if "zeta3" in text:
-            fld = _join_fields(fld, F4 if fld.char == 2 else QZ3)
+            fld = with_zeta3(fld)
         leaves = {v: t.defs_to(stop)[i].embed(fld) if t is not stop
                   else RatFunc.var(stop.vt, fld, v) for v, (t, i) in owners.items()}
         return parse_expr(text, stop.vt, fld, leaves.get)
@@ -269,14 +254,7 @@ class Suite:
                 f"no action row registered for {sym!r} on table {table.name!r}"
             )
         images, conj = self._actions[key]
-        fld = f.field
-        for im in images:
-            fld = _join_fields(fld, im.field)
-        g = f.embed(fld)
-        if conj:
-            g = g.conj()
-        sub = Substitution(table.vt, [im.embed(fld) for im in images])
-        return sub(g)
+        return substitute(f.conj() if conj else f, images)
 
     # ------------------------------------------------------------------
     # scaled monomial actions (recursing through the table ancestry)
@@ -305,13 +283,8 @@ class Suite:
             lattice = table.lattice()
             if lattice.monomial:
                 bp, dp = self.scaled_action(table.parent, g)
-                dp = tuple(
-                    dv if table.parent.field is fld else embed(dv, table.parent.field, fld)
-                    for dv in dp
-                )
-                out = extract_monomial_action(
-                    lattice, g, ambient_action=(bp, dp), field=fld
-                )
+                dp = tuple(embed(dv, table.parent.field, fld) for dv in dp)
+                out = extract_monomial_action(lattice, (bp, dp), fld)
             else:
                 if not table.unproportional:
                     require_unproportional(table.grounded())
@@ -479,7 +452,7 @@ def _parse_def(suite: Suite, rest):
     if table.parent is None:
         if parent is table:
             raise SuiteError(f"definition of {target} refers to its own table")
-        if _join_fields(table.field, parent.field) is not table.field:
+        if join(table.field, parent.field) is not table.field:
             raise SuiteError(f"table {tname!r} field {table.field.tag} does not "
                              f"contain field {parent.field.tag} of {parent.name!r}")
         table.parent = parent
@@ -488,10 +461,7 @@ def _parse_def(suite: Suite, rest):
             f"definition of {target} uses table {parent.name!r}, expected "
             f"{table.parent.name!r}"
         )
-    fld = table.field
-    if "zeta3" in expr and not fld.has_zeta3:
-        raise SuiteError(f"table {tname!r} field {fld.tag} has no zeta3")
-    table._pending_defs[vname] = parse_expr(expr, parent.vt, fld)
+    table._pending_defs[vname] = parse_expr(expr, parent.vt, table.field)
     if len(table._pending_defs) == len(table.vt):
         table.defs = [table._pending_defs[n] for n in table.vt.names]
         for d in table.defs:
@@ -639,11 +609,6 @@ def _split_exprs(payload):
     return tuple(e.strip() for e in payload.split(",") if e.strip())
 
 
-def _compare(a: RatFunc, b: RatFunc) -> bool:
-    fld = _join_fields(a.field, b.field)
-    return ratfunc_eq(a.embed(fld), b.embed(fld))
-
-
 def _run_order(suite: Suite, check: Check):
     name, want = check.fields
     g = suite.group(name)
@@ -727,7 +692,7 @@ def _run_invariance(suite: Suite, check: Check):
     expr, gname = check.fields
     f = suite.ground_expr(expr)
     for gen in suite.group(gname).generators:
-        if not _compare(perm_act(gen, f), f):
+        if not ratfunc_eq(perm_act(gen, f), f):
             return False, f"moved by {gen}"
     return True, f"fixed by all generators of {gname}"
 
@@ -750,8 +715,8 @@ def _run_table(suite: Suite, check: Check):
             f"row covers {len(image_texts)} of {len(table.vt)} variables of {tname}"
         )
     fld = table.field
-    if any("zeta3" in t for t in image_texts) and not fld.has_zeta3:
-        fld = F4 if fld.char == 2 else QZ3
+    if any("zeta3" in t for t in image_texts):
+        fld = with_zeta3(fld)
     images = [parse_expr(t, table.vt, fld) for t in image_texts]
     ok, detail = verify_table_row(suite, table, symbols, images, via)
     # only verified single-element rows become actions later tables build on
@@ -776,14 +741,10 @@ def verify_table_row(suite: Suite, table: Table, symbols, images, via: str):
         level, defs = table.parent, table.defs
     else:
         level, defs = table.root(), table.grounded()
-    fld = table.field
-    for img in images:
-        fld = _join_fields(fld, img.field)
-    sub = Substitution(table.vt, [d.embed(fld) for d in defs])
     for i, (d, img) in enumerate(zip(defs, images)):
         for sym in reversed(symbols):
             d = suite.apply_symbol(level, sym, d)
-        if not _compare(d, sub(img)):
+        if not ratfunc_eq(d, substitute(img, defs)):
             return False, f"row entry {i + 1} ({table.vt.names[i]}) mismatches"
     return True, ""
 
@@ -799,7 +760,7 @@ def _run_distinct(suite: Suite, check: Check):
     vals = [suite.ground_expr(e) for e in check.fields]
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
-            if _compare(vals[i], vals[j]):
+            if ratfunc_eq(vals[i], vals[j]):
                 return False, f"expressions {i + 1} and {j + 1} coincide"
     return True, "pairwise distinct"
 

@@ -155,6 +155,18 @@ def test_verify_grounded_check_before_vars_exits_2(capsys, monkeypatch):
     assert err.startswith("error: line 3: check identity comes before any vars table")
 
 
+def test_verify_zeta3_definition_over_f2_exits_2(capsys, monkeypatch):
+    import fixedfield.suite as suite_mod
+
+    text = ('suite catalog field=F2\npoints 3\nvars x = x1 x2 x3\nvars t = t1\n'
+            'def t.t1 = zeta3*x1\n')
+    monkeypatch.setattr(suite_mod, "load_suite", lambda name: suite_mod.parse_suite_text(text))
+    code, out, err = run(["verify", "--suite", "catalog"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 5: zeta3 is not available over F2")
+
+
 def test_verify_partial_table_exits_2(capsys, monkeypatch):
     import fixedfield.suite as suite_mod
 

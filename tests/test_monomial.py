@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from fixedfield.actions import extract_monomial_action
+from fixedfield.actions import extract_monomial_action, permutation_matrix
 from fixedfield.monomial import (
     MATRIX_GROUP_CAP,
     Lattice,
     MonomialError,
     close,
     det_fraction_free,
-    exponent_matrix,
     mat_from_rows,
     mat_identity,
     mat_mul,
@@ -174,22 +173,22 @@ SEC7_TEXTS = ["y2*y3/y6", "y3*y7/y8", "y4*y5/y3", "y5*y6/y7", "y6*y8/y4",
 def sec7_matrix():
     yt = VarTable([f"y{i}" for i in range(2, 9)])
     defs = [parse_expr(t, yt, QQ) for t in SEC7_TEXTS]
-    return exponent_matrix(defs)
+    return Lattice(defs).unit_rows()
 
 
 def test_exponent_matrix_examples():
     yt = VarTable(["y2", "y3", "y4"])
     defs = [parse_expr(t, yt, QQ) for t in ["y2*y3/y4", "y3*y4/y2", "y4*y2/y3"]]
-    assert exponent_matrix(defs) == mat_from_rows(SEC6_BLOCK)
+    assert Lattice(defs).unit_rows() == mat_from_rows(SEC6_BLOCK)
 
     xt = VarTable(["x1", "x2"])
     defs = [parse_expr(t, xt, QQ) for t in ["x1", "x2"]]
-    assert exponent_matrix(defs) == mat_identity(2)
+    assert Lattice(defs).unit_rows() == mat_identity(2)
 
     with pytest.raises(MonomialError):
-        exponent_matrix([parse_expr("x1 + x2", xt, QQ)])
+        Lattice([parse_expr("x1 + x2", xt, QQ)]).unit_rows()
     with pytest.raises(MonomialError):
-        exponent_matrix([parse_expr("-x1", xt, QQ), parse_expr("x2", xt, QQ)])
+        Lattice([parse_expr("-x1", xt, QQ), parse_expr("x2", xt, QQ)]).unit_rows()
 
 
 def test_det_fraction_free_examples():
@@ -406,29 +405,35 @@ def zset_for_extraction():
     return [parse_expr(t, zt, QQ) for t in texts]
 
 
+def plain(g):
+    """The ambient action (B, d) of a permutation of the ambient variables."""
+    return permutation_matrix(g), (QQ.one(),) * g.degree
+
+
 def test_extract_monomial_action_examples():
     lattice = Lattice(zset_for_extraction())
     ident = Perm.identity(3)
-    amat, cvec = extract_monomial_action(lattice, ident)
+    amat, cvec = extract_monomial_action(lattice, plain(ident), QQ)
     assert amat == mat_identity(3)
     assert all(c == QQ.one() for c in cvec)
 
     # the swap z1 <-> z2 sends Z1 -> Z1, Z2 = z2z3/z1 -> z1z3/z2 = Z3
     swap = parse_cycles("(1,2)", 3)
-    amat, cvec = extract_monomial_action(lattice, swap)
+    amat, cvec = extract_monomial_action(lattice, plain(swap), QQ)
     assert amat == mat_from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     assert all(c == QQ.one() for c in cvec)
 
     # coefficients travel: (2*x1, x2/3) under the swap is (6*(x2/3), (2*x1)/6)
     xt = VarTable(["x1", "x2"])
     scaled = Lattice([parse_expr("2*x1", xt, QQ), parse_expr("x2/3", xt, QQ)])
-    amat, cvec = extract_monomial_action(scaled, parse_cycles("(1,2)", 2))
+    amat, cvec = extract_monomial_action(scaled, plain(parse_cycles("(1,2)", 2)), QQ)
     assert amat == mat_from_rows([[0, 1], [1, 0]])
     assert cvec == (QQ.from_int(6), QQ.div(QQ.one(), QQ.from_int(6)))
 
     with pytest.raises(MonomialError, match="definition 2 is not a Laurent monomial"):
         extract_monomial_action(
-            Lattice([parse_expr("x1", xt, QQ), parse_expr("x1 + x2", xt, QQ)]), ident
+            Lattice([parse_expr("x1", xt, QQ), parse_expr("x1 + x2", xt, QQ)]),
+            plain(Perm.identity(2)), QQ,
         )
 
 
@@ -438,9 +443,7 @@ def test_extract_with_signed_ambient_action():
     defs = [parse_expr("y1*y2", yt, QQ), parse_expr("y1/y2", yt, QQ)]
     bmat = mat_from_rows([[0, -1], [1, 0]])
     dvec = (QQ.one(), QQ.one())
-    amat, cvec = extract_monomial_action(
-        Lattice(defs), Perm.identity(2), ambient_action=(bmat, dvec)
-    )
+    amat, cvec = extract_monomial_action(Lattice(defs), (bmat, dvec), QQ)
     # y1*y2 -> y2/y1 = 1/(second def), y1/y2 -> y1*y2... check exactness
     assert amat == mat_from_rows([[0, 1], [-1, 0]])
     assert all(c == QQ.one() for c in cvec)
@@ -450,12 +453,12 @@ def test_is_purely_monomial_on_extracted_actions():
     # purely monomial: every coefficient of the extracted action is 1
     lattice = Lattice(zset_for_extraction())
     for g in (Perm.identity(3), parse_cycles("(1,2)", 3)):
-        _, cvec = extract_monomial_action(lattice, g)
+        _, cvec = extract_monomial_action(lattice, plain(g), QQ)
         assert all(c == QQ.one() for c in cvec)
 
     # z1 -> -z1 scales every Z_j by -1: the same matrix, but not pure
     signed = (mat_identity(3), (QQ.from_int(-1), QQ.one(), QQ.one()))
-    amat, cvec = extract_monomial_action(lattice, Perm.identity(3), ambient_action=signed)
+    amat, cvec = extract_monomial_action(lattice, signed, QQ)
     assert amat == mat_identity(3)
     assert cvec == (QQ.from_int(-1),) * 3
 

@@ -7,13 +7,11 @@ from fixedfield.poly import (
     Poly,
     PolyError,
     RatFunc,
-    Substitution,
     VarTable,
     ratfunc_eq,
     substitute,
-    substitute_ratfunc,
 )
-from fixedfield.scalars import F2, QQ, FieldError
+from fixedfield.scalars import F2, F4, QQ, QZ3, FieldError
 
 X = VarTable(["x1", "x2", "x3"])
 Y = VarTable(["y1", "y2", "y3", "y4", "y5", "y6", "y7", "y8"])
@@ -135,7 +133,7 @@ def random_monomial_subst(source, target, field, rng):
             target, field, field.one(), tuple(rng.randint(0, 1) for _ in target.names)
         )
         images.append(RatFunc(num, den))
-    return Substitution(source, images)
+    return images
 
 
 def test_substitute_is_homomorphism():
@@ -156,15 +154,14 @@ def test_substitute_composition_law():
         t = random_monomial_subst(Y, Z, QQ, rng)
         p = random_poly(X, QQ, rng, max_terms=3, max_deg=2)
         # s then t: the images of s, carried over Z by t
-        st = Substitution(X, [t(im) for im in s.images])
-        assert ratfunc_eq(t(substitute(p, s)), substitute(p, st))
+        st = [substitute(im, t) for im in s]
+        assert ratfunc_eq(substitute(substitute(p, s), t), substitute(p, st))
 
 
 def test_substitute_examples():
-    swap = Substitution(X, [RatFunc.var(X, QQ, "x2"), RatFunc.var(X, QQ, "x1"),
-                            RatFunc.var(X, QQ, "x3")])
+    swap = [RatFunc.var(X, QQ, "x2"), RatFunc.var(X, QQ, "x1"), RatFunc.var(X, QQ, "x3")]
     assert ratfunc_eq(substitute(q("x1 + x2").num, swap), q("x1 + x2"))
-    s = Substitution(X, [q("x1*x2/x3"), q("x2"), q("x3")])
+    s = [q("x1*x2/x3"), q("x2"), q("x3")]
     assert ratfunc_eq(substitute(q("x1").num, s), q("x1*x2/x3"))
 
 
@@ -180,16 +177,71 @@ def test_substitute_monomial_products_through_definitions():
         "z7": "y7*y4/y2",
         "z8": "y8*y2/y5",
     }
-    s = Substitution(zt, [parse_expr(defs[n], Y, QQ) for n in zt.names])
+    s = [parse_expr(defs[n], Y, QQ) for n in zt.names]
     w2 = parse_expr("z2*z7*z5", zt, QQ)
-    assert ratfunc_eq(substitute_ratfunc(w2, s), parse_expr("y3*y4*y5", Y, QQ))
+    assert ratfunc_eq(substitute(w2, s), parse_expr("y3*y4*y5", Y, QQ))
 
 
 def test_substitution_zero_denominator_detected():
-    s = Substitution(X, [q("x1"), q("x1"), q("x3")])
+    s = [q("x1"), q("x1"), q("x3")]
     p = parse_expr("1/(x1 - x2)", X, QQ)
     with pytest.raises(ZeroDivisionError):
-        substitute_ratfunc(p, s)
+        substitute(p, s)
+
+
+def test_ratfunc_eq_meets_in_the_join():
+    # a Q and a Qz3 function, or an F2 and an F4 one, compare as the
+    # smaller one embedded into the larger field does
+    for small, big in [(QQ, QZ3), (F2, F4)]:
+        pairs = [
+            ("(x1^2 - x2)/(x3 + 1)", "(x1^2 - x2)/(x3 + 1)"),
+            ("x1", "x1 + zeta3^2 + zeta3 + 1"),
+            ("x1 - x2", "x1 + x2"),
+            ("x1*x2", "zeta3*x1*x2"),
+            ("1/x1", "x1"),
+        ]
+        seen = set()
+        for left, right in pairs:
+            a, b = parse_expr(left, X, small), parse_expr(right, X, big)
+            want = ratfunc_eq(a.embed(big), b)
+            assert ratfunc_eq(a, b) == want == ratfunc_eq(b, a)
+            seen.add(want)
+        assert seen == {True, False}
+    for a, b in [(q("x1"), f2("x1")), (parse_expr("zeta3", X, QZ3), f2("x1"))]:
+        with pytest.raises(FieldError):
+            ratfunc_eq(a, b)
+        with pytest.raises(FieldError):
+            ratfunc_eq(b, a)
+    # embedding goes up a chain only, even for the zero polynomial
+    for big, small in [(QZ3, QQ), (F4, F2), (QQ, F2), (F2, QZ3)]:
+        with pytest.raises(FieldError):
+            Poly.zero(X, big).embed(small)
+
+
+def test_substitute_meets_in_the_join():
+    # a Q polynomial at images over Q and Qz3 lands in Qz3
+    images = [parse_expr("zeta3*x2", X, QZ3), q("x1"), q("x3")]
+    got = substitute(q("x1^2 + x2").num, images)
+    assert got.field is QZ3
+    assert ratfunc_eq(got, parse_expr("zeta3^2*x2^2 + x1", X, QZ3))
+    # a Q rational function, its denominator included
+    got = substitute(q("x2/(x1 - 1)"), images)
+    assert got.field is QZ3
+    assert ratfunc_eq(got, parse_expr("x1/(zeta3*x2 - 1)", X, QZ3))
+    # an F2 polynomial at images over F2 and F4 lands in F4
+    got = substitute(f2("x1*x2 + x3").num, [parse_expr("zeta3", X, F4), f2("x2"), f2("x3")])
+    assert got.field is F4
+    assert ratfunc_eq(got, parse_expr("zeta3*x2 + x3", X, F4))
+    # no field holds both Q and F2
+    with pytest.raises(FieldError):
+        substitute(q("x1").num, [f2("x1"), f2("x2"), f2("x3")])
+    with pytest.raises(FieldError):
+        substitute(q("x1"), [q("x1"), f2("x2"), q("x3")])
+    # the images cover every variable and lie over one table
+    with pytest.raises(PolyError, match="cover every"):
+        substitute(q("x1").num, [q("x1"), q("x2")])
+    with pytest.raises(PolyError, match="different tables"):
+        substitute(q("x1"), [q("x1"), q("x2"), q("y1", Y)])
 
 
 def test_simplification_strips_monomial_content():
@@ -314,7 +366,7 @@ def test_substitute_matches_tuple_reference(field):
     rng = random.Random(f"substitute:{field.tag}")
     for _ in range(8):
         images = [random_ref(X, field, rng, rng.randint(0, 3), max_deg=2) for _ in W.names]
-        s = Substitution(W, [RatFunc.from_poly(to_poly(X, field, im)) for im in images])
+        s = [RatFunc.from_poly(to_poly(X, field, im)) for im in images]
         for p in operand_refs(W, field, rng):
             want = {}
             for e, c in p.items():
@@ -414,7 +466,7 @@ def test_multiplying_by_one_leaves_operands_unchanged():
     p = q("x1^2 + 3*x2*x3 - 1").num
     before = p.sorted_terms()
     one = Poly.one(X, QQ)
-    s = Substitution(X, [q("x2"), q("x1 + x3"), q("2")])
+    s = [q("x2"), q("x1 + x3"), q("2")]
     for product in (p * one, one * p):
         assert product == p
         image = substitute(product, s)

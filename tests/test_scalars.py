@@ -10,7 +10,10 @@ from fixedfield.scalars import (
     QQ,
     QZ3,
     FieldError,
+    embed,
     field_by_tag,
+    join,
+    with_zeta3,
 )
 
 
@@ -95,7 +98,7 @@ def test_canonical_equality():
     assert QQ.add(half, half) == QQ.one() and type(QQ.add(half, half)) is int
     third = QQ.div(QQ.from_int(2), QQ.from_int(6))
     assert third.numerator == 1 and third.denominator == 3
-    assert QZ3.zero() == QZ3.sub(QZ3.one(), QZ3.one())
+    assert QZ3.zero() == QZ3.add(QZ3.one(), QZ3.neg(QZ3.one()))
 
 
 def test_conjugation():
@@ -105,6 +108,22 @@ def test_conjugation():
         assert field.conj(field.conj(z)) == z
         assert field.conj(field.one()) == field.one()
     assert QQ.conj(QQ.from_int(7)) == QQ.from_int(7)
+
+
+def test_join_is_the_larger_field_of_one_chain():
+    # Q lies in Qz3 and F2 in F4; no field holds both Q and F2
+    assert join(QQ, QQ) is QQ and join(F4, F4) is F4
+    assert join(QQ, QZ3) is QZ3 and join(QZ3, QQ) is QZ3
+    assert join(F2, F4) is F4 and join(F4, F2) is F4
+    for a, b in [(QQ, F2), (QQ, F4), (QZ3, F2), (QZ3, F4)]:
+        with pytest.raises(FieldError, match="incompatible"):
+            join(a, b)
+        with pytest.raises(FieldError, match="incompatible"):
+            join(b, a)
+    # the join holds both: each side embeds into it
+    for small, big in [(QQ, QZ3), (F2, F4)]:
+        assert embed(small.one(), small, join(small, big)) == big.one()
+    assert [with_zeta3(f) for f in (QQ, F2, QZ3, F4)] == [QZ3, F4, QZ3, F4]
 
 
 def test_field_registry():

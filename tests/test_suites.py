@@ -10,8 +10,8 @@ from fixedfield.actions import perm_act
 from fixedfield.catalog import ELEMENT_ORDERS, CatalogError, catalog_group, catalog_lookup
 from fixedfield.monomial import mat_identity
 from fixedfield.parser import expression_variables, parse_expr
-from fixedfield.poly import RatFunc, Substitution, VarTable, ratfunc_eq
-from fixedfield.scalars import F4, QZ3
+from fixedfield.poly import RatFunc, VarTable, ratfunc_eq, substitute
+from fixedfield.scalars import join, with_zeta3
 from fixedfield.suite import (
     FAIL,
     FLAGGED,
@@ -19,7 +19,6 @@ from fixedfield.suite import (
     PASS,
     SuiteError,
     _image_group,
-    _join_fields,
     list_suites,
     load_suite,
     parse_suite_text,
@@ -173,6 +172,19 @@ def test_loader_rejects_malformed_checks(check, message):
         text = text.replace("vars x = x1 x2 x3\n", "\n")
     with pytest.raises(SuiteError, match=r"^line 5: .*" + re.escape(message)):
         parse_suite_text(text)
+
+
+def test_loader_rejects_zeta3_in_a_definition_over_a_field_without_it():
+    # the parser refuses zeta3 over F2; a variable whose name merely
+    # contains zeta3 is an ordinary variable
+    head = "suite mini field=F2\npoints 3\nvars x = x1 x2 zeta3x\nvars t = t1\n"
+    with pytest.raises(SuiteError, match="^line 5: zeta3 is not available over F2"):
+        parse_suite_text(head + "def t.t1 = zeta3*x1 + x2\n")
+    suite = parse_suite_text(head + "def t.t1 = zeta3x + x2\n")
+    (d,) = suite.table("t").defs
+    assert d.field is suite.field and ratfunc_eq(
+        d, parse_expr("zeta3x + x2", suite.table("x").vt, suite.field)
+    )
 
 
 def test_loader_rejects_a_table_over_a_larger_field():
@@ -488,13 +500,13 @@ def _check_expressions(suite):
                 t for t in payload.split("images", 1)[1].lstrip(" =").split(",")
             )
             fld = suite.table(payload.split()[0]).field
-            if any("zeta3" in t for t in texts) and not fld.has_zeta3:
-                fld = F4 if fld.char == 2 else QZ3
+            if any("zeta3" in t for t in texts):
+                fld = with_zeta3(fld)
             out.extend((t, fld) for t in texts)
             continue
         fld = suite.field
         if any("zeta3" in t for t in texts):
-            fld = F4 if fld.char == 2 else QZ3
+            fld = with_zeta3(fld)
         out.extend((t, fld) for t in texts)
     return out
 
@@ -533,16 +545,16 @@ def _ground_by_substitution(suite, text, stop=None):
         while chain is not stop:
             if chain.parent is None:
                 raise SuiteError(f"table {chain.name} does not reach {stop.name}")
-            fld, chain = _join_fields(fld, chain.field), chain.parent
+            fld, chain = join(fld, chain.field), chain.parent
     if "zeta3" in text:
-        fld = _join_fields(fld, F4 if fld.char == 2 else QZ3)
+        fld = with_zeta3(fld)
     ns = _suite_variables(suite)
     zero = RatFunc.const(stop.vt, fld, fld.zero())
     images = []
     for v in ns.names:
         owner, i = suite.var_owner[v]
         images.append(owner.defs_to(stop)[i].embed(fld) if owner in tables else zero)
-    return Substitution(ns, images)(parse_expr(text, ns, fld))
+    return substitute(parse_expr(text, ns, fld), images)
 
 
 def _grounded_expressions(suite):
@@ -661,10 +673,9 @@ check identity x1 - x1 == 0 over=t ref="r"
 
 # --- composed rows stay consistent with the registered tables ----------------
 
-def _composed_row(suite, table, row_g, row_h):
+def _composed_row(row_g, row_h):
     # (g*h)(def_i) = row_h,i evaluated at the images of g
-    sub_g = Substitution(table.vt, row_g)
-    return [sub_g(img) for img in row_h]
+    return [substitute(img, row_g) for img in row_h]
 
 
 def test_table_rows_compose(executed_suites):
@@ -691,7 +702,7 @@ def test_table_rows_compose(executed_suites):
                         via = "parent"
                     else:
                         via = "ground"
-                    composed = _composed_row(suite, table, row_g, row_h)
+                    composed = _composed_row(row_g, row_h)
                     ok, detail = verify_table_row(
                         suite, table, (sym_g, sym_h), composed, via
                     )
@@ -777,7 +788,7 @@ def test_extracted_generator_matrices_are_unimodular(executed_suites):
 def test_degree_oracle_smith_normal_form(executed_suites):
     # |det| of every monomial generator set's exponent matrix equals the
     # product of its Smith normal form diagonal (independent oracle)
-    from fixedfield.monomial import det_fraction_free, exponent_matrix, is_square, monomial_shape
+    from fixedfield.monomial import det_fraction_free, is_square, mat_from_rows, monomial_shape
 
     from test_monomial import smith_diagonal
 
@@ -791,7 +802,7 @@ def test_degree_oracle_smith_normal_form(executed_suites):
                 continue
             if any(c != table.field.one() for c, _ in shapes):
                 continue
-            m = exponent_matrix(table.defs)
+            m = mat_from_rows([e for _, e in shapes])
             if not is_square(m):
                 continue
             diag = smith_diagonal(m)
