@@ -10,13 +10,20 @@ result is always a RatFunc over the supplied table.  Each name evaluates
 through one resolver: by default to the table's variable of that name, or,
 given leaf, to leaf(name), which is how a suite grounds a check expression
 by evaluating it at the definitions of its variables.
+
+Subexpressions are evaluated as Polys: integers, zeta3 and every leaf
+whose denominator is 1.  A value becomes a RatFunc only under '/', under
+a negative power, or when a leaf is a proper fraction, and a Poly meets
+a RatFunc as the RatFunc p/1.  The RatFunc operations on p/1 do exactly
+what the Poly ones do on p, so the result is the RatFunc an evaluation
+through RatFuncs alone would build.
 """
 
 from __future__ import annotations
 
 import re
 
-from .poly import RatFunc, VarTable
+from .poly import Poly, RatFunc, VarTable
 from .scalars import Field
 
 
@@ -72,25 +79,25 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", pos)
 
-    def parse(self) -> RatFunc:
+    def parse(self):
         out = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos)
         return out
 
-    def expr(self) -> RatFunc:
+    def expr(self):
         out = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                rhs = self.term()
+                out, rhs = _same_kind(out, self.term())
                 out = out + rhs if val == "+" else out - rhs
             else:
                 return out
 
-    def term(self) -> RatFunc:
+    def term(self):
         out = self.factor()
         while True:
             kind, val, pos = self.peek()
@@ -98,15 +105,16 @@ class _Parser:
                 self.next()
                 rhs = self.factor()
                 if val == "*":
+                    out, rhs = _same_kind(out, rhs)
                     out = out * rhs
                 else:
                     if rhs.is_zero():
                         raise ParseError("division by zero", pos)
-                    out = out / rhs
+                    out = _ratfunc(out) / _ratfunc(rhs)
             else:
                 return out
 
-    def factor(self) -> RatFunc:
+    def factor(self):
         out = self.base()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
@@ -120,21 +128,23 @@ class _Parser:
                 raise ParseError("expected integer exponent", pos)
             if sign * val < 0 and out.is_zero():
                 raise ParseError("negative power of zero", pos)
-            out = out ** (sign * val)
+            out = (_ratfunc(out) if sign < 0 else out) ** (sign * val)
         return out
 
-    def base(self) -> RatFunc:
+    def base(self):
         kind, val, pos = self.next()
         if kind == "int":
-            return RatFunc.const(self.vars, self.field, self.field.from_int(val))
+            return Poly.const(self.vars, self.field, self.field.from_int(val))
         if kind == "name":
             if val == "zeta3":
                 if not self.field.has_zeta3:
                     raise ParseError(f"zeta3 is not available over {self.field.tag}", pos)
-                return RatFunc.const(self.vars, self.field, self.field.zeta3())
+                return Poly.const(self.vars, self.field, self.field.zeta3())
             value = self.leaf(val)
             if value is None:
                 raise ParseError(f"unknown variable {val!r}", pos)
+            if isinstance(value, RatFunc) and value.den.is_one():
+                return value.num
             return value
         if kind == "op" and val == "(":
             inner = self.expr()
@@ -145,17 +155,34 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
+def _ratfunc(value):
+    return RatFunc.from_poly(value) if isinstance(value, Poly) else value
+
+
+def _same_kind(a, b):
+    """a and b, both Polys or both RatFuncs."""
+    if type(a) is type(b):
+        return a, b
+    return _ratfunc(a), _ratfunc(b)
+
+
 def parse_expr(text: str, vars: VarTable, field: Field, leaf=None) -> RatFunc:
-    """The value of text over vars in field.  leaf(name) is a name's value,
-    a RatFunc over vars in field, or None when the name is unknown; by
-    default the names are the variables of vars.  str(r) parses back to r."""
+    """The value of text over vars in field, as a RatFunc.  leaf(name) is a
+    name's value, a Poly or RatFunc over vars in field, or None when the
+    name is unknown; by default the names are the variables of vars.
+    str(r) parses back to r."""
     if leaf is None:
-        leaf = lambda name: RatFunc.var(vars, field, name) if name in vars else None
-    return _Parser(text, vars, field, leaf).parse()
+        leaf = lambda name: Poly.var(vars, field, name) if name in vars else None
+    return _ratfunc(_Parser(text, vars, field, leaf).parse())
+
+
+def expression_names(text: str):
+    """The set of name tokens of an expression, zeta3 included.  A name
+    cannot start inside an integer token, so scanning for names alone
+    finds the name tokens, without matching every other token."""
+    return set(_NAME.findall(text))
 
 
 def expression_variables(text: str):
-    """The set of identifiers appearing in an expression (zeta3 excluded).
-    A name cannot start inside an integer token, so scanning for names
-    alone finds the name tokens, without matching every other token."""
-    return set(_NAME.findall(text)) - {"zeta3"}
+    """The set of identifiers appearing in an expression (zeta3 excluded)."""
+    return expression_names(text) - {"zeta3"}

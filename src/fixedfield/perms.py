@@ -24,6 +24,8 @@ from operator import itemgetter
 from .monomial import MonomialError, close
 
 CLOSURE_CAP = 50000
+# the largest degree a suite may declare with 'points'
+POINTS_CAP = 64
 
 
 class PermError(ValueError):

@@ -10,9 +10,13 @@ addition.  The top bit of every field is a guard bit: every exponent
 and every total degree stays below the cap EXPONENT_LIMIT = 2^15, so
 the sum of two packed monomials never carries from one field into the
 next, and a product that reaches the cap sets a guard bit and raises
-PolyError instead of wrapping.  Exponent vectors are unpacked only where
-a monomial is taken apart: common content, substitution, permuting
-variables, reading Laurent monomials, and display.
+PolyError instead of wrapping.  The one exception is the power of a
+one-term polynomial, which multiplies its packed monomial by the
+exponent in one step: that product can carry past a guard bit, so
+__pow__ checks its total degree against the cap first.  Exponent vectors
+are unpacked only where a monomial is taken apart: common content,
+substitution, permuting variables, reading Laurent monomials, and
+display.
 
 A RatFunc is an unreduced fraction of two Polys; equality is decided by
 cross multiplication, never by a multivariate gcd.  A cheap
@@ -277,6 +281,14 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise PolyError("negative power of a polynomial; use RatFunc")
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            vt, f = self.vars, self.field
+            # each field of e is at most its total degree, so this bounds
+            # every field of e * n, which could otherwise carry past a guard
+            if vt.degree(e) * n >= EXPONENT_LIMIT:
+                raise PolyError(f"power reaches the exponent cap {EXPONENT_LIMIT}")
+            return Poly(vt, f, {e * n: c if c == f.one() else f.pow(c, n)})
         out = Poly.one(self.vars, self.field)
         base = self
         while n:
@@ -373,10 +385,6 @@ class RatFunc:
     @classmethod
     def var(cls, vars, field, name):
         return cls.from_poly(Poly.var(vars, field, name))
-
-    @classmethod
-    def const(cls, vars, field, payload):
-        return cls.from_poly(Poly.const(vars, field, payload))
 
     @property
     def vars(self):

@@ -1,9 +1,10 @@
 """Exact arithmetic in the four coefficient fields the engine supports.
 
-Q          rationals (fractions.Fraction payloads)
+Q          rationals (int payloads when integral, fractions.Fraction
+           otherwise)
 F2         the field with two elements (int payloads 0/1)
 Qz3        Q adjoined a primitive cube root of unity z3, basis {1, z3},
-           reduced by z3^2 = -1 - z3 (payloads are (Fraction, Fraction))
+           reduced by z3^2 = -1 - z3 (payloads are pairs of Q payloads)
 F4         F2 adjoined z3, basis {1, z3}, reduced by z3^2 = 1 + z3
            (payloads are ints 0..3: bit 0 the constant, bit 1 the z3 part)
 
@@ -24,6 +25,11 @@ from fractions import Fraction
 
 class FieldError(ValueError):
     pass
+
+
+def _norm(x):
+    """A rational as an int when it is integral (x an int or a Fraction)."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class Field:
@@ -106,14 +112,10 @@ class _RationalField(Field):
     def from_int(self, n):
         return n
 
-    @staticmethod
-    def _norm(f):
-        return f.numerator if f.denominator == 1 else f
-
     def add(self, a, b):
         if type(a) is int and type(b) is int:
             return a + b
-        return self._norm(a + b)
+        return _norm(a + b)
 
     def neg(self, a):
         return -a
@@ -121,14 +123,14 @@ class _RationalField(Field):
     def mul(self, a, b):
         if type(a) is int and type(b) is int:
             return a * b
-        return self._norm(a * b)
+        return _norm(a * b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in Q")
         if type(a) is int:
             return 1 if a == 1 else -1 if a == -1 else Fraction(1, a)
-        return self._norm(1 / a)
+        return _norm(1 / a)
 
     def to_str(self, a):
         return str(a)
@@ -166,45 +168,56 @@ class _BinaryField(Field):
 
 
 class _CyclotomicField(Field):
-    """Q(z3) as pairs (a, b) = a + b*z3, with z3^2 = -1 - z3."""
+    """Q(z3) as pairs (a, b) = a + b*z3, with z3^2 = -1 - z3.  Each part
+    is an int when integral and a Fraction otherwise, as in Q, and every
+    operation normalizes back to int."""
 
     tag = "Qz3"
     char = 0
     has_zeta3 = True
 
     def zero(self):
-        return (Fraction(0), Fraction(0))
+        return (0, 0)
 
     def one(self):
-        return (Fraction(1), Fraction(0))
+        return (1, 0)
 
     def from_int(self, n):
-        return (Fraction(n), Fraction(0))
+        return (n, 0)
 
     def zeta3(self):
-        return (Fraction(0), Fraction(1))
+        return (0, 1)
 
     def add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
+        c0, c1 = a[0] + b[0], a[1] + b[1]
+        if type(c0) is int and type(c1) is int:
+            return (c0, c1)
+        return (_norm(c0), _norm(c1))
 
     def neg(self, a):
         return (-a[0], -a[1])
 
     def mul(self, a, b):
         # (a0 + a1 z)(b0 + b1 z), z^2 = -1 - z
-        p = a[1] * b[1]
-        return (a[0] * b[0] - p, a[0] * b[1] + a[1] * b[0] - p)
+        a0, a1 = a
+        b0, b1 = b
+        p = a1 * b1
+        c0, c1 = a0 * b0 - p, a0 * b1 + a1 * b0 - p
+        if type(c0) is int and type(c1) is int:
+            return (c0, c1)
+        return (_norm(c0), _norm(c1))
 
     def inv(self, a):
         # norm (a0 + a1 z)(a0 + a1 z^2) = a0^2 - a0 a1 + a1^2
-        n = a[0] * a[0] - a[0] * a[1] + a[1] * a[1]
+        a0, a1 = a
+        n = a0 * a0 - a0 * a1 + a1 * a1
         if n == 0:
             raise ZeroDivisionError("division by zero in Qz3")
-        return ((a[0] - a[1]) / n, -a[1] / n)
+        return (_norm(Fraction(a0 - a1) / n), _norm(Fraction(-a1) / n))
 
     def conj(self, a):
         # a + b z3 -> a + b z3^2 = (a - b) - b z3
-        return (a[0] - a[1], -a[1])
+        return (_norm(a[0] - a[1]), -a[1])
 
     def to_str(self, a):
         c, z = a
@@ -292,7 +305,7 @@ def embed(value, src: Field, dst: Field):
     if src is F2 and dst is F4:
         return value
     if src is QQ and dst is QZ3:
-        return (value, Fraction(0))
+        return (value, 0)
     raise FieldError(f"no embedding {src.tag} -> {dst.tag}")
 
 

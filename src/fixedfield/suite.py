@@ -50,8 +50,9 @@ from .monomial import (
     matrix_times,
     matrix_word,
 )
-from .parser import ParseError, expression_variables, parse_expr
+from .parser import ParseError, expression_names, expression_variables, parse_expr
 from .perms import (
+    POINTS_CAP,
     Perm,
     PermError,
     PermGroup,
@@ -62,7 +63,7 @@ from .perms import (
     parse_cycles,
     wreath_product,
 )
-from .poly import PolyError, RatFunc, VarTable, ratfunc_eq, substitute
+from .poly import Poly, PolyError, RatFunc, VarTable, ratfunc_eq, substitute
 from .scalars import Field, FieldError, embed, field_by_tag, join, with_zeta3
 
 
@@ -221,7 +222,8 @@ class Suite:
         over stop (defs_to(stop)); stop defaults to the one root of the tables
         it names.  A table's field contains its parent's, so the field is
         stop's joined with the fields of the tables the expression names."""
-        owners = {v: self.var_owner[v] for v in expression_variables(text)}
+        names = expression_names(text)
+        owners = {v: self.var_owner[v] for v in names - {"zeta3"}}
         if stop is None:
             roots = {t.root() for t, _ in owners.values()}
             if len(roots) > 1:
@@ -230,10 +232,10 @@ class Suite:
         fld = stop.field
         for t, _ in owners.values():
             fld = join(fld, t.field)
-        if "zeta3" in text:
+        if "zeta3" in names:
             fld = with_zeta3(fld)
         leaves = {v: t.defs_to(stop)[i].embed(fld) if t is not stop
-                  else RatFunc.var(stop.vt, fld, v) for v, (t, i) in owners.items()}
+                  else Poly.var(stop.vt, fld, v) for v, (t, i) in owners.items()}
         return parse_expr(text, stop.vt, fld, leaves.get)
 
     # ------------------------------------------------------------------
@@ -371,6 +373,9 @@ def parse_suite_text(text: str) -> Suite:
                 if suite.perms or suite.groups or suite.tables:
                     raise SuiteError("'points' must precede declarations")
                 suite.points = int(rest)
+                if not 1 <= suite.points <= POINTS_CAP:
+                    raise SuiteError(f"points must be between 1 and {POINTS_CAP}, "
+                                     f"got {suite.points}")
             elif head == "vars":
                 _parse_vars(suite, rest)
             elif head == "def":
@@ -390,11 +395,7 @@ def parse_suite_text(text: str) -> Suite:
                 ]
                 suite.matrices[name] = mat_from_rows(rows)
             elif head == "gl23map":
-                body = rest.split("=", 1)[1]
-                for item in body.split():
-                    vec, idx = item.rsplit(":", 1)
-                    a, b = (int(x) % 3 for x in vec.split(","))
-                    suite.gl23map[(a, b)] = int(idx)
+                _parse_gl23map(suite, rest)
             elif head == "check":
                 check_seq += 1
                 _parse_check(suite, rest, check_seq)
@@ -413,6 +414,25 @@ def parse_suite_text(text: str) -> Suite:
                 + " ".join(missing)
             )
     return suite
+
+
+def _parse_gl23map(suite: Suite, rest):
+    """'= a,b:i ...': a bijection from the 8 nonzero vectors of F3^2,
+    entries read mod 3, onto the labels 1..8."""
+    if suite.gl23map:
+        raise SuiteError("duplicate gl23map")
+    labels = {}
+    for item in rest.partition("=")[2].split():
+        vec, idx = item.rsplit(":", 1)
+        a, b = (int(x) % 3 for x in vec.split(","))
+        if (a, b) in labels:
+            raise SuiteError(f"gl23map labels the vector ({a},{b}) twice")
+        labels[(a, b)] = int(idx)
+    nonzero = {(a, b) for a in range(3) for b in range(3)} - {(0, 0)}
+    if labels.keys() != nonzero or sorted(labels.values()) != list(range(1, 9)):
+        raise SuiteError("gl23map must label the 8 nonzero vectors of F3^2 "
+                         "with 1..8, each once")
+    suite.gl23map = labels
 
 
 def _parse_vars(suite: Suite, rest):
@@ -715,7 +735,7 @@ def _run_table(suite: Suite, check: Check):
             f"row covers {len(image_texts)} of {len(table.vt)} variables of {tname}"
         )
     fld = table.field
-    if any("zeta3" in t for t in image_texts):
+    if any("zeta3" in expression_names(t) for t in image_texts):
         fld = with_zeta3(fld)
     images = [parse_expr(t, table.vt, fld) for t in image_texts]
     ok, detail = verify_table_row(suite, table, symbols, images, via)

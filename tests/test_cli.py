@@ -178,3 +178,22 @@ def test_verify_partial_table_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 6: table 'm' has no definition for m2")
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [("-1,-1:8", "-1,-1:9", "31: gl23map must label"), ("points 8", "points 65536", "7: points")],
+    ids=["gl23map-label-9", "points-65536"],
+)
+def test_verify_malformed_sec4_exits_2(capsys, monkeypatch, old, new, line):
+    import fixedfield.suite as suite_mod
+    from importlib import resources
+
+    text = resources.files("fixedfield").joinpath("data/sec4.suite").read_text()
+    assert old in text
+    text = text.replace(old, new, 1)
+    monkeypatch.setattr(suite_mod, "load_suite", lambda name: suite_mod.parse_suite_text(text))
+    code, out, err = run(["verify", "--suite", "sec4"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {line}")

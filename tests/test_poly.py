@@ -473,3 +473,32 @@ def test_multiplying_by_one_leaves_operands_unchanged():
         assert ratfunc_eq(image, q("x2^2 + 3*(x1 + x3)*2 - 1"))
         assert p.sorted_terms() == before
         assert one.sorted_terms() == [((0, 0, 0), 1)]
+
+
+@pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)
+def test_one_term_power_equals_repeated_products(field):
+    # a one-term base is raised in one step, {n * e: c^n}; it must agree
+    # with n - 1 products, and a base of coefficient 1 keeps it
+    rng = random.Random(4400 + len(field.tag))
+    for _ in range(40):
+        exps = tuple(rng.randint(0, 4) for _ in W.names)
+        for c in (field.one(), random_payload(field, rng)):
+            base = Poly(W, field, {W.pack(exps): c})
+            product = Poly.one(W, field)
+            for n in range(9):
+                assert (base**n).terms == product.terms, (exps, c, n)
+                product = product * base
+    x1 = Poly.var(W, field, "w1")
+    assert (x1 ** (EXPONENT_LIMIT - 1)).sorted_terms() == [
+        ((EXPONENT_LIMIT - 1, 0, 0, 0), field.one())
+    ]
+    # n * e would carry past a guard bit: refused, never wrapped
+    with pytest.raises(PolyError, match="cap"):
+        x1**EXPONENT_LIMIT
+    with pytest.raises(PolyError, match="cap"):
+        (x1**200) ** 200
+    with pytest.raises(PolyError, match="cap"):
+        (x1 * Poly.var(W, field, "w2")) ** (EXPONENT_LIMIT // 2)
+    for text in ("w1^32768", "(w1^200)^200", "(3*w1*w2^3)^8192"):
+        with pytest.raises(PolyError, match="cap"):
+            parse_expr(text, W, field)

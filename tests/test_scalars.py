@@ -130,3 +130,67 @@ def test_field_registry():
     assert set(FIELDS) == {"Q", "F2", "Qz3", "F4"}
     with pytest.raises(FieldError):
         field_by_tag("F8")
+
+
+# --- Qz3 payloads against a reference on pairs of Fractions -----------------
+
+def _ref_pair(rng):
+    """a + b*z3 as two Fractions: mostly integers, some halves and thirds,
+    so that sums and products of fractional parts often come out integral."""
+    def part():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 1, 2, 3]))
+    return (part(), part())
+
+
+def _payload(ref):
+    return tuple(x.numerator if x.denominator == 1 else x for x in ref)
+
+
+def _ref_mul(a, b):
+    p = a[1] * b[1]
+    return (a[0] * b[0] - p, a[0] * b[1] + a[1] * b[0] - p)
+
+
+def _ref_inv(a):
+    n = a[0] * a[0] - a[0] * a[1] + a[1] * a[1]
+    return ((a[0] - a[1]) / n, -a[1] / n)
+
+
+def _assert_canonical(payload, ref):
+    # equal to the reference, and each part an int exactly when integral
+    assert payload == ref
+    for part, want in zip(payload, ref):
+        assert type(part) is (int if want.denominator == 1 else Fraction)
+
+
+def test_qz3_payloads_match_a_fraction_pair_reference():
+    from fixedfield.parser import parse_expr
+    from fixedfield.poly import VarTable
+
+    rng = random.Random(3303)
+    xt = VarTable(["x1"])
+    integral = 0
+    for _ in range(2000):
+        ra, rb = _ref_pair(rng), _ref_pair(rng)
+        a, b = _payload(ra), _payload(rb)
+        _assert_canonical(QZ3.add(a, b), (ra[0] + rb[0], ra[1] + rb[1]))
+        _assert_canonical(QZ3.neg(a), (-ra[0], -ra[1]))
+        _assert_canonical(QZ3.mul(a, b), _ref_mul(ra, rb))
+        _assert_canonical(QZ3.conj(a), (ra[0] - ra[1], -ra[1]))
+        _assert_canonical(QZ3.pow(a, 3), _ref_mul(ra, _ref_mul(ra, ra)))
+        if a != QZ3.zero():
+            _assert_canonical(QZ3.inv(a), _ref_inv(ra))
+            _assert_canonical(QZ3.div(b, a), _ref_mul(rb, _ref_inv(ra)))
+        q = _payload((ra[0],))[0]
+        _assert_canonical(embed(q, QQ, QZ3), (ra[0], Fraction(0)))
+        # the text of a payload is the text of its Fraction pair, and parses back
+        text = QZ3.to_str(a)
+        assert text == QZ3.to_str(ra)
+        assert parse_expr(text, xt, QZ3).num.terms == ({0: a} if a != (0, 0) else {})
+        integral += all(type(x) is int for x in QZ3.mul(a, b))
+    # the draws exercise both the integral and the fractional paths
+    assert 500 < integral < 1900
+    assert QZ3.zero() == (0, 0) and QZ3.one() == (1, 0) and QZ3.zeta3() == (0, 1)
+    assert all(type(x) is int for x in QZ3.from_int(-7) + QZ3.zeta3())
+    with pytest.raises(ZeroDivisionError):
+        QZ3.inv(QZ3.zero())

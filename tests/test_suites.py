@@ -9,8 +9,9 @@ import pytest
 from fixedfield.actions import perm_act
 from fixedfield.catalog import ELEMENT_ORDERS, CatalogError, catalog_group, catalog_lookup
 from fixedfield.monomial import mat_identity
-from fixedfield.parser import expression_variables, parse_expr
-from fixedfield.poly import RatFunc, VarTable, ratfunc_eq, substitute
+from fixedfield.parser import _tokenize, expression_variables, parse_expr
+from fixedfield.perms import POINTS_CAP
+from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute
 from fixedfield.scalars import join, with_zeta3
 from fixedfield.suite import (
     FAIL,
@@ -195,6 +196,69 @@ def test_loader_rejects_a_table_over_a_larger_field():
     with pytest.raises(SuiteError, match="^line 5: table 't' field Q does not contain "
                        "field Qz3 of 'x'$"):
         parse_suite_text(text)
+
+
+def test_zeta3_widens_only_on_the_zeta3_name_token():
+    # a variable whose name merely contains zeta3 leaves the field alone
+    for base, wide in [("Q", "Qz3"), ("F2", "F4")]:
+        suite = parse_suite_text(f"suite m field={base}\npoints 3\n"
+                                 "vars x = zeta3x x2 x3\nvars t = t1\ndef t.t1 = zeta3x*x2\n")
+        assert suite.ground_expr("zeta3x - zeta3x").field.tag == base
+        assert suite.ground_expr("t1 + x3").field.tag == base
+        assert suite.ground_expr("zeta3*zeta3x").field.tag == wide
+        assert suite.ground_expr("zeta3^2 + zeta3 + 1").is_zero()
+        # table images widen the same way
+        text = ("suite m field={0}\npoints 3\nvars x = zeta3x x2 x3\n"
+                "check table x elem=(1,2) images = x2, zeta3x, x3 ref=\"r\"\n")
+        table_check = parse_suite_text(text.format(base))
+        (result,) = run_parsed_suite(table_check).checks
+        assert result.status == PASS
+        images = table_check._actions[("x", "(1,2)")][0]
+        assert {im.field.tag for im in images} == {base}
+
+
+def _sec4_text():
+    return resources.files("fixedfield").joinpath("data/sec4.suite").read_text()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("-1,-1:8", "-1,-1:9", "must label the 8 nonzero vectors of F3^2 with 1..8"),
+        ("-1,-1:8", "-1,-1:1", "must label the 8 nonzero vectors of F3^2 with 1..8"),
+        ("0,-1:7", "0,1:7", "labels the vector (0,1) twice"),
+        ("0,-1:7", "0,4:7", "labels the vector (0,1) twice"),
+        ("-1,-1:8", "0,0:8", "must label the 8 nonzero vectors of F3^2 with 1..8"),
+        (" -1,-1:8", "", "must label the 8 nonzero vectors of F3^2 with 1..8"),
+        ("gl23map =", "gl23map", "must label the 8 nonzero vectors of F3^2 with 1..8"),
+    ],
+    ids=["label-9", "label-repeated", "vector-repeated", "vector-repeated-mod-3",
+         "zero-vector", "seven-vectors", "without-equals"],
+)
+def test_loader_requires_gl23map_to_be_a_bijection(old, new, message):
+    # a label outside 1..8 used to die at run time with a raw IndexError,
+    # and a repeated vector silently lost its first label
+    text = _sec4_text()
+    assert old in text
+    with pytest.raises(SuiteError, match=r"^line 31: .*" + re.escape(message)):
+        parse_suite_text(text.replace(old, new, 1))
+
+
+def test_loader_rejects_a_second_gl23map():
+    text = _sec4_text()
+    (line,) = [line for line in text.splitlines() if line.startswith("gl23map")]
+    with pytest.raises(SuiteError, match=r"^line 32: duplicate gl23map$"):
+        parse_suite_text(text.replace(line, line + "\n" + line, 1))
+
+
+@pytest.mark.parametrize("points", ["0", "-3", "65536"])
+def test_loader_caps_points(points):
+    # points 65536 used to load and then run without bound
+    with pytest.raises(SuiteError, match=r"^line 2: points must be between 1 and 64, "
+                       f"got {points}$"):
+        parse_suite_text(f"suite mini field=Q\npoints {points}\n")
+    suite = parse_suite_text(f"suite mini field=Q\npoints {POINTS_CAP}\n")
+    assert suite.points == POINTS_CAP
 
 
 @pytest.mark.parametrize(
@@ -549,7 +613,7 @@ def _ground_by_substitution(suite, text, stop=None):
     if "zeta3" in text:
         fld = with_zeta3(fld)
     ns = _suite_variables(suite)
-    zero = RatFunc.const(stop.vt, fld, fld.zero())
+    zero = RatFunc.from_poly(Poly.zero(stop.vt, fld))
     images = []
     for v in ns.names:
         owner, i = suite.var_owner[v]
@@ -651,6 +715,97 @@ def test_ground_expr_matches_substitution_oracle_on_mini_suites(name):
     suite = parse_suite_text(GROUNDING_MINIS[name])
     assert _assert_grounding_matches_oracle(suite) >= 3
     assert [c.status for c in run_parsed_suite(suite).checks if c.status == FAIL] == []
+
+
+# --- the parser's Poly evaluation against an all-RatFunc evaluation ----------
+
+def _eval_as_ratfuncs(text, vars, field, leaf):
+    """text evaluated with every constant and every leaf a RatFunc, over
+    the parser's tokens and grammar: an independent reference for parse_expr,
+    which keeps polynomial subexpressions as Polys."""
+    tokens = [(kind, val) for kind, val, _ in _tokenize(text)]
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def base():
+        kind, val = take()
+        if kind == "int":
+            return RatFunc.from_poly(Poly.const(vars, field, field.from_int(val)))
+        if val == "zeta3":
+            return RatFunc.from_poly(Poly.const(vars, field, field.zeta3()))
+        if kind == "name":
+            value = leaf(val)
+            return value if isinstance(value, RatFunc) else RatFunc.from_poly(value)
+        if val == "(":
+            out = expr()
+            take()
+            return out
+        return -base()  # unary '-'
+
+    def factor():
+        out = base()
+        if tokens[pos] == ("op", "^"):
+            take()
+            kind, val = take()
+            return out ** (-take()[1] if val == "-" else val)
+        return out
+
+    def term():
+        out = factor()
+        while tokens[pos] in (("op", "*"), ("op", "/")):
+            op = take()[1]
+            rhs = factor()
+            out = out * rhs if op == "*" else out / rhs
+        return out
+
+    def expr():
+        out = term()
+        while tokens[pos] in (("op", "+"), ("op", "-")):
+            op = take()[1]
+            rhs = term()
+            out = out + rhs if op == "+" else out - rhs
+        return out
+
+    return expr()
+
+
+def test_parser_matches_an_all_ratfunc_evaluation(monkeypatch, perfbench_workloads):
+    # every expression the runner parses while loading and running the
+    # shipped suites and, for Qz3, which no shipped suite uses, one seed of
+    # the benchmark's algebra suites: definitions, grounded checks (at their
+    # leaves) and table images, with the leaves of each call
+    import fixedfield.suite as suite_mod
+
+    calls = []
+
+    def recording_parse(text, vars, field, leaf=None):
+        out = parse_expr(text, vars, field, leaf)
+        calls.append((text, vars, field, leaf, out))
+        return out
+
+    monkeypatch.setattr(suite_mod, "parse_expr", recording_parse)
+    for name in ALL_SUITES:
+        run_parsed_suite(load_suite(name))
+    shipped = len(calls)
+    for _, text in perfbench_workloads.algebra(11).suites:
+        run_parsed_suite(parse_suite_text(text))
+    kinds = Counter()
+    for text, vars, field, leaf, got in calls:
+        if leaf is None:
+            leaf = lambda name, vars=vars, field=field: RatFunc.var(vars, field, name)
+        want = _eval_as_ratfuncs(text, vars, field, leaf)
+        assert got.vars is want.vars and got.field is want.field, text
+        # the same fraction, term for term, not only an equal value
+        assert got.num.terms == want.num.terms, text
+        assert got.den.terms == want.den.terms, text
+        kinds[field.tag, "fraction" if not got.den.is_one() else "polynomial"] += 1
+    assert shipped > 1000 and len(calls) > shipped
+    assert {tag for tag, _ in kinds} == {"Q", "F2", "Qz3", "F4"}
+    assert kinds["Q", "fraction"] and kinds["Q", "polynomial"]
 
 
 def test_over_a_non_ancestor_is_an_error_verdict():
