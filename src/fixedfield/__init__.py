@@ -13,7 +13,7 @@ from .actions import (
     induced_scaled_permutation,
     perm_act,
 )
-from .catalog import CatalogEntry, catalog_group, catalog_lookup, catalog_names
+from .catalog import CatalogEntry, catalog_lookup, catalog_names
 from .monomial import det_fraction_free, matrix_word
 from .parser import ParseError, parse_expr
 from .perms import (
@@ -37,6 +37,6 @@ __all__ = [
     "perm_act", "induced_scaled_permutation",
     "extract_monomial_action",
     "det_fraction_free", "matrix_word",
-    "CatalogEntry", "catalog_lookup", "catalog_group", "catalog_names",
+    "CatalogEntry", "catalog_lookup", "catalog_names",
     "SuiteReport", "list_suites", "run_suite",
 ]

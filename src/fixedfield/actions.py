@@ -28,15 +28,13 @@ class ActionError(ValueError):
     pass
 
 
-def perm_act(g: Perm, f):
-    """Apply x_i -> x_{g(i)} to a Poly or RatFunc over an n-variable table."""
+def perm_act(g: Perm, f: RatFunc) -> RatFunc:
+    """Apply x_i -> x_{g(i)} to a RatFunc over an n-variable table."""
     if g.degree != len(f.vars):
         raise ActionError(
             f"permutation degree {g.degree} != variable count {len(f.vars)}"
         )
     move = f.vars.permutation(g.images)
-    if not isinstance(f, RatFunc):
-        return _moved(f, move)
     # a constant has the empty monomial 0 only, which every permutation fixes
     den = f.den if f.den.terms.keys() == {0} else _moved(f.den, move)
     return RatFunc(_moved(f.num, move), den, simplify=False)

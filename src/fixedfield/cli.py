@@ -61,11 +61,6 @@ def _cmd_verify(args) -> int:
     if not names:
         print("error: nothing to verify; use --suite NAME or --all", file=sys.stderr)
         return 2
-    known = set(list_suites())
-    for name in names:
-        if name not in known:
-            print(f"error: unknown suite {name!r}", file=sys.stderr)
-            return 2
     reports = []
     for name in names:
         reports.append(run_suite(name, fail_fast=args.fail_fast))
@@ -120,11 +115,11 @@ def _cmd_eval(args) -> int:
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
     try:
         table = VarTable(names)
-        result = parse_expr(args.expression, table, field)
+        text = str(parse_expr(args.expression, table, field))
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(result)
+    print(text)
     return 0
 
 

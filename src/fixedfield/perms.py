@@ -192,15 +192,6 @@ class PermGroup:
     def __contains__(self, p: Perm):
         return p in self.elements
 
-    def __len__(self):
-        return self.order
-
-    def __iter__(self):
-        return iter(self.sorted_elements())
-
-    def sorted_elements(self):
-        return sorted(self.elements, key=lambda p: p.images)
-
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.elements <= other.elements
 

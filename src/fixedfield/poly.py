@@ -28,6 +28,14 @@ Arithmetic on Polys and RatFuncs requires one table and one field.  The
 two functions that meet values from different tables, ratfunc_eq and
 substitute, first embed their operands into scalars.join of their
 fields, so a Q function meets a Qz3 one in Qz3, and Q meets F2 nowhere.
+
+substitute maps a RatFunc f = num/den at images n_i/d_i in one pass.
+With M_i the largest exponent of variable i in num or den, each term
+c * x^e of either part becomes c * prod n_i^{e_i} d_i^{M_i - e_i}: both
+parts are multiplied by the same prod d_i^{M_i}, which cancels in the
+quotient, so no division is needed.  The new denominator is zero exactly
+when den vanishes at the images.  Only variables that occur in f take
+part, and a d_i equal to 1 is never multiplied.
 """
 
 from __future__ import annotations
@@ -42,6 +50,10 @@ from .scalars import Field, FieldError, embed, join
 # below EXPONENT_LIMIT.
 EXPONENT_BITS = 16
 EXPONENT_LIMIT = 1 << (EXPONENT_BITS - 1)
+# A one-term power c^n over Q or Qz3 is refused when n times the bits of c
+# beyond the first reaches this cap.  The shipped suites and the benchmark
+# workloads stay below 10.
+COEFFICIENT_BITS_LIMIT = 1 << 16
 
 
 class PolyError(ValueError):
@@ -161,6 +173,14 @@ def _add_into(out: dict, terms: dict, field: Field):
             out[e] = c
 
 
+def _bit_length(c) -> int:
+    """The bit length of the largest int in a Q or Qz3 payload (a
+    numerator or a denominator)."""
+    if type(c) is tuple:
+        return max(map(_bit_length, c))
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
 class Poly:
     """terms: dict mapping packed monomials to nonzero payloads.
 
@@ -195,12 +215,6 @@ class Poly:
         if name not in vars:
             raise PolyError(f"unknown variable {name!r}")
         return cls(vars, field, {vars.variable(name): field.one()})
-
-    @classmethod
-    def monomial(cls, vars, field, payload, exponents):
-        if payload == field.zero():
-            return cls.zero(vars, field)
-        return cls(vars, field, {vars.pack(exponents): payload})
 
     # predicates -------------------------------------------------------
 
@@ -288,6 +302,11 @@ class Poly:
             # every field of e * n, which could otherwise carry past a guard
             if vt.degree(e) * n >= EXPONENT_LIMIT:
                 raise PolyError(f"power reaches the exponent cap {EXPONENT_LIMIT}")
+            # F2 and F4 payloads do not grow
+            if f.char == 0 and n * (_bit_length(c) - 1) >= COEFFICIENT_BITS_LIMIT:
+                raise PolyError(
+                    f"power reaches the coefficient cap of {COEFFICIENT_BITS_LIMIT} bits"
+                )
             return Poly(vt, f, {e * n: c if c == f.one() else f.pow(c, n)})
         out = Poly.one(self.vars, self.field)
         base = self
@@ -307,9 +326,6 @@ class Poly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((id(self.vars), self.field.tag, frozenset(self.terms.items())))
-
     # ordering / display -----------------------------------------------
 
     def sorted_terms(self):
@@ -317,9 +333,6 @@ class Poly:
         largest first, for stable output."""
         unpack = self.vars.unpack
         return [(unpack(e), c) for e, c in sorted(self.terms.items(), reverse=True)]
-
-    def total_degree(self):
-        return self.vars.degree(max(self.terms, default=0))
 
     def __str__(self):
         if not self.terms:
@@ -484,8 +497,9 @@ def _strip_content(num: Poly, den: Poly):
     return num, den
 
 
-def substitute(f, images) -> RatFunc:
-    """f, a Poly or RatFunc, with its i-th variable replaced by images[i].
+def substitute(f: RatFunc, images) -> RatFunc:
+    """f with its i-th variable replaced by images[i], in one pass over a
+    shared denominator (see the module docstring).
 
     The images are RatFuncs over one target table, one for each variable of
     f.  f and the images are embedded into the join of their fields, so
@@ -501,42 +515,27 @@ def substitute(f, images) -> RatFunc:
         if im.field is not field:
             field = join(field, im.field)
     images = [im.embed(field) for im in images]
-    if isinstance(f, Poly):
-        return _substitute(f.embed(field), images)
-    num = _substitute(f.num.embed(field), images)
-    return num / _substitute(f.den.embed(field), images)
-
-
-def _substitute(p: Poly, images) -> RatFunc:
-    """p at the images, all over p's field, by a single common denominator:
-    with images n_i/d_i and M_i the largest exponent of variable i in p,
-    the result is
-    (sum_terms c * prod n_i^{e_i} d_i^{M_i - e_i}) / prod d_i^{M_i}.
-    Only variables that occur in p take part.
-    """
-    tgt, field = images[0].vars, p.field
-    if p.is_zero():
-        return RatFunc.from_poly(Poly.zero(tgt, field))
+    f = f.embed(field)
+    terms = [*f.num.terms.items(), *f.den.terms.items()]
     # factors[t]: the powers of images that multiply the t-th term
-    factors = [[] for _ in p.terms]
-    den = Poly.one(tgt, field)
-    for i, exps in p.vars.occurring(p.terms):
+    factors = [[] for _ in terms]
+    for i, exps in f.vars.occurring([e for e, _ in terms]):
         top = max(exps)
         num_pows = _power_cache(images[i].num, top)
-        den_pows = _power_cache(images[i].den, top)
+        den_pows = None if images[i].den.is_one() else _power_cache(images[i].den, top)
         for t, k in enumerate(exps):
             if k:
                 factors[t].append(num_pows[k])
-            if top - k:
+            if den_pows and top - k:
                 factors[t].append(den_pows[top - k])
-        den = den * den_pows[top]
-    out = {}
-    for c, powers in zip(p.terms.values(), factors):
-        term = Poly.const(tgt, field, c)
+    parts = ({}, {})  # the terms of the new numerator and denominator
+    split = len(f.num.terms)
+    for t, ((_, c), powers) in enumerate(zip(terms, factors)):
+        term = Poly.const(target, field, c)
         for power in powers:
             term = term * power
-        _add_into(out, term.terms, field)
-    return RatFunc(Poly(tgt, field, out), den)
+        _add_into(parts[t >= split], term.terms, field)
+    return RatFunc(Poly(target, field, parts[0]), Poly(target, field, parts[1]))
 
 
 def _power_cache(p: Poly, up_to: int):

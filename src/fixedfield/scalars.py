@@ -35,37 +35,17 @@ def _norm(x):
 class Field:
     """One of the four supported coefficient fields.
 
-    Subclasses provide arithmetic on raw payloads.  Instances are
-    singletons; identity comparison is field-tag comparison.
+    Subclasses provide zero, one, from_int, add, neg, mul, inv and
+    to_str on raw payloads.  Instances are singletons; identity
+    comparison is field-tag comparison.
     """
 
     tag: str
     char: int
     has_zeta3 = False
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
     def zeta3(self):
         raise FieldError(f"zeta3 is not an element of {self.tag}")
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def div(self, a, b):
         if b == self.zero():
@@ -87,9 +67,6 @@ class Field:
             base = self.mul(base, base)
             n >>= 1
         return out
-
-    def to_str(self, a) -> str:
-        raise NotImplementedError
 
     def __repr__(self):
         return f"<field {self.tag}>"

@@ -25,6 +25,11 @@ from test_monomial import smith_diagonal
 from test_scalars import random_payload
 
 
+def monomial(vt, payload, exponents):
+    """payload * prod x_i^exponents[i] over vt, zero when payload is."""
+    return Poly(vt, QQ, {vt.pack(exponents): payload} if payload else {})
+
+
 def announce(num, ok, text):
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {text}")
     assert ok, text
@@ -226,26 +231,26 @@ def test_criterion_8_property_suites():
     for _ in range(25):
         s = [
             RatFunc(
-                Poly.monomial(yt, QQ, QQ.from_int(rng.choice([1, 2, -1])),
-                              (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1))),
-                Poly.monomial(yt, QQ, QQ.one(),
-                              (rng.randint(0, 1), 0, rng.randint(0, 1))),
+                monomial(yt, QQ.from_int(rng.choice([1, 2, -1])),
+                         (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1))),
+                monomial(yt, QQ.one(), (rng.randint(0, 1), 0, rng.randint(0, 1))),
             )
             for _ in range(2)
         ]
-        p = Poly.monomial(xt, QQ, QQ.from_int(rng.randint(-3, 3)),
-                          (rng.randint(0, 3), rng.randint(0, 2)))
-        q = Poly.monomial(xt, QQ, QQ.from_int(rng.randint(-3, 3)),
-                          (rng.randint(0, 2), rng.randint(0, 3)))
-        ok = ok and ratfunc_eq(substitute(p + q, s), substitute(p, s) + substitute(q, s))
-        ok = ok and ratfunc_eq(substitute(p * q, s), substitute(p, s) * substitute(q, s))
+        p = monomial(xt, QQ.from_int(rng.randint(-3, 3)),
+                     (rng.randint(0, 3), rng.randint(0, 2)))
+        q = monomial(xt, QQ.from_int(rng.randint(-3, 3)),
+                     (rng.randint(0, 2), rng.randint(0, 3)))
+        sp, sq = substitute(RatFunc.from_poly(p), s), substitute(RatFunc.from_poly(q), s)
+        ok = ok and ratfunc_eq(substitute(RatFunc.from_poly(p + q), s), sp + sq)
+        ok = ok and ratfunc_eq(substitute(RatFunc.from_poly(p * q), s), sp * sq)
 
     # cross-multiplication equality is an equivalence on scaled fractions
     for _ in range(25):
-        n = Poly.monomial(xt, QQ, QQ.from_int(rng.randint(1, 5)),
-                          (rng.randint(0, 2), rng.randint(0, 2)))
-        d = Poly.monomial(xt, QQ, QQ.from_int(rng.randint(1, 5)),
-                          (rng.randint(0, 1), rng.randint(0, 2)))
+        n = monomial(xt, QQ.from_int(rng.randint(1, 5)),
+                     (rng.randint(0, 2), rng.randint(0, 2)))
+        d = monomial(xt, QQ.from_int(rng.randint(1, 5)),
+                     (rng.randint(0, 1), rng.randint(0, 2)))
         extra = parse_expr("x1 + 2*x2", xt, QQ).num
         a = RatFunc(n, d)
         b = RatFunc(n * extra, d * extra, simplify=False)
@@ -263,8 +268,8 @@ def test_criterion_8_property_suites():
         rng.shuffle(b)
         g, h = Perm(a), Perm(b)
         mono = RatFunc.from_poly(
-            Poly.monomial(x8, QQ, QQ.from_int(rng.randint(1, 3)),
-                          tuple(rng.randint(0, 2) for _ in range(8)))
+            monomial(x8, QQ.from_int(rng.randint(1, 3)),
+                     tuple(rng.randint(0, 2) for _ in range(8)))
         )
         ok = ok and ratfunc_eq(perm_act(g * h, mono), perm_act(g, perm_act(h, mono)))
 

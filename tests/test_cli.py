@@ -39,6 +39,14 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_unknown_suite_after_a_known_one(capsys):
+    # the loader's SuiteError is the one check for a suite name
+    code, out, err = run(["verify", "--suite", "prop22", "--suite", "nope"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown suite 'nope'\n"
+
+
 def test_verify_nothing_selected(capsys):
     code, out, err = run(["verify"], capsys)
     assert code == 2
@@ -91,6 +99,14 @@ def test_eval(capsys):
     assert out.strip()
     code, out, err = run(["eval", "--field", "F8", "--vars", "x", "x"], capsys)
     assert code == 2
+
+
+def test_eval_result_too_long_to_print_exits_2(capsys):
+    # 3^10000 has 4,772 digits, past Python's limit on int-to-str conversion
+    code, out, err = run(["eval", "3^10000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "4300 digits" in err
 
 
 def test_eval_parse_error(capsys):

@@ -11,8 +11,9 @@ sympy_comb = pytest.importorskip("sympy.combinatorics")
 
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from fixedfield.catalog import catalog_group, catalog_lookup
+from fixedfield.catalog import catalog_lookup
 from fixedfield.perms import is_transitive
+from fixedfield.suite import load_suite
 
 
 def to_sympy(perm):
@@ -22,15 +23,13 @@ def to_sympy(perm):
 @pytest.mark.parametrize("index", range(1, 49))
 def test_catalog_orders_against_schreier_sims(index):
     name = f"G{index}"
-    group = catalog_group(name)
+    group = load_suite("catalog").groups[name]
     ref = PermutationGroup([to_sympy(g) for g in group.generators])
     assert ref.order() == catalog_lookup(name).expected_order == group.order
     assert ref.is_transitive() == is_transitive(group) == True
 
 
 def test_quotient_orders_against_schreier_sims():
-    from fixedfield.suite import load_suite
-
     suite = load_suite("sec7_char0")
     for gname, want in (("Gam0", 7), ("Gam1", 21), ("Gam2", 168)):
         group = suite.groups[gname]
@@ -40,7 +39,6 @@ def test_quotient_orders_against_schreier_sims():
 
 def test_normality_against_sympy():
     from fixedfield.perms import is_normal
-    from fixedfield.suite import load_suite
 
     suite = load_suite("sec5_char0")
     for hname, gname in (("Lam1", "G26"), ("Lam2", "G39"), ("Lam3", "G29"),

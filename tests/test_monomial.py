@@ -288,8 +288,8 @@ def gauss_jordan_solve(rows, target):
 
 def laurent(vt, exps):
     """prod x_i^exps[i] as a RatFunc over vt."""
-    num = Poly.monomial(vt, QQ, QQ.one(), [max(e, 0) for e in exps])
-    den = Poly.monomial(vt, QQ, QQ.one(), [max(-e, 0) for e in exps])
+    num = Poly(vt, QQ, {vt.pack([max(e, 0) for e in exps]): QQ.one()})
+    den = Poly(vt, QQ, {vt.pack([max(-e, 0) for e in exps]): QQ.one()})
     return RatFunc(num, den, simplify=False)
 
 

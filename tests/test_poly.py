@@ -25,6 +25,9 @@ def f2(text, vars=X):
     return parse_expr(text, vars, F2)
 
 
+rf = RatFunc.from_poly
+
+
 def random_poly(vars, field, rng, max_terms=4, max_deg=3):
     p = Poly.zero(vars, field)
     for _ in range(rng.randint(0, max_terms)):
@@ -33,7 +36,7 @@ def random_poly(vars, field, rng, max_terms=4, max_deg=3):
             c = field.from_int(rng.randint(-5, 5))
         else:
             c = field.from_int(rng.randint(0, 1))
-        p = p + Poly.monomial(vars, field, c, exp) if c != field.zero() else p
+        p = p + Poly(vars, field, {vars.pack(exp): c}) if c != field.zero() else p
     return p
 
 
@@ -123,15 +126,10 @@ def test_ratfunc_eq_equivalence_random():
 def random_monomial_subst(source, target, field, rng):
     images = []
     for _ in source.names:
-        num = Poly.monomial(
-            target,
-            field,
-            field.from_int(rng.choice([1, 2, -1, 3])),
-            tuple(rng.randint(0, 2) for _ in target.names),
-        )
-        den = Poly.monomial(
-            target, field, field.one(), tuple(rng.randint(0, 1) for _ in target.names)
-        )
+        exps = tuple(rng.randint(0, 2) for _ in target.names)
+        num = Poly(target, field, {target.pack(exps): field.from_int(rng.choice([1, 2, -1, 3]))})
+        exps = tuple(rng.randint(0, 1) for _ in target.names)
+        den = Poly(target, field, {target.pack(exps): field.one()})
         images.append(RatFunc(num, den))
     return images
 
@@ -142,8 +140,9 @@ def test_substitute_is_homomorphism():
         s = random_monomial_subst(X, Y, QQ, rng)
         p = random_poly(X, QQ, rng)
         r = random_poly(X, QQ, rng)
-        assert ratfunc_eq(substitute(p + r, s), substitute(p, s) + substitute(r, s))
-        assert ratfunc_eq(substitute(p * r, s), substitute(p, s) * substitute(r, s))
+        sp, sr = substitute(rf(p), s), substitute(rf(r), s)
+        assert ratfunc_eq(substitute(rf(p + r), s), sp + sr)
+        assert ratfunc_eq(substitute(rf(p * r), s), sp * sr)
 
 
 def test_substitute_composition_law():
@@ -155,14 +154,14 @@ def test_substitute_composition_law():
         p = random_poly(X, QQ, rng, max_terms=3, max_deg=2)
         # s then t: the images of s, carried over Z by t
         st = [substitute(im, t) for im in s]
-        assert ratfunc_eq(substitute(substitute(p, s), t), substitute(p, st))
+        assert ratfunc_eq(substitute(substitute(rf(p), s), t), substitute(rf(p), st))
 
 
 def test_substitute_examples():
     swap = [RatFunc.var(X, QQ, "x2"), RatFunc.var(X, QQ, "x1"), RatFunc.var(X, QQ, "x3")]
-    assert ratfunc_eq(substitute(q("x1 + x2").num, swap), q("x1 + x2"))
+    assert ratfunc_eq(substitute(q("x1 + x2"), swap), q("x1 + x2"))
     s = [q("x1*x2/x3"), q("x2"), q("x3")]
-    assert ratfunc_eq(substitute(q("x1").num, s), q("x1*x2/x3"))
+    assert ratfunc_eq(substitute(q("x1"), s), q("x1*x2/x3"))
 
 
 def test_substitute_monomial_products_through_definitions():
@@ -221,7 +220,7 @@ def test_ratfunc_eq_meets_in_the_join():
 def test_substitute_meets_in_the_join():
     # a Q polynomial at images over Q and Qz3 lands in Qz3
     images = [parse_expr("zeta3*x2", X, QZ3), q("x1"), q("x3")]
-    got = substitute(q("x1^2 + x2").num, images)
+    got = substitute(q("x1^2 + x2"), images)
     assert got.field is QZ3
     assert ratfunc_eq(got, parse_expr("zeta3^2*x2^2 + x1", X, QZ3))
     # a Q rational function, its denominator included
@@ -229,17 +228,17 @@ def test_substitute_meets_in_the_join():
     assert got.field is QZ3
     assert ratfunc_eq(got, parse_expr("x1/(zeta3*x2 - 1)", X, QZ3))
     # an F2 polynomial at images over F2 and F4 lands in F4
-    got = substitute(f2("x1*x2 + x3").num, [parse_expr("zeta3", X, F4), f2("x2"), f2("x3")])
+    got = substitute(f2("x1*x2 + x3"), [parse_expr("zeta3", X, F4), f2("x2"), f2("x3")])
     assert got.field is F4
     assert ratfunc_eq(got, parse_expr("zeta3*x2 + x3", X, F4))
     # no field holds both Q and F2
     with pytest.raises(FieldError):
-        substitute(q("x1").num, [f2("x1"), f2("x2"), f2("x3")])
+        substitute(q("x1"), [f2("x1"), f2("x2"), f2("x3")])
     with pytest.raises(FieldError):
         substitute(q("x1"), [q("x1"), f2("x2"), q("x3")])
     # the images cover every variable and lie over one table
     with pytest.raises(PolyError, match="cover every"):
-        substitute(q("x1").num, [q("x1"), q("x2")])
+        substitute(q("x1"), [q("x1"), q("x2")])
     with pytest.raises(PolyError, match="different tables"):
         substitute(q("x1"), [q("x1"), q("x2"), q("y1", Y)])
 
@@ -348,7 +347,7 @@ def test_packed_kernel_matches_tuple_reference(field):
         for a in refs:
             pa = to_poly(W, field, a)
             assert pa.sorted_terms() == ref_sorted(a)
-            assert pa.total_degree() == max((sum(e) for e in a), default=0)
+            assert W.degree(max(pa.terms, default=0)) == max((sum(e) for e in a), default=0)
             for n in range(4):
                 assert (pa ** n).sorted_terms() == ref_sorted(ref_pow(field, a, n, len(W)))
             for b in refs:
@@ -374,7 +373,7 @@ def test_substitute_matches_tuple_reference(field):
                 for im, k in zip(images, e):
                     term = ref_mul(field, term, ref_pow(field, im, k, len(X)))
                 want = ref_add(field, want, term)
-            got = substitute(to_poly(W, field, p), s)
+            got = substitute(rf(to_poly(W, field, p)), s)
             assert got.den.is_one()
             assert got.num.sorted_terms() == ref_sorted(want)
 
@@ -425,9 +424,9 @@ def test_exponent_cap_raises_instead_of_wrapping():
     with pytest.raises(PolyError, match="cap"):
         x1 ** EXPONENT_LIMIT
     with pytest.raises(PolyError):
-        Poly.monomial(X, QQ, 1, (EXPONENT_LIMIT, 0, 0))
+        X.pack((EXPONENT_LIMIT, 0, 0))
     with pytest.raises(PolyError):
-        Poly.monomial(X, QQ, 1, (-1, 0, 0))
+        X.pack((-1, 0, 0))
     top = x1 ** (EXPONENT_LIMIT - 1)
     assert top.sorted_terms() == [((EXPONENT_LIMIT - 1, 0, 0), 1)]
     # the x1 field would carry into the field above it
@@ -469,10 +468,44 @@ def test_multiplying_by_one_leaves_operands_unchanged():
     s = [q("x2"), q("x1 + x3"), q("2")]
     for product in (p * one, one * p):
         assert product == p
-        image = substitute(product, s)
+        image = substitute(rf(product), s)
         assert ratfunc_eq(image, q("x2^2 + 3*(x1 + x3)*2 - 1"))
         assert p.sorted_terms() == before
         assert one.sorted_terms() == [((0, 0, 0), 1)]
+
+
+def test_constant_power_reaches_the_coefficient_cap():
+    import time
+
+    from fixedfield.poly import COEFFICIENT_BITS_LIMIT
+    from fixedfield.suite import parse_suite_text, run_parsed_suite
+
+    start = time.perf_counter()
+    with pytest.raises(PolyError, match="coefficient cap"):
+        parse_expr("3^100000000", X, QQ)
+    for base in ("2 - zeta3", "2*zeta3"):  # either part of a Qz3 payload
+        with pytest.raises(PolyError, match="coefficient cap"):
+            parse_expr(f"x1*({base})^100000000", X, QZ3)
+    with pytest.raises(PolyError, match="coefficient cap"):
+        parse_expr("(1/2)^100000000", X, QQ)
+    assert time.perf_counter() - start < 1
+    # just below the cap, and powers whose payloads do not grow
+    assert parse_expr(f"2^{COEFFICIENT_BITS_LIMIT - 1}", X, QQ).num.terms == {
+        0: 2 ** (COEFFICIENT_BITS_LIMIT - 1)
+    }
+    assert ratfunc_eq(parse_expr("(-1)^100000001*x1", X, QQ), q("-x1"))
+    assert ratfunc_eq(parse_expr("zeta3^100000000", X, QZ3), parse_expr("zeta3", X, QZ3))
+    assert ratfunc_eq(parse_expr("(zeta3*x1)^3", X, F4), parse_expr("x1^3", X, F4))
+    assert ratfunc_eq(parse_expr("(zeta3 + 1)^100000000", X, F4), parse_expr("zeta3^2", X, F4))
+    # in a suite the cap is an error verdict
+    suite = parse_suite_text(
+        "suite mini field=Q\npoints 3\nvars x = x1 x2 x3\n"
+        'check identity 3^100000000 - 3^100000000 == 0 ref="r"\n'
+    )
+    (result,) = run_parsed_suite(suite).checks
+    assert result.status == "fail"
+    assert result.detail.startswith("error:") and "coefficient cap" in result.detail
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)

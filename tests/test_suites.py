@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 from fixedfield.actions import perm_act
-from fixedfield.catalog import ELEMENT_ORDERS, CatalogError, catalog_group, catalog_lookup
+from fixedfield.catalog import CatalogError, catalog_lookup, catalog_names
 from fixedfield.monomial import mat_identity
 from fixedfield.parser import _tokenize, expression_variables, parse_expr
-from fixedfield.perms import POINTS_CAP
+from fixedfield.perms import POINTS_CAP, PermGroup
 from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute
-from fixedfield.scalars import join, with_zeta3
+from fixedfield.scalars import field_by_tag, join, with_zeta3
 from fixedfield.suite import (
     FAIL,
     FLAGGED,
@@ -488,18 +488,32 @@ def test_catalog_lookup_examples():
         catalog_lookup("G99")
 
 
+# orders of the cyclic groups generated by the named elements of
+# catalog.suite, in declaration order (lcm of cycle lengths)
+ELEMENT_ORDERS = {
+    "sigma1": 2, "sigma2": 2, "kappa": 2, "kappa_tilde": 2, "kappa_prime": 4,
+    "kappa_circ": 2, "phi1": 3, "phi1_tilde": 3, "phi2": 2, "phi2_tilde": 2,
+    "psi1": 4, "psi2": 4, "theta": 7, "theta_tilde": 7,
+    "Theta": 8, "Phi": 3, "Psi": 4, "Psi_tilde": 4,
+}
+
+
 def test_catalog_elements_close_to_their_orders():
+    catalog = load_suite("catalog")
+    assert catalog_names() == [f"G{i}" for i in range(1, 49)] + list(ELEMENT_ORDERS)
     for name, order in ELEMENT_ORDERS.items():
         entry = catalog_lookup(name)
         assert entry.kind == "element"
-        assert catalog_group(name).order == order
+        assert entry.expected_order == order
+        assert PermGroup([catalog.perms[name]]).order == order
 
 
 def test_catalog_groups_close_to_their_orders():
     factorial8 = 40320
+    catalog = load_suite("catalog")
     for i in range(1, 49):
         entry = catalog_lookup(f"G{i}")
-        group = catalog_group(f"G{i}")
+        group = catalog.groups[f"G{i}"]
         assert group.order == entry.expected_order
         assert factorial8 % group.order == 0
 
@@ -806,6 +820,94 @@ def test_parser_matches_an_all_ratfunc_evaluation(monkeypatch, perfbench_workloa
     assert shipped > 1000 and len(calls) > shipped
     assert {tag for tag, _ in kinds} == {"Q", "F2", "Qz3", "F4"}
     assert kinds["Q", "fraction"] and kinds["Q", "polynomial"]
+
+
+def _two_pass_substitute(f, images):
+    """The substitution before it took one pass: the numerator and the
+    denominator of f each at the images, over the join of the fields, then
+    divided."""
+    field = f.field
+    for im in images:
+        field = join(field, im.field)
+    images = [im.embed(field) for im in images]
+    return _at(f.num.embed(field), images) / _at(f.den.embed(field), images)
+
+
+def _at(p, images):
+    """p at the images n_i/d_i over one common denominator: with M_i the
+    largest exponent of variable i in p,
+    (sum c * prod n_i^e_i * d_i^(M_i - e_i)) / prod d_i^M_i."""
+    tgt, field = images[0].vars, p.field
+    exps = {e: p.vars.unpack(e) for e in p.terms}
+    tops = [max(col) for col in zip(*exps.values())] if p.terms else [0] * len(images)
+    den = Poly.one(tgt, field)
+    for im, top in zip(images, tops):
+        den = den * im.den**top
+    num = Poly.zero(tgt, field)
+    for e, c in p.terms.items():
+        term = Poly.const(tgt, field, c)
+        for im, k, top in zip(images, exps[e], tops):
+            term = term * im.num**k * im.den ** (top - k)
+        num = num + term
+    return RatFunc(num, den)
+
+
+def test_substitute_matches_a_two_pass_reference(monkeypatch, perfbench_workloads):
+    # every substitution the runner makes while loading and running the
+    # shipped suites and, for Qz3, one seed of the benchmark's algebra
+    # suites: table definitions carried down (defs_to), action rows
+    # (apply_symbol) and table rows
+    import fixedfield.suite as suite_mod
+
+    calls = []
+
+    def recording_substitute(f, images):
+        try:
+            out = substitute(f, images)
+        except ZeroDivisionError:
+            calls.append((f, images, None))
+            raise
+        calls.append((f, images, out))
+        return out
+
+    monkeypatch.setattr(suite_mod, "substitute", recording_substitute)
+    for name in ALL_SUITES:
+        run_parsed_suite(load_suite(name))
+    shipped = len(calls)
+    for _, text in perfbench_workloads.algebra(11).suites:
+        run_parsed_suite(parse_suite_text(text))
+    kinds = Counter()
+    for f, images, got in calls:
+        if got is None:
+            with pytest.raises(ZeroDivisionError):
+                _two_pass_substitute(f, images)
+            continue
+        want = _two_pass_substitute(f, images)
+        assert got.vars is want.vars and got.field is want.field, (f, images)
+        assert ratfunc_eq(got, want), (f, images)
+        kinds[got.field.tag] += 1
+        kinds["fraction"] += not f.den.is_one()
+        kinds["fraction images"] += any(not im.den.is_one() for im in images)
+    assert shipped > 1000 and len(calls) > shipped
+    assert {"Q", "F2", "Qz3", "F4"} <= set(kinds)
+    assert kinds["fraction"] and kinds["fraction images"]
+    # images at which the denominator vanishes, in each field and in a join
+    X = VarTable(["x1", "x2", "x3"])
+    cases = [
+        ("Q", "1/(x1 - x2)", "Q", ["x3", "x3", "x3"]),
+        ("F2", "x1/(x1 + x2)", "F2", ["x2", "x2", "x3"]),
+        ("Qz3", "x2/(x1 - zeta3*x2)", "Qz3", ["zeta3*x3", "x3", "x1"]),
+        ("F4", "1/(x1 + zeta3*x2)", "F4", ["zeta3*x1", "x1", "x3"]),
+        ("Q", "x2/(x1^2 + x1 + 1)", "Qz3", ["zeta3", "x2", "x3"]),
+        ("F2", "x2/(x1^2 + x1 + 1)", "F4", ["zeta3^2", "x2", "x3"]),
+    ]
+    for tag, text, image_tag, image_texts in cases:
+        f = parse_expr(text, X, field_by_tag(tag))
+        images = [parse_expr(t, X, field_by_tag(image_tag)) for t in image_texts]
+        with pytest.raises(ZeroDivisionError):
+            substitute(f, images)
+        with pytest.raises(ZeroDivisionError):
+            _two_pass_substitute(f, images)
 
 
 def test_over_a_non_ancestor_is_an_error_verdict():
