@@ -125,6 +125,16 @@ def permutation_matrix(g: Perm):
     )
 
 
+def matrix_permutation(bmat):
+    """The permutation p with bmat == permutation_matrix(p), or None when
+    bmat is not a permutation matrix."""
+    cols = list(zip(*bmat))
+    unit = [0] * (len(cols) - 1) + [1]
+    if any(sorted(col) != unit for col in cols):
+        return None
+    return Perm([col.index(1) + 1 for col in cols])
+
+
 def extract_monomial_action(lattice, ambient_action, field):
     """(A, c) with  g(def_j) == c_j * prod_i def_i^{A[i][j]}, payloads in field.
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import suite
 from .catalog import CatalogError, catalog_lookup
 from .parser import ParseError, parse_expr
 from .poly import VarTable
@@ -20,7 +21,6 @@ from .suite import (
     SuiteError,
     list_suites,
     report_to_json,
-    run_suite,
 )
 
 
@@ -61,9 +61,11 @@ def _cmd_verify(args) -> int:
     if not names:
         print("error: nothing to verify; use --suite NAME or --all", file=sys.stderr)
         return 2
+    # an unknown name fails here, before any suite has run
+    loaded = [suite.load_suite(name) for name in names]
     reports = []
-    for name in names:
-        reports.append(run_suite(name, fail_fast=args.fail_fast))
+    for parsed in loaded:
+        reports.append(suite.run_parsed_suite(parsed, fail_fast=args.fail_fast))
         if args.fail_fast and not reports[-1].ok():
             break
     if args.format == "json":

@@ -5,7 +5,9 @@
     factor := base ('^' integer)?
     base   := variable | integer | 'zeta3' | '(' expr ')' | '-' base
 
-Whitespace is insignificant; integers are arbitrary precision.  The
+Whitespace is insignificant; integers are arbitrary precision; a base
+sits inside at most NESTING_LIMIT '(' and unary '-', which keeps the
+recursion far from Python's limit.  The
 result is always a RatFunc over the supplied table.  Each name evaluates
 through one resolver: by default to the table's variable of that name, or,
 given leaf, to leaf(name), which is how a suite grounds a check expression
@@ -32,6 +34,10 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
+
+# The most '(' and unary '-' a base may sit inside.  The shipped suites
+# and the benchmark workloads nest at most 3 deep.
+NESTING_LIMIT = 100
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME.pattern})|([()+\-*/^]))")
@@ -62,6 +68,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # open '(' and unary '-' around the current base
         self.vars = vars
         self.field = field
         self.leaf = leaf
@@ -146,12 +153,17 @@ class _Parser:
             if isinstance(value, RatFunc) and value.den.is_one():
                 return value.num
             return value
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        if kind == "op" and val == "-":
-            return -self.base()
+        if kind == "op" and val in "(-":
+            self.depth += 1
+            if self.depth > NESTING_LIMIT:
+                raise ParseError(f"nesting deeper than {NESTING_LIMIT}", pos)
+            if val == "(":
+                out = self.expr()
+                self.expect_op(")")
+            else:
+                out = -self.base()
+            self.depth -= 1
+            return out
         raise ParseError(f"unexpected token {val!r}", pos)
 
 

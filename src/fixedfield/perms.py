@@ -19,9 +19,10 @@ the end.
 from __future__ import annotations
 
 import re
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .monomial import MonomialError, close
+from .scalars import power
 
 CLOSURE_CAP = 50000
 # the largest degree a suite may declare with 'points'
@@ -82,16 +83,8 @@ class Perm:
         return Perm._trusted(tuple(inv))
 
     def __pow__(self, n: int) -> "Perm":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Perm.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        base = self.inverse() if n < 0 else self
+        return power(base, abs(n), Perm.identity(self.degree), mul)
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images

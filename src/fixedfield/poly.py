@@ -41,9 +41,9 @@ part, and a d_i equal to 1 is never multiplied.
 from __future__ import annotations
 
 import struct
-from operator import itemgetter
+from operator import itemgetter, mul
 
-from .scalars import Field, FieldError, embed, join
+from .scalars import Field, FieldError, embed, join, power
 
 # Bits per field of a packed monomial, guard bit included (VarTable reads
 # fields as 16-bit words).  Every exponent and every total degree stays
@@ -54,6 +54,9 @@ EXPONENT_LIMIT = 1 << (EXPONENT_BITS - 1)
 # beyond the first reaches this cap.  The shipped suites and the benchmark
 # workloads stay below 10.
 COEFFICIENT_BITS_LIMIT = 1 << 16
+# A product of two many-term Polys is refused when its term pairs pass this
+# cap.  The shipped suites and the benchmark workloads reach 3,072.
+TERM_PAIRS_LIMIT = 1 << 19
 
 
 class PolyError(ValueError):
@@ -267,6 +270,8 @@ class Poly:
             # a field has no zero divisors and e + k is injective in k
             vt.check(e + max(b))
             return Poly(vt, f, {e + k: mul(c, d) for k, d in b.items()})
+        if len(a) * len(b) > TERM_PAIRS_LIMIT:
+            raise PolyError(f"{len(a) * len(b)} term pairs pass the cap {TERM_PAIRS_LIMIT}")
         # every field of a product is at most its total degree, so
         # checking the product of the two leading monomials covers all pairs
         vt.check(max(a) + max(b))
@@ -308,15 +313,7 @@ class Poly:
                     f"power reaches the coefficient cap of {COEFFICIENT_BITS_LIMIT} bits"
                 )
             return Poly(vt, f, {e * n: c if c == f.one() else f.pow(c, n)})
-        out = Poly.one(self.vars, self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, Poly.one(self.vars, self.field), mul)
 
     def __eq__(self, other):
         return (

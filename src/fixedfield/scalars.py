@@ -2,7 +2,8 @@
 
 Q          rationals (int payloads when integral, fractions.Fraction
            otherwise)
-F2         the field with two elements (int payloads 0/1)
+F2         the field with two elements (int payloads 0/1, the F4
+           payloads without z3 part)
 Qz3        Q adjoined a primitive cube root of unity z3, basis {1, z3},
            reduced by z3^2 = -1 - z3 (payloads are pairs of Q payloads)
 F4         F2 adjoined z3, basis {1, z3}, reduced by z3^2 = 1 + z3
@@ -16,6 +17,9 @@ The fields form two chains, Q in Qz3 and F2 in F4.  join(a, b) is the
 one field of a pair that contains the other, and embed carries a payload
 up its chain; the entry points of poly that meet operands from two
 tables (ratfunc_eq, substitute) take the join, Poly arithmetic does not.
+
+power is the one square-and-multiply of the package: field payloads,
+permutations and polynomials are raised to powers through it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,20 @@ class FieldError(ValueError):
     pass
 
 
+def power(x, n: int, one, mul):
+    """x^n for n >= 0, one being the identity of the product mul, by
+    binary square-and-multiply (Knuth, TAOCP vol. 2, 4.6.3).  The square
+    after the top bit of n is never read, so it is not taken."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
+
+
 def _norm(x):
     """A rational as an int when it is integral (x an int or a Fraction)."""
     return x.numerator if x.denominator == 1 else x
@@ -35,14 +53,21 @@ def _norm(x):
 class Field:
     """One of the four supported coefficient fields.
 
-    Subclasses provide zero, one, from_int, add, neg, mul, inv and
-    to_str on raw payloads.  Instances are singletons; identity
-    comparison is field-tag comparison.
+    Subclasses provide from_int, add, neg, mul, inv and to_str on raw
+    payloads, and zero and one when those are not the ints 0 and 1.
+    There is one instance per tag; identity comparison is field-tag
+    comparison.
     """
 
     tag: str
     char: int
     has_zeta3 = False
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
 
     def zeta3(self):
         raise FieldError(f"zeta3 is not an element of {self.tag}")
@@ -57,16 +82,7 @@ class Field:
         return a
 
     def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = self.one()
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        return power(self.inv(a) if n < 0 else a, abs(n), self.one(), self.mul)
 
     def __repr__(self):
         return f"<field {self.tag}>"
@@ -79,12 +95,6 @@ class _RationalField(Field):
 
     tag = "Q"
     char = 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def from_int(self, n):
         return n
@@ -108,37 +118,6 @@ class _RationalField(Field):
         if type(a) is int:
             return 1 if a == 1 else -1 if a == -1 else Fraction(1, a)
         return _norm(1 / a)
-
-    def to_str(self, a):
-        return str(a)
-
-
-class _BinaryField(Field):
-    tag = "F2"
-    char = 2
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n & 1
-
-    def add(self, a, b):
-        return a ^ b
-
-    def neg(self, a):
-        return a
-
-    def mul(self, a, b):
-        return a & b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero in F2")
-        return 1
 
     def to_str(self, a):
         return str(a)
@@ -209,12 +188,12 @@ class _CyclotomicField(Field):
         return f"{c}{sign}{zmag}"
 
 
-class _QuarticField(Field):
-    """F4 = F2(z3) as ints 0..3 (bit 0 constant, bit 1 z3), z3^2 = 1 + z3."""
+class _Char2Field(Field):
+    """F4 = F2(z3) as ints 0..3 (bit 0 constant, bit 1 z3), z3^2 = 1 + z3,
+    and F2 as its payloads 0 and 1, the corner of the same tables, which
+    is why F2 embeds in F4 as the identity.  has_zeta3 tells them apart."""
 
-    tag = "F4"
     char = 2
-    has_zeta3 = True
 
     _MUL = (
         (0, 0, 0, 0),
@@ -223,20 +202,18 @@ class _QuarticField(Field):
         (0, 3, 1, 2),
     )
     _INV = (None, 1, 3, 2)
-    _CONJ = (0, 1, 3, 2)
+    _CONJ = (0, 1, 3, 2)  # a + b z3 -> (a+b) + b z3
     _STR = ("0", "1", "zeta3", "1+zeta3")
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
+    def __init__(self, tag, has_zeta3):
+        self.tag = tag
+        self.has_zeta3 = has_zeta3
 
     def from_int(self, n):
         return n & 1
 
     def zeta3(self):
-        return 2
+        return 2 if self.has_zeta3 else super().zeta3()
 
     def add(self, a, b):
         return a ^ b
@@ -249,11 +226,10 @@ class _QuarticField(Field):
 
     def inv(self, a):
         if a == 0:
-            raise ZeroDivisionError("division by zero in F4")
+            raise ZeroDivisionError(f"division by zero in {self.tag}")
         return self._INV[a]
 
     def conj(self, a):
-        # a + b z3 -> (a+b) + b z3
         return self._CONJ[a]
 
     def to_str(self, a):
@@ -261,9 +237,9 @@ class _QuarticField(Field):
 
 
 QQ = _RationalField()
-F2 = _BinaryField()
+F2 = _Char2Field("F2", has_zeta3=False)
 QZ3 = _CyclotomicField()
-F4 = _QuarticField()
+F4 = _Char2Field("F4", has_zeta3=True)
 
 FIELDS = {f.tag: f for f in (QQ, F2, QZ3, F4)}
 
@@ -277,9 +253,7 @@ def field_by_tag(tag: str) -> Field:
 
 def embed(value, src: Field, dst: Field):
     """Coerce a payload from src into dst (F2 -> F4, Q -> Qz3, or same field)."""
-    if src is dst:
-        return value
-    if src is F2 and dst is F4:
+    if src is dst or (src is F2 and dst is F4):
         return value
     if src is QQ and dst is QZ3:
         return (value, 0)

@@ -19,7 +19,8 @@ the root table (or the table named by ``over=``).  Action-table rows are
 verified either against the root permutation action (``via=ground``,
 default) or against the registered rows of the parent table
 (``via=parent``), which keeps deeply chained changes of variables
-affordable.  Every verified single-element row is registered for reuse.
+affordable.  Every verified single-element row is registered for reuse
+by the later checks of the same run.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .actions import (
     ActionError,
     extract_monomial_action,
     induced_scaled_permutation,
+    matrix_permutation,
     perm_act,
     permutation_matrix,
     require_unproportional,
@@ -265,7 +267,7 @@ class Suite:
         """The permutation g induces on the table's variables: its scaled
         action must be a permutation matrix with every scalar 1."""
         bmat, dvec = self.scaled_action(table, g)
-        p = _matrix_permutation(bmat)
+        p = matrix_permutation(bmat)
         if p is None or any(c != table.field.one() for c in dvec):
             raise ActionError(f"{g} does not act on {table.name} by a pure permutation")
         return p
@@ -300,16 +302,6 @@ class Suite:
                 out = (permutation_matrix(p), tuple(scal))
         self._scaled_cache[key] = out
         return out
-
-
-def _matrix_permutation(bmat):
-    """The permutation p with bmat == permutation_matrix(p), or None when
-    bmat is not a permutation matrix."""
-    cols = list(zip(*bmat))
-    unit = [0] * (len(cols) - 1) + [1]
-    if any(sorted(col) != unit for col in cols):
-        return None
-    return Perm([col.index(1) + 1 for col in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +523,8 @@ class Check:
 class CheckKind:
     parse: Callable  # (payload, attrs) -> fields, or raises SuiteError
     run: Callable  # (suite, check) -> (ok, detail)
-    grounds: Callable = lambda fields: ()  # fields -> the expressions run grounds
+    # fields -> the expressions whose names must be declared variables
+    grounds: Callable = lambda fields: ()
 
 
 # attribute -> the values it accepts
@@ -892,7 +885,7 @@ def _run_stable(suite: Suite, check: Check):
             bmat, _ = suite.scaled_action(table, gen)
         except MonomialError:
             return False, f"{gen} leaves the span of {tname}"
-        if _matrix_permutation(bmat) is None:
+        if matrix_permutation(bmat) is None:
             return False, f"{gen} leaves the span of {tname}"
     return True, "every generator acts by a scaled permutation"
 
@@ -940,7 +933,7 @@ KINDS: dict[str, CheckKind] = {
     "wreath": CheckKind(_parse_wreath, _run_wreath),
     "gl23": CheckKind(_parse_gl23, _run_gl23),
     "invariance": CheckKind(_shape(" under "), _run_invariance, lambda f: f[:1]),
-    "table": CheckKind(_parse_table, _run_table),
+    "table": CheckKind(_parse_table, _run_table, lambda f: f[1]),
     "identity": CheckKind(_shape("==", last=_zero, takes=("over",)), _run_identity,
                           lambda f: f[:1]),
     "distinct": CheckKind(lambda payload, attrs: _split_exprs(payload), _run_distinct,
@@ -966,6 +959,8 @@ KINDS: dict[str, CheckKind] = {
 
 
 def run_parsed_suite(suite: Suite, fail_fast: bool = False) -> SuiteReport:
+    # no row registered by an earlier run; this run's stay readable after it
+    suite._actions.clear()
     results = []
     raw_status = {}
     for check in suite.checks:

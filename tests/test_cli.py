@@ -39,12 +39,22 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
-def test_verify_unknown_suite_after_a_known_one(capsys):
-    # the loader's SuiteError is the one check for a suite name
+def test_verify_unknown_suite_after_a_known_one(capsys, monkeypatch):
+    # the loader's SuiteError is the one check for a suite name, and every
+    # named suite is loaded before any runs
+    import fixedfield.suite as suite_mod
+
+    runs = []
+    run_parsed_suite = suite_mod.run_parsed_suite
+    monkeypatch.setattr(suite_mod, "run_parsed_suite",
+                        lambda *a, **k: runs.append(a[0].name) or run_parsed_suite(*a, **k))
     code, out, err = run(["verify", "--suite", "prop22", "--suite", "nope"], capsys)
     assert code == 2
     assert out == ""
     assert err == "error: unknown suite 'nope'\n"
+    assert runs == []
+    code, out, err = run(["verify", "--suite", "prop22", "--suite", "prop29"], capsys)
+    assert code == 0 and runs == ["prop22", "prop29"]
 
 
 def test_verify_nothing_selected(capsys):
@@ -113,6 +123,13 @@ def test_eval_parse_error(capsys):
     code, out, err = run(["eval", "--vars", "x1", "x1 +"], capsys)
     assert code == 2
     assert "position" in err
+
+
+def test_eval_deep_nesting_exits_2(capsys):
+    code, out, err = run(["eval", "--vars", "x1", "(" * 300 + "x1" + ")" * 300], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: nesting deeper than")
 
 
 def test_bad_usage(capsys):

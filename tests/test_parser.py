@@ -27,6 +27,24 @@ def test_precedence_and_unary_minus():
     assert ratfunc_eq(parse_expr("--x1", X, QQ), parse_expr("x1", X, QQ))
 
 
+def test_nesting_is_capped():
+    from fixedfield.parser import NESTING_LIMIT
+
+    n = NESTING_LIMIT
+    assert ratfunc_eq(parse_expr("(" * n + "x1" + ")" * n, X, QQ), parse_expr("x1", X, QQ))
+    assert ratfunc_eq(parse_expr("-" * n + "x1", X, QQ), parse_expr("x1", X, QQ))
+    # '(' and unary '-' count together; a closed '(' or a finished '-' no
+    # longer counts
+    deep = "(x1)*-x3*" + "-(" * (n // 2) + "x2" + ")" * (n // 2)
+    assert ratfunc_eq(parse_expr(deep, X, QQ), parse_expr("-x1*x2*x3", X, QQ))
+    with pytest.raises(ParseError, match=rf"nesting deeper than {n} \(at position {n}\)"):
+        parse_expr("(" * (n + 1) + "x1" + ")" * (n + 1), X, QQ)
+    with pytest.raises(ParseError, match=rf"\(at position {n}\)"):
+        parse_expr("-(" * (n // 2) + "-x1" + ")" * (n // 2), X, QQ)
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse_expr("-" * 1000 + "x1", X, QQ)
+
+
 def test_char2_minus_is_plus():
     assert ratfunc_eq(parse_expr("x1 - x2", X, F2), parse_expr("x1 + x2", X, F2))
 

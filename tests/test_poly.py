@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -506,6 +508,45 @@ def test_constant_power_reaches_the_coefficient_cap():
     assert result.status == "fail"
     assert result.detail.startswith("error:") and "coefficient cap" in result.detail
     assert time.perf_counter() - start < 1
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the body, rather than let it run on, after seconds."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_many_term_product_reaches_the_term_pair_cap(monkeypatch):
+    import fixedfield.poly as poly_mod
+    from fixedfield.suite import parse_suite_text, run_parsed_suite
+
+    # a many-term power is refused before its squares outgrow the cap
+    with _deadline(1), pytest.raises(PolyError, match="term pairs pass the cap"):
+        parse_expr("(x1+1)^4000", X, QQ)
+    suite = parse_suite_text(
+        "suite mini field=Q\npoints 3\nvars x = x1 x2 x3\n"
+        'check identity (x1+1)^30000 - (x1+1)^30000 == 0 ref="r"\n'
+    )
+    with _deadline(1):
+        (result,) = run_parsed_suite(suite).checks
+    assert result.status == "fail"
+    assert result.detail.startswith("error:") and "term pairs pass the cap" in result.detail
+    # the cap bounds len(a) * len(b); a product of exactly the cap passes
+    monkeypatch.setattr(poly_mod, "TERM_PAIRS_LIMIT", 6)
+    assert ratfunc_eq(rf(q("x1 + 1").num * q("x1^2 + x2 + 1").num),
+                      q("x1^3 + x1^2 + x1*x2 + x1 + x2 + 1"))
+    with pytest.raises(PolyError, match="^8 term pairs pass the cap 6$"):
+        q("x1 + 1").num * q("x1^3 + x2^2 + x3 + 1").num
 
 
 @pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)

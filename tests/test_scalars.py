@@ -13,6 +13,7 @@ from fixedfield.scalars import (
     embed,
     field_by_tag,
     join,
+    power,
     with_zeta3,
 )
 
@@ -124,6 +125,49 @@ def test_join_is_the_larger_field_of_one_chain():
     for small, big in [(QQ, QZ3), (F2, F4)]:
         assert embed(small.one(), small, join(small, big)) == big.one()
     assert [with_zeta3(f) for f in (QQ, F2, QZ3, F4)] == [QZ3, F4, QZ3, F4]
+
+
+def test_f2_and_f4_are_one_table_driven_class():
+    # F2 is the corner {0, 1} of the F4 tables: its operations are F4's
+    # restricted there, and embedding it in F4 is the identity
+    assert type(F2) is type(F4)
+    assert (F2.tag, F2.has_zeta3, F4.tag, F4.has_zeta3) == ("F2", False, "F4", True)
+    for a in (0, 1):
+        assert embed(a, F2, F4) == a and F2.conj(a) == a and F2.to_str(a) == str(a)
+        for b in (0, 1):
+            assert F2.add(a, b) == F4.add(a, b) == a ^ b
+            assert F2.mul(a, b) == F4.mul(a, b) == a & b
+    assert [F2.from_int(n) for n in range(-2, 3)] == [0, 1, 0, 1, 0]
+    assert F4.zeta3() == 2
+    with pytest.raises(FieldError, match="^zeta3 is not an element of F2$"):
+        F2.zeta3()
+    with pytest.raises(FieldError, match="^zeta3 is not an element of Q$"):
+        QQ.zeta3()
+    for field in (F2, F4):
+        with pytest.raises(ZeroDivisionError, match=f"^division by zero in {field.tag}$"):
+            field.inv(0)
+    assert (QQ.zero(), QQ.one(), F2.zero(), F2.one(), F4.zero(), F4.one()) == (0, 1) * 3
+
+
+def test_power_is_square_and_multiply():
+    # x^n for every n up to 40, with one product per set bit and one square
+    # per bit below the top one: the last square is not taken
+    for n in range(41):
+        calls = []
+
+        def mul(a, b):
+            calls.append((a, b))
+            return a + b
+
+        assert power(1, n, 0, mul) == n
+        assert len(calls) == (n.bit_length() - 1 if n else 0) + bin(n).count("1")
+    third = QQ.div(1, 3)
+    assert QQ.pow(third, 4) == Fraction(1, 81) and QQ.pow(third, -3) == 27
+    assert QQ.pow(5, 0) == 1 and F4.pow(2, -1) == F4.inv(2) == 3
+    assert [F4.pow(2, n) for n in range(-3, 4)] == [1, 2, 3, 1, 2, 3, 1]
+    assert QZ3.pow(QZ3.zeta3(), -1) == QZ3.mul(QZ3.zeta3(), QZ3.zeta3())
+    with pytest.raises(ZeroDivisionError, match="in F2"):
+        F2.pow(0, -1)
 
 
 def test_field_registry():

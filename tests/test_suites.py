@@ -151,6 +151,8 @@ def test_loader_rejects_wrong_group_order():
          "check invariance uses unknown variable 'q9'"),
         ('check identity x1 - x1 == 0 over=w ref="r"', "unknown table 'w'"),
         ('check distinct x1, x2*q9 ref="r"', "check distinct uses unknown variable 'q9'"),
+        ('check table x elem=(1,2) images = x2, q9, x3 ref="r"',
+         "check table uses unknown variable 'q9'"),
         ('check invariance 1 under A3 ref="r"', "check invariance comes before any vars table"),
         ('check identity 1 - 1 == 0 ref="r"', "check identity comes before any vars table"),
         ('check distinct 1, 2 ref="r"', "check distinct comes before any vars table"),
@@ -162,7 +164,8 @@ def test_loader_rejects_wrong_group_order():
          "word-negative-exponent", "word-zero-exponent", "pure-not-yes-or-no",
          "transitive-not-yes-or-no", "via-not-ground-or-parent",
          "invariance-unknown-variable", "identity-over-unknown-table",
-         "distinct-unknown-variable", "invariance-before-vars", "identity-before-vars",
+         "distinct-unknown-variable", "table-unknown-image", "invariance-before-vars",
+         "identity-before-vars",
          "distinct-before-vars"],
 )
 def test_loader_rejects_malformed_checks(check, message):
@@ -338,6 +341,45 @@ def test_every_check_carries_a_ref(reports):
     for rep in reports.values():
         for c in rep.checks:
             assert c.paper_ref.strip()
+
+
+def test_a_rerun_of_a_parsed_suite_gives_the_same_report():
+    # the via=parent row of z comes before the row of its parent y that it
+    # needs, so it is an error verdict on every run, not only on the first
+    text = """suite rerun field=Q
+points 2
+vars x = x1 x2
+vars y = y1 y2
+def y.y1 = x1 + x2
+def y.y2 = x1 - x2
+vars z = z1 z2
+def z.z1 = y1 + y2
+def z.z2 = y1 - y2
+check table z elem=(1,2) via=parent images = z2, z1 id=child ref="r"
+check table y elem=(1,2) images = y1, -y2 id=parent ref="r"
+"""
+    suite = parse_suite_text(text)
+    first = report_to_json(run_parsed_suite(suite))
+    child, parent = run_parsed_suite(suite).checks
+    assert report_to_json(run_parsed_suite(suite)) == first
+    assert child.detail == "error: no action row registered for '(1,2)' on table 'y'"
+    assert parent.status == PASS
+    # the rows of the last run stay readable
+    assert set(suite._actions) == {("y", "(1,2)")}
+    shipped = load_suite("sec6_char2")
+    assert report_to_json(run_parsed_suite(shipped)) == report_to_json(
+        run_parsed_suite(shipped)
+    )
+
+
+def test_deep_nesting_is_a_load_error_or_an_error_verdict():
+    # past parser.NESTING_LIMIT, instead of a raw RecursionError
+    deep = "(" * 300 + "x1" + ")" * 300
+    with pytest.raises(SuiteError, match=r"^line 6: nesting deeper than 100"):
+        parse_suite_text(MINI.format(checks="vars t = t1\ndef t.t1 = " + deep))
+    [check] = run_parsed_suite(_mini(f'check identity {deep} - x1 == 0 ref="r"')).checks
+    assert check.status == FAIL
+    assert check.detail.startswith("error: nesting deeper than 100")
 
 
 def test_reports_are_deterministic():
