@@ -136,7 +136,7 @@ def matrix_times(h):
     return lambda x: mat_mul(x, h)
 
 
-def matrix_group_elements(gens, cap=MATRIX_GROUP_CAP):
+def matrix_group_elements(gens):
     gens = [mat_from_rows(g) for g in gens]
     if not gens:
         raise MonomialError("no generators")
@@ -146,7 +146,7 @@ def matrix_group_elements(gens, cap=MATRIX_GROUP_CAP):
             raise MonomialError("generators of mixed size")
         if det_fraction_free(g) not in (1, -1):
             raise MonomialError("generator with |det| != 1")
-    return close(gens, mat_identity(n), matrix_times, cap)
+    return close(gens, mat_identity(n), matrix_times, MATRIX_GROUP_CAP)
 
 
 # ---------------------------------------------------------------------------

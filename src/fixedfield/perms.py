@@ -12,8 +12,9 @@ new one grows the previous subgroup H by right cosets H*r, so every
 element costs about one product.  The orders involved never exceed a few
 thousand, so no stabilizer chains are needed.  A PermGroup closes on
 plain image tuples, where x*h is itemgetter(*[j - 1 for j in h]) applied
-to x, one C call per product, and each element becomes a Perm once, at
-the end.
+to x, one C call per product, and keeps those tuples as its elements.
+Normality is decided on generators alone: H is normal in G = <S> iff
+s*t*s^-1 lies in H for every s in S and every generator t of H.
 """
 
 from __future__ import annotations
@@ -159,9 +160,10 @@ def parse_cycles(text: str, n: int) -> Perm:
 
 
 class PermGroup:
-    """A finitely generated subgroup of S_n with its full element set."""
+    """A finitely generated subgroup of S_n; elements is its full element
+    set as image tuples."""
 
-    def __init__(self, generators, degree=None, cap=CLOSURE_CAP):
+    def __init__(self, generators, degree=None):
         generators = list(generators)
         if degree is None:
             if not generators:
@@ -173,20 +175,14 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         try:
-            images = close([g.images for g in generators], tuple(range(1, degree + 1)),
-                           _times, cap)
+            self.elements = frozenset(close([g.images for g in generators],
+                                            tuple(range(1, degree + 1)), _times, CLOSURE_CAP))
         except MonomialError:
-            raise PermError(f"closure exceeded cap {cap}") from None
-        # a set copied into a frozenset gets a table sized to its contents;
-        # one grown from an iterator keeps the slack of its last resize
-        self.elements = frozenset(set(map(Perm._trusted, images)))
+            raise PermError(f"closure exceeded cap {CLOSURE_CAP}") from None
         self.order = len(self.elements)
 
     def __contains__(self, p: Perm):
-        return p in self.elements
-
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.elements <= other.elements
+        return p.images in self.elements
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -195,14 +191,9 @@ class PermGroup:
 
 def is_normal(h: PermGroup, g: PermGroup) -> bool:
     """True iff h is a normal subgroup of g (h must be a subgroup of g)."""
-    if not h.is_subgroup_of(g):
+    if not h.elements <= g.elements:
         raise PermError("first group is not a subgroup of the second")
-    for gen in g.generators:
-        inv = gen.inverse()
-        for x in h.elements:
-            if gen * x * inv not in h.elements:
-                return False
-    return True
+    return all(s * t * s.inverse() in h for s in g.generators for t in h.generators)
 
 
 def is_transitive(g: PermGroup) -> bool:
@@ -271,7 +262,3 @@ def named_group(name: str) -> PermGroup:
     if name == "S4":
         return PermGroup([parse_cycles("(1,2)", 4), parse_cycles("(1,2,3,4)", 4)])
     raise PermError(f"unknown named group {name!r}")
-
-
-def groups_equal(a: PermGroup, b: PermGroup) -> bool:
-    return a.degree == b.degree and a.elements == b.elements

@@ -58,7 +58,6 @@ from .perms import (
     Perm,
     PermError,
     PermGroup,
-    groups_equal,
     is_normal,
     is_transitive,
     named_group,
@@ -376,12 +375,16 @@ def parse_suite_text(text: str) -> Suite:
                 name, word = [s.strip() for s in rest.split("=", 1)]
                 if name in suite.perms:
                     raise SuiteError(f"duplicate perm {name!r}")
+                if name == "rho":  # a table row's elem=rho is conjugation
+                    raise SuiteError("perm name 'rho' is reserved for conjugation")
                 suite.perms[name] = suite.perm_word(word)
                 suite.perm_words[name] = word
             elif head == "group":
                 _parse_group(suite, rest)
             elif head == "matrix":
                 name, body = [s.strip() for s in rest.split("=", 1)]
+                if name in suite.matrices:
+                    raise SuiteError(f"duplicate matrix {name!r}")
                 rows = [
                     [int(x) for x in row.split(",")] for row in body.split("/")
                 ]
@@ -436,6 +439,8 @@ def _parse_vars(suite: Suite, rest):
     if tname in suite.tables:
         raise SuiteError(f"duplicate table {tname!r}")
     names = names.split()
+    if "zeta3" in names:  # an expression reads zeta3 as the constant
+        raise SuiteError("variable name 'zeta3' is reserved for the cube root of unity")
     table = Table(tname, names, fld, parent=None)
     suite.tables[tname] = table
     for i, n in enumerate(names):
@@ -560,6 +565,13 @@ def _parse_check(suite: Suite, rest, seq):
         unknown = expression_variables(text) - suite.var_owner.keys()
         if unknown:
             raise SuiteError(f"check {kind} uses unknown variable {min(unknown)!r}")
+    if kind == "table":  # a row's images are read over its own table alone
+        table = suite.table(fields[0])
+        for text in fields[1]:
+            foreign = expression_variables(text).difference(table.vt.names)
+            if foreign:
+                raise SuiteError(f"check table image uses {min(foreign)!r}, "
+                                 f"not a variable of table {table.name!r}")
     check = Check(kind, attrs.get("id", f"{kind}-{seq:03d}"), attrs["ref"], attrs,
                   payload, fields)
     if check.id in suite.check_ids:
@@ -656,7 +668,7 @@ def _run_member(suite: Suite, check: Check):
 
 def _run_groupeq(suite: Suite, check: Check):
     left, right = check.fields
-    same = groups_equal(suite.group(left), suite.group(right))
+    same = suite.group(left).elements == suite.group(right).elements
     return same, f"element sets of {left} and {right}"
 
 
@@ -672,7 +684,7 @@ def _run_wreath(suite: Suite, check: Check):
     gname, inner, outer, blocks = check.fields
     w = wreath_product(named_group(inner), named_group(outer), blocks)
     g = suite.group(gname)
-    same = groups_equal(w, g)
+    same = w.elements == g.elements
     return same, f"{inner} wr {outer} order {w.order} vs {gname} order {g.order}"
 
 

@@ -444,11 +444,12 @@ def test_scaled_times_composes_scaled_actions():
     )
     suite = parse_suite_text(text)
     table, group = suite.table("u"), suite.group("S3")
-    phi = {g: suite.scaled_action(table, g) for g in group.elements}
+    elements = list(map(Perm, group.elements))
+    phi = {g: suite.scaled_action(table, g) for g in elements}
     assert max(abs(e) for b, _ in phi.values() for row in b for e in row) > 1
     assert {c for _, d in phi.values() for c in d} - {1, -1}
     times = scaled_times(table.field)
-    for g in group.elements:
-        for h in group.elements:
+    for g in elements:
+        for h in elements:
             assert times(phi[h])(phi[g]) == phi[g * h], (g, h)
     assert statuses(text) == [PASS]

@@ -48,3 +48,43 @@ def test_normality_against_sympy():
         ref_g = PermutationGroup([to_sympy(p) for p in g.generators])
         assert ref_h.is_normal(ref_g, strict=False)
         assert is_normal(h, g)
+
+
+def _sympy_verdict(suite, check):
+    """The verdict of a group check, recomputed by sympy from the
+    generators of the groups it names."""
+    def ref(name):
+        return PermutationGroup([to_sympy(p) for p in suite.group(name).generators])
+
+    kind, fields = check.kind, check.fields
+    if kind == "order":
+        return ref(fields[0]).order() == fields[1]
+    if kind == "transitive":
+        return ref(fields[0]).is_transitive()
+    if kind == "normal":
+        h, g = ref(fields[0]), ref(fields[1])
+        return h.is_subgroup(g) and h.is_normal(g)
+    if kind == "groupeq":
+        a, b = ref(fields[0]), ref(fields[1])
+        return a.is_subgroup(b) and b.is_subgroup(a)
+    inside = ref(fields[1]).contains(to_sympy(suite.perm_word(fields[0])))
+    return inside == (kind == "member")
+
+
+def test_shipped_group_verdicts_against_sympy():
+    from collections import Counter
+
+    from fixedfield.suite import KINDS, list_suites
+
+    counts = Counter()
+    for name in list_suites():
+        suite = load_suite(name)
+        for check in suite.checks:
+            if check.kind not in ("order", "transitive", "normal", "groupeq",
+                                  "member", "notmember"):
+                continue
+            verdict = KINDS[check.kind].run(suite, check)[0]
+            assert verdict == _sympy_verdict(suite, check), (name, check.id)
+            counts[check.kind] += 1
+    assert counts == {"order": 52, "transitive": 48, "normal": 27, "groupeq": 6,
+                      "member": 3, "notmember": 2}

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fixedfield import monomial
 from fixedfield.actions import extract_monomial_action, permutation_matrix
 from fixedfield.monomial import (
     MATRIX_GROUP_CAP,
@@ -154,14 +155,15 @@ def test_close_matches_bfs_on_random_signed_permutation_matrices():
         _closes_like_bfs(gens)
 
 
-def test_close_cap_is_exact():
+def test_close_cap_is_exact(monkeypatch):
     # -sigma_4A and lambda_1 generate a dihedral group of order 8
     gens = [mat_neg(SIGMA_4A), LAMBDA_1]
     with pytest.raises(MonomialError, match="^group exceeded cap 7$"):
         close(gens, mat_identity(3), matrix_times, 7)
     assert len(close(gens, mat_identity(3), matrix_times, 8)) == 8
+    monkeypatch.setattr(monomial, "MATRIX_GROUP_CAP", 7)
     with pytest.raises(MonomialError, match="^group exceeded cap 7$"):
-        matrix_group_elements(gens, cap=7)
+        matrix_group_elements(gens)
 
 
 SEC6_BLOCK = [[1, 1, -1], [-1, 1, 1], [1, -1, 1]]

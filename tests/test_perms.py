@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from fixedfield import perms
 from fixedfield.perms import (
     Perm,
     PermError,
     PermGroup,
-    groups_equal,
     is_normal,
     is_transitive,
     named_group,
@@ -73,13 +73,14 @@ def test_closure_trivial_and_idempotent():
     trivial = PermGroup([], degree=4)
     assert trivial.order == 1
     g = PermGroup([P("(1,2)", 3), P("(2,3)", 3)])
-    again = PermGroup(list(g.elements), degree=3)
+    again = PermGroup(list(map(Perm, g.elements)), degree=3)
     assert again.elements == g.elements
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(perms, "CLOSURE_CAP", 100)
     with pytest.raises(PermError):
-        PermGroup([P("(1,2)"), P("(1,2,3,4,5,6,7,8)")], cap=100)
+        PermGroup([P("(1,2)"), P("(1,2,3,4,5,6,7,8)")])
 
 
 SIGMA1 = "(1,2)(3,4)(5,6)(7,8)"
@@ -104,6 +105,28 @@ def test_is_normal_examples():
         is_normal(PermGroup([P("(1,2)")]), g13)
 
 
+def _normal_by_conjugating_every_element(h, g):
+    """The reference is_normal must agree with: every element of H, not
+    only its generators, conjugated by each generator of G lies in H."""
+    return all(s * x * s.inverse() in h for s in g.generators for x in map(Perm, h.elements))
+
+
+def test_is_normal_matches_conjugating_every_element_on_shipped_suites():
+    from fixedfield.suite import list_suites, load_suite
+
+    pairs = non_normal = 0
+    for name in list_suites():
+        groups = load_suite(name).groups.values()
+        for h in groups:
+            for g in groups:
+                if h.elements <= g.elements:
+                    normal = _normal_by_conjugating_every_element(h, g)
+                    assert is_normal(h, g) == normal, (name, h, g)
+                    pairs += 1
+                    non_normal += not normal
+    assert (pairs, non_normal) == (474, 179)
+
+
 def test_is_transitive_examples():
     g1 = PermGroup([P("(1,2,3,4,5,6,7,8)")])
     assert is_transitive(g1)
@@ -116,17 +139,17 @@ def test_wreath_orders_and_identifications():
     w = wreath_product(c4, c2, [[1, 2, 3, 4], [5, 6, 7, 8]])
     assert w.order == 32
     g17 = PermGroup([P("(1,2,3,4)"), P(KAPPA)])
-    assert groups_equal(w, g17)
+    assert w.elements == g17.elements
 
     w = wreath_product(c2, c4, [[1, 5], [2, 6], [3, 7], [4, 8]])
     assert w.order == 64
     g27 = PermGroup([P("(1,5)"), P("(1,2,3,4)(5,6,7,8)")])
-    assert groups_equal(w, g27)
+    assert w.elements == g27.elements
 
     w = wreath_product(c2, named_group("S4"), [[1, 5], [2, 6], [3, 7], [4, 8]])
     assert w.order == 384
     g44 = PermGroup([P("(1,5)"), P("(1,2)(5,6)"), P("(1,2,3,4)(5,6,7,8)")])
-    assert groups_equal(w, g44)
+    assert w.elements == g44.elements
 
     for name in ("C2", "C4", "V4", "D4", "A4", "S4"):
         inner = named_group(name)
@@ -177,7 +200,7 @@ def test_trusted_products_and_inverses_match_validated_perms():
     catalog = load_suite("catalog")
     rng = random.Random(11)
     for name in ("G1", "G17", "G33", "G46", "G48"):
-        elements = sorted(catalog.groups[name].elements, key=lambda p: p.images)
+        elements = list(map(Perm, sorted(catalog.groups[name].elements)))
         sample = rng.sample(elements, min(len(elements), 12))
         for g in sample:
             inv = g.inverse()
@@ -205,13 +228,13 @@ def _bfs_closure(generators, degree):
                     seen.add(p)
                     nxt.append(p)
         frontier = nxt
-    return frozenset(seen)
+    return frozenset(p.images for p in seen)
 
 
 def _assert_closes_like_bfs(group):
     assert group.elements == _bfs_closure(group.generators, group.degree)
     assert group.order == len(group.elements)
-    assert all(type(p) is Perm and type(p.images) is tuple for p in group.elements)
+    assert all(type(p) is tuple for p in group.elements)
 
 
 def test_closure_matches_bfs_on_shipped_suites():
@@ -272,8 +295,10 @@ def test_closure_matches_bfs_on_random_generating_sets():
             _assert_closes_like_bfs(PermGroup(gens, degree=n))
 
 
-def test_closure_cap_is_exact():
+def test_closure_cap_is_exact(monkeypatch):
     s8 = [P("(1,2)"), P("(1,2,3,4,5,6,7,8)")]
+    monkeypatch.setattr(perms, "CLOSURE_CAP", 40319)
     with pytest.raises(PermError, match="^closure exceeded cap 40319$"):
-        PermGroup(s8, cap=40319)
-    assert PermGroup(s8, cap=40320).order == 40320
+        PermGroup(s8)
+    monkeypatch.setattr(perms, "CLOSURE_CAP", 40320)
+    assert PermGroup(s8).order == 40320

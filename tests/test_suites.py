@@ -10,7 +10,7 @@ from fixedfield.actions import perm_act
 from fixedfield.catalog import CatalogError, catalog_lookup, catalog_names
 from fixedfield.monomial import mat_identity
 from fixedfield.parser import _tokenize, expression_variables, parse_expr
-from fixedfield.perms import POINTS_CAP, PermGroup
+from fixedfield.perms import POINTS_CAP, Perm, PermGroup
 from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute
 from fixedfield.scalars import field_by_tag, join, with_zeta3
 from fixedfield.suite import (
@@ -153,6 +153,9 @@ def test_loader_rejects_wrong_group_order():
         ('check distinct x1, x2*q9 ref="r"', "check distinct uses unknown variable 'q9'"),
         ('check table x elem=(1,2) images = x2, q9, x3 ref="r"',
          "check table uses unknown variable 'q9'"),
+        ('vars y = y1 y2 y3\ncheck table x elem=(1,2) images = x2, y1, x3 ref="r"',
+         "check table image uses 'y1', not a variable of table 'x'"),
+        ('check table w elem=(1,2) images = x2, x1, x3 ref="r"', "unknown table 'w'"),
         ('check invariance 1 under A3 ref="r"', "check invariance comes before any vars table"),
         ('check identity 1 - 1 == 0 ref="r"', "check identity comes before any vars table"),
         ('check distinct 1, 2 ref="r"', "check distinct comes before any vars table"),
@@ -164,18 +167,40 @@ def test_loader_rejects_wrong_group_order():
          "word-negative-exponent", "word-zero-exponent", "pure-not-yes-or-no",
          "transitive-not-yes-or-no", "via-not-ground-or-parent",
          "invariance-unknown-variable", "identity-over-unknown-table",
-         "distinct-unknown-variable", "table-unknown-image", "invariance-before-vars",
+         "distinct-unknown-variable", "table-unknown-image", "table-image-of-another-table",
+         "table-unknown-table",
+         "invariance-before-vars",
          "identity-before-vars",
          "distinct-before-vars"],
 )
 def test_loader_rejects_malformed_checks(check, message):
     # rejected at load time with the line number, not left to crash the
-    # runner with a raw ValueError, KeyError or StopIteration
+    # runner with a raw ValueError, KeyError or StopIteration; the check is
+    # the last of the lines a case adds
     text = MINI.format(checks=check)
     if "before any vars" in message:  # the check with no table to ground over
         text = text.replace("vars x = x1 x2 x3\n", "\n")
-    with pytest.raises(SuiteError, match=r"^line 5: .*" + re.escape(message)):
+    line = 5 + check.count("\n")
+    with pytest.raises(SuiteError, match=rf"^line {line}: .*" + re.escape(message)):
         parse_suite_text(text)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # an expression reads zeta3 as the constant, so 'check invariance
+        # zeta3 under A3' would pass whatever the variable's orbit
+        ("vars y = zeta3 y2", "line 5: variable name 'zeta3' is reserved for the cube "
+         "root of unity"),
+        # a table row reads elem=rho as conjugation, not as the perm
+        ("perm rho = (1,2)", "line 5: perm name 'rho' is reserved for conjugation"),
+        ("matrix A = 1,0 / 0,1\nmatrix A = 0,1 / 1,0", "line 6: duplicate matrix 'A'"),
+    ],
+    ids=["vars-zeta3", "perm-rho", "duplicate-matrix"],
+)
+def test_loader_rejects_reserved_and_repeated_names(lines, message):
+    with pytest.raises(SuiteError, match="^" + re.escape(message) + "$"):
+        _mini(lines)
 
 
 def test_loader_rejects_zeta3_in_a_definition_over_a_field_without_it():
@@ -464,7 +489,7 @@ def test_flip_subgroup_attributions_scan(executed_suites):
         hits = []
         for gname in type_b:
             g = suite.groups[gname]
-            if lam.is_subgroup_of(g):
+            if lam.elements <= g.elements:
                 assert is_normal(lam, g)
                 hits.append(gname)
         found[lname] = hits
@@ -1132,13 +1157,13 @@ def test_kernels_match_element_by_element_oracle(executed_suites):
                 ident = mat_identity(len(table.vt))
                 oracle = {
                     g for g in group.elements
-                    if suite.scaled_action(table, g)[0] == ident
+                    if suite.scaled_action(table, Perm(g))[0] == ident
                 }
             else:
                 defs = table.grounded()
                 oracle = {
                     g for g in group.elements
-                    if all(ratfunc_eq(perm_act(g, d), d) for d in defs)
+                    if all(ratfunc_eq(perm_act(Perm(g), d), d) for d in defs)
                 }
             routed, _, _, image = _image_group(suite, check)
             assert routed is group and group.order // image == len(oracle), (name, check.id)
