@@ -13,19 +13,33 @@ through one resolver: by default to the table's variable of that name, or,
 given leaf, to leaf(name), which is how a suite grounds a check expression
 by evaluating it at the definitions of its variables.
 
+The text is split into tokens by one findall; a token's position is
+found again, by the slower _tokenize, only for the message of a
+ParseError.
+
 Subexpressions are evaluated as Polys: integers, zeta3 and every leaf
 whose denominator is 1.  A value becomes a RatFunc only under '/', under
 a negative power, or when a leaf is a proper fraction, and a Poly meets
 a RatFunc as the RatFunc p/1.  The RatFunc operations on p/1 do exactly
 what the Poly ones do on p, so the result is the RatFunc an evaluation
 through RatFuncs alone would build.
+
+A one-term value is carried as a bare (packed monomial, payload) pair
+rather than a Poly.  A term folds each run of one-term factors into one
+such pair, adding monomials and multiplying payloads, and builds a Poly
+only when a factor with many terms, a RatFunc or '/' arrives; while the
+product is a RatFunc or zero, each factor is multiplied in as it comes.
+After each monomial addition the guard bits of the product's leading
+monomial are checked, which is the check a product by that factor
+makes, so the caps raise at the same factor as without folding.  An
+expression adds its terms into one dict until a RatFunc term arrives.
 """
 
 from __future__ import annotations
 
 import re
 
-from .poly import Poly, RatFunc, VarTable
+from .poly import Poly, RatFunc, VarTable, _add_into, monomial_power
 from .scalars import Field
 
 
@@ -40,25 +54,28 @@ class ParseError(ValueError):
 NESTING_LIMIT = 100
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME.pattern})|([()+\-*/^]))")
+# an integer, a name or an operator; a match of the bare last
+# alternative, all groups empty, is an unexpected character
+_SCAN = re.compile(rf"(\d+)|({_NAME.pattern})|([()+\-*/^])|\S")
+_UNEXPECTED = ("", "", "")
 
 
 def _tokenize(text):
+    """(kind, value, position) of each token, then ("end", None, len(text)):
+    the re-scan that gives a ParseError its position and value."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
+    end = 0
+    for m in _SCAN.finditer(text):
+        num, name, op = m.groups()
+        if num:
+            tokens.append(("int", int(num), m.start()))
+        elif name:
+            tokens.append(("name", name, m.start()))
+        elif op:
+            tokens.append(("op", op, m.start()))
         else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+            raise ParseError(f"unexpected character {m.group()!r}", end)
+        end = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -66,105 +83,178 @@ def _tokenize(text):
 class _Parser:
     def __init__(self, text, vars: VarTable, field: Field, leaf):
         self.text = text
-        self.tokens = _tokenize(text)
+        # (integer, name, operator) strings, one of them nonempty, then an
+        # all-empty end token
+        self.tokens = _SCAN.findall(text)
+        if _UNEXPECTED in self.tokens:
+            _tokenize(text)  # raises at the first unexpected character
+        self.tokens.append(_UNEXPECTED)
         self.i = 0
         self.depth = 0  # open '(' and unary '-' around the current base
         self.vars = vars
         self.field = field
         self.leaf = leaf
 
-    def peek(self):
-        return self.tokens[self.i]
+    def error(self, message, i):
+        """A ParseError at the i-th token."""
+        return ParseError(message, _tokenize(self.text)[i][2])
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
+    def poly(self, value):
+        """value as a Poly or RatFunc: a one-term pair becomes a Poly."""
+        if type(value) is tuple:
+            return Poly(self.vars, self.field, dict((value,)))
+        return value
 
     def parse(self):
         out = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {val!r}", pos)
-        return out
+        if self.tokens[self.i] != _UNEXPECTED:
+            raise self.error(f"trailing input {_value(self.tokens[self.i])!r}", self.i)
+        return self.poly(out)
 
     def expr(self):
         out = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                out, rhs = _same_kind(out, self.term())
-                out = out + rhs if val == "+" else out - rhs
+        op = self.tokens[self.i][2]
+        if op != "+" and op != "-":
+            return out
+        f = self.field
+        # the sum so far: a dict of terms until a term is a RatFunc
+        terms = None if type(out) is RatFunc else dict(self.poly(out).terms)
+        while op == "+" or op == "-":
+            self.i += 1
+            rhs = self.term()
+            if terms is not None and type(rhs) is not RatFunc:
+                rhs = self.poly(rhs).terms
+                if op == "-":
+                    rhs = {e: f.neg(c) for e, c in rhs.items()}
+                _add_into(terms, rhs, f)
             else:
-                return out
+                if terms is not None:
+                    out, terms = Poly(self.vars, f, terms), None
+                out, rhs = _ratfunc(out), _ratfunc(self.poly(rhs))
+                out = out + rhs if op == "+" else out - rhs
+            op = self.tokens[self.i][2]
+        return out if terms is None else Poly(self.vars, f, terms)
 
     def term(self):
         out = self.factor()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.factor()
-                if val == "*":
-                    out, rhs = _same_kind(out, rhs)
-                    out = out * rhs
+        op = self.tokens[self.i][2]
+        if op != "*" and op != "/":
+            return out
+        vt, f = self.vars, self.field
+        mul, one, check = f.mul, f.one(), vt.check
+        # the product is prod times the run (mono, coef) of one-term factors
+        # after it; prod is None before the first factor that does not fold
+        prod, mono, coef = (None, *out) if type(out) is tuple else (out, 0, one)
+        # a run folds while prod is None or a nonzero Poly, whose leading
+        # monomial lead times the run is the leading monomial of the product
+        folds, lead = _folds(prod)
+        while op == "*" or op == "/":
+            pos = self.i
+            self.i += 1
+            rhs = self.factor()
+            if op == "*" and type(rhs) is tuple and folds:
+                e, c = rhs
+                if e:
+                    mono += e
+                    check(lead + mono)
+                if c != one:
+                    coef = c if coef == one else mul(coef, c)
+            else:
+                if mono or coef != one or prod is None:
+                    run = Poly(vt, f, {mono: coef})
+                    prod = run if prod is None else prod * run
+                    mono, coef = 0, one
+                rhs = self.poly(rhs)
+                if op == "*":
+                    prod, rhs = _same_kind(prod, rhs)
+                    prod = prod * rhs
                 else:
                     if rhs.is_zero():
-                        raise ParseError("division by zero", pos)
-                    out = _ratfunc(out) / _ratfunc(rhs)
-            else:
-                return out
+                        raise self.error("division by zero", pos)
+                    prod = _ratfunc(prod) / _ratfunc(rhs)
+                folds, lead = _folds(prod)
+            op = self.tokens[self.i][2]
+        if prod is None:
+            return mono, coef
+        if mono or coef != one:
+            prod = prod * Poly(vt, f, {mono: coef})
+        return prod
 
     def factor(self):
         out = self.base()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            sign = 1
-            kind, val, pos = self.next()
-            if kind == "op" and val == "-":
-                sign = -1
-                kind, val, pos = self.next()
-            if kind != "int":
-                raise ParseError("expected integer exponent", pos)
-            if sign * val < 0 and out.is_zero():
-                raise ParseError("negative power of zero", pos)
-            out = (_ratfunc(out) if sign < 0 else out) ** (sign * val)
-        return out
+        tokens = self.tokens
+        if tokens[self.i][2] != "^":
+            return out
+        self.i += 1
+        sign = 1
+        if tokens[self.i][2] == "-":
+            sign = -1
+            self.i += 1
+        num = tokens[self.i][0]
+        if not num:
+            raise self.error("expected integer exponent", self.i)
+        n = sign * int(num)
+        self.i += 1
+        if sign < 0:
+            out = self.poly(out)
+            if n < 0 and out.is_zero():
+                raise self.error("negative power of zero", self.i - 1)
+            return _ratfunc(out) ** n
+        if type(out) is tuple:
+            return monomial_power(self.vars, self.field, *out, n)
+        return out**n
 
     def base(self):
-        kind, val, pos = self.next()
-        if kind == "int":
-            return Poly.const(self.vars, self.field, self.field.from_int(val))
-        if kind == "name":
-            if val == "zeta3":
-                if not self.field.has_zeta3:
-                    raise ParseError(f"zeta3 is not available over {self.field.tag}", pos)
-                return Poly.const(self.vars, self.field, self.field.zeta3())
-            value = self.leaf(val)
+        num, name, op = self.tokens[self.i]
+        self.i += 1
+        f = self.field
+        if num:
+            c = f.from_int(int(num))
+            return (0, c) if c != f.zero() else Poly.zero(self.vars, f)
+        if name:
+            if name == "zeta3":
+                if not f.has_zeta3:
+                    raise self.error(f"zeta3 is not available over {f.tag}", self.i - 1)
+                return 0, f.zeta3()
+            value = self.leaf(name)
             if value is None:
-                raise ParseError(f"unknown variable {val!r}", pos)
+                raise self.error(f"unknown variable {name!r}", self.i - 1)
             if isinstance(value, RatFunc) and value.den.is_one():
-                return value.num
+                value = value.num
+            if type(value) is Poly and len(value.terms) == 1:
+                return next(iter(value.terms.items()))
             return value
-        if kind == "op" and val in "(-":
+        if op == "(" or op == "-":
             self.depth += 1
             if self.depth > NESTING_LIMIT:
-                raise ParseError(f"nesting deeper than {NESTING_LIMIT}", pos)
-            if val == "(":
+                raise self.error(f"nesting deeper than {NESTING_LIMIT}", self.i - 1)
+            if op == "(":
                 out = self.expr()
-                self.expect_op(")")
+                if self.tokens[self.i][2] != ")":
+                    raise self.error("expected ')'", self.i)
+                self.i += 1
             else:
-                out = -self.base()
+                out = self.base()
+                out = (out[0], f.neg(out[1])) if type(out) is tuple else -out
             self.depth -= 1
             return out
-        raise ParseError(f"unexpected token {val!r}", pos)
+        raise self.error(f"unexpected token {_value(self.tokens[self.i - 1])!r}", self.i - 1)
+
+
+def _value(token):
+    """The value of a token in a message: an int, a string, or None at the
+    end."""
+    num, name, op = token
+    return int(num) if num else name or op or None
+
+
+def _folds(prod):
+    """(whether one-term factors fold after prod, its leading monomial)."""
+    if prod is None:
+        return True, 0
+    if type(prod) is Poly and prod.terms:
+        return True, max(prod.terms)
+    return False, 0
 
 
 def _ratfunc(value):

@@ -13,7 +13,8 @@ next, and a product that reaches the cap sets a guard bit and raises
 PolyError instead of wrapping.  The one exception is the power of a
 one-term polynomial, which multiplies its packed monomial by the
 exponent in one step: that product can carry past a guard bit, so
-__pow__ checks its total degree against the cap first.  Exponent vectors
+monomial_power, the one place such a power is taken, checks its total
+degree against the cap first.  Exponent vectors
 are unpacked only where a monomial is taken apart: common content,
 substitution, permuting variables, reading Laurent monomials, and
 display.
@@ -184,6 +185,22 @@ def _bit_length(c) -> int:
     return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
+def monomial_power(vt: VarTable, f: Field, e: int, c, n: int):
+    """(e * n, c^n), the n-th power (n >= 0) of the one-term c * x^e, or
+    PolyError when it reaches the exponent cap or, over Q and Qz3, the
+    coefficient cap.  It is taken in one step, so it is checked first."""
+    # each field of e is at most its total degree, so this bounds every
+    # field of e * n, which could otherwise carry past a guard bit
+    if vt.degree(e) * n >= EXPONENT_LIMIT:
+        raise PolyError(f"power reaches the exponent cap {EXPONENT_LIMIT}")
+    # F2 and F4 payloads do not grow
+    if f.char == 0 and n * (_bit_length(c) - 1) >= COEFFICIENT_BITS_LIMIT:
+        raise PolyError(
+            f"power reaches the coefficient cap of {COEFFICIENT_BITS_LIMIT} bits"
+        )
+    return e * n, c if c == f.one() else f.pow(c, n)
+
+
 class Poly:
     """terms: dict mapping packed monomials to nonzero payloads.
 
@@ -249,9 +266,6 @@ class Poly:
         f = self.field
         return Poly(self.vars, f, {e: f.neg(c) for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         _check_compat(self, other)
         p, q = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
@@ -302,17 +316,8 @@ class Poly:
             raise PolyError("negative power of a polynomial; use RatFunc")
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
-            vt, f = self.vars, self.field
-            # each field of e is at most its total degree, so this bounds
-            # every field of e * n, which could otherwise carry past a guard
-            if vt.degree(e) * n >= EXPONENT_LIMIT:
-                raise PolyError(f"power reaches the exponent cap {EXPONENT_LIMIT}")
-            # F2 and F4 payloads do not grow
-            if f.char == 0 and n * (_bit_length(c) - 1) >= COEFFICIENT_BITS_LIMIT:
-                raise PolyError(
-                    f"power reaches the coefficient cap of {COEFFICIENT_BITS_LIMIT} bits"
-                )
-            return Poly(vt, f, {e * n: c if c == f.one() else f.pow(c, n)})
+            e, c = monomial_power(self.vars, self.field, e, c, n)
+            return Poly(self.vars, self.field, {e: c})
         return power(self, n, Poly.one(self.vars, self.field), mul)
 
     def __eq__(self, other):

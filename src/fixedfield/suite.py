@@ -510,8 +510,9 @@ def _parse_group(suite: Suite, rest):
 
 # ---------------------------------------------------------------------------
 # checks: every kind parses its payload once, when the suite loads, into the
-# fields its run reads; the groups, tables, permutation words and
-# expressions those fields name are resolved when the check runs
+# fields its run reads.  The loader also resolves the groups those fields
+# name, the variables of their expressions, and a table row's table and
+# elem= symbols; everything else is resolved when the check runs
 
 
 @dataclass(frozen=True)
@@ -530,6 +531,8 @@ class CheckKind:
     run: Callable  # (suite, check) -> (ok, detail)
     # fields -> the expressions whose names must be declared variables
     grounds: Callable = lambda fields: ()
+    # fields -> the names that must be declared groups
+    groups: Callable = lambda fields: ()
 
 
 # attribute -> the values it accepts
@@ -559,6 +562,8 @@ def _parse_check(suite: Suite, rest, seq):
         raise SuiteError("expect=fail checks need pair= and note=")
     if "over" in attrs:
         suite.table(attrs["over"])
+    for name in KINDS[kind].groups(fields):
+        suite.group(name)
     for text in KINDS[kind].grounds(fields):
         if not suite.tables:
             raise SuiteError(f"check {kind} comes before any vars table")
@@ -567,6 +572,13 @@ def _parse_check(suite: Suite, rest, seq):
             raise SuiteError(f"check {kind} uses unknown variable {min(unknown)!r}")
     if kind == "table":  # a row's images are read over its own table alone
         table = suite.table(fields[0])
+        if len(fields[1]) != len(table.vt):
+            raise SuiteError(
+                f"row covers {len(fields[1])} of {len(table.vt)} variables of {table.name}"
+            )
+        for sym in fields[2]:
+            if sym != "rho":
+                suite.perm_word(sym)
         for text in fields[1]:
             foreign = expression_variables(text).difference(table.vt.names)
             if foreign:
@@ -735,10 +747,6 @@ def _parse_table(payload, attrs):
 def _run_table(suite: Suite, check: Check):
     tname, image_texts, symbols, via = check.fields
     table = suite.table(tname)
-    if len(image_texts) != len(table.vt):
-        raise SuiteError(
-            f"row covers {len(image_texts)} of {len(table.vt)} variables of {tname}"
-        )
     fld = table.field
     if any("zeta3" in expression_names(t) for t in image_texts):
         fld = with_zeta3(fld)
@@ -932,36 +940,56 @@ def _run_induced_order(suite: Suite, check: Check):
     return ok, detail
 
 
+# which fields of a kind name expressions (grounds) or groups
+def _all(fields):
+    return fields
+
+
+def _first(fields):
+    return fields[:1]
+
+
+def _second(fields):
+    return fields[1:2]
+
+
+def _after_first(fields):
+    return fields[1:]
+
+
 # kind -> its parse, run when the suite loads, and its run
 KINDS: dict[str, CheckKind] = {
-    "order": CheckKind(_shape("=", last=_integer), _run_order),
-    "transitive": CheckKind(_shape(), _run_transitive),
-    "normal": CheckKind(_shape(" in "), _run_normal),
+    "order": CheckKind(_shape("=", last=_integer), _run_order, groups=_first),
+    "transitive": CheckKind(_shape(), _run_transitive, groups=_all),
+    "normal": CheckKind(_shape(" in "), _run_normal, groups=_all),
     "permeq": CheckKind(_shape("=="), _run_permeq),
     "permneq": CheckKind(_shape("!="), _run_permeq),
-    "member": CheckKind(_shape(" in "), _run_member),
-    "notmember": CheckKind(_shape(" in "), _run_member),
-    "groupeq": CheckKind(_shape("=="), _run_groupeq),
-    "wreath": CheckKind(_parse_wreath, _run_wreath),
+    "member": CheckKind(_shape(" in "), _run_member, groups=_second),
+    "notmember": CheckKind(_shape(" in "), _run_member, groups=_second),
+    "groupeq": CheckKind(_shape("=="), _run_groupeq, groups=_all),
+    "wreath": CheckKind(_parse_wreath, _run_wreath, groups=_first),
     "gl23": CheckKind(_parse_gl23, _run_gl23),
-    "invariance": CheckKind(_shape(" under "), _run_invariance, lambda f: f[:1]),
+    "invariance": CheckKind(_shape(" under "), _run_invariance, _first, _second),
     "table": CheckKind(_parse_table, _run_table, lambda f: f[1]),
     "identity": CheckKind(_shape("==", last=_zero, takes=("over",)), _run_identity,
-                          lambda f: f[:1]),
+                          _first),
     "distinct": CheckKind(lambda payload, attrs: _split_exprs(payload), _run_distinct,
-                          lambda f: f),
+                          _all),
     "degree": CheckKind(_shape("=", last=_integer), _run_degree),
-    "monomial": CheckKind(_shape(" under ", takes=("pure",)), _run_monomial),
+    "monomial": CheckKind(_shape(" under ", takes=("pure",)), _run_monomial,
+                          groups=_second),
     "word": CheckKind(_parse_word, _run_word),
-    "matgroup": CheckKind(_shape(" under ", "==", last=str.split), _run_matgroup),
-    "matrix-kernel": CheckKind(_shape(" under ", "="), _run_kernel),
-    "action-kernel": CheckKind(_shape(" under ", "="), _run_kernel),
-    "faithful": CheckKind(_shape(" under "), _run_faithful),
-    "stable": CheckKind(_shape(" under "), _run_stable),
+    "matgroup": CheckKind(_shape(" under ", "==", last=str.split), _run_matgroup,
+                          groups=_second),
+    "matrix-kernel": CheckKind(_shape(" under ", "="), _run_kernel, groups=_after_first),
+    "action-kernel": CheckKind(_shape(" under ", "="), _run_kernel, groups=_after_first),
+    "faithful": CheckKind(_shape(" under "), _run_faithful, groups=_second),
+    "stable": CheckKind(_shape(" under "), _run_stable, groups=_second),
     "same-action": CheckKind(_shape(needs=("elem",)), _run_same_action),
     "induced": CheckKind(_shape("=", needs=("elem",)), _run_induced),
     "induced-order": CheckKind(
-        _shape(" under ", "=", last=_integer, takes=("transitive",)), _run_induced_order
+        _shape(" under ", "=", last=_integer, takes=("transitive",)), _run_induced_order,
+        groups=_second,
     ),
 }
 

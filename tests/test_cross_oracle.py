@@ -2,14 +2,21 @@
 
 These duplicate facts the engine already asserts, computed by a library
 with a completely different algorithm (Schreier-Sims instead of BFS
-closure), so a systematic error in our closure code cannot hide.
+closure), so a systematic error in our closure code cannot hide.  The
+expression parser is checked the same way against sympy's rational
+function fields.
 """
+
+import re
 
 import pytest
 
 sympy_comb = pytest.importorskip("sympy.combinatorics")
 
 from sympy.combinatorics import Permutation, PermutationGroup
+from sympy.combinatorics.named_groups import (
+    AlternatingGroup, CyclicGroup, DihedralGroup, SymmetricGroup,
+)
 
 from fixedfield.catalog import catalog_lookup
 from fixedfield.perms import is_transitive
@@ -67,8 +74,67 @@ def _sympy_verdict(suite, check):
     if kind == "groupeq":
         a, b = ref(fields[0]), ref(fields[1])
         return a.is_subgroup(b) and b.is_subgroup(a)
+    if kind in ("permeq", "permneq"):
+        same = _sympy_word(suite, fields[0]) == _sympy_word(suite, fields[1])
+        return same == (kind == "permeq")
+    if kind == "wreath":
+        gname, inner, outer, blocks = fields
+        w = _sympy_wreath(_SMALL_GROUPS[inner], _SMALL_GROUPS[outer], blocks)
+        return w.order() == ref(gname).order() and w.is_subgroup(ref(gname))
     inside = ref(fields[1]).contains(to_sympy(suite.perm_word(fields[0])))
     return inside == (kind == "member")
+
+
+def _sympy_word(suite, text):
+    """A permutation word of a suite (named perms, cycle literals, (ID),
+    each to an optional integer power, '*'-joined) evaluated in sympy.  The
+    suite format composes as (g*h)(i) = g(h(i)), and a sympy product p*q
+    applies p first, so each factor multiplies from the left."""
+    n = suite.points
+    out = Permutation(n - 1)
+    for atom in text.split("*"):
+        m = re.fullmatch(r"\s*(\(ID\)|\w+|(?:\([\d,\s]*\))+)(?:\^(-?\d+))?\s*", atom)
+        base, k = m.group(1), int(m.group(2) or 1)
+        if base == "(ID)":
+            p = Permutation(n - 1)
+        elif base.startswith("("):
+            p = Permutation(n - 1)
+            for cycle in re.findall(r"\(([^)]*)\)", base):
+                points = [int(x) - 1 for x in cycle.split(",")]
+                p = Permutation([points], size=n) * p
+        else:
+            p = _sympy_word(suite, suite.perm_words[base])
+        out = p**k * out
+    return out
+
+
+# the wreath factors, from sympy's own constructors (DihedralGroup(2) is the
+# Klein four-group <(1,2)(3,4), (1,3)(2,4)>)
+_SMALL_GROUPS = {
+    "C2": CyclicGroup(2), "C4": CyclicGroup(4), "V4": DihedralGroup(2),
+    "D4": DihedralGroup(4), "A4": AlternatingGroup(4), "S4": SymmetricGroup(4),
+}
+
+
+def _sympy_wreath(inner, outer, blocks):
+    """inner wr outer on the given blocks, built by hand: inner acts inside
+    each block, blocks[j][k] playing point k+1, and outer permutes the
+    blocks, keeping each point's role."""
+    size = inner.degree * outer.degree
+    gens = []
+    for block in blocks:
+        for h in inner.generators:
+            images = list(range(size))
+            for k, point in enumerate(block):
+                images[point - 1] = block[h(k)] - 1
+            gens.append(Permutation(images))
+    for t in outer.generators:
+        images = list(range(size))
+        for j, block in enumerate(blocks):
+            for k, point in enumerate(block):
+                images[point - 1] = blocks[t(j)][k] - 1
+        gens.append(Permutation(images))
+    return PermutationGroup(gens)
 
 
 def test_shipped_group_verdicts_against_sympy():
@@ -81,10 +147,129 @@ def test_shipped_group_verdicts_against_sympy():
         suite = load_suite(name)
         for check in suite.checks:
             if check.kind not in ("order", "transitive", "normal", "groupeq",
-                                  "member", "notmember"):
+                                  "member", "notmember", "permeq", "permneq",
+                                  "wreath"):
                 continue
             verdict = KINDS[check.kind].run(suite, check)[0]
             assert verdict == _sympy_verdict(suite, check), (name, check.id)
             counts[check.kind] += 1
     assert counts == {"order": 52, "transitive": 48, "normal": 27, "groupeq": 6,
-                      "member": 3, "notmember": 2}
+                      "member": 3, "notmember": 2, "permeq": 7, "permneq": 1,
+                      "wreath": 9}
+
+
+def test_sympy_words_compose_right_to_left():
+    # the oracle's composition order matters only for words whose factors
+    # do not commute: (1,2)*(2,3) sends 3 to 2 to 1 and 1 to 2
+    suite = load_suite("catalog")
+    p = _sympy_word(suite, "(1,2)*(2,3)")
+    assert (p(0), p(1), p(2)) == (1, 2, 0)
+    assert _sympy_word(suite, "(1,2)(2,3)") == p
+    assert p == to_sympy(suite.perm_word("(1,2)*(2,3)"))
+
+
+# --- the expression parser against sympy's rational function fields ---------
+
+def _render(tree, level=0):
+    """tree as text of the suite grammar, parenthesized only where the
+    grammar needs it: level 0 is an expr, 1 a term, 2 a factor, 3 a base."""
+    op = tree[0]
+    if op in ("int", "var"):
+        return str(tree[1])
+    if op == "neg":  # '-' base, so -x1^2 reads as (-x1)^2
+        return "-" + _render(tree[1], 3)
+    if op == "^":
+        text, need = f"{_render(tree[1], 3)}^{tree[2]}", 2
+    elif op in "+-":
+        text, need = f"{_render(tree[1], 0)} {op} {_render(tree[2], 1)}", 0
+    else:
+        text, need = f"{_render(tree[1], 1)}{op}{_render(tree[2], 2)}", 1
+    return f"({text})" if level > need else text
+
+
+def _sympy_value(tree, K, gens):
+    """tree evaluated in the sympy field K, or None where the parser must
+    refuse it (a division by zero or a negative power of zero)."""
+    op = tree[0]
+    if op == "int":
+        return K(tree[1])
+    if op == "var":
+        return gens[int(tree[1][1:]) - 1]
+    if op == "neg":
+        a = _sympy_value(tree[1], K, gens)
+        return None if a is None else -a
+    if op == "^":
+        a = _sympy_value(tree[1], K, gens)
+        if a is None or (tree[2] < 0 and a == 0):
+            return None
+        return K(1) if tree[2] == 0 else a ** tree[2]  # 0^0 is 1, as in the parser
+    a, b = _sympy_value(tree[1], K, gens), _sympy_value(tree[2], K, gens)
+    if a is None or b is None:
+        return None
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    return None if b == 0 else a / b
+
+
+def test_parser_matches_sympy_fields_on_random_expressions():
+    # random grammar expressions over Q and F2, with one-term runs, sums,
+    # fractions, unary minus and negative powers, against sympy's
+    # sympy.polys.fields.field, compared by cross-multiplication
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from fractions import Fraction
+
+    from sympy import GF, QQ as SQQ
+    from sympy.polys.fields import field
+
+    from fixedfield.parser import ParseError, parse_expr
+    from fixedfield.poly import VarTable
+    from fixedfield.scalars import F2, QQ
+
+    table = VarTable(["x1", "x2", "x3"])
+    leaves = st.one_of(
+        st.tuples(st.just("int"), st.integers(0, 12)),
+        st.tuples(st.just("var"), st.sampled_from(table.names)),
+    )
+
+    def grow(sub):
+        return st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*", "*", "/"]), sub, sub),
+            st.tuples(st.just("^"), sub, st.integers(-2, 3)),
+            st.tuples(st.just("neg"), sub),
+        )
+
+    trees = st.recursive(leaves, grow, max_leaves=10)
+    seen = {"value": 0, "refused": 0}
+
+    @hypothesis.settings(derandomize=True, max_examples=400, deadline=None,
+                         database=None, suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(trees, st.sampled_from([QQ, F2]))
+    def check(tree, fld):
+        K, *gens = field("x1,x2,x3", SQQ if fld is QQ else GF(2))
+        R = K.ring
+        text = _render(tree)
+        want = _sympy_value(tree, K, gens)
+        if want is None:
+            with pytest.raises(ParseError, match="division by zero|negative power of zero"):
+                parse_expr(text, table, fld)
+            seen["refused"] += 1
+            return
+        got = parse_expr(text, table, fld)
+
+        def ring(p):
+            return R.from_dict({
+                table.unpack(e): SQQ(Fraction(c).numerator, Fraction(c).denominator)
+                if fld is QQ else R.domain(c)
+                for e, c in p.terms.items()
+            })
+
+        assert ring(got.num) * want.denom == want.numer * ring(got.den), text
+        seen["value"] += 1
+
+    check()
+    assert seen["value"] > 200 and seen["refused"] > 10, seen

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fixedfield.parser import ParseError, _tokenize, expression_variables, parse_expr
@@ -63,6 +65,47 @@ def test_errors_carry_position():
         parse_expr("x1 x2", X, QQ)
 
 
+@pytest.mark.parametrize(
+    "text, field, message, position",
+    [
+        # the tokenizer's error comes first, at the end of the token before
+        # the character, ahead of any parse or evaluation error
+        ("x1 @ x2", QQ, "unexpected character '@'", 2),
+        ("@", QQ, "unexpected character '@'", 0),
+        ("x1 x2 @", QQ, "unexpected character '@'", 5),
+        ("x1^40000 $", QQ, "unexpected character '$'", 8),
+        ("x1 x2", QQ, "trailing input 'x2'", 3),
+        ("x1 12", QQ, "trailing input 12", 3),
+        ("(x1))", QQ, "trailing input ')'", 4),
+        ("(x1 + x2", QQ, "expected ')'", 8),
+        ("(x1 x2)", QQ, "expected ')'", 4),
+        ("x1^x2", QQ, "expected integer exponent", 3),
+        ("x1^-", QQ, "expected integer exponent", 4),
+        ("x1 ^ (2)", QQ, "expected integer exponent", 5),
+        ("0^-2", QQ, "negative power of zero", 3),
+        ("x1 * (x2 - x2)^-1", QQ, "negative power of zero", 16),
+        ("2^-1", F2, "negative power of zero", 3),
+        ("x1/0", QQ, "division by zero", 2),
+        ("x2*x1 / (x1 - x1)", QQ, "division by zero", 6),
+        ("x1/2", F2, "division by zero", 2),
+        ("x1 + x9", QQ, "unknown variable 'x9'", 5),
+        ("3*y^2", QQ, "unknown variable 'y'", 2),
+        ("zeta3 + x1", QQ, "zeta3 is not available over Q", 0),
+        ("x1*zeta3", F2, "zeta3 is not available over F2", 3),
+        ("x1 + ", QQ, "unexpected token None", 5),
+        ("x1 * )", QQ, "unexpected token ')'", 5),
+        ("* x1", QQ, "unexpected token '*'", 0),
+        ("(" * 101 + "x1" + ")" * 101, QQ, "nesting deeper than 100", 100),
+        ("x1*" + "-" * 101 + "x2", QQ, "nesting deeper than 100", 103),
+    ],
+)
+def test_error_messages_and_positions(text, field, message, position):
+    with pytest.raises(ParseError) as e:
+        parse_expr(text, X, field)
+    assert str(e.value) == f"{message} (at position {position})"
+    assert e.value.position == position
+
+
 @pytest.mark.parametrize("field", [QQ, F2])
 def test_zeta3_rejected_without_cube_root(field):
     with pytest.raises(ParseError):
@@ -98,3 +141,35 @@ def test_expression_variables():
     for text in ("2x1 + 10y_2*zeta3 - _a3^12", "3zeta3*x10/(x2-x1)", "x1 @ y2"):
         tokens = {val for kind, val, _ in _tokenize(text.replace("@", "+")) if kind == "name"}
         assert expression_variables(text) == tokens - {"zeta3"}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1^20000*x1^20000", "monomial product reaches the exponent cap"),
+        ("x2*x1^16384*x3^16383", "monomial product reaches the exponent cap"),
+        ("2^70000 * x1", "power reaches the coefficient cap of 65536 bits"),
+        ("x1 * (8*x2)^30000", "power reaches the coefficient cap of 65536 bits"),
+        ("x1^32768", "power reaches the exponent cap"),
+        ("(x1 + x2)^2*x1^16000*x1^16766", "monomial product reaches the exponent cap"),
+        # a product is checked as each factor arrives, before the next one
+        # is read: the cap, not the unknown name after it
+        ("(x1 + x2)^2*x1^16000*x1^16766*y9", "monomial product reaches the exponent cap"),
+        ("x1^16000*(x1 + x2)^2*x2^16766 + y9", "monomial product reaches the exponent cap"),
+    ],
+)
+def test_one_term_products_keep_the_caps(text, message):
+    from fixedfield.poly import PolyError
+
+    with pytest.raises(PolyError, match=re.escape(message)):
+        parse_expr(text, X, QQ)
+
+
+def test_one_term_products_up_to_the_caps():
+    assert str(parse_expr("x1^16383*x1^16384", X, QQ)) == "x1^32767"
+    assert str(parse_expr("x2*(x1 + x3)*x1^32765", X, QQ)) == "x1^32766*x2+x1^32765*x2*x3"
+    # a zero product takes no further monomials, so it stays zero
+    assert parse_expr("0*x1^20000*x1^20000", X, QQ).is_zero()
+    assert parse_expr("x1*(x2 - x2)*x1^20000*x1^20000", X, QQ).is_zero()
+    assert str(parse_expr("-2*x1*3*x2^2*x1", X, QQ)) == "-6*x1^2*x2^2"
+    assert str(parse_expr("2*x1*3*x2", X, F2)) == "0"

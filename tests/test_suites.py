@@ -159,6 +159,15 @@ def test_loader_rejects_wrong_group_order():
         ('check invariance 1 under A3 ref="r"', "check invariance comes before any vars table"),
         ('check identity 1 - 1 == 0 ref="r"', "check identity comes before any vars table"),
         ('check distinct 1, 2 ref="r"', "check distinct comes before any vars table"),
+        ('check order B3 = 3 ref="r"', "unknown group 'B3' in suite mini"),
+        ('check normal A3 in B3 ref="r"', "unknown group 'B3' in suite mini"),
+        ('check member (1,2,3) in B3 ref="r"', "unknown group 'B3' in suite mini"),
+        ('check wreath B3 = C3 wr C1 blocks = 1,2,3 ref="r"',
+         "unknown group 'B3' in suite mini"),
+        ('check invariance x1 + x2 + x3 under B3 ref="r"', "unknown group 'B3' in suite mini"),
+        ('check matrix-kernel x under A3 = B3 ref="r"', "unknown group 'B3' in suite mini"),
+        ('check table x elem=(1,2) images = x2, x1 ref="r"', "row covers 2 of 3 variables of x"),
+        ('check table x elem=nope images = x2, x1, x3 ref="r"', "unknown permutation 'nope'"),
     ],
     ids=["degree-without-eq", "table-without-elem", "matrix-kernel-without-target",
          "faithful-without-under", "order-not-an-integer", "identity-nonzero-rhs",
@@ -171,7 +180,9 @@ def test_loader_rejects_wrong_group_order():
          "table-unknown-table",
          "invariance-before-vars",
          "identity-before-vars",
-         "distinct-before-vars"],
+         "distinct-before-vars", "order-unknown-group", "normal-unknown-group",
+         "member-unknown-group", "wreath-unknown-group", "invariance-unknown-group",
+         "kernel-unknown-group", "table-short-row", "table-unknown-elem"],
 )
 def test_loader_rejects_malformed_checks(check, message):
     # rejected at load time with the line number, not left to crash the
