@@ -2,7 +2,10 @@
 
 Composition convention: (g*h)(i) = g(h(i)), i.e. h acts first.  Cycle
 words written side by side multiply left to right in that convention,
-so the leftmost cycle is applied last.
+so the leftmost cycle is applied last.  parse_cycles composes them in
+place on one image list, building one Perm at the end; Perm validates
+only images it is handed from outside, not products, inverses, powers or
+parsed cycles.
 
 Group closure is Dimino's coset enumeration (Butler, Fundamental
 Algorithms for Permutation Groups, 1991), run by monomial.close, the one
@@ -62,7 +65,7 @@ class Perm:
 
     @classmethod
     def identity(cls, n):
-        return cls(range(1, n + 1))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @property
     def degree(self):
@@ -128,12 +131,14 @@ def parse_cycles(text: str, n: int) -> Perm:
 
     Adjacent cycles need not be disjoint; they compose left to right,
     leftmost applied last, matching the (g*h)(i) = g(h(i)) convention.
+    The cycles compose in place on one image list: out*c differs from out
+    only on the points a of c, where it is out(c(a)).
     """
     text = text.strip()
     if text in ("()", "e", "id", ""):
         return Perm.identity(n)
     pos = 0
-    out = Perm.identity(n)
+    images = list(range(1, n + 1))
     matched = False
     while pos < len(text):
         m = _CYCLE.match(text, pos)
@@ -149,14 +154,13 @@ def parse_cycles(text: str, n: int) -> Perm:
         for p in points:
             if not 1 <= p <= n:
                 raise PermError(f"point {p} out of range 1..{n}")
-        images = list(range(1, n + 1))
-        for a, b in zip(points, points[1:] + points[:1]):
-            images[a - 1] = b
-        out = out * Perm(images)
+        moved = [images[b - 1] for b in points[1:] + points[:1]]
+        for a, image in zip(points, moved):
+            images[a - 1] = image
         pos = m.end()
     if not matched:
         raise PermError(f"bad cycle notation {text!r}")
-    return out
+    return Perm._trusted(tuple(images))
 
 
 class PermGroup:

@@ -465,14 +465,15 @@ class RatFunc:
 
 def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
     """a == b as elements of the fraction field over the join of their
-    fields: a.num*b.den == b.num*a.den."""
+    fields: a.num*b.den == b.num*a.den, or a.num == b.num when the
+    denominators are equal (the field has no zero divisors)."""
     if a.vars is not b.vars:
         raise PolyError("rational functions over different variable tables")
     if a.field is not b.field:
         field = join(a.field, b.field)
         a, b = a.embed(field), b.embed(field)
-    if a.num.terms == b.num.terms and a.den.terms == b.den.terms:
-        return True
+    if a.den.terms == b.den.terms:
+        return a.num.terms == b.num.terms
     if a.num.is_zero() or b.num.is_zero():
         return a.num.is_zero() and b.num.is_zero()
     return a.num * b.den == b.num * a.den

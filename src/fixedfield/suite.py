@@ -167,6 +167,7 @@ class Suite:
         self.var_owner: dict[str, tuple[Table, int]] = {}
         self.perms: dict[str, Perm] = {}
         self.perm_words: dict[str, str] = {}
+        self._words: dict[str, Perm] = {}  # perm_word's memo: text -> Perm
         self.groups: dict[str, PermGroup] = {}
         self.group_words: dict[str, list] = {}
         self.matrices: dict[str, tuple] = {}
@@ -191,7 +192,15 @@ class Suite:
 
     def perm_word(self, text) -> Perm:
         """A product of named permutations and cycle literals, '*'-joined,
-        each optionally raised to an integer power."""
+        each optionally raised to an integer power.
+
+        Each text is evaluated once and its Perm kept in self._words.  That
+        is sound because a text's value never changes: a perm name cannot be
+        rebound (duplicate perm), and 'points' must precede every
+        declaration and check.  A text that raises is not kept, so it
+        raises again on every call."""
+        if text in self._words:
+            return self._words[text]
         out = None
         for atom in text.split("*"):
             atom = atom.strip()
@@ -200,7 +209,7 @@ class Suite:
             m = _WORD_ATOM.match(atom)
             if not m:
                 raise SuiteError(f"bad permutation word {text!r}")
-            base, power = m.group(1), int(m.group(2) or 1)
+            base, power = m.groups()
             if base == "(ID)":
                 p = Perm.identity(self.points)
             elif base in self.perms:
@@ -209,10 +218,12 @@ class Suite:
                 p = parse_cycles(base, self.points)
             else:
                 raise SuiteError(f"unknown permutation {base!r}")
-            p = p**power
+            if power is not None:
+                p = p**int(power)
             out = p if out is None else out * p
         if out is None:
             raise SuiteError("empty permutation word")
+        self._words[text] = out
         return out
 
     # ------------------------------------------------------------------
@@ -361,7 +372,7 @@ def parse_suite_text(text: str) -> Suite:
             if suite is None:
                 raise SuiteError("first statement must be 'suite'")
             if head == "points":
-                if suite.perms or suite.groups or suite.tables:
+                if suite.perms or suite.groups or suite.tables or suite.checks:
                     raise SuiteError("'points' must precede declarations")
                 suite.points = int(rest)
                 if not 1 <= suite.points <= POINTS_CAP:
@@ -511,8 +522,8 @@ def _parse_group(suite: Suite, rest):
 # ---------------------------------------------------------------------------
 # checks: every kind parses its payload once, when the suite loads, into the
 # fields its run reads.  The loader also resolves the groups those fields
-# name, the variables of their expressions, and a table row's table and
-# elem= symbols; everything else is resolved when the check runs
+# name, their permutation words, the variables of their expressions, and a
+# table row's table; everything else is resolved when the check runs
 
 
 @dataclass(frozen=True)
@@ -533,6 +544,8 @@ class CheckKind:
     grounds: Callable = lambda fields: ()
     # fields -> the names that must be declared groups
     groups: Callable = lambda fields: ()
+    # fields -> the permutation words, evaluated (and kept) by perm_word
+    words: Callable = lambda fields: ()
 
 
 # attribute -> the values it accepts
@@ -564,6 +577,8 @@ def _parse_check(suite: Suite, rest, seq):
         suite.table(attrs["over"])
     for name in KINDS[kind].groups(fields):
         suite.group(name)
+    for text in KINDS[kind].words(fields):
+        suite.perm_word(text)
     for text in KINDS[kind].grounds(fields):
         if not suite.tables:
             raise SuiteError(f"check {kind} comes before any vars table")
@@ -576,9 +591,6 @@ def _parse_check(suite: Suite, rest, seq):
             raise SuiteError(
                 f"row covers {len(fields[1])} of {len(table.vt)} variables of {table.name}"
             )
-        for sym in fields[2]:
-            if sym != "rho":
-                suite.perm_word(sym)
         for text in fields[1]:
             foreign = expression_variables(text).difference(table.vt.names)
             if foreign:
@@ -940,7 +952,7 @@ def _run_induced_order(suite: Suite, check: Check):
     return ok, detail
 
 
-# which fields of a kind name expressions (grounds) or groups
+# which fields of a kind name expressions (grounds), groups or words
 def _all(fields):
     return fields
 
@@ -962,15 +974,16 @@ KINDS: dict[str, CheckKind] = {
     "order": CheckKind(_shape("=", last=_integer), _run_order, groups=_first),
     "transitive": CheckKind(_shape(), _run_transitive, groups=_all),
     "normal": CheckKind(_shape(" in "), _run_normal, groups=_all),
-    "permeq": CheckKind(_shape("=="), _run_permeq),
-    "permneq": CheckKind(_shape("!="), _run_permeq),
-    "member": CheckKind(_shape(" in "), _run_member, groups=_second),
-    "notmember": CheckKind(_shape(" in "), _run_member, groups=_second),
+    "permeq": CheckKind(_shape("=="), _run_permeq, words=_all),
+    "permneq": CheckKind(_shape("!="), _run_permeq, words=_all),
+    "member": CheckKind(_shape(" in "), _run_member, groups=_second, words=_first),
+    "notmember": CheckKind(_shape(" in "), _run_member, groups=_second, words=_first),
     "groupeq": CheckKind(_shape("=="), _run_groupeq, groups=_all),
     "wreath": CheckKind(_parse_wreath, _run_wreath, groups=_first),
-    "gl23": CheckKind(_parse_gl23, _run_gl23),
+    "gl23": CheckKind(_parse_gl23, _run_gl23, words=_first),
     "invariance": CheckKind(_shape(" under "), _run_invariance, _first, _second),
-    "table": CheckKind(_parse_table, _run_table, lambda f: f[1]),
+    "table": CheckKind(_parse_table, _run_table, lambda f: f[1],
+                       words=lambda f: [s for s in f[2] if s != "rho"]),
     "identity": CheckKind(_shape("==", last=_zero, takes=("over",)), _run_identity,
                           _first),
     "distinct": CheckKind(lambda payload, attrs: _split_exprs(payload), _run_distinct,
@@ -978,15 +991,16 @@ KINDS: dict[str, CheckKind] = {
     "degree": CheckKind(_shape("=", last=_integer), _run_degree),
     "monomial": CheckKind(_shape(" under ", takes=("pure",)), _run_monomial,
                           groups=_second),
-    "word": CheckKind(_parse_word, _run_word),
+    "word": CheckKind(_parse_word, _run_word, words=_second),
     "matgroup": CheckKind(_shape(" under ", "==", last=str.split), _run_matgroup,
                           groups=_second),
     "matrix-kernel": CheckKind(_shape(" under ", "="), _run_kernel, groups=_after_first),
     "action-kernel": CheckKind(_shape(" under ", "="), _run_kernel, groups=_after_first),
     "faithful": CheckKind(_shape(" under "), _run_faithful, groups=_second),
     "stable": CheckKind(_shape(" under "), _run_stable, groups=_second),
-    "same-action": CheckKind(_shape(needs=("elem",)), _run_same_action),
-    "induced": CheckKind(_shape("=", needs=("elem",)), _run_induced),
+    "same-action": CheckKind(_shape(needs=("elem",)), _run_same_action, words=_second),
+    "induced": CheckKind(_shape("=", needs=("elem",)), _run_induced,
+                         words=lambda f: f[2:]),
     "induced-order": CheckKind(
         _shape(" under ", "=", last=_integer, takes=("transitive",)), _run_induced_order,
         groups=_second,

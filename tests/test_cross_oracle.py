@@ -7,6 +7,7 @@ expression parser is checked the same way against sympy's rational
 function fields.
 """
 
+import random
 import re
 
 import pytest
@@ -20,7 +21,7 @@ from sympy.combinatorics.named_groups import (
 
 from fixedfield.catalog import catalog_lookup
 from fixedfield.perms import is_transitive
-from fixedfield.suite import load_suite
+from fixedfield.suite import SuiteError, load_suite, parse_suite_text
 
 
 def to_sympy(perm):
@@ -166,6 +167,60 @@ def test_sympy_words_compose_right_to_left():
     assert (p(0), p(1), p(2)) == (1, 2, 0)
     assert _sympy_word(suite, "(1,2)(2,3)") == p
     assert p == to_sympy(suite.perm_word("(1,2)*(2,3)"))
+
+
+def _shipped_word_texts(suite):
+    """Every permutation word a loaded suite declares or checks."""
+    from fixedfield.suite import KINDS
+
+    texts = set(suite.perm_words.values())
+    texts.update(w for words in suite.group_words.values() for w in words)
+    for check in suite.checks:
+        texts.update(KINDS[check.kind].words(check.fields))
+    return texts
+
+
+def _assert_word_matches_sympy(suite, text):
+    first = suite.perm_word(text)
+    assert to_sympy(first) == _sympy_word(suite, text), (suite.name, text)
+    assert suite.perm_word(text) == first  # the second call, from the memo
+
+
+def test_shipped_words_against_sympy():
+    from fixedfield.suite import list_suites
+
+    total = 0
+    for name in list_suites():
+        suite = load_suite(name)
+        for text in sorted(_shipped_word_texts(suite)):
+            _assert_word_matches_sympy(suite, text)
+            total += 1
+    assert total == 247
+
+
+def test_random_words_against_sympy():
+    # overlapping cycles, named perms and (ID), each to an optional power
+    # -3..3, one to four atoms per word
+    suite = parse_suite_text("suite mini field=Q\npoints 6\nperm a = (1,2,3)(3,4)\n"
+                             "perm b = (2,5)^2*(1,6,4)*a^-1\n")
+    rng = random.Random(29)
+
+    def atom():
+        pick = rng.randrange(3)
+        if pick == 0:
+            base = "".join("(" + ",".join(map(str, rng.sample(range(1, 7), rng.randint(2, 4))))
+                           + ")" for _ in range(rng.randint(1, 3)))
+        else:
+            base = rng.choice(["a", "b"]) if pick == 1 else "(ID)"
+        power = rng.choice([None, -3, -2, -1, 0, 1, 2, 3])
+        return base if power is None else f"{base}^{power}"
+
+    for _ in range(300):
+        text = rng.choice(["*", " * "]).join(atom() for _ in range(rng.randint(1, 4)))
+        _assert_word_matches_sympy(suite, text)
+    for _ in range(2):  # a word that raises is not kept: it raises again
+        with pytest.raises(SuiteError, match="^unknown permutation 'c'$"):
+            suite.perm_word("(1,2)*c")
 
 
 # --- the expression parser against sympy's rational function fields ---------

@@ -361,6 +361,27 @@ def test_packed_kernel_matches_tuple_reference(field):
 
 
 @pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)
+def test_ratfunc_eq_with_equal_denominators_matches_cross_multiplication(field):
+    # equal denominators are compared through the numerators alone; the
+    # verdict must be the cross-multiplied one, for equal numerators, for
+    # numerators one term apart and for unrelated ones (zero included)
+    rng = random.Random(f"equal-den:{field.tag}")
+    verdicts = []
+    for i in range(60):
+        den = random_ref(W, field, rng, rng.randint(1, 4))
+        n = random_ref(W, field, rng, rng.randint(0, 4))
+        m = [dict(n), {**n, **random_ref(W, field, rng, 1)},
+             random_ref(W, field, rng, rng.randint(0, 4))][i % 3]
+        a = RatFunc(to_poly(W, field, n), to_poly(W, field, den), simplify=False)
+        b = RatFunc(to_poly(W, field, m), to_poly(W, field, dict(den)), simplify=False)
+        assert a.den.terms == b.den.terms
+        verdict = ratfunc_eq(a, b)
+        assert verdict == ratfunc_eq(b, a) == ((a.num * b.den).terms == (b.num * a.den).terms)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)
 def test_substitute_matches_tuple_reference(field):
     # polynomial images, so the common denominator is 1 and the numerator
     # must equal sum_e c_e * prod_i image_i^e_i term for term

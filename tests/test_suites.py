@@ -168,6 +168,15 @@ def test_loader_rejects_wrong_group_order():
         ('check matrix-kernel x under A3 = B3 ref="r"', "unknown group 'B3' in suite mini"),
         ('check table x elem=(1,2) images = x2, x1 ref="r"', "row covers 2 of 3 variables of x"),
         ('check table x elem=nope images = x2, x1, x3 ref="r"', "unknown permutation 'nope'"),
+        ('check permeq nope == (1,2) ref="r"', "unknown permutation 'nope'"),
+        ('check permneq (1,2) != nope ref="r"', "unknown permutation 'nope'"),
+        ('check member nope in A3 ref="r"', "unknown permutation 'nope'"),
+        ('check notmember nope in A3 ref="r"', "unknown permutation 'nope'"),
+        ('check same-action x elem=nope ref="r"', "unknown permutation 'nope'"),
+        ('check induced x = (1,2) elem=nope ref="r"', "unknown permutation 'nope'"),
+        ('check word x elem=nope word=a ref="r"', "unknown permutation 'nope'"),
+        ('check gl23 elem=nope matrix=1,0;0,1 ref="r"', "unknown permutation 'nope'"),
+        ('check permeq (1,4) == (1,2) ref="r"', "point 4 out of range 1..3"),
     ],
     ids=["degree-without-eq", "table-without-elem", "matrix-kernel-without-target",
          "faithful-without-under", "order-not-an-integer", "identity-nonzero-rhs",
@@ -182,7 +191,10 @@ def test_loader_rejects_wrong_group_order():
          "identity-before-vars",
          "distinct-before-vars", "order-unknown-group", "normal-unknown-group",
          "member-unknown-group", "wreath-unknown-group", "invariance-unknown-group",
-         "kernel-unknown-group", "table-short-row", "table-unknown-elem"],
+         "kernel-unknown-group", "table-short-row", "table-unknown-elem",
+         "permeq-unknown-word", "permneq-unknown-word", "member-unknown-word",
+         "notmember-unknown-word", "same-action-unknown-word", "induced-unknown-word",
+         "word-unknown-word", "gl23-unknown-word", "permeq-point-out-of-range"],
 )
 def test_loader_rejects_malformed_checks(check, message):
     # rejected at load time with the line number, not left to crash the
@@ -298,6 +310,14 @@ def test_loader_caps_points(points):
         parse_suite_text(f"suite mini field=Q\npoints {points}\n")
     suite = parse_suite_text(f"suite mini field=Q\npoints {POINTS_CAP}\n")
     assert suite.points == POINTS_CAP
+
+
+def test_loader_rejects_points_after_a_check():
+    # a check's permutation words are evaluated when it loads, at the
+    # degree declared so far, so a later 'points' would come too late
+    text = 'suite mini field=Q\ncheck permeq (1,2) == (1,2) id=c1 ref="x"\npoints 3\n'
+    with pytest.raises(SuiteError, match=r"^line 3: 'points' must precede declarations$"):
+        parse_suite_text(text)
 
 
 @pytest.mark.parametrize(
