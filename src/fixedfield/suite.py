@@ -253,19 +253,17 @@ class Suite:
     # ------------------------------------------------------------------
     # registered element actions on tables
 
-    def register_action(self, table: Table, sym: str, images, conj: bool):
-        self._actions[(table.name, sym)] = (images, conj)
+    def register_action(self, table: Table, elem, images, conj: bool):
+        self._actions[(table.name, elem)] = (images, conj)
 
-    def apply_symbol(self, table: Table, sym: str, f: RatFunc) -> RatFunc:
+    def apply_symbol(self, table: Table, elem, f: RatFunc) -> RatFunc:
+        """f under a row's element: a Perm, or "rho" for conjugation."""
         if table.is_root:
-            if sym == "rho":
-                return f.conj()
-            g = self.perm_word(sym)
-            return perm_act(g, f)
-        key = (table.name, sym)
+            return f.conj() if elem == "rho" else perm_act(elem, f)
+        key = (table.name, elem)
         if key not in self._actions:
             raise SuiteError(
-                f"no action row registered for {sym!r} on table {table.name!r}"
+                f"no action row registered for '{elem}' on table {table.name!r}"
             )
         images, conj = self._actions[key]
         return substitute(f.conj() if conj else f, images)
@@ -521,9 +519,10 @@ def _parse_group(suite: Suite, rest):
 
 # ---------------------------------------------------------------------------
 # checks: every kind parses its payload once, when the suite loads, into the
-# fields its run reads.  The loader also resolves the groups those fields
-# name, their permutation words, the variables of their expressions, and a
-# table row's table; everything else is resolved when the check runs
+# fields its run reads, and resolves there every name those fields use:
+# tables, groups, permutation words, a row's elem= symbols, matrices and
+# wreath factors.  A run looks no name up; only expressions stay text, to be
+# grounded when the check runs
 
 
 @dataclass(frozen=True)
@@ -533,19 +532,13 @@ class Check:
     ref: str
     attrs: dict
     payload: str
-    fields: tuple  # what the kind's parse read off the payload and attrs
+    fields: tuple  # what the kind's parse read off the payload and attrs, resolved
 
 
 @dataclass(frozen=True)
 class CheckKind:
-    parse: Callable  # (payload, attrs) -> fields, or raises SuiteError
+    parse: Callable  # (suite, payload, attrs) -> fields, or raises SuiteError
     run: Callable  # (suite, check) -> (ok, detail)
-    # fields -> the expressions whose names must be declared variables
-    grounds: Callable = lambda fields: ()
-    # fields -> the names that must be declared groups
-    groups: Callable = lambda fields: ()
-    # fields -> the permutation words, evaluated (and kept) by perm_word
-    words: Callable = lambda fields: ()
 
 
 # attribute -> the values it accepts
@@ -563,7 +556,7 @@ def _parse_check(suite: Suite, rest, seq):
     if kind not in KINDS:
         raise SuiteError(f"unknown check kind {kind!r}")
     try:
-        fields = KINDS[kind].parse(payload, attrs)
+        fields = KINDS[kind].parse(suite, payload, attrs)
     except SuiteError as exc:
         raise SuiteError(f"check {kind} {exc}") from None
     if not attrs.get("ref", "").strip():
@@ -573,29 +566,6 @@ def _parse_check(suite: Suite, rest, seq):
             raise SuiteError(f"{name}= accepts only {' or '.join(map(repr, allowed))}")
     if attrs.get("expect") == "fail" and ("pair" not in attrs or "note" not in attrs):
         raise SuiteError("expect=fail checks need pair= and note=")
-    if "over" in attrs:
-        suite.table(attrs["over"])
-    for name in KINDS[kind].groups(fields):
-        suite.group(name)
-    for text in KINDS[kind].words(fields):
-        suite.perm_word(text)
-    for text in KINDS[kind].grounds(fields):
-        if not suite.tables:
-            raise SuiteError(f"check {kind} comes before any vars table")
-        unknown = expression_variables(text) - suite.var_owner.keys()
-        if unknown:
-            raise SuiteError(f"check {kind} uses unknown variable {min(unknown)!r}")
-    if kind == "table":  # a row's images are read over its own table alone
-        table = suite.table(fields[0])
-        if len(fields[1]) != len(table.vt):
-            raise SuiteError(
-                f"row covers {len(fields[1])} of {len(table.vt)} variables of {table.name}"
-            )
-        for text in fields[1]:
-            foreign = expression_variables(text).difference(table.vt.names)
-            if foreign:
-                raise SuiteError(f"check table image uses {min(foreign)!r}, "
-                                 f"not a variable of table {table.name!r}")
     check = Check(kind, attrs.get("id", f"{kind}-{seq:03d}"), attrs["ref"], attrs,
                   payload, fields)
     if check.id in suite.check_ids:
@@ -610,13 +580,14 @@ def _required(attrs, name):
     return attrs[name]
 
 
-def _shape(*seps, last=None, needs=(), takes=()):
+def _shape(*seps, last=None, needs=(), takes=(), resolve=()):
     """parse() for a payload of parts joined by seps, each exactly once and
     in this order.  last converts the final part, raising ValueError with
     what it needs; the values of the attributes in needs (required) and in
-    takes (optional, else None) follow the parts."""
+    takes (optional, else None) follow the parts.  resolve[i](suite, value),
+    where given, then resolves the i-th value unless it is None."""
 
-    def parse(payload, attrs):
+    def parse(suite, payload, attrs):
         parts, tail = [], payload
         for sep in seps:
             if tail.count(sep) != 1:
@@ -629,10 +600,32 @@ def _shape(*seps, last=None, needs=(), takes=()):
                 parts[-1] = last(parts[-1])
             except ValueError as exc:
                 raise SuiteError(f"needs {exc} after {seps[-1]!r} in {payload!r}") from None
-        return (*parts, *[_required(attrs, n) for n in needs],
-                *[attrs.get(n) for n in takes])
+        out = [*parts, *[_required(attrs, n) for n in needs], *[attrs.get(n) for n in takes]]
+        for i, resolver in enumerate(resolve):
+            if resolver is not None and out[i] is not None:
+                out[i] = resolver(suite, out[i])
+        return tuple(out)
 
     return parse
+
+
+def _named(resolver):
+    """resolver keeping the declared name beside what it resolves, for the
+    details that print the name."""
+    return lambda suite, name: (name, resolver(suite, name))
+
+
+_group, _word = _named(Suite.group), _named(Suite.perm_word)
+
+
+def _declared(suite: Suite, text):
+    """An expression's text, once every variable it names is declared."""
+    if not suite.tables:
+        raise SuiteError("comes before any vars table")
+    unknown = expression_variables(text) - suite.var_owner.keys()
+    if unknown:
+        raise SuiteError(f"uses unknown variable {min(unknown)!r}")
+    return text
 
 
 def _integer(text):
@@ -654,78 +647,74 @@ def _int_list(text, what):
         raise SuiteError(f"{what} entry is not an integer in {text!r}") from None
 
 
-def _split_exprs(payload):
-    return tuple(e.strip() for e in payload.split(",") if e.strip())
+def _expressions(suite: Suite, text):
+    """The comma-separated expressions of text, each _declared."""
+    return tuple(_declared(suite, e.strip()) for e in text.split(",") if e.strip())
 
 
 def _run_order(suite: Suite, check: Check):
-    name, want = check.fields
-    g = suite.group(name)
+    g, want = check.fields
     return g.order == want, f"order {g.order}, expected {want}"
 
 
 def _run_transitive(suite: Suite, check: Check):
-    (name,) = check.fields
-    return is_transitive(suite.group(name)), f"orbit of 1 under {name}"
+    ((name, g),) = check.fields
+    return is_transitive(g), f"orbit of 1 under {name}"
 
 
 def _run_normal(suite: Suite, check: Check):
-    hname, gname = check.fields
-    return (
-        is_normal(suite.group(hname), suite.group(gname)),
-        f"{hname} normal in {gname}",
-    )
+    (hname, h), (gname, g) = check.fields
+    return is_normal(h, g), f"{hname} normal in {gname}"
 
 
 def _run_permeq(suite: Suite, check: Check):
-    left, right = check.fields
-    lp, rp = suite.perm_word(left), suite.perm_word(right)
+    (left, lp), (right, rp) = check.fields
     return (lp == rp) == (check.kind == "permeq"), f"{left} = {lp}, {right} = {rp}"
 
 
 def _run_member(suite: Suite, check: Check):
-    wtext, gname = check.fields
-    p = suite.perm_word(wtext)
-    inside = p in suite.group(gname)
-    return inside == (check.kind == "member"), f"{p} vs {gname}"
+    p, (gname, g) = check.fields
+    return (p in g) == (check.kind == "member"), f"{p} vs {gname}"
 
 
 def _run_groupeq(suite: Suite, check: Check):
-    left, right = check.fields
-    same = suite.group(left).elements == suite.group(right).elements
-    return same, f"element sets of {left} and {right}"
+    (left, a), (right, b) = check.fields
+    return a.elements == b.elements, f"element sets of {left} and {right}"
 
 
-def _parse_wreath(payload, attrs):
+def _parse_wreath(suite: Suite, payload, attrs):
+    """(G, H, K, blocks) of 'G = H wr K blocks = ...', each group a (name,
+    PermGroup) pair, H and K from perms.named_group."""
     m = re.fullmatch(r"(\S+)\s*=\s*(\S+)\s+wr\s+(\S+)\s+blocks\s*=\s*(.+)", payload)
     if not m:
         raise SuiteError(f"needs 'G = H wr K blocks = ...' in {payload!r}")
     gname, inner, outer, blocks = m.groups()
-    return gname, inner, outer, [_int_list(b, "block") for b in blocks.split("|")]
+    blocks = [_int_list(b, "block") for b in blocks.split("|")]
+    return (_group(suite, gname), (inner, named_group(inner)), (outer, named_group(outer)),
+            blocks)
 
 
 def _run_wreath(suite: Suite, check: Check):
-    gname, inner, outer, blocks = check.fields
-    w = wreath_product(named_group(inner), named_group(outer), blocks)
-    g = suite.group(gname)
+    (gname, g), (inner, h), (outer, k), blocks = check.fields
+    w = wreath_product(h, k, blocks)
     same = w.elements == g.elements
     return same, f"{inner} wr {outer} order {w.order} vs {gname} order {g.order}"
 
 
-def _parse_gl23(payload, attrs):
+def _parse_gl23(suite: Suite, payload, attrs):
     """elem= and the rows, reduced mod 3, of matrix=a,b;c,d."""
     elem = _required(attrs, "elem")
     rows = [_int_list(row, "matrix") for row in _required(attrs, "matrix").split(";")]
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise SuiteError("matrix must be 2x2")
-    return elem, [[x % 3 for x in row] for row in rows]
+    g = suite.perm_word(elem)
+    if not suite.gl23map:
+        raise SuiteError("needs an earlier gl23map")
+    return g, [[x % 3 for x in row] for row in rows]
 
 
 def _run_gl23(suite: Suite, check: Check):
-    elem, rows = check.fields
-    if not suite.gl23map:
-        raise SuiteError("gl23 check without gl23map")
-    g = suite.perm_word(elem)
+    g, rows = check.fields
     images = [0] * len(suite.gl23map)
     for (a, b), idx in suite.gl23map.items():
         ia = (rows[0][0] * a + rows[0][1] * b) % 3
@@ -738,44 +727,53 @@ def _run_gl23(suite: Suite, check: Check):
 
 
 def _run_invariance(suite: Suite, check: Check):
-    expr, gname = check.fields
+    expr, (gname, group) = check.fields
     f = suite.ground_expr(expr)
-    for gen in suite.group(gname).generators:
+    for gen in group.generators:
         if not ratfunc_eq(perm_act(gen, f), f):
             return False, f"moved by {gen}"
     return True, f"fixed by all generators of {gname}"
 
 
-def _parse_table(payload, attrs):
-    """(table, image texts, symbols of elem=, via) of a table row."""
+def _parse_table(suite: Suite, payload, attrs):
+    """(table, image texts, elements of elem=, via) of a table row: each
+    element a Perm, or "rho" for conjugation.  The images are read over the
+    row's own table alone."""
     m = re.fullmatch(r"(\S+)\s+images\s*=\s*(.+)", payload)
     if not m:
         raise SuiteError(f"needs '<table> images = <expressions>' in {payload!r}")
     tname, images = m.groups()
-    symbols = tuple(_required(attrs, "elem").split("*"))
-    return tname, _split_exprs(images), symbols, attrs.get("via", "ground")
+    symbols = _required(attrs, "elem").split("*")
+    table, images = suite.table(tname), _expressions(suite, images)
+    if len(images) != len(table.vt):
+        raise SuiteError(f"row covers {len(images)} of {len(table.vt)} variables of {tname}")
+    for text in images:
+        foreign = expression_variables(text).difference(table.vt.names)
+        if foreign:
+            raise SuiteError(f"image uses {min(foreign)!r}, not a variable of table {tname!r}")
+    elems = tuple(s if s == "rho" else suite.perm_word(s) for s in symbols)
+    return table, images, elems, attrs.get("via", "ground")
 
 
 def _run_table(suite: Suite, check: Check):
-    tname, image_texts, symbols, via = check.fields
-    table = suite.table(tname)
+    table, image_texts, elems, via = check.fields
     fld = table.field
     if any("zeta3" in expression_names(t) for t in image_texts):
         fld = with_zeta3(fld)
     images = [parse_expr(t, table.vt, fld) for t in image_texts]
-    ok, detail = verify_table_row(suite, table, symbols, images, via)
+    ok, detail = verify_table_row(suite, table, elems, images, via)
     # only verified single-element rows become actions later tables build on
-    if ok and len(symbols) == 1 and check.attrs.get("expect") != "fail":
-        suite.register_action(table, symbols[0], images, conj=(symbols[0] == "rho"))
+    if ok and len(elems) == 1 and check.attrs.get("expect") != "fail":
+        suite.register_action(table, elems[0], images, conj=(elems[0] == "rho"))
     if ok and not detail:
         detail = f"all {len(images)} images verified via {via}"
     return ok, detail
 
 
-def verify_table_row(suite: Suite, table: Table, symbols, images, via: str):
+def verify_table_row(suite: Suite, table: Table, elems, images, via: str):
     """Check one action-table row: the claimed images, pushed through the
-    definitions, must match the action of the word (its symbols, applied
-    right to left) on the definitions.
+    definitions, must match the action of the word (its elements, each a
+    Perm or "rho", applied right to left) on the definitions.
 
     via='ground' compares at the root under the permutation (and rho)
     action; via='parent' compares one level down using the parent's
@@ -787,8 +785,8 @@ def verify_table_row(suite: Suite, table: Table, symbols, images, via: str):
     else:
         level, defs = table.root(), table.grounded()
     for i, (d, img) in enumerate(zip(defs, images)):
-        for sym in reversed(symbols):
-            d = suite.apply_symbol(level, sym, d)
+        for elem in reversed(elems):
+            d = suite.apply_symbol(level, elem, d)
         if not ratfunc_eq(d, substitute(img, defs)):
             return False, f"row entry {i + 1} ({table.vt.names[i]}) mismatches"
     return True, ""
@@ -796,8 +794,7 @@ def verify_table_row(suite: Suite, table: Table, symbols, images, via: str):
 
 def _run_identity(suite: Suite, check: Check):
     expr, _, over = check.fields
-    stop = suite.table(over) if over else None
-    val = suite.ground_expr(expr, stop=stop)
+    val = suite.ground_expr(expr, stop=over)
     return val.is_zero(), "expands to zero" if val.is_zero() else "nonzero"
 
 
@@ -811,18 +808,15 @@ def _run_distinct(suite: Suite, check: Check):
 
 
 def _run_degree(suite: Suite, check: Check):
-    tname, want = check.fields
-    table = suite.table(tname)
+    table, want = check.fields
     if table.defs is None:
-        raise SuiteError(f"table {tname!r} has no definitions to take degrees of")
+        raise SuiteError(f"table {table.name!r} has no definitions to take degrees of")
     d = abs(det_fraction_free(table.lattice().unit_rows()))
     return d == want, f"|det| = {d}, expected {want}"
 
 
 def _run_monomial(suite: Suite, check: Check):
-    tname, gname, pure = check.fields
-    table = suite.table(tname)
-    group = suite.group(gname)
+    table, group, pure = check.fields
     impure = []
     for gen in group.generators:
         _, dvec = suite.scaled_action(table, gen)
@@ -836,10 +830,10 @@ def _run_monomial(suite: Suite, check: Check):
     return True, "monomial action (purity not asserted)"
 
 
-def _parse_word(payload, attrs):
-    """(table, elem=, the matrix symbols of word=a^2*b): a factor name^k
-    stands for k copies of name, k >= 1 (there is no inverse to give k < 1
-    a meaning)."""
+def _parse_word(suite: Suite, payload, attrs):
+    """(table, elem=, the product of the matrices of word=a^2*b): a factor
+    name^k stands for k copies of name, k >= 1 (there is no inverse to give
+    k < 1 a meaning)."""
     elem, syms = _required(attrs, "elem"), []
     for part in _required(attrs, "word").split("*"):
         m = re.fullmatch(r"([^^]+)(?:\^([1-9][0-9]*))?", part)
@@ -848,25 +842,25 @@ def _parse_word(payload, attrs):
                 f"needs word= factors name or name^k with an integer k >= 1, got {part!r}"
             )
         syms.extend([m.group(1)] * int(m.group(2) or 1))
-    return payload.strip(), elem, syms
+    table, g = suite.table(payload.strip()), suite.perm_word(elem)
+    return table, g, matrix_word(syms, suite.matrices)
 
 
 def _run_word(suite: Suite, check: Check):
-    tname, elem, syms = check.fields
-    table = suite.table(tname)
-    g = suite.perm_word(elem)
-    target = matrix_word(syms, suite.matrices)
+    table, g, target = check.fields
     bmat, _ = suite.scaled_action(table, g)
     return bmat == target, f"extracted matrix vs word {check.attrs['word']}"
 
 
+def _matrices(suite: Suite, syms):
+    return [matrix_word([s], suite.matrices) for s in syms]
+
+
 def _run_matgroup(suite: Suite, check: Check):
-    tname, gname, syms = check.fields
-    table = suite.table(tname)
-    group = suite.group(gname)
+    table, group, mats = check.fields
     gens = [suite.scaled_action(table, gen)[0] for gen in group.generators]
     left = matrix_group_elements(gens)
-    right = matrix_group_elements([matrix_word([s], suite.matrices) for s in syms])
+    right = matrix_group_elements(mats)
     return left == right, f"orders {len(left)} vs {len(right)}"
 
 
@@ -876,8 +870,7 @@ def _image_group(suite: Suite, check: Check):
     closed on the generators' images.  phi is a homomorphism because
     scaled_action is unique: Lattice rejects dependent exponent rows, and
     scaled_action rejects proportional definitions of any other table."""
-    tname, gname = check.fields[:2]
-    table, group = suite.table(tname), suite.group(gname)
+    table, (_, group) = check.fields[:2]
     n = len(table.vt)
     if check.kind == "matrix-kernel":
         one, times = mat_identity(n), matrix_times
@@ -891,8 +884,7 @@ def _image_group(suite: Suite, check: Check):
 def _run_kernel(suite: Suite, check: Check):
     """ker phi = H iff H <= G, phi(H) = 1 and |G| = |H|*|phi(G)|."""
     group, phi, one, image = _image_group(suite, check)
-    hname = check.fields[2]
-    claimed = suite.group(hname)
+    hname, claimed = check.fields[2]
     ok = claimed.order * image == group.order and all(
         h in group and phi(h) == one for h in claimed.generators
     )
@@ -900,15 +892,14 @@ def _run_kernel(suite: Suite, check: Check):
 
 
 def _run_faithful(suite: Suite, check: Check):
-    tname, gname = check.fields
+    table, (gname, _) = check.fields
     group, _, _, image = _image_group(suite, check)
-    return image == group.order, f"kernel of {gname} acting on {tname}"
+    return image == group.order, f"kernel of {gname} acting on {table.name}"
 
 
 def _run_stable(suite: Suite, check: Check):
-    tname, gname = check.fields
-    table = suite.table(tname)
-    for gen in suite.group(gname).generators:
+    table, group = check.fields
+    for gen in group.generators:
         # dependent rows, or a parent that gen does not act on, say nothing
         # of the span of the table: those raise here, as an error verdict
         if table.parent is not None and table.lattice().monomial:
@@ -916,31 +907,36 @@ def _run_stable(suite: Suite, check: Check):
         try:
             bmat, _ = suite.scaled_action(table, gen)
         except MonomialError:
-            return False, f"{gen} leaves the span of {tname}"
+            return False, f"{gen} leaves the span of {table.name}"
         if matrix_permutation(bmat) is None:
-            return False, f"{gen} leaves the span of {tname}"
+            return False, f"{gen} leaves the span of {table.name}"
     return True, "every generator acts by a scaled permutation"
 
 
 def _run_same_action(suite: Suite, check: Check):
-    tname, elem = check.fields
-    g = suite.perm_word(elem)
-    p = suite.induced_perm(suite.table(tname), g)
+    table, g = check.fields
+    p = suite.induced_perm(table, g)
     return p == g, f"induced {p} vs {g}"
 
 
-def _run_induced(suite: Suite, check: Check):
-    tname, cycles, elem = check.fields
+_induced_parts = _shape("=", needs=("elem",))
+
+
+def _parse_induced(suite: Suite, payload, attrs):
+    """(table, the claimed permutation of its variables, elem=)."""
+    tname, cycles, elem = _induced_parts(suite, payload, attrs)
     table = suite.table(tname)
-    p = suite.induced_perm(table, suite.perm_word(elem))
-    want = parse_cycles(cycles, len(table.vt))
+    return table, parse_cycles(cycles, len(table.vt)), suite.perm_word(elem)
+
+
+def _run_induced(suite: Suite, check: Check):
+    table, want, g = check.fields
+    p = suite.induced_perm(table, g)
     return p == want, f"induced {p}, expected {want}"
 
 
 def _run_induced_order(suite: Suite, check: Check):
-    tname, gname, want, transitive = check.fields
-    table = suite.table(tname)
-    group = suite.group(gname)
+    table, group, want, transitive = check.fields
     perms = [suite.induced_perm(table, gen) for gen in group.generators]
     ind = PermGroup(perms, degree=len(table.vt))
     ok = ind.order == want
@@ -952,58 +948,51 @@ def _run_induced_order(suite: Suite, check: Check):
     return ok, detail
 
 
-# which fields of a kind name expressions (grounds), groups or words
-def _all(fields):
-    return fields
-
-
-def _first(fields):
-    return fields[:1]
-
-
-def _second(fields):
-    return fields[1:2]
-
-
-def _after_first(fields):
-    return fields[1:]
-
-
 # kind -> its parse, run when the suite loads, and its run
 KINDS: dict[str, CheckKind] = {
-    "order": CheckKind(_shape("=", last=_integer), _run_order, groups=_first),
-    "transitive": CheckKind(_shape(), _run_transitive, groups=_all),
-    "normal": CheckKind(_shape(" in "), _run_normal, groups=_all),
-    "permeq": CheckKind(_shape("=="), _run_permeq, words=_all),
-    "permneq": CheckKind(_shape("!="), _run_permeq, words=_all),
-    "member": CheckKind(_shape(" in "), _run_member, groups=_second, words=_first),
-    "notmember": CheckKind(_shape(" in "), _run_member, groups=_second, words=_first),
-    "groupeq": CheckKind(_shape("=="), _run_groupeq, groups=_all),
-    "wreath": CheckKind(_parse_wreath, _run_wreath, groups=_first),
-    "gl23": CheckKind(_parse_gl23, _run_gl23, words=_first),
-    "invariance": CheckKind(_shape(" under "), _run_invariance, _first, _second),
-    "table": CheckKind(_parse_table, _run_table, lambda f: f[1],
-                       words=lambda f: [s for s in f[2] if s != "rho"]),
-    "identity": CheckKind(_shape("==", last=_zero, takes=("over",)), _run_identity,
-                          _first),
-    "distinct": CheckKind(lambda payload, attrs: _split_exprs(payload), _run_distinct,
-                          _all),
-    "degree": CheckKind(_shape("=", last=_integer), _run_degree),
-    "monomial": CheckKind(_shape(" under ", takes=("pure",)), _run_monomial,
-                          groups=_second),
-    "word": CheckKind(_parse_word, _run_word, words=_second),
-    "matgroup": CheckKind(_shape(" under ", "==", last=str.split), _run_matgroup,
-                          groups=_second),
-    "matrix-kernel": CheckKind(_shape(" under ", "="), _run_kernel, groups=_after_first),
-    "action-kernel": CheckKind(_shape(" under ", "="), _run_kernel, groups=_after_first),
-    "faithful": CheckKind(_shape(" under "), _run_faithful, groups=_second),
-    "stable": CheckKind(_shape(" under "), _run_stable, groups=_second),
-    "same-action": CheckKind(_shape(needs=("elem",)), _run_same_action, words=_second),
-    "induced": CheckKind(_shape("=", needs=("elem",)), _run_induced,
-                         words=lambda f: f[2:]),
+    "order": CheckKind(_shape("=", last=_integer, resolve=(Suite.group,)), _run_order),
+    "transitive": CheckKind(_shape(resolve=(_group,)), _run_transitive),
+    "normal": CheckKind(_shape(" in ", resolve=(_group, _group)), _run_normal),
+    "permeq": CheckKind(_shape("==", resolve=(_word, _word)), _run_permeq),
+    "permneq": CheckKind(_shape("!=", resolve=(_word, _word)), _run_permeq),
+    "member": CheckKind(_shape(" in ", resolve=(Suite.perm_word, _group)), _run_member),
+    "notmember": CheckKind(_shape(" in ", resolve=(Suite.perm_word, _group)), _run_member),
+    "groupeq": CheckKind(_shape("==", resolve=(_group, _group)), _run_groupeq),
+    "wreath": CheckKind(_parse_wreath, _run_wreath),
+    "gl23": CheckKind(_parse_gl23, _run_gl23),
+    "invariance": CheckKind(_shape(" under ", resolve=(_declared, _group)), _run_invariance),
+    "table": CheckKind(_parse_table, _run_table),
+    "identity": CheckKind(
+        _shape("==", last=_zero, takes=("over",), resolve=(_declared, None, Suite.table)),
+        _run_identity,
+    ),
+    "distinct": CheckKind(lambda suite, payload, attrs: _expressions(suite, payload),
+                          _run_distinct),
+    "degree": CheckKind(_shape("=", last=_integer, resolve=(Suite.table,)), _run_degree),
+    "monomial": CheckKind(
+        _shape(" under ", takes=("pure",), resolve=(Suite.table, Suite.group)), _run_monomial
+    ),
+    "word": CheckKind(_parse_word, _run_word),
+    "matgroup": CheckKind(
+        _shape(" under ", "==", last=str.split, resolve=(Suite.table, Suite.group, _matrices)),
+        _run_matgroup,
+    ),
+    "matrix-kernel": CheckKind(
+        _shape(" under ", "=", resolve=(Suite.table, _group, _group)), _run_kernel
+    ),
+    "action-kernel": CheckKind(
+        _shape(" under ", "=", resolve=(Suite.table, _group, _group)), _run_kernel
+    ),
+    "faithful": CheckKind(_shape(" under ", resolve=(Suite.table, _group)), _run_faithful),
+    "stable": CheckKind(_shape(" under ", resolve=(Suite.table, Suite.group)), _run_stable),
+    "same-action": CheckKind(
+        _shape(needs=("elem",), resolve=(Suite.table, Suite.perm_word)), _run_same_action
+    ),
+    "induced": CheckKind(_parse_induced, _run_induced),
     "induced-order": CheckKind(
-        _shape(" under ", "=", last=_integer, takes=("transitive",)), _run_induced_order,
-        groups=_second,
+        _shape(" under ", "=", last=_integer, takes=("transitive",),
+               resolve=(Suite.table, Suite.group)),
+        _run_induced_order,
     ),
 }
 
@@ -1050,6 +1039,7 @@ def run_parsed_suite(suite: Suite, fail_fast: bool = False) -> SuiteReport:
     return SuiteReport(suite.name, results)
 
 
+# perfbench/layertrace.py rebinds this module function to time each check kind
 def _run_check(suite: Suite, check: Check):
     return KINDS[check.kind].run(suite, check)
 

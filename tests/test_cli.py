@@ -177,6 +177,17 @@ def test_verify_unknown_variable_exits_2(capsys, monkeypatch):
     assert err.startswith("error: line 5: check invariance uses unknown variable 'q9'")
 
 
+def test_verify_unknown_table_exits_2(capsys, monkeypatch):
+    import fixedfield.suite as suite_mod
+
+    text = 'suite catalog field=Q\npoints 3\nvars x = x1 x2 x3\ncheck degree nope = 3 ref="r"\n'
+    monkeypatch.setattr(suite_mod, "load_suite", lambda name: suite_mod.parse_suite_text(text))
+    code, out, err = run(["verify", "--suite", "catalog"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 4: check degree unknown table 'nope' in suite catalog\n"
+
+
 def test_verify_grounded_check_before_vars_exits_2(capsys, monkeypatch):
     import fixedfield.suite as suite_mod
 

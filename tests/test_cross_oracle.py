@@ -59,30 +59,35 @@ def test_normality_against_sympy():
 
 
 def _sympy_verdict(suite, check):
-    """The verdict of a group check, recomputed by sympy from the
-    generators of the groups it names."""
+    """The verdict of a group check, recomputed by sympy from the words of
+    the groups it names.  Names and words are read off the check's payload
+    text, not off the engine's parsed fields."""
     def ref(name):
-        return PermutationGroup([to_sympy(p) for p in suite.group(name).generators])
+        return PermutationGroup([_sympy_word(suite, w) for w in suite.group_words[name]])
 
-    kind, fields = check.kind, check.fields
+    kind, payload = check.kind, check.payload
     if kind == "order":
-        return ref(fields[0]).order() == fields[1]
+        name, want = re.fullmatch(r"(\S+)\s*=\s*(\d+)", payload).groups()
+        return ref(name).order() == int(want)
     if kind == "transitive":
-        return ref(fields[0]).is_transitive()
-    if kind == "normal":
-        h, g = ref(fields[0]), ref(fields[1])
-        return h.is_subgroup(g) and h.is_normal(g)
-    if kind == "groupeq":
-        a, b = ref(fields[0]), ref(fields[1])
-        return a.is_subgroup(b) and b.is_subgroup(a)
-    if kind in ("permeq", "permneq"):
-        same = _sympy_word(suite, fields[0]) == _sympy_word(suite, fields[1])
-        return same == (kind == "permeq")
+        return ref(payload.strip()).is_transitive()
     if kind == "wreath":
-        gname, inner, outer, blocks = fields
+        gname, inner, outer, blocks = re.fullmatch(
+            r"(\S+)\s*=\s*(\S+)\s+wr\s+(\S+)\s+blocks\s*=\s*(.+)", payload).groups()
+        blocks = [[int(x) for x in b.split(",")] for b in blocks.split("|")]
         w = _sympy_wreath(_SMALL_GROUPS[inner], _SMALL_GROUPS[outer], blocks)
         return w.order() == ref(gname).order() and w.is_subgroup(ref(gname))
-    inside = ref(fields[1]).contains(to_sympy(suite.perm_word(fields[0])))
+    left, right = (s.strip() for s in re.split(r"==|!=| in ", payload))
+    if kind == "normal":
+        h, g = ref(left), ref(right)
+        return h.is_subgroup(g) and h.is_normal(g)
+    if kind == "groupeq":
+        a, b = ref(left), ref(right)
+        return a.is_subgroup(b) and b.is_subgroup(a)
+    if kind in ("permeq", "permneq"):
+        same = _sympy_word(suite, left) == _sympy_word(suite, right)
+        return same == (kind == "permeq")
+    inside = ref(right).contains(_sympy_word(suite, left))
     return inside == (kind == "member")
 
 
@@ -169,15 +174,30 @@ def test_sympy_words_compose_right_to_left():
     assert p == to_sympy(suite.perm_word("(1,2)*(2,3)"))
 
 
-def _shipped_word_texts(suite):
-    """Every permutation word a loaded suite declares or checks."""
-    from fixedfield.suite import KINDS
+def _check_word_texts(check):
+    """The permutation words a check names, read off its payload and attrs:
+    the operands of permeq and permneq, the word of member and notmember,
+    the elem= of same-action, induced, word and gl23, and each elem= symbol
+    of a table row other than rho."""
+    if check.kind in ("permeq", "permneq"):
+        return [s.strip() for s in re.split(r"==|!=", check.payload)]
+    if check.kind in ("member", "notmember"):
+        return [check.payload.rsplit(" in ", 1)[0].strip()]
+    if check.kind == "table":
+        return [s for s in check.attrs["elem"].split("*") if s != "rho"]
+    if check.kind in ("same-action", "induced", "word", "gl23"):
+        return [check.attrs["elem"]]
+    return []
 
+
+def _shipped_word_texts(suite):
+    """Every permutation word a loaded suite declares or checks, and how
+    many word operands its checks have."""
     texts = set(suite.perm_words.values())
     texts.update(w for words in suite.group_words.values() for w in words)
-    for check in suite.checks:
-        texts.update(KINDS[check.kind].words(check.fields))
-    return texts
+    operands = [text for check in suite.checks for text in _check_word_texts(check)]
+    texts.update(operands)
+    return texts, len(operands)
 
 
 def _assert_word_matches_sympy(suite, text):
@@ -189,13 +209,16 @@ def _assert_word_matches_sympy(suite, text):
 def test_shipped_words_against_sympy():
     from fixedfield.suite import list_suites
 
-    total = 0
+    total = operands = 0
     for name in list_suites():
         suite = load_suite(name)
-        for text in sorted(_shipped_word_texts(suite)):
+        texts, count = _shipped_word_texts(suite)
+        for text in sorted(texts):
             _assert_word_matches_sympy(suite, text)
             total += 1
-    assert total == 247
+        operands += count
+    # 180 word operands in the checks, so the payload reading misses none
+    assert total == 247 and operands == 180
 
 
 def test_random_words_against_sympy():

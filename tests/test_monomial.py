@@ -129,10 +129,8 @@ def test_close_matches_bfs_on_shipped_matgroups():
     for check in suite.checks:
         if check.kind != "matgroup":
             continue
-        tname, gname, syms = check.fields
-        table = suite.table(tname)
-        lattice = [suite.scaled_action(table, g)[0] for g in suite.group(gname).generators]
-        named = [suite.matrices[s] for s in syms]
+        table, group, named = check.fields  # the matrices named, resolved at load
+        lattice = [suite.scaled_action(table, g)[0] for g in group.generators]
         orders.append((_closes_like_bfs(lattice), _closes_like_bfs(named)))
     assert len(orders) == 6
     assert all(a == b for a, b in orders)

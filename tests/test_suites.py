@@ -101,7 +101,7 @@ def test_degree_of_a_root_table_is_an_error_verdict():
     assert check.detail == "error: table 'x' has no definitions to take degrees of"
 
 
-def test_matgroup_naming_an_undeclared_matrix_is_an_error_verdict():
+def test_matgroup_naming_an_undeclared_matrix_is_a_load_error():
     # A3 acts on m by cyclic permutation matrices: C generates their group
     text = """vars m = m1 m2 m3
 def m.m1 = x1
@@ -109,11 +109,11 @@ def m.m2 = x2
 def m.m3 = x3
 matrix C = 0,0,1 / 1,0,0 / 0,1,0
 check matgroup m under A3 == C ref="r"
-check matgroup m under A3 == C foo ref="r"
 """
     checks = run_parsed_suite(_mini(text)).checks
-    assert [c.status for c in checks] == [PASS, FAIL]
-    assert checks[1].detail == "error: unknown matrix symbol 'foo'"
+    assert [c.status for c in checks] == [PASS]
+    with pytest.raises(SuiteError, match="^line 11: unknown matrix symbol 'foo'$"):
+        _mini(text + 'check matgroup m under A3 == C foo ref="r"')
 
 
 def test_loader_rejects_wrong_group_order():
@@ -177,6 +177,19 @@ def test_loader_rejects_wrong_group_order():
         ('check word x elem=nope word=a ref="r"', "unknown permutation 'nope'"),
         ('check gl23 elem=nope matrix=1,0;0,1 ref="r"', "unknown permutation 'nope'"),
         ('check permeq (1,4) == (1,2) ref="r"', "point 4 out of range 1..3"),
+        ('vars y = y1 y2 y3\ncheck induced y = (1,9) elem=(1,2) ref="r"',
+         "point 9 out of range 1..3"),
+        ('check degree w = 3 ref="r"', "unknown table 'w' in suite mini"),
+        ('check faithful w under A3 ref="r"', "unknown table 'w' in suite mini"),
+        ('check monomial w under A3 ref="r"', "unknown table 'w' in suite mini"),
+        ('check stable w under A3 ref="r"', "unknown table 'w' in suite mini"),
+        ('check same-action w elem=(1,2) ref="r"', "unknown table 'w' in suite mini"),
+        ('check induced-order w under A3 = 3 ref="r"', "unknown table 'w' in suite mini"),
+        ('check word x elem=(1,2) word=nsA ref="r"', "unknown matrix symbol 'nsA'"),
+        ('matrix C = 0,0,1 / 1,0,0 / 0,1,0\ncheck matgroup x under A3 == C foo ref="r"',
+         "unknown matrix symbol 'foo'"),
+        ('check wreath A3 = Q8 wr C2 blocks = 1,2,3 ref="r"', "unknown named group 'Q8'"),
+        ('check gl23 elem=(1,2) matrix=1,0;0,1 ref="r"', "check gl23 needs an earlier gl23map"),
     ],
     ids=["degree-without-eq", "table-without-elem", "matrix-kernel-without-target",
          "faithful-without-under", "order-not-an-integer", "identity-nonzero-rhs",
@@ -194,7 +207,11 @@ def test_loader_rejects_wrong_group_order():
          "kernel-unknown-group", "table-short-row", "table-unknown-elem",
          "permeq-unknown-word", "permneq-unknown-word", "member-unknown-word",
          "notmember-unknown-word", "same-action-unknown-word", "induced-unknown-word",
-         "word-unknown-word", "gl23-unknown-word", "permeq-point-out-of-range"],
+         "word-unknown-word", "gl23-unknown-word", "permeq-point-out-of-range",
+         "induced-point-out-of-range", "degree-unknown-table", "faithful-unknown-table",
+         "monomial-unknown-table", "stable-unknown-table", "same-action-unknown-table",
+         "induced-order-unknown-table", "word-unknown-matrix", "matgroup-unknown-matrix",
+         "wreath-unknown-factor", "gl23-without-gl23map"],
 )
 def test_loader_rejects_malformed_checks(check, message):
     # rejected at load time with the line number, not left to crash the
@@ -264,7 +281,7 @@ def test_zeta3_widens_only_on_the_zeta3_name_token():
         table_check = parse_suite_text(text.format(base))
         (result,) = run_parsed_suite(table_check).checks
         assert result.status == PASS
-        images = table_check._actions[("x", "(1,2)")][0]
+        images = table_check._actions[("x", Perm((2, 1, 3)))][0]
         assert {im.field.tag for im in images} == {base}
 
 
@@ -421,7 +438,7 @@ check table y elem=(1,2) images = y1, -y2 id=parent ref="r"
     assert child.detail == "error: no action row registered for '(1,2)' on table 'y'"
     assert parent.status == PASS
     # the rows of the last run stay readable
-    assert set(suite._actions) == {("y", "(1,2)")}
+    assert set(suite._actions) == {("y", Perm((2, 1)))}
     shipped = load_suite("sec6_char2")
     assert report_to_json(run_parsed_suite(shipped)) == report_to_json(
         run_parsed_suite(shipped)
@@ -451,6 +468,22 @@ CANONICAL_REPORT_MD5 = "fd3d7da7c9e534c493da70ac76ccc649"
 
 def test_canonical_report_md5(reports):
     blob = report_to_json([reports[n] for n in ALL_SUITES])
+    assert hashlib.md5(blob.encode()).hexdigest() == CANONICAL_REPORT_MD5
+
+
+def test_runs_look_no_name_up(monkeypatch):
+    # every name a check uses is resolved when its suite loads: with the
+    # three lookups made to raise, the runs still give the pinned report
+    from fixedfield.suite import Suite
+
+    suites = [load_suite(n) for n in ALL_SUITES]
+
+    def refuse(self, name):
+        raise AssertionError(f"{name!r} looked up while a check runs")
+
+    for lookup in ("table", "group", "perm_word"):
+        monkeypatch.setattr(Suite, lookup, refuse)
+    blob = report_to_json([run_parsed_suite(s) for s in suites])
     assert hashlib.md5(blob.encode()).hexdigest() == CANONICAL_REPORT_MD5
 
 
@@ -738,12 +771,12 @@ def _grounded_expressions(suite):
     identity or distinct check grounds."""
     out = []
     for check in suite.checks:
-        over = check.attrs.get("over")
-        stop = suite.table(over) if over else None
-        if check.kind in ("invariance", "identity"):
-            out.append((check.fields[0], stop))
+        if check.kind == "invariance":
+            out.append((check.fields[0], None))
+        elif check.kind == "identity":  # the over= table, resolved at load
+            out.append((check.fields[0], check.fields[2]))
         elif check.kind == "distinct":
-            out.extend((text, stop) for text in check.fields)
+            out.extend((text, None) for text in check.fields)
     return out
 
 
@@ -1038,7 +1071,7 @@ def test_table_rows_compose(executed_suites):
     for name, suite in executed_suites.items():
         rows = {}
         for (tname, sym), (images, conj) in suite._actions.items():
-            if conj or sym == "rho" or "*" in sym:
+            if conj:  # a rho row
                 continue
             rows.setdefault(tname, []).append((sym, images))
         for tname, entries in rows.items():
@@ -1183,7 +1216,7 @@ def test_kernels_match_element_by_element_oracle(executed_suites):
             kind = check.kind
             if kind not in ("matrix-kernel", "action-kernel", "faithful"):
                 continue
-            table, group = suite.table(check.fields[0]), suite.group(check.fields[1])
+            table, (_, group) = check.fields[:2]
             if kind == "matrix-kernel":
                 ident = mat_identity(len(table.vt))
                 oracle = {
@@ -1199,7 +1232,7 @@ def test_kernels_match_element_by_element_oracle(executed_suites):
             routed, _, _, image = _image_group(suite, check)
             assert routed is group and group.order // image == len(oracle), (name, check.id)
             want = len(oracle) == 1 if kind == "faithful" else (
-                oracle == suite.group(check.fields[2]).elements
+                oracle == check.fields[2][1].elements
             )
             assert KINDS[kind].run(suite, check)[0] == want, (name, check.id)
             counts[kind] += 1
