@@ -17,7 +17,7 @@ from __future__ import annotations
 from .monomial import (
     MonomialError,
     mat_from_rows,
-    mat_mul,
+    matrix_times,
     solve_int_combination,
 )
 from .perms import Perm
@@ -102,6 +102,7 @@ def scaled_times(field):
     def times(h):
         bh, dh = h
         cols = [[(k, e) for k, e in enumerate(col) if e] for col in zip(*bh)]
+        times_bh = matrix_times(bh)
 
         def right(x):
             bx, dx = x
@@ -110,7 +111,7 @@ def scaled_times(field):
                 for k, e in col:
                     c = mul(c, dx[k] if e == 1 else power(dx[k], e))
                 d.append(c)
-            return mat_mul(bx, bh), tuple(d)
+            return times_bh(bx), tuple(d)
 
         return right
 

@@ -18,13 +18,20 @@ on every coordinate.  The rows are independent, so at most one rational
 a exists; the residual check alone makes an answer exact (an integer a
 that reproduces every coordinate is that one), and the divisibility
 test only rejects a non-integral a before the residual is summed.
+
+Matrices have one product, matrix_times(h), the map x -> x*h.  It splits
+h once into sparse layers, each with at most one nonzero per column, so
+a row of x*h is one C-level itemgetter-and-map pass per layer.  A closure
+builds that map once per generator and applies it to every element; the
+matrices of the shipped image groups are signed permutation matrices,
+one layer each, where a dense product would make n^3 multiplications.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, itemgetter, mul
 
 MATRIX_GROUP_CAP = 10000
 
@@ -48,10 +55,7 @@ def mat_from_rows(rows):
 
 
 def mat_mul(a, b):
-    if len(a[0]) != len(b):
-        raise MonomialError("matrix size mismatch")
-    bt = tuple(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
+    return matrix_times(b)(a)
 
 
 def is_square(a):
@@ -132,8 +136,39 @@ def close(generators, one, times, cap):
 
 
 def matrix_times(h):
-    """times of close for integer matrices: x -> x*h."""
-    return lambda x: mat_mul(x, h)
+    """x -> x*h for integer matrices x with len(h) columns: the one matrix
+    product, and the times of close for matrix groups.
+
+    h is split once into layers, each with at most one nonzero per column:
+    layer l picks row index[l][j] of h, with coefficient coeffs[l][j], for
+    column j (index 0 and coefficient 0 where the column has no l-th
+    nonzero, so an all-zero column is one such slot).  Row r of x*h is then
+    sum_l map(mul, itemgetter(*index[l])(x[r]), coeffs[l]), one C-level
+    pass per layer.  A signed permutation matrix, which every matrix of the
+    shipped image groups is, has a single layer."""
+    n, m = len(h), len(h[0])
+    cols = [[(k, e) for k, e in enumerate(col) if e] for col in zip(*h)]
+    layers = []
+    for depth in range(max(1, *map(len, cols))):
+        slots = [col[depth] if depth < len(col) else (0, 0) for col in cols]
+        index = [k for k, _ in slots]
+        # itemgetter of one index returns the item, not a tuple
+        get = itemgetter(*index) if m > 1 else lambda row, k=index[0]: (row[k],)
+        layers.append((get, tuple([c for _, c in slots])))
+    (get, coeffs), rest = layers[0], layers[1:]
+
+    def times(x):
+        if len(x[0]) != n:
+            raise MonomialError("matrix size mismatch")
+        out = []
+        for row in x:
+            acc = map(mul, get(row), coeffs)
+            for get_l, coeffs_l in rest:
+                acc = map(add, acc, map(mul, get_l(row), coeffs_l))
+            out.append(tuple(acc))
+        return tuple(out)
+
+    return times
 
 
 def matrix_group_elements(gens):

@@ -111,6 +111,14 @@ class SuiteReport:
 
 
 class Table:
+    """A table of variables, with their definitions over the parent table
+    once complete, and what is derived from them and kept for the life of
+    the suite: the definitions carried down to each ancestor, the factored
+    exponent lattice, and the image memo of the table's action rows,
+    (image text, row field, via) -> [the image parsed over the row field,
+    the image substituted at the definitions of row_level(via), or None
+    until a row reads it]."""
+
     def __init__(self, name, names, field: Field, parent: "Table | None"):
         self.name = name
         self.vt = VarTable(names)
@@ -120,6 +128,7 @@ class Table:
         self._defs_to = {}
         self._lattice = None
         self.unproportional = False  # set once no two grounded defs are proportional
+        self.images = {}
 
     @property
     def is_root(self):
@@ -145,6 +154,16 @@ class Table:
 
     def grounded(self):
         return self.defs_to(self.root())
+
+    def row_level(self, via):
+        """(level, definitions over level) at which an action row is
+        compared: the parent and the definitions for via='parent', the root
+        and the grounded definitions for via='ground'."""
+        if via == "parent":
+            if self.is_root:
+                raise SuiteError("via=parent on a root table")
+            return self.parent, self.defs
+        return self.root(), self.grounded()
 
     def lattice(self) -> Lattice:
         """The monomial shapes and factored exponent lattice of the
@@ -539,6 +558,11 @@ class Check:
 class CheckKind:
     parse: Callable  # (suite, payload, attrs) -> fields, or raises SuiteError
     run: Callable  # (suite, check) -> (ok, detail)
+    reads: tuple = ()  # the attributes parse reads, beside those of every check
+
+
+# the attributes every check may carry: the runner and the report read them
+_CHECK_ATTRS = ("id", "ref", "note", "expect", "pair")
 
 
 # attribute -> the values it accepts
@@ -555,6 +579,10 @@ def _parse_check(suite: Suite, rest, seq):
     kind, _, payload = body.partition(" ")
     if kind not in KINDS:
         raise SuiteError(f"unknown check kind {kind!r}")
+    unread = attrs.keys() - {*_CHECK_ATTRS, *KINDS[kind].reads}
+    if unread:
+        raise SuiteError(f"check {kind} does not read "
+                         + ", ".join(f"{a}=" for a in sorted(unread)))
     try:
         fields = KINDS[kind].parse(suite, payload, attrs)
     except SuiteError as exc:
@@ -756,38 +784,54 @@ def _parse_table(suite: Suite, payload, attrs):
 
 
 def _run_table(suite: Suite, check: Check):
+    """Verify a row through the table's image memo: each image text is
+    parsed, and substituted at the row's definitions, once per (text, row
+    field, via), however many rows of the table repeat it.  The row field
+    is in the key because a row that names zeta3 reads all its images over
+    the field widened by it, and via because the definitions it substitutes
+    at are the root's (ground) or the parent's (parent)."""
     table, image_texts, elems, via = check.fields
     fld = table.field
     if any("zeta3" in expression_names(t) for t in image_texts):
         fld = with_zeta3(fld)
-    images = [parse_expr(t, table.vt, fld) for t in image_texts]
-    ok, detail = verify_table_row(suite, table, elems, images, via)
+    entries = []
+    for text in image_texts:
+        key = (text, fld, via)
+        if key not in table.images:
+            table.images[key] = [parse_expr(text, table.vt, fld), None]
+        entries.append(table.images[key])
+
+    def push(defs):  # the images at defs, each substituted on first use
+        for entry in entries:
+            if entry[1] is None:
+                entry[1] = substitute(entry[0], defs)
+            yield entry[1]
+
+    ok, detail = verify_table_row(suite, table, elems, push, via)
     # only verified single-element rows become actions later tables build on
     if ok and len(elems) == 1 and check.attrs.get("expect") != "fail":
-        suite.register_action(table, elems[0], images, conj=(elems[0] == "rho"))
+        suite.register_action(table, elems[0], [image for image, _ in entries],
+                              conj=(elems[0] == "rho"))
     if ok and not detail:
-        detail = f"all {len(images)} images verified via {via}"
+        detail = f"all {len(entries)} images verified via {via}"
     return ok, detail
 
 
-def verify_table_row(suite: Suite, table: Table, elems, images, via: str):
+def verify_table_row(suite: Suite, table: Table, elems, push, via: str):
     """Check one action-table row: the claimed images, pushed through the
     definitions, must match the action of the word (its elements, each a
     Perm or "rho", applied right to left) on the definitions.
 
-    via='ground' compares at the root under the permutation (and rho)
-    action; via='parent' compares one level down using the parent's
-    registered rows."""
-    if via == "parent":
-        if table.is_root:
-            raise SuiteError("via=parent on a root table")
-        level, defs = table.parent, table.defs
-    else:
-        level, defs = table.root(), table.grounded()
-    for i, (d, img) in enumerate(zip(defs, images)):
+    push(defs) gives the claimed images substituted at defs, the
+    definitions of table.row_level(via); it is read entry by entry, and not
+    past the first mismatch.  via='ground' compares at the root under the
+    permutation (and rho) action; via='parent' compares one level down
+    using the parent's registered rows."""
+    level, defs = table.row_level(via)
+    for i, (d, img) in enumerate(zip(defs, push(defs))):
         for elem in reversed(elems):
             d = suite.apply_symbol(level, elem, d)
-        if not ratfunc_eq(d, substitute(img, defs)):
+        if not ratfunc_eq(d, img):
             return False, f"row entry {i + 1} ({table.vt.names[i]}) mismatches"
     return True, ""
 
@@ -948,7 +992,8 @@ def _run_induced_order(suite: Suite, check: Check):
     return ok, detail
 
 
-# kind -> its parse, run when the suite loads, and its run
+# kind -> its parse, run when the suite loads, its run, and the attributes
+# its parse reads
 KINDS: dict[str, CheckKind] = {
     "order": CheckKind(_shape("=", last=_integer, resolve=(Suite.group,)), _run_order),
     "transitive": CheckKind(_shape(resolve=(_group,)), _run_transitive),
@@ -959,20 +1004,22 @@ KINDS: dict[str, CheckKind] = {
     "notmember": CheckKind(_shape(" in ", resolve=(Suite.perm_word, _group)), _run_member),
     "groupeq": CheckKind(_shape("==", resolve=(_group, _group)), _run_groupeq),
     "wreath": CheckKind(_parse_wreath, _run_wreath),
-    "gl23": CheckKind(_parse_gl23, _run_gl23),
+    "gl23": CheckKind(_parse_gl23, _run_gl23, reads=("elem", "matrix")),
     "invariance": CheckKind(_shape(" under ", resolve=(_declared, _group)), _run_invariance),
-    "table": CheckKind(_parse_table, _run_table),
+    "table": CheckKind(_parse_table, _run_table, reads=("elem", "via")),
     "identity": CheckKind(
         _shape("==", last=_zero, takes=("over",), resolve=(_declared, None, Suite.table)),
         _run_identity,
+        reads=("over",),
     ),
     "distinct": CheckKind(lambda suite, payload, attrs: _expressions(suite, payload),
                           _run_distinct),
     "degree": CheckKind(_shape("=", last=_integer, resolve=(Suite.table,)), _run_degree),
     "monomial": CheckKind(
-        _shape(" under ", takes=("pure",), resolve=(Suite.table, Suite.group)), _run_monomial
+        _shape(" under ", takes=("pure",), resolve=(Suite.table, Suite.group)), _run_monomial,
+        reads=("pure",),
     ),
-    "word": CheckKind(_parse_word, _run_word),
+    "word": CheckKind(_parse_word, _run_word, reads=("elem", "word")),
     "matgroup": CheckKind(
         _shape(" under ", "==", last=str.split, resolve=(Suite.table, Suite.group, _matrices)),
         _run_matgroup,
@@ -986,13 +1033,15 @@ KINDS: dict[str, CheckKind] = {
     "faithful": CheckKind(_shape(" under ", resolve=(Suite.table, _group)), _run_faithful),
     "stable": CheckKind(_shape(" under ", resolve=(Suite.table, Suite.group)), _run_stable),
     "same-action": CheckKind(
-        _shape(needs=("elem",), resolve=(Suite.table, Suite.perm_word)), _run_same_action
+        _shape(needs=("elem",), resolve=(Suite.table, Suite.perm_word)), _run_same_action,
+        reads=("elem",),
     ),
-    "induced": CheckKind(_parse_induced, _run_induced),
+    "induced": CheckKind(_parse_induced, _run_induced, reads=("elem",)),
     "induced-order": CheckKind(
         _shape(" under ", "=", last=_integer, takes=("transitive",),
                resolve=(Suite.table, Suite.group)),
         _run_induced_order,
+        reads=("transitive",),
     ),
 }
 

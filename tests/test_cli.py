@@ -188,6 +188,18 @@ def test_verify_unknown_table_exits_2(capsys, monkeypatch):
     assert err == "error: line 4: check degree unknown table 'nope' in suite catalog\n"
 
 
+def test_verify_attribute_the_kind_does_not_read_exits_2(capsys, monkeypatch):
+    import fixedfield.suite as suite_mod
+
+    text = ('suite catalog field=Q\npoints 3\ngroup A3 = (1,2,3) expect_order=3\n'
+            'check order A3 = 3 elem=nope matrix=junk ref="r"\n')
+    monkeypatch.setattr(suite_mod, "load_suite", lambda name: suite_mod.parse_suite_text(text))
+    code, out, err = run(["verify", "--suite", "catalog"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 4: check order does not read elem=, matrix=\n"
+
+
 def test_verify_grounded_check_before_vars_exits_2(capsys, monkeypatch):
     import fixedfield.suite as suite_mod
 

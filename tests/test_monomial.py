@@ -89,6 +89,48 @@ def test_matrix_word_examples():
     assert matrix_word(["I3"], {"I3": mat_identity(3)}) == mat_identity(3)
 
 
+def _triple_loop(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def test_mat_mul_matches_a_triple_loop():
+    # the layered kernel against the definition of the product: 1x1 (the
+    # one-index itemgetter), all-zero columns and rows, dense, signed
+    # permutation and rectangular factors, one column or one row included
+    rng = random.Random(20141)
+
+    def rand(rows, cols, density=1.0):
+        return mat_from_rows([[rng.randint(-9, 9) if rng.random() < density else 0
+                               for _ in range(cols)] for _ in range(rows)])
+
+    cases = [(rand(1, 1), rand(1, 1)), (((0,),), ((5,),)), (((3,),), ((0,),))]
+    for n in range(1, 7):
+        cases.append((rand(n, n), rand(n, n)))  # dense
+        cases.append((rand(n, n), _signed_permutation_matrix(rng, n)))
+        cases.append((_signed_permutation_matrix(rng, n), rand(n, n)))
+        zero_cols = rand(n, n, density=0.5)
+        zero_cols = mat_from_rows([[0 if j % 2 else x for j, x in enumerate(row)]
+                                   for row in zero_cols])
+        cases.append((rand(n, n), zero_cols))
+        cases.append((rand(n, n), mat_from_rows([[0] * n] * n)))
+        for k, m in ((1, n), (n, 1), (2, n + 1), (n + 2, 3)):
+            cases.append((rand(k, n), rand(n, m, density=rng.random())))
+    for a, b in cases:
+        assert mat_mul(a, b) == _triple_loop(a, b), (a, b)
+        times_b = matrix_times(b)  # built once, reused
+        assert times_b(a) == times_b(a) == _triple_loop(a, b)
+    # all 48 signed permutation matrices of size 3 and their products
+    signed = {_signed_permutation_matrix(rng, 3) for _ in range(2000)}
+    assert len(signed) == 48
+    for a in signed:
+        for b in list(signed)[:8]:
+            assert mat_mul(a, b) == _triple_loop(a, b)
+    for a, b in [(rand(2, 3), rand(2, 3)), (rand(1, 1), rand(2, 2)), (rand(3, 2), rand(1, 2))]:
+        with pytest.raises(MonomialError, match="matrix size mismatch"):
+            mat_mul(a, b)
+
+
 def test_matrix_group_orders():
     assert len(matrix_group_elements([mat_identity(3)])) == 1
     assert len(matrix_group_elements([mat_neg(mat_identity(3))])) == 2

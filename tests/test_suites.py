@@ -9,7 +9,7 @@ import pytest
 from fixedfield.actions import perm_act
 from fixedfield.catalog import CatalogError, catalog_lookup, catalog_names
 from fixedfield.monomial import mat_identity
-from fixedfield.parser import _tokenize, expression_variables, parse_expr
+from fixedfield.parser import _tokenize, expression_names, expression_variables, parse_expr
 from fixedfield.perms import POINTS_CAP, Perm, PermGroup
 from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute
 from fixedfield.scalars import field_by_tag, join, with_zeta3
@@ -190,6 +190,17 @@ def test_loader_rejects_wrong_group_order():
          "unknown matrix symbol 'foo'"),
         ('check wreath A3 = Q8 wr C2 blocks = 1,2,3 ref="r"', "unknown named group 'Q8'"),
         ('check gl23 elem=(1,2) matrix=1,0;0,1 ref="r"', "check gl23 needs an earlier gl23map"),
+        ('check order A3 = 3 elem=nope matrix=junk ref="r"',
+         "check order does not read elem=, matrix="),
+        ('check invariance x1 + x2 + x3 under A3 over=w ref="r"',
+         "check invariance does not read over="),
+        ('check table x elem=(1,2,3) pure=yes images = x2, x3, x1 ref="r"',
+         "check table does not read pure="),
+        ('check faithful x under A3 transitive=yes ref="r"',
+         "check faithful does not read transitive="),
+        ('check same-action x elem=(1,2) via=parent ref="r"',
+         "check same-action does not read via="),
+        ('check identity x1 - x1 == 0 word=a ref="r"', "check identity does not read word="),
     ],
     ids=["degree-without-eq", "table-without-elem", "matrix-kernel-without-target",
          "faithful-without-under", "order-not-an-integer", "identity-nonzero-rhs",
@@ -211,7 +222,9 @@ def test_loader_rejects_wrong_group_order():
          "induced-point-out-of-range", "degree-unknown-table", "faithful-unknown-table",
          "monomial-unknown-table", "stable-unknown-table", "same-action-unknown-table",
          "induced-order-unknown-table", "word-unknown-matrix", "matgroup-unknown-matrix",
-         "wreath-unknown-factor", "gl23-without-gl23map"],
+         "wreath-unknown-factor", "gl23-without-gl23map", "order-unread-attributes",
+         "invariance-unread-over", "table-unread-pure", "faithful-unread-transitive",
+         "same-action-unread-via", "identity-unread-word"],
 )
 def test_loader_rejects_malformed_checks(check, message):
     # rejected at load time with the line number, not left to crash the
@@ -918,6 +931,28 @@ def _eval_as_ratfuncs(text, vars, field, leaf):
     return expr()
 
 
+def _row_work(suite, report):
+    """(the distinct image keys (table, text, row field, via) of the
+    suite's table rows, the same keys of its passing rows alone, and the
+    apply_symbol substitutions its passing rows make at a non-root level:
+    one per entry and element of the row)."""
+    passed = {c.id for c in report.checks if c.status == PASS}
+    keys, passing, applied = set(), set(), 0
+    for check in suite.checks:
+        if check.kind != "table":
+            continue
+        table, texts, elems, via = check.fields
+        field = table.field
+        if any("zeta3" in expression_names(t) for t in texts):
+            field = with_zeta3(field)
+        row = {(table.name, t, field, via) for t in texts}
+        keys |= row
+        if check.id in passed:
+            passing |= row
+            applied += 0 if table.row_level(via)[0].is_root else len(texts) * len(elems)
+    return keys, passing, applied
+
+
 def test_parser_matches_an_all_ratfunc_evaluation(monkeypatch, perfbench_workloads):
     # every expression the runner parses while loading and running the
     # shipped suites and, for Qz3, which no shipped suite uses, one seed of
@@ -933,8 +968,16 @@ def test_parser_matches_an_all_ratfunc_evaluation(monkeypatch, perfbench_workloa
         return out
 
     monkeypatch.setattr(suite_mod, "parse_expr", recording_parse)
+    floor = 0
     for name in ALL_SUITES:
-        run_parsed_suite(load_suite(name))
+        suite = load_suite(name)
+        keys, _, _ = _row_work(suite, run_parsed_suite(suite))
+        # one parse per definition, per distinct image key (the image
+        # memo) and per expression a grounded check names
+        floor += sum(len(t.vt) for t in suite.tables.values() if t.defs is not None)
+        floor += len(keys)
+        floor += sum(len(c.fields) if c.kind == "distinct" else 1
+                     for c in suite.checks if c.kind in ("invariance", "identity", "distinct"))
     shipped = len(calls)
     for _, text in perfbench_workloads.algebra(11).suites:
         run_parsed_suite(parse_suite_text(text))
@@ -948,7 +991,7 @@ def test_parser_matches_an_all_ratfunc_evaluation(monkeypatch, perfbench_workloa
         assert got.num.terms == want.num.terms, text
         assert got.den.terms == want.den.terms, text
         kinds[field.tag, "fraction" if not got.den.is_one() else "polynomial"] += 1
-    assert shipped > 1000 and len(calls) > shipped
+    assert shipped >= floor and len(calls) > shipped
     assert {tag for tag, _ in kinds} == {"Q", "F2", "Qz3", "F4"}
     assert kinds["Q", "fraction"] and kinds["Q", "polynomial"]
 
@@ -1002,8 +1045,15 @@ def test_substitute_matches_a_two_pass_reference(monkeypatch, perfbench_workload
         return out
 
     monkeypatch.setattr(suite_mod, "substitute", recording_substitute)
+    floor = 0
     for name in ALL_SUITES:
-        run_parsed_suite(load_suite(name))
+        suite = load_suite(name)
+        _, passing, applied = _row_work(suite, run_parsed_suite(suite))
+        # one substitution per definition carried down to an ancestor, per
+        # distinct image key of a passing row (the image memo) and per
+        # element a passing row applies at a non-root level, entry by entry
+        floor += sum(len(d) for t in suite.tables.values() for d in t._defs_to.values())
+        floor += len(passing) + applied
     shipped = len(calls)
     for _, text in perfbench_workloads.algebra(11).suites:
         run_parsed_suite(parse_suite_text(text))
@@ -1019,7 +1069,7 @@ def test_substitute_matches_a_two_pass_reference(monkeypatch, perfbench_workload
         kinds[got.field.tag] += 1
         kinds["fraction"] += not f.den.is_one()
         kinds["fraction images"] += any(not im.den.is_one() for im in images)
-    assert shipped > 1000 and len(calls) > shipped
+    assert shipped >= floor and len(calls) > shipped
     assert {"Q", "F2", "Qz3", "F4"} <= set(kinds)
     assert kinds["fraction"] and kinds["fraction images"]
     # images at which the denominator vanishes, in each field and in a join
@@ -1059,6 +1109,74 @@ check identity x1 - x1 == 0 over=t ref="r"
     assert all(c.detail.startswith("error: ") for c in checks), checks
 
 
+_MEMO_SUITE = """suite memo field=Q
+points 3
+perm g = (1,2,3)
+perm h = (1,3,2)
+vars x = x1 x2 x3
+vars y = y1 y2 y3
+def y.y1 = x1 + x2
+def y.y2 = x2 + x3
+def y.y3 = x3 + x1
+vars z = z1 z2 z3
+def z.z1 = y1*y2
+def z.z2 = y2*y3
+def z.z3 = y3*y1
+check table x elem=g images = x2, x3, x1 ref="r"
+check table y elem=g images = y2, y3, y1 ref="r"
+check table z elem=g images = z2, z3, z1 ref="r" id=ground
+check table z elem=g via=parent images = z2, z3, z1 ref="r" id=parent
+check table z elem=h images = z3 + zeta3 - zeta3, z1, z2 ref="r" id=widened
+check table z elem=g images = z3, z2, z1 ref="r" id=printed expect=fail pair=fix note="n"
+check table z elem=g via=parent images = z2, z3, z1 ref="r" id=fix
+check table z elem=g*h images = z1, z2, z3 ref="r" id=word
+"""
+
+
+def _same_ratfunc(a, b):
+    # a and b from two loads of one suite text, each with its own tables
+    return (a.vars.names == b.vars.names and a.field is b.field
+            and a.num.terms == b.num.terms and a.den.terms == b.den.terms)
+
+
+def test_image_memo_matches_a_memo_free_run(monkeypatch):
+    # one image text in a via=ground row, a via=parent row, a row whose
+    # zeta3 widens its field, and an expect=fail row paired with its fix:
+    # the memo's key (text, row field, via) must keep them apart, so the
+    # verdicts and the registered rows equal those of a run that empties
+    # every memo before each check
+    import fixedfield.suite as suite_mod
+
+    suite = parse_suite_text(_MEMO_SUITE)
+    report = run_parsed_suite(suite)
+    run_check = suite_mod._run_check
+
+    def memo_free(suite, check):
+        for table in suite.tables.values():
+            table.images.clear()
+        return run_check(suite, check)
+
+    monkeypatch.setattr(suite_mod, "_run_check", memo_free)
+    reference = parse_suite_text(_MEMO_SUITE)
+    want = run_parsed_suite(reference)
+    assert [(c.id, c.status, c.detail) for c in report.checks] == [
+        (c.id, c.status, c.detail) for c in want.checks]
+    assert {c.id: c.status for c in want.checks} == {
+        "table-001": PASS, "table-002": PASS, "ground": PASS, "parent": PASS,
+        "widened": PASS, "printed": FLAGGED, "fix": PASS, "word": PASS}
+    assert suite._actions.keys() == reference._actions.keys()
+    for key, (images, conj) in reference._actions.items():
+        got, got_conj = suite._actions[key]
+        assert got_conj == conj and len(got) == len(images), key
+        assert all(_same_ratfunc(a, b) for a, b in zip(got, images)), key
+    widened = reference._actions["z", suite.perm_word("h")][0]
+    assert {im.field.tag for im in widened} == {"Qz3"}
+    # and the memo did share: z's rows name 18 image texts, 9 of them distinct
+    z = suite.table("z")
+    assert len(z.images) < sum(len(c.fields[1]) for c in suite.checks
+                               if c.kind == "table" and c.fields[0] is z)
+
+
 # --- composed rows stay consistent with the registered tables ----------------
 
 def _composed_row(row_g, row_h):
@@ -1092,7 +1210,8 @@ def test_table_rows_compose(executed_suites):
                         via = "ground"
                     composed = _composed_row(row_g, row_h)
                     ok, detail = verify_table_row(
-                        suite, table, (sym_g, sym_h), composed, via
+                        suite, table, (sym_g, sym_h),
+                        lambda defs: [substitute(img, defs) for img in composed], via
                     )
                     assert ok, f"{name}/{tname}: {sym_g}*{sym_h} {detail}"
                     checked += 1
