@@ -37,7 +37,7 @@ def perm_act(g: Perm, f: RatFunc) -> RatFunc:
     move = f.vars.permutation(g.images)
     # a constant has the empty monomial 0 only, which every permutation fixes
     den = f.den if f.den.terms.keys() == {0} else _moved(f.den, move)
-    return RatFunc(_moved(f.num, move), den, simplify=False)
+    return RatFunc(_moved(f.num, move), den)
 
 
 def _moved(p: Poly, move) -> Poly:

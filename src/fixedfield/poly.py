@@ -14,16 +14,12 @@ PolyError instead of wrapping.  The one exception is the power of a
 one-term polynomial, which multiplies its packed monomial by the
 exponent in one step: that product can carry past a guard bit, so
 monomial_power, the one place such a power is taken, checks its total
-degree against the cap first.  Exponent vectors
-are unpacked only where a monomial is taken apart: common content,
-substitution, permuting variables, reading Laurent monomials, and
-display.
+degree against the cap first.  Exponent vectors are unpacked only where
+a monomial is taken apart: substitution, permuting variables, reading
+Laurent monomials, and display.
 
-A RatFunc is an unreduced fraction of two Polys; equality is decided by
-cross multiplication, never by a multivariate gcd.  A cheap
-simplification (stripping common monomial content and normalizing the
-denominator's leading coefficient) keeps intermediate fractions small;
-correctness never depends on it.
+A RatFunc is the fraction num/den as built, never reduced, and equality
+is decided by cross multiplication, never by a multivariate gcd.
 
 Arithmetic on Polys and RatFuncs requires one table and one field.  The
 two functions that meet values from different tables, ratfunc_eq and
@@ -143,11 +139,6 @@ class VarTable:
             raise PolyError(
                 f"monomial product reaches the exponent cap {EXPONENT_LIMIT}"
             )
-
-    def content(self, keys) -> int:
-        """The packed gcd (fieldwise minimum) of a nonempty list of packed
-        monomials."""
-        return self.pack(map(min, zip(*map(self.unpack, keys))))
 
     def occurring(self, keys):
         """(index, exponent in each key) for every variable that has a
@@ -305,12 +296,6 @@ class Poly:
             out = {e: c for e, c in out.items() if c != zero}
         return Poly(vt, f, out)
 
-    def scale(self, payload):
-        f = self.field
-        if payload == f.zero():
-            return Poly.zero(self.vars, f)
-        return Poly(self.vars, f, {e: f.mul(c, payload) for e, c in self.terms.items()})
-
     def __pow__(self, n: int):
         if n < 0:
             raise PolyError("negative power of a polynomial; use RatFunc")
@@ -380,22 +365,21 @@ class Poly:
 
 
 class RatFunc:
-    """An unreduced fraction num/den of two Polys with den != 0."""
+    """The fraction num/den of two Polys with den != 0, kept as built;
+    equality is decided by cross multiplication (ratfunc_eq)."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly, simplify: bool = True):
+    def __init__(self, num: Poly, den: Poly):
         _check_compat(num, den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if simplify:
-            num, den = _strip_content(num, den)
         self.num = num
         self.den = den
 
     @classmethod
     def from_poly(cls, p: Poly):
-        return cls(p, Poly.one(p.vars, p.field), simplify=False)
+        return cls(p, Poly.one(p.vars, p.field))
 
     @classmethod
     def var(cls, vars, field, name):
@@ -420,7 +404,7 @@ class RatFunc:
         )
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, simplify=False)
+        return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -436,15 +420,15 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num**n, self.den**n, simplify=False)
+        return RatFunc(self.num**n, self.den**n)
 
     def conj(self):
-        return RatFunc(self.num.conj(), self.den.conj(), simplify=False)
+        return RatFunc(self.num.conj(), self.den.conj())
 
     def embed(self, field: Field) -> "RatFunc":
         if field is self.field:
             return self
-        return RatFunc(self.num.embed(field), self.den.embed(field), simplify=False)
+        return RatFunc(self.num.embed(field), self.den.embed(field))
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -477,27 +461,6 @@ def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
     if a.num.is_zero() or b.num.is_zero():
         return a.num.is_zero() and b.num.is_zero()
     return a.num * b.den == b.num * a.den
-
-
-def _strip_content(num: Poly, den: Poly):
-    """Divide num and den by common monomial content; make den's leading
-    coefficient 1.  Heuristic only: equality never relies on it."""
-    if num.is_zero():
-        return num, Poly.one(den.vars, den.field)
-    vt = num.vars
-    # a constant term on either side leaves no common content
-    if 0 not in num.terms and 0 not in den.terms:
-        shift = vt.content([*num.terms, *den.terms])
-        if shift:
-            num = Poly(vt, num.field, {e - shift: c for e, c in num.terms.items()})
-            den = Poly(vt, den.field, {e - shift: c for e, c in den.terms.items()})
-    f = den.field
-    lead = den.terms[max(den.terms)]
-    if lead != f.one():
-        inv = f.inv(lead)
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
 
 
 def substitute(f: RatFunc, images) -> RatFunc:

@@ -111,6 +111,17 @@ def test_eval(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("variables, text, printed", [
+    ("x1,x2", "(2*x1+4)/(6*x2)", "(2*x1+4)/(6*x2)"),
+    ("x1", "x1/2", "(x1)/(2)"),
+    ("x1,x2", "(x1^2 - x2^2)/(x1 - x2)", "(x1^2-x2^2)/(x1-x2)"),
+])
+def test_eval_prints_the_fraction_as_built(capsys, variables, text, printed):
+    # no common factor, content or leading coefficient is divided out
+    code, out, err = run(["eval", "--vars", variables, text], capsys)
+    assert (code, out, err) == (0, printed + "\n", "")
+
+
 def test_eval_result_too_long_to_print_exits_2(capsys):
     # 3^10000 has 4,772 digits, past Python's limit on int-to-str conversion
     code, out, err = run(["eval", "3^10000"], capsys)

@@ -254,6 +254,8 @@ def _render(tree, level=0):
     op = tree[0]
     if op in ("int", "var"):
         return str(tree[1])
+    if op == "zeta3":
+        return "zeta3"
     if op == "neg":  # '-' base, so -x1^2 reads as (-x1)^2
         return "-" + _render(tree[1], 3)
     if op == "^":
@@ -293,26 +295,76 @@ def _sympy_value(tree, K, gens):
     return None if b == 0 else a / b
 
 
+def _sympy_pair(tree, R, gens, modulus):
+    """tree evaluated as a fraction (num, den) over the sympy ring R, whose
+    last generator w stands for zeta3, each part reduced modulo
+    modulus = w^2 + w + 1; None where the parser must refuse it.  The
+    modulus is monic in w, so a reduced part is 0 exactly when the value
+    it stands for is."""
+    op = tree[0]
+    if op == "int":
+        return R(tree[1]), R.one
+    if op == "var":
+        return gens[int(tree[1][1:]) - 1], R.one
+    if op == "zeta3":
+        return gens[-1], R.one
+    if op == "neg":
+        a = _sympy_pair(tree[1], R, gens, modulus)
+        return None if a is None else (-a[0], a[1])
+    if op == "^":
+        a = _sympy_pair(tree[1], R, gens, modulus)
+        if a is None or (tree[2] < 0 and not a[0]):
+            return None
+        if tree[2] == 0:  # 0^0 is 1, as in the parser
+            return R.one, R.one
+        num, den = a if tree[2] > 0 else a[::-1]
+        k = abs(tree[2])
+        return (num**k).rem(modulus), (den**k).rem(modulus)
+    a = _sympy_pair(tree[1], R, gens, modulus)
+    b = _sympy_pair(tree[2], R, gens, modulus)
+    if a is None or b is None:
+        return None
+    (an, ad), (bn, bd) = a, b
+    if op == "+":
+        num, den = an * bd + bn * ad, ad * bd
+    elif op == "-":
+        num, den = an * bd - bn * ad, ad * bd
+    elif op == "*":
+        num, den = an * bn, ad * bd
+    elif not bn:
+        return None
+    else:
+        num, den = an * bd, ad * bn
+    return num.rem(modulus), den.rem(modulus)
+
+
 def test_parser_matches_sympy_fields_on_random_expressions():
-    # random grammar expressions over Q and F2, with one-term runs, sums,
-    # fractions, unary minus and negative powers, against sympy's
-    # sympy.polys.fields.field, compared by cross-multiplication
+    # random grammar expressions over Q, F2, Qz3 and F4, with one-term runs,
+    # sums, fractions, unary minus, negative powers and, over Qz3 and F4,
+    # zeta3, compared by cross-multiplication: over Q and F2 against
+    # sympy's sympy.polys.fields.field, over Qz3 and F4 against fractions
+    # of sympy's QQ[x1, x2, x3, w] and GF(2)[x1, x2, x3, w] modulo
+    # w^2 + w + 1, which model Qz3[x1, x2, x3] and F4[x1, x2, x3]
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from fractions import Fraction
 
     from sympy import GF, QQ as SQQ
     from sympy.polys.fields import field
+    from sympy.polys.rings import ring as sympy_ring
 
     from fixedfield.parser import ParseError, parse_expr
     from fixedfield.poly import VarTable
-    from fixedfield.scalars import F2, QQ
+    from fixedfield.scalars import F2, F4, QQ, QZ3
 
     table = VarTable(["x1", "x2", "x3"])
-    leaves = st.one_of(
-        st.tuples(st.just("int"), st.integers(0, 12)),
-        st.tuples(st.just("var"), st.sampled_from(table.names)),
-    )
+
+    def leaves(zeta3):
+        return st.one_of(
+            st.tuples(st.just("int"), st.integers(0, 12)),
+            st.tuples(st.just("var"), st.sampled_from(table.names)),
+            *([st.just(("zeta3",))] if zeta3 else []),
+        )
 
     def grow(sub):
         return st.one_of(
@@ -321,21 +373,61 @@ def test_parser_matches_sympy_fields_on_random_expressions():
             st.tuples(st.just("neg"), sub),
         )
 
-    trees = st.recursive(leaves, grow, max_leaves=10)
-    seen = {"value": 0, "refused": 0}
+    trees = {z: st.recursive(leaves(z), grow, max_leaves=10) for z in (False, True)}
+    cases = st.sampled_from([QQ, F2, QZ3, F4]).flatmap(
+        lambda fld: st.tuples(trees[fld.has_zeta3], st.just(fld)))
+    seen = {(f.tag, what): 0 for f in (QQ, F2, QZ3, F4) for what in ("value", "refused")}
 
-    @hypothesis.settings(derandomize=True, max_examples=400, deadline=None,
+    def check_zeta3(tree, fld, text):
+        R, *gens = sympy_ring("x1,x2,x3,w", SQQ if fld is QZ3 else GF(2))
+        w = gens[-1]
+        modulus = w**2 + w + 1
+        want = _sympy_pair(tree, R, gens, modulus)
+        if want is None:
+            with pytest.raises(ParseError, match="division by zero|negative power of zero"):
+                parse_expr(text, table, fld)
+            return "refused"
+        got = parse_expr(text, table, fld)
+
+        def to_ring(p):
+            # the payload a + b*zeta3 at x^e becomes a*x^e + b*x^e*w
+            parts = {}
+            for e, c in p.terms.items():
+                a, b = c if fld is QZ3 else (c & 1, c >> 1)
+                parts[table.unpack(e) + (0,)] = R.domain(a)
+                parts[table.unpack(e) + (1,)] = R.domain(b)
+            return R.from_dict(parts)
+
+        diff = to_ring(got.num) * want[1] - want[0] * to_ring(got.den)
+        assert diff.rem(modulus) == 0, text
+        return "value"
+
+    # divisors that vanish only through w^2 + w + 1
+    z = ("zeta3",)
+    norm = ("+", ("+", ("^", z, 2), z), ("int", 1))
+    vanishing = [("/", ("var", "x1"), norm),
+                 ("^", ("+", ("*", z, z), ("+", z, ("int", 1))), -1)]
+
+    @hypothesis.settings(derandomize=True, max_examples=800, deadline=None,
                          database=None, suppress_health_check=list(hypothesis.HealthCheck))
-    @hypothesis.given(trees, st.sampled_from([QQ, F2]))
-    def check(tree, fld):
+    @hypothesis.given(cases)
+    @hypothesis.example((vanishing[0], QZ3))
+    @hypothesis.example((vanishing[0], F4))
+    @hypothesis.example((vanishing[1], QZ3))
+    @hypothesis.example((vanishing[1], F4))
+    def check(case):
+        tree, fld = case
+        text = _render(tree)
+        if fld.has_zeta3:
+            seen[fld.tag, check_zeta3(tree, fld, text)] += 1
+            return
         K, *gens = field("x1,x2,x3", SQQ if fld is QQ else GF(2))
         R = K.ring
-        text = _render(tree)
         want = _sympy_value(tree, K, gens)
         if want is None:
             with pytest.raises(ParseError, match="division by zero|negative power of zero"):
                 parse_expr(text, table, fld)
-            seen["refused"] += 1
+            seen[fld.tag, "refused"] += 1
             return
         got = parse_expr(text, table, fld)
 
@@ -347,7 +439,10 @@ def test_parser_matches_sympy_fields_on_random_expressions():
             })
 
         assert ring(got.num) * want.denom == want.numer * ring(got.den), text
-        seen["value"] += 1
+        seen[fld.tag, "value"] += 1
 
     check()
-    assert seen["value"] > 200 and seen["refused"] > 10, seen
+    assert seen["Q", "value"] + seen["F2", "value"] > 200, seen
+    assert seen["Q", "refused"] + seen["F2", "refused"] > 10, seen
+    assert seen["Qz3", "value"] >= 100 and seen["F4", "value"] >= 100, seen
+    assert seen["Qz3", "refused"] > len(vanishing) and seen["F4", "refused"] > len(vanishing), seen

@@ -332,7 +332,7 @@ def laurent(vt, exps):
     """prod x_i^exps[i] as a RatFunc over vt."""
     num = Poly(vt, QQ, {vt.pack([max(e, 0) for e in exps]): QQ.one()})
     den = Poly(vt, QQ, {vt.pack([max(-e, 0) for e in exps]): QQ.one()})
-    return RatFunc(num, den, simplify=False)
+    return RatFunc(num, den)
 
 
 def lattice_of_rows(rows):

@@ -118,8 +118,8 @@ def test_ratfunc_eq_equivalence_random():
         m2 = random_poly(X, QQ, rng)
         if m1.is_zero() or m2.is_zero():
             continue
-        b = RatFunc(n * m1, d * m1, simplify=False)
-        c = RatFunc(n * m1 * m2, d * m1 * m2, simplify=False)
+        b = RatFunc(n * m1, d * m1)
+        c = RatFunc(n * m1 * m2, d * m1 * m2)
         assert ratfunc_eq(a, b) and ratfunc_eq(b, a)
         assert ratfunc_eq(b, c)
         assert ratfunc_eq(a, c)  # transitivity across the chain
@@ -245,10 +245,17 @@ def test_substitute_meets_in_the_join():
         substitute(q("x1"), [q("x1"), q("x2"), q("y1", Y)])
 
 
-def test_simplification_strips_monomial_content():
-    r = RatFunc(q("x1^2*x2 + x1*x2^2").num, q("x1*x2*x3").num)
-    assert r.den == q("x3").num
-    assert r.num == q("x1 + x2").num
+@pytest.mark.parametrize("field", [QQ, F2, QZ3, F4], ids=lambda f: f.tag)
+def test_ratfunc_keeps_the_fraction_as_built(field):
+    # no content is divided out and no coefficient normalized: num and den
+    # are the Polys given, and equality is decided on the value
+    num = parse_expr("x1^2*x2 + x1*x2^2", X, field).num
+    den = parse_expr("x1*x2*x3", X, field).num
+    r = RatFunc(num, den)
+    assert r.num is num and r.den is den
+    assert ratfunc_eq(r, parse_expr("(x1 + x2)/x3", X, field))
+    assert ratfunc_eq(parse_expr("(x1 + x2)/x3", X, field), r)
+    assert not ratfunc_eq(r, parse_expr("(x1 + x2)/x2", X, field))
 
 
 def test_deterministic_term_order():
@@ -372,8 +379,8 @@ def test_ratfunc_eq_with_equal_denominators_matches_cross_multiplication(field):
         n = random_ref(W, field, rng, rng.randint(0, 4))
         m = [dict(n), {**n, **random_ref(W, field, rng, 1)},
              random_ref(W, field, rng, rng.randint(0, 4))][i % 3]
-        a = RatFunc(to_poly(W, field, n), to_poly(W, field, den), simplify=False)
-        b = RatFunc(to_poly(W, field, m), to_poly(W, field, dict(den)), simplify=False)
+        a = RatFunc(to_poly(W, field, n), to_poly(W, field, den))
+        b = RatFunc(to_poly(W, field, m), to_poly(W, field, dict(den)))
         assert a.den.terms == b.den.terms
         verdict = ratfunc_eq(a, b)
         assert verdict == ratfunc_eq(b, a) == ((a.num * b.den).terms == (b.num * a.den).terms)

@@ -209,7 +209,7 @@ def _assert_canonical(payload, ref):
 
 def test_qz3_payloads_match_a_fraction_pair_reference():
     from fixedfield.parser import parse_expr
-    from fixedfield.poly import VarTable
+    from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq
 
     rng = random.Random(3303)
     xt = VarTable(["x1"])
@@ -227,10 +227,12 @@ def test_qz3_payloads_match_a_fraction_pair_reference():
             _assert_canonical(QZ3.div(b, a), _ref_mul(rb, _ref_inv(ra)))
         q = _payload((ra[0],))[0]
         _assert_canonical(embed(q, QQ, QZ3), (ra[0], Fraction(0)))
-        # the text of a payload is the text of its Fraction pair, and parses back
+        # the text of a payload is the text of its Fraction pair, and parses
+        # back to the value a
         text = QZ3.to_str(a)
         assert text == QZ3.to_str(ra)
-        assert parse_expr(text, xt, QZ3).num.terms == ({0: a} if a != (0, 0) else {})
+        const = RatFunc.from_poly(Poly.const(xt, QZ3, a))
+        assert ratfunc_eq(parse_expr(text, xt, QZ3), const), text
         integral += all(type(x) is int for x in QZ3.mul(a, b))
     # the draws exercise both the integral and the fractional paths
     assert 500 < integral < 1900
