@@ -11,7 +11,7 @@ import sys
 
 from . import suite
 from .catalog import CatalogError, catalog_lookup
-from .parser import ParseError, parse_expr
+from .parser import parse_expr
 from .poly import VarTable
 from .scalars import FieldError, field_by_tag
 from .suite import (
@@ -118,7 +118,7 @@ def _cmd_eval(args) -> int:
     try:
         table = VarTable(names)
         text = str(parse_expr(args.expression, table, field))
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

@@ -135,6 +135,14 @@ def close(generators, one, times, cap):
     return seen
 
 
+def picker(index):
+    """x -> the tuple of x's items at index, one C call for two or more:
+    itemgetter of one index returns the item, not a tuple."""
+    if len(index) > 1:
+        return itemgetter(*index)
+    return lambda x: tuple([x[k] for k in index])
+
+
 def matrix_times(h):
     """x -> x*h for integer matrices x with len(h) columns: the one matrix
     product, and the times of close for matrix groups.
@@ -143,18 +151,15 @@ def matrix_times(h):
     layer l picks row index[l][j] of h, with coefficient coeffs[l][j], for
     column j (index 0 and coefficient 0 where the column has no l-th
     nonzero, so an all-zero column is one such slot).  Row r of x*h is then
-    sum_l map(mul, itemgetter(*index[l])(x[r]), coeffs[l]), one C-level
+    sum_l map(mul, picker(index[l])(x[r]), coeffs[l]), one C-level
     pass per layer.  A signed permutation matrix, which every matrix of the
     shipped image groups is, has a single layer."""
-    n, m = len(h), len(h[0])
+    n = len(h)
     cols = [[(k, e) for k, e in enumerate(col) if e] for col in zip(*h)]
     layers = []
     for depth in range(max(1, *map(len, cols))):
         slots = [col[depth] if depth < len(col) else (0, 0) for col in cols]
-        index = [k for k, _ in slots]
-        # itemgetter of one index returns the item, not a tuple
-        get = itemgetter(*index) if m > 1 else lambda row, k=index[0]: (row[k],)
-        layers.append((get, tuple([c for _, c in slots])))
+        layers.append((picker([k for k, _ in slots]), tuple([c for _, c in slots])))
     (get, coeffs), rest = layers[0], layers[1:]
 
     def times(x):

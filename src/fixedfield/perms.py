@@ -23,9 +23,9 @@ s*t*s^-1 lies in H for every s in S and every generator t of H.
 from __future__ import annotations
 
 import re
-from operator import itemgetter, mul
+from operator import mul
 
-from .monomial import MonomialError, close
+from .monomial import MonomialError, close, picker
 from .scalars import power
 
 CLOSURE_CAP = 50000
@@ -39,10 +39,7 @@ class PermError(ValueError):
 
 def _times(h):
     """times of monomial.close for image tuples: x -> x*h."""
-    index = [j - 1 for j in h]
-    if len(index) < 2:  # itemgetter of one index returns the item, not a tuple
-        return lambda x: tuple([x[j] for j in index])
-    return itemgetter(*index)
+    return picker([j - 1 for j in h])
 
 
 class Perm:

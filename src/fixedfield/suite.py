@@ -17,10 +17,10 @@ Expressions in checks may mix variables from any tables sharing a root;
 they are grounded by evaluating them at their variables' definitions over
 the root table (or the table named by ``over=``).  Action-table rows are
 verified either against the root permutation action (``via=ground``,
-default) or against the registered rows of the parent table
-(``via=parent``), which keeps deeply chained changes of variables
-affordable.  Every verified single-element row is registered for reuse
-by the later checks of the same run.
+default) or against the rows of the parent table verified earlier in the
+run (``via=parent``), which keeps deeply chained changes of variables
+affordable.  Every verified single-element row is kept on its table for
+the later checks of the same run.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ class Table:
     once complete, and what is derived from them and kept for the life of
     the suite: the definitions carried down to each ancestor, the factored
     exponent lattice, and the image memo of the table's action rows,
-    (image text, row field, via) -> [the image parsed over the row field,
-    the image substituted at the definitions of row_level(via), or None
-    until a row reads it]."""
+    (image text, row field, via) -> (the image parsed over the row field,
+    the image substituted at the definitions of row_level(via)).  rows
+    holds the single-element rows the current run verified, elem -> the
+    parsed images, for act."""
 
     def __init__(self, name, names, field: Field, parent: "Table | None"):
         self.name = name
@@ -129,6 +130,7 @@ class Table:
         self._lattice = None
         self.unproportional = False  # set once no two grounded defs are proportional
         self.images = {}
+        self.rows = {}
 
     @property
     def is_root(self):
@@ -144,6 +146,8 @@ class Table:
         """Definitions expressed over stop's variables (stop an ancestor)."""
         if self is stop:
             return [RatFunc.var(self.vt, self.field, n) for n in self.vt.names]
+        if self.parent is stop:
+            return self.defs
         if self.parent is None:
             raise SuiteError(f"{stop.name} is not an ancestor of {self.name}")
         key = stop.name
@@ -164,6 +168,15 @@ class Table:
                 raise SuiteError("via=parent on a root table")
             return self.parent, self.defs
         return self.root(), self.grounded()
+
+    def act(self, elem, f: RatFunc) -> RatFunc:
+        """f under a row's element, a Perm or "rho" for conjugation: at the
+        root the permutation action, below it the row this run verified."""
+        if self.is_root:
+            return f.conj() if elem == "rho" else perm_act(elem, f)
+        if elem not in self.rows:
+            raise SuiteError(f"no action row registered for '{elem}' on table {self.name!r}")
+        return substitute(f.conj() if elem == "rho" else f, self.rows[elem])
 
     def lattice(self) -> Lattice:
         """The monomial shapes and factored exponent lattice of the
@@ -193,7 +206,6 @@ class Suite:
         self.gl23map: dict[tuple[int, int], int] = {}
         self.checks: list[Check] = []
         self.check_ids: set[str] = set()
-        self._actions: dict[tuple[str, str], tuple[list, bool]] = {}
         self._scaled_cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -270,24 +282,6 @@ class Suite:
         return parse_expr(text, stop.vt, fld, leaves.get)
 
     # ------------------------------------------------------------------
-    # registered element actions on tables
-
-    def register_action(self, table: Table, elem, images, conj: bool):
-        self._actions[(table.name, elem)] = (images, conj)
-
-    def apply_symbol(self, table: Table, elem, f: RatFunc) -> RatFunc:
-        """f under a row's element: a Perm, or "rho" for conjugation."""
-        if table.is_root:
-            return f.conj() if elem == "rho" else perm_act(elem, f)
-        key = (table.name, elem)
-        if key not in self._actions:
-            raise SuiteError(
-                f"no action row registered for '{elem}' on table {table.name!r}"
-            )
-        images, conj = self._actions[key]
-        return substitute(f.conj() if conj else f, images)
-
-    # ------------------------------------------------------------------
     # scaled monomial actions (recursing through the table ancestry)
 
     def induced_perm(self, table: Table, g: Perm) -> Perm:
@@ -336,9 +330,6 @@ class Suite:
 
 
 _ATTR_QUOTED = re.compile(r'\s(ref|note)="([^"]*)"')
-_ATTR_PLAIN = re.compile(
-    r"\s(id|expect|pair|via|over|pure|transitive|elem|matrix|word)=(\S+)"
-)
 
 
 def _strip_attrs(line):
@@ -424,8 +415,7 @@ def parse_suite_text(text: str) -> Suite:
                 _parse_check(suite, rest, check_seq)
             else:
                 raise SuiteError(f"unknown statement {head!r}")
-        except (SuiteError, PolyError, FieldError, ParseError, PermError,
-                MonomialError, ValueError) as exc:
+        except ValueError as exc:  # every error class of the package is one
             raise SuiteError(f"line {lineno}: {exc}") from exc
     if suite is None:
         raise SuiteError("empty suite file")
@@ -764,9 +754,10 @@ def _run_invariance(suite: Suite, check: Check):
 
 
 def _parse_table(suite: Suite, payload, attrs):
-    """(table, image texts, elements of elem=, via) of a table row: each
-    element a Perm, or "rho" for conjugation.  The images are read over the
-    row's own table alone."""
+    """(table, image texts, elements of elem=, via, row field) of a table
+    row: each element a Perm, or "rho" for conjugation.  The images are read
+    over the row's own table alone, and over its field widened by zeta3 if
+    any of them names it."""
     m = re.fullmatch(r"(\S+)\s+images\s*=\s*(.+)", payload)
     if not m:
         raise SuiteError(f"needs '<table> images = <expressions>' in {payload!r}")
@@ -775,65 +766,42 @@ def _parse_table(suite: Suite, payload, attrs):
     table, images = suite.table(tname), _expressions(suite, images)
     if len(images) != len(table.vt):
         raise SuiteError(f"row covers {len(images)} of {len(table.vt)} variables of {tname}")
+    fld = table.field
     for text in images:
-        foreign = expression_variables(text).difference(table.vt.names)
+        names = expression_names(text)
+        foreign = names.difference(table.vt.names, {"zeta3"})
         if foreign:
             raise SuiteError(f"image uses {min(foreign)!r}, not a variable of table {tname!r}")
+        if "zeta3" in names:
+            fld = with_zeta3(table.field)
     elems = tuple(s if s == "rho" else suite.perm_word(s) for s in symbols)
-    return table, images, elems, attrs.get("via", "ground")
+    return table, images, elems, attrs.get("via", "ground"), fld
 
 
 def _run_table(suite: Suite, check: Check):
-    """Verify a row through the table's image memo: each image text is
-    parsed, and substituted at the row's definitions, once per (text, row
-    field, via), however many rows of the table repeat it.  The row field
-    is in the key because a row that names zeta3 reads all its images over
-    the field widened by it, and via because the definitions it substitutes
-    at are the root's (ground) or the parent's (parent)."""
-    table, image_texts, elems, via = check.fields
-    fld = table.field
-    if any("zeta3" in expression_names(t) for t in image_texts):
-        fld = with_zeta3(fld)
-    entries = []
-    for text in image_texts:
+    """Verify a row: each claimed image, substituted at the definitions of
+    table.row_level(via), must equal the word's action (right to left, by
+    level.act) on its definition, up to the first mismatch.  The table's
+    image memo parses and substitutes each image once per (text, row field,
+    via).  A verified single-element row that is not expect=fail goes on
+    table.rows, for the rows and tables that build on it."""
+    table, texts, elems, via, fld = check.fields
+    level, defs = table.row_level(via)
+    images = []
+    for i, (text, d) in enumerate(zip(texts, defs)):
         key = (text, fld, via)
         if key not in table.images:
-            table.images[key] = [parse_expr(text, table.vt, fld), None]
-        entries.append(table.images[key])
-
-    def push(defs):  # the images at defs, each substituted on first use
-        for entry in entries:
-            if entry[1] is None:
-                entry[1] = substitute(entry[0], defs)
-            yield entry[1]
-
-    ok, detail = verify_table_row(suite, table, elems, push, via)
-    # only verified single-element rows become actions later tables build on
-    if ok and len(elems) == 1 and check.attrs.get("expect") != "fail":
-        suite.register_action(table, elems[0], [image for image, _ in entries],
-                              conj=(elems[0] == "rho"))
-    if ok and not detail:
-        detail = f"all {len(entries)} images verified via {via}"
-    return ok, detail
-
-
-def verify_table_row(suite: Suite, table: Table, elems, push, via: str):
-    """Check one action-table row: the claimed images, pushed through the
-    definitions, must match the action of the word (its elements, each a
-    Perm or "rho", applied right to left) on the definitions.
-
-    push(defs) gives the claimed images substituted at defs, the
-    definitions of table.row_level(via); it is read entry by entry, and not
-    past the first mismatch.  via='ground' compares at the root under the
-    permutation (and rho) action; via='parent' compares one level down
-    using the parent's registered rows."""
-    level, defs = table.row_level(via)
-    for i, (d, img) in enumerate(zip(defs, push(defs))):
+            image = parse_expr(text, table.vt, fld)
+            table.images[key] = (image, substitute(image, defs))
+        image, pushed = table.images[key]
         for elem in reversed(elems):
-            d = suite.apply_symbol(level, elem, d)
-        if not ratfunc_eq(d, img):
+            d = level.act(elem, d)
+        if not ratfunc_eq(d, pushed):
             return False, f"row entry {i + 1} ({table.vt.names[i]}) mismatches"
-    return True, ""
+        images.append(image)
+    if len(elems) == 1 and check.attrs.get("expect") != "fail":
+        table.rows[elems[0]] = images
+    return True, f"all {len(images)} images verified via {via}"
 
 
 def _run_identity(suite: Suite, check: Check):
@@ -1045,14 +1013,20 @@ KINDS: dict[str, CheckKind] = {
     ),
 }
 
+# every attribute a check may carry, but the quoted ref= and note=, is one word
+_ATTR_PLAIN = re.compile(r"\s(%s)=(\S+)" % "|".join(sorted(
+    {*_CHECK_ATTRS, *(a for kind in KINDS.values() for a in kind.reads)} - {"ref", "note"}
+)))
+
 
 # ---------------------------------------------------------------------------
 # runner
 
 
 def run_parsed_suite(suite: Suite, fail_fast: bool = False) -> SuiteReport:
-    # no row registered by an earlier run; this run's stay readable after it
-    suite._actions.clear()
+    # no row verified by an earlier run; this run's stay readable after it
+    for table in suite.tables.values():
+        table.rows.clear()
     results = []
     raw_status = {}
     for check in suite.checks:

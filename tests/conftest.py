@@ -5,12 +5,21 @@ from pathlib import Path
 import pytest
 
 
-@pytest.fixture(scope="session")
-def perfbench_workloads():
-    """perfbench/workloads.py, imported by path (it is not a package)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench_module(name):
+    """perfbench/<name>.py, imported by path (perfbench is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def perfbench_workloads():
+    return _perfbench_module("workloads")
+
+
+@pytest.fixture(scope="session")
+def perfbench_layertrace():
+    return _perfbench_module("layertrace")

@@ -26,7 +26,6 @@ from fixedfield.suite import (
     report_to_json,
     run_parsed_suite,
     run_suite,
-    verify_table_row,
 )
 
 ALL_SUITES = list_suites()
@@ -42,7 +41,7 @@ def executed_suites():
     out = {}
     for name in ALL_SUITES:
         suite = load_suite(name)
-        run_parsed_suite(suite)  # populates the action registry
+        run_parsed_suite(suite)  # keeps each table's verified rows
         out[name] = suite
     return out
 
@@ -294,7 +293,7 @@ def test_zeta3_widens_only_on_the_zeta3_name_token():
         table_check = parse_suite_text(text.format(base))
         (result,) = run_parsed_suite(table_check).checks
         assert result.status == PASS
-        images = table_check._actions[("x", Perm((2, 1, 3)))][0]
+        images = table_check.table("x").rows[Perm((2, 1, 3))]
         assert {im.field.tag for im in images} == {base}
 
 
@@ -451,7 +450,8 @@ check table y elem=(1,2) images = y1, -y2 id=parent ref="r"
     assert child.detail == "error: no action row registered for '(1,2)' on table 'y'"
     assert parent.status == PASS
     # the rows of the last run stay readable
-    assert set(suite._actions) == {("y", Perm((2, 1)))}
+    assert {t.name: set(t.rows) for t in suite.tables.values()} == {
+        "x": set(), "y": {Perm((2, 1))}, "z": set()}
     shipped = load_suite("sec6_char2")
     assert report_to_json(run_parsed_suite(shipped)) == report_to_json(
         run_parsed_suite(shipped)
@@ -934,17 +934,18 @@ def _eval_as_ratfuncs(text, vars, field, leaf):
 def _row_work(suite, report):
     """(the distinct image keys (table, text, row field, via) of the
     suite's table rows, the same keys of its passing rows alone, and the
-    apply_symbol substitutions its passing rows make at a non-root level:
+    Table.act substitutions its passing rows make at a non-root level:
     one per entry and element of the row)."""
     passed = {c.id for c in report.checks if c.status == PASS}
     keys, passing, applied = set(), set(), 0
     for check in suite.checks:
         if check.kind != "table":
             continue
-        table, texts, elems, via = check.fields
-        field = table.field
+        table, texts, elems, via, field = check.fields
         if any("zeta3" in expression_names(t) for t in texts):
-            field = with_zeta3(field)
+            assert field is with_zeta3(table.field)
+        else:
+            assert field is table.field
         row = {(table.name, t, field, via) for t in texts}
         keys |= row
         if check.id in passed:
@@ -1029,8 +1030,8 @@ def _at(p, images):
 def test_substitute_matches_a_two_pass_reference(monkeypatch, perfbench_workloads):
     # every substitution the runner makes while loading and running the
     # shipped suites and, for Qz3, one seed of the benchmark's algebra
-    # suites: table definitions carried down (defs_to), action rows
-    # (apply_symbol) and table rows
+    # suites: table definitions carried down (defs_to), verified rows
+    # (Table.act) and table rows
     import fixedfield.suite as suite_mod
 
     calls = []
@@ -1051,8 +1052,13 @@ def test_substitute_matches_a_two_pass_reference(monkeypatch, perfbench_workload
         _, passing, applied = _row_work(suite, run_parsed_suite(suite))
         # one substitution per definition carried down to an ancestor, per
         # distinct image key of a passing row (the image memo) and per
-        # element a passing row applies at a non-root level, entry by entry
-        floor += sum(len(d) for t in suite.tables.values() for d in t._defs_to.values())
+        # element a passing row applies at a non-root level, entry by entry;
+        # definitions are already over the parent, so carrying them there
+        # substitutes nothing
+        for t in suite.tables.values():
+            assert t.parent is None or t.defs_to(t.parent) is t.defs
+            assert t.parent is None or t.parent.name not in t._defs_to
+            floor += sum(len(d) for d in t._defs_to.values())
         floor += len(passing) + applied
     shipped = len(calls)
     for _, text in perfbench_workloads.algebra(11).suites:
@@ -1143,7 +1149,7 @@ def test_image_memo_matches_a_memo_free_run(monkeypatch):
     # one image text in a via=ground row, a via=parent row, a row whose
     # zeta3 widens its field, and an expect=fail row paired with its fix:
     # the memo's key (text, row field, via) must keep them apart, so the
-    # verdicts and the registered rows equal those of a run that empties
+    # verdicts and the verified rows equal those of a run that empties
     # every memo before each check
     import fixedfield.suite as suite_mod
 
@@ -1164,12 +1170,16 @@ def test_image_memo_matches_a_memo_free_run(monkeypatch):
     assert {c.id: c.status for c in want.checks} == {
         "table-001": PASS, "table-002": PASS, "ground": PASS, "parent": PASS,
         "widened": PASS, "printed": FLAGGED, "fix": PASS, "word": PASS}
-    assert suite._actions.keys() == reference._actions.keys()
-    for key, (images, conj) in reference._actions.items():
-        got, got_conj = suite._actions[key]
-        assert got_conj == conj and len(got) == len(images), key
-        assert all(_same_ratfunc(a, b) for a, b in zip(got, images)), key
-    widened = reference._actions["z", suite.perm_word("h")][0]
+    for name, table in reference.tables.items():
+        rows = suite.table(name).rows
+        assert rows.keys() == table.rows.keys(), name
+        for elem, images in table.rows.items():
+            got = rows[elem]
+            assert len(got) == len(images), (name, elem)
+            assert all(_same_ratfunc(a, b) for a, b in zip(got, images)), (name, elem)
+    assert {name: len(t.rows) for name, t in reference.tables.items()} == {
+        "x": 1, "y": 1, "z": 2}
+    widened = reference.table("z").rows[suite.perm_word("h")]
     assert {im.field.tag for im in widened} == {"Qz3"}
     # and the memo did share: z's rows name 18 image texts, 9 of them distinct
     z = suite.table("z")
@@ -1177,7 +1187,7 @@ def test_image_memo_matches_a_memo_free_run(monkeypatch):
                                if c.kind == "table" and c.fields[0] is z)
 
 
-# --- composed rows stay consistent with the registered tables ----------------
+# --- composed rows stay consistent with the verified rows -------------------
 
 def _composed_row(row_g, row_h):
     # (g*h)(def_i) = row_h,i evaluated at the images of g
@@ -1187,33 +1197,28 @@ def _composed_row(row_g, row_h):
 def test_table_rows_compose(executed_suites):
     checked = 0
     for name, suite in executed_suites.items():
-        rows = {}
-        for (tname, sym), (images, conj) in suite._actions.items():
-            if conj:  # a rho row
-                continue
-            rows.setdefault(tname, []).append((sym, images))
-        for tname, entries in rows.items():
-            table = suite.table(tname)
+        for table in suite.tables.values():
             if table.parent is None:
                 continue
+            entries = [(sym, row) for sym, row in table.rows.items() if sym != "rho"]
             for sym_g, row_g in entries[:3]:
                 for sym_h, row_h in entries[:3]:
-                    # use the parent level when its action rows exist for
-                    # both factors (the deep chains), else fall back to a
+                    # use the parent level when its rows exist for both
+                    # factors (the deep chains), else fall back to a
                     # root-level comparison
                     if table.parent.is_root or all(
-                        (table.parent.name, s) in suite._actions
-                        for s in (sym_g, sym_h)
+                        s in table.parent.rows for s in (sym_g, sym_h)
                     ):
                         via = "parent"
                     else:
                         via = "ground"
+                    level, defs = table.row_level(via)
                     composed = _composed_row(row_g, row_h)
-                    ok, detail = verify_table_row(
-                        suite, table, (sym_g, sym_h),
-                        lambda defs: [substitute(img, defs) for img in composed], via
-                    )
-                    assert ok, f"{name}/{tname}: {sym_g}*{sym_h} {detail}"
+                    for i, (d, img) in enumerate(zip(defs, composed)):
+                        # the word g*h acts right to left: h first
+                        moved = level.act(sym_g, level.act(sym_h, d))
+                        assert ratfunc_eq(moved, substitute(img, defs)), (
+                            f"{name}/{table.name}: {sym_g}*{sym_h} entry {i + 1}")
                     checked += 1
     assert checked > 20
 
