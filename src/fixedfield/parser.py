@@ -7,22 +7,19 @@
 
 Whitespace is insignificant; integers are arbitrary precision; a base
 sits inside at most NESTING_LIMIT '(' and unary '-', which keeps the
-recursion far from Python's limit.  The
-result is always a RatFunc over the supplied table.  Each name evaluates
-through one resolver: by default to the table's variable of that name, or,
-given leaf, to leaf(name), which is how a suite grounds a check expression
-by evaluating it at the definitions of its variables.
+recursion far from Python's limit.  The result is always a RatFunc over
+the supplied table, and every name but zeta3 is one of its variables; a
+suite grounds an expression by substituting definitions for them.
 
 The text is split into tokens by one findall; a token's position is
 found again, by the slower _tokenize, only for the message of a
 ParseError.
 
-Subexpressions are evaluated as Polys: integers, zeta3 and every leaf
-whose denominator is 1.  A value becomes a RatFunc only under '/', under
-a negative power, or when a leaf is a proper fraction, and a Poly meets
-a RatFunc as the RatFunc p/1.  The RatFunc operations on p/1 do exactly
-what the Poly ones do on p, so the result is the RatFunc an evaluation
-through RatFuncs alone would build.
+Subexpressions are evaluated as Polys: integers, zeta3 and variables.
+A value becomes a RatFunc only under '/' or under a negative power, and
+a Poly meets a RatFunc as the RatFunc p/1.  The RatFunc operations on
+p/1 do exactly what the Poly ones do on p, so the result is the RatFunc
+an evaluation through RatFuncs alone would build.
 
 A one-term value is carried as a bare (packed monomial, payload) pair
 rather than a Poly.  A term folds each run of one-term factors into one
@@ -81,7 +78,7 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, vars: VarTable, field: Field, leaf):
+    def __init__(self, text, vars: VarTable, field: Field):
         self.text = text
         # (integer, name, operator) strings, one of them nonempty, then an
         # all-empty end token
@@ -93,7 +90,6 @@ class _Parser:
         self.depth = 0  # open '(' and unary '-' around the current base
         self.vars = vars
         self.field = field
-        self.leaf = leaf
 
     def error(self, message, i):
         """A ParseError at the i-th token."""
@@ -216,14 +212,9 @@ class _Parser:
                 if not f.has_zeta3:
                     raise self.error(f"zeta3 is not available over {f.tag}", self.i - 1)
                 return 0, f.zeta3()
-            value = self.leaf(name)
-            if value is None:
+            if name not in self.vars:
                 raise self.error(f"unknown variable {name!r}", self.i - 1)
-            if isinstance(value, RatFunc) and value.den.is_one():
-                value = value.num
-            if type(value) is Poly and len(value.terms) == 1:
-                return next(iter(value.terms.items()))
-            return value
+            return self.vars.variable(name), f.one()
         if op == "(" or op == "-":
             self.depth += 1
             if self.depth > NESTING_LIMIT:
@@ -268,14 +259,10 @@ def _same_kind(a, b):
     return _ratfunc(a), _ratfunc(b)
 
 
-def parse_expr(text: str, vars: VarTable, field: Field, leaf=None) -> RatFunc:
-    """The value of text over vars in field, as a RatFunc.  leaf(name) is a
-    name's value, a Poly or RatFunc over vars in field, or None when the
-    name is unknown; by default the names are the variables of vars.
-    str(r) parses back to r."""
-    if leaf is None:
-        leaf = lambda name: Poly.var(vars, field, name) if name in vars else None
-    return _ratfunc(_Parser(text, vars, field, leaf).parse())
+def parse_expr(text: str, vars: VarTable, field: Field) -> RatFunc:
+    """The value of text over vars in field, as a RatFunc; every name but
+    zeta3 must be a variable of vars.  str(r) parses back to r."""
+    return _ratfunc(_Parser(text, vars, field).parse())
 
 
 def expression_names(text: str):

@@ -191,10 +191,10 @@ class PermGroup:
 
 
 def is_normal(h: PermGroup, g: PermGroup) -> bool:
-    """True iff h is a normal subgroup of g (h must be a subgroup of g)."""
-    if not h.elements <= g.elements:
-        raise PermError("first group is not a subgroup of the second")
-    return all(s * t * s.inverse() in h for s in g.generators for t in h.generators)
+    """True iff h is a normal subgroup of g."""
+    return h.elements <= g.elements and all(
+        s * t * s.inverse() in h for s in g.generators for t in h.generators
+    )
 
 
 def is_transitive(g: PermGroup) -> bool:

@@ -505,7 +505,7 @@ def substitute(f: RatFunc, images) -> RatFunc:
 
 
 def _power_cache(p: Poly, up_to: int):
-    pows = [Poly.one(p.vars, p.field), p]
+    pows = [None, p]  # substitute reads no 0th power
     for _ in range(2, up_to + 1):
         pows.append(pows[-1] * p)
     return pows

@@ -13,14 +13,14 @@ A suite file is line oriented (``#`` comments, ``\\`` continuations):
     check <kind> ... ref="..." [id=..] [expect=fail pair=<id>] [note=".."]
 
 A table's parent is inferred from the variables its definitions use.
-Expressions in checks may mix variables from any tables sharing a root;
-they are grounded by evaluating them at their variables' definitions over
-the root table (or the table named by ``over=``).  Action-table rows are
-verified either against the root permutation action (``via=ground``,
-default) or against the rows of the parent table verified earlier in the
-run (``via=parent``), which keeps deeply chained changes of variables
-affordable.  Every verified single-element row is kept on its table for
-the later checks of the same run.
+Expressions in checks may mix variables from any tables sharing a root.
+Each, and each image of a table row, is parsed over the tables it names
+and substituted at their definitions over the root (or ``over=``, or the
+row's level).  Action-table rows are verified either against the root
+permutation action (``via=ground``, default) or against the rows of the
+parent table verified earlier in the run (``via=parent``), which keeps
+deeply chained changes of variables affordable.  Every verified
+single-element row is kept on its table for the later checks of the run.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .perms import (
     parse_cycles,
     wreath_product,
 )
-from .poly import Poly, PolyError, RatFunc, VarTable, ratfunc_eq, substitute
+from .poly import PolyError, RatFunc, VarTable, ratfunc_eq, substitute
 from .scalars import Field, FieldError, embed, field_by_tag, join, with_zeta3
 
 
@@ -113,12 +113,10 @@ class SuiteReport:
 class Table:
     """A table of variables, with their definitions over the parent table
     once complete, and what is derived from them and kept for the life of
-    the suite: the definitions carried down to each ancestor, the factored
-    exponent lattice, and the image memo of the table's action rows,
-    (image text, row field, via) -> (the image parsed over the row field,
-    the image substituted at the definitions of row_level(via)).  rows
-    holds the single-element rows the current run verified, elem -> the
-    parsed images, for act."""
+    the suite: the definitions carried down to each ancestor and the
+    factored exponent lattice.  rows holds the single-element rows the
+    current run verified, elem -> the images parsed over the table, for
+    act."""
 
     def __init__(self, name, names, field: Field, parent: "Table | None"):
         self.name = name
@@ -129,7 +127,6 @@ class Table:
         self._defs_to = {}
         self._lattice = None
         self.unproportional = False  # set once no two grounded defs are proportional
-        self.images = {}
         self.rows = {}
 
     @property
@@ -160,14 +157,13 @@ class Table:
         return self.defs_to(self.root())
 
     def row_level(self, via):
-        """(level, definitions over level) at which an action row is
-        compared: the parent and the definitions for via='parent', the root
-        and the grounded definitions for via='ground'."""
+        """The table at which an action row is compared: the parent for
+        via='parent', the root for via='ground'."""
         if via == "parent":
             if self.is_root:
                 raise SuiteError("via=parent on a root table")
-            return self.parent, self.defs
-        return self.root(), self.grounded()
+            return self.parent
+        return self.root()
 
     def act(self, elem, f: RatFunc) -> RatFunc:
         """f under a row's element, a Perm or "rho" for conjugation: at the
@@ -207,6 +203,7 @@ class Suite:
         self.checks: list[Check] = []
         self.check_ids: set[str] = set()
         self._scaled_cache: dict = {}
+        self._grounded: dict = {}  # ground_expr's memo: (text, stop) -> pair
 
     # ------------------------------------------------------------------
     # name resolution
@@ -260,26 +257,41 @@ class Suite:
     # ------------------------------------------------------------------
     # expression grounding
 
-    def ground_expr(self, text, stop: Table | None = None) -> RatFunc:
-        """The expression evaluated with each variable taken as its definition
-        over stop (defs_to(stop)); stop defaults to the one root of the tables
-        it names.  A table's field contains its parent's, so the field is
-        stop's joined with the fields of the tables the expression names."""
+    def ground_expr(self, text, stop: Table | None = None):
+        """(parsed, grounded): text parsed over the tables it names (else stop),
+        their variables in declaration order, and substituted at their
+        defs_to(stop) unless stop is that one table.  stop defaults to their
+        one root.  The field is stop's joined with theirs (a table's field
+        contains its parent's), and with zeta3 when the text names it.  Each
+        (text, stop) is grounded once; a text that raises is not kept."""
+        key = (text, stop)
+        out = self._grounded.get(key)
+        if out is not None:
+            return out
         names = expression_names(text)
-        owners = {v: self.var_owner[v] for v in names - {"zeta3"}}
+        owners = {self.var_owner[v][0] for v in names - {"zeta3"}}
+        tables = [t for t in self.tables.values() if t in owners]
         if stop is None:
-            roots = {t.root() for t, _ in owners.values()}
+            roots = {t.root() for t in tables}
             if len(roots) > 1:
                 raise SuiteError(f"expression mixes unrelated roots: {text}")
             stop = roots.pop() if roots else next(iter(self.tables.values())).root()
         fld = stop.field
-        for t, _ in owners.values():
+        for t in tables:
             fld = join(fld, t.field)
         if "zeta3" in names:
             fld = with_zeta3(fld)
-        leaves = {v: t.defs_to(stop)[i].embed(fld) if t is not stop
-                  else Poly.var(stop.vt, fld, v) for v, (t, i) in owners.items()}
-        return parse_expr(text, stop.vt, fld, leaves.get)
+        tables = tables or [stop]
+        vt = tables[0].vt if len(tables) == 1 else VarTable(
+            [n for t in tables for n in t.vt.names])
+        parsed = grounded = parse_expr(text, vt, fld)
+        if tables != [stop]:
+            images = [d for t in tables for d in t.defs_to(stop)]
+            # a variable alone grounds to its definition, as substitute would
+            grounded = (images[vt.index[text]].embed(fld) if text in vt
+                        else substitute(parsed, images))
+        self._grounded[key] = out = parsed, grounded
+        return out
 
     # ------------------------------------------------------------------
     # scaled monomial actions (recursing through the table ancestry)
@@ -682,7 +694,10 @@ def _run_transitive(suite: Suite, check: Check):
 
 def _run_normal(suite: Suite, check: Check):
     (hname, h), (gname, g) = check.fields
-    return is_normal(h, g), f"{hname} normal in {gname}"
+    normal = is_normal(h, g)
+    if not normal and not h.elements <= g.elements:
+        return False, f"{hname} is not a subgroup of {gname}"
+    return normal, f"{hname} normal in {gname}"
 
 
 def _run_permeq(suite: Suite, check: Check):
@@ -746,7 +761,7 @@ def _run_gl23(suite: Suite, check: Check):
 
 def _run_invariance(suite: Suite, check: Check):
     expr, (gname, group) = check.fields
-    f = suite.ground_expr(expr)
+    _, f = suite.ground_expr(expr)
     for gen in group.generators:
         if not ratfunc_eq(perm_act(gen, f), f):
             return False, f"moved by {gen}"
@@ -754,10 +769,9 @@ def _run_invariance(suite: Suite, check: Check):
 
 
 def _parse_table(suite: Suite, payload, attrs):
-    """(table, image texts, elements of elem=, via, row field) of a table
-    row: each element a Perm, or "rho" for conjugation.  The images are read
-    over the row's own table alone, and over its field widened by zeta3 if
-    any of them names it."""
+    """(table, image texts, elements of elem=, via) of a table row: each
+    element a Perm, or "rho" for conjugation.  Each image names variables of
+    the row's table, and no others, so that it is parsed over that table."""
     m = re.fullmatch(r"(\S+)\s+images\s*=\s*(.+)", payload)
     if not m:
         raise SuiteError(f"needs '<table> images = <expressions>' in {payload!r}")
@@ -766,34 +780,27 @@ def _parse_table(suite: Suite, payload, attrs):
     table, images = suite.table(tname), _expressions(suite, images)
     if len(images) != len(table.vt):
         raise SuiteError(f"row covers {len(images)} of {len(table.vt)} variables of {tname}")
-    fld = table.field
     for text in images:
-        names = expression_names(text)
-        foreign = names.difference(table.vt.names, {"zeta3"})
+        used = expression_variables(text)
+        foreign = used.difference(table.vt.names)
         if foreign:
             raise SuiteError(f"image uses {min(foreign)!r}, not a variable of table {tname!r}")
-        if "zeta3" in names:
-            fld = with_zeta3(table.field)
+        if not used:
+            raise SuiteError(f"image {text!r} names no variable of table {tname!r}")
     elems = tuple(s if s == "rho" else suite.perm_word(s) for s in symbols)
-    return table, images, elems, attrs.get("via", "ground"), fld
+    return table, images, elems, attrs.get("via", "ground")
 
 
 def _run_table(suite: Suite, check: Check):
-    """Verify a row: each claimed image, substituted at the definitions of
-    table.row_level(via), must equal the word's action (right to left, by
-    level.act) on its definition, up to the first mismatch.  The table's
-    image memo parses and substitutes each image once per (text, row field,
-    via).  A verified single-element row that is not expect=fail goes on
-    table.rows, for the rows and tables that build on it."""
-    table, texts, elems, via, fld = check.fields
-    level, defs = table.row_level(via)
+    """Verify a row: each image, grounded at level = table.row_level(via),
+    must equal the word's action (right to left, by level.act) on its
+    definition, up to the first mismatch.  A verified single-element row that
+    is not expect=fail goes on table.rows, for the rows and tables that build on it."""
+    table, texts, elems, via = check.fields
+    level = table.row_level(via)
     images = []
-    for i, (text, d) in enumerate(zip(texts, defs)):
-        key = (text, fld, via)
-        if key not in table.images:
-            image = parse_expr(text, table.vt, fld)
-            table.images[key] = (image, substitute(image, defs))
-        image, pushed = table.images[key]
+    for i, (text, d) in enumerate(zip(texts, table.defs_to(level))):
+        image, pushed = suite.ground_expr(text, level)
         for elem in reversed(elems):
             d = level.act(elem, d)
         if not ratfunc_eq(d, pushed):
@@ -806,12 +813,12 @@ def _run_table(suite: Suite, check: Check):
 
 def _run_identity(suite: Suite, check: Check):
     expr, _, over = check.fields
-    val = suite.ground_expr(expr, stop=over)
+    _, val = suite.ground_expr(expr, stop=over)
     return val.is_zero(), "expands to zero" if val.is_zero() else "nonzero"
 
 
 def _run_distinct(suite: Suite, check: Check):
-    vals = [suite.ground_expr(e) for e in check.fields]
+    vals = [suite.ground_expr(e)[1] for e in check.fields]
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
             if ratfunc_eq(vals[i], vals[j]):
@@ -1035,12 +1042,13 @@ def run_parsed_suite(suite: Suite, fail_fast: bool = False) -> SuiteReport:
             ok, detail = _run_check(suite, check)
         except (SuiteError, ActionError, MonomialError, PolyError, FieldError,
                 PermError, ParseError, ZeroDivisionError) as exc:
-            ok, detail = False, f"error: {exc}"
+            ok, detail = None, f"error: {exc}"  # an error, not a refutation
         raw_status[check.id] = ok
         if attrs.get("expect") == "fail":
-            if ok:
+            if ok is not False:
                 status = FAIL
-                detail = "expected to fail but passed; " + detail
+                detail = ("expected to fail but passed; " if ok
+                          else "expected a refutation, got ") + detail
             else:
                 status = FLAGGED
                 detail = attrs.get("note", "") + (f" [{detail}]" if detail else "")

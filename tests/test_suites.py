@@ -154,6 +154,8 @@ def test_loader_rejects_wrong_group_order():
          "check table uses unknown variable 'q9'"),
         ('vars y = y1 y2 y3\ncheck table x elem=(1,2) images = x2, y1, x3 ref="r"',
          "check table image uses 'y1', not a variable of table 'x'"),
+        ('check table x elem=(1,2) images = x2, 1, x3 ref="r"',
+         "check table image '1' names no variable of table 'x'"),
         ('check table w elem=(1,2) images = x2, x1, x3 ref="r"', "unknown table 'w'"),
         ('check invariance 1 under A3 ref="r"', "check invariance comes before any vars table"),
         ('check identity 1 - 1 == 0 ref="r"', "check identity comes before any vars table"),
@@ -209,6 +211,7 @@ def test_loader_rejects_wrong_group_order():
          "transitive-not-yes-or-no", "via-not-ground-or-parent",
          "invariance-unknown-variable", "identity-over-unknown-table",
          "distinct-unknown-variable", "table-unknown-image", "table-image-of-another-table",
+         "table-constant-image",
          "table-unknown-table",
          "invariance-before-vars",
          "identity-before-vars",
@@ -283,10 +286,10 @@ def test_zeta3_widens_only_on_the_zeta3_name_token():
     for base, wide in [("Q", "Qz3"), ("F2", "F4")]:
         suite = parse_suite_text(f"suite m field={base}\npoints 3\n"
                                  "vars x = zeta3x x2 x3\nvars t = t1\ndef t.t1 = zeta3x*x2\n")
-        assert suite.ground_expr("zeta3x - zeta3x").field.tag == base
-        assert suite.ground_expr("t1 + x3").field.tag == base
-        assert suite.ground_expr("zeta3*zeta3x").field.tag == wide
-        assert suite.ground_expr("zeta3^2 + zeta3 + 1").is_zero()
+        for text, tag in [("zeta3x - zeta3x", base), ("t1 + x3", base),
+                          ("zeta3*zeta3x", wide)]:
+            assert [v.field.tag for v in suite.ground_expr(text)] == [tag, tag]
+        assert suite.ground_expr("zeta3^2 + zeta3 + 1")[1].is_zero()
         # table images widen the same way
         text = ("suite m field={0}\npoints 3\nvars x = zeta3x x2 x3\n"
                 "check table x elem=(1,2) images = x2, zeta3x, x3 ref=\"r\"\n")
@@ -400,6 +403,32 @@ def test_flagged_requires_passing_pair():
     assert by_id2["fix"].status == PASS
     assert rep2.checks[0].status == FLAGGED
     assert rep2.ok()
+
+
+@pytest.mark.parametrize("expr, error", [
+    ("x1 +* x2", "unexpected token '*' (at position 4)"),
+    ("x1/(x2-x2)", "division by zero (at position 2)"),
+])
+def test_an_expected_failure_that_raises_is_a_fail(expr, error):
+    # an error is not a refutation, so it cannot be the expected failure,
+    # even when the paired correction passes
+    suite = _mini(f'check identity {expr} == 0 expect=fail pair=fix note="printed" ref="r"\n'
+                  'check identity x1 - x1 == 0 id=fix ref="r"')
+    printed, fix = run_parsed_suite(suite).checks
+    assert fix.status == PASS
+    assert (printed.status, printed.detail) == (
+        FAIL, f"expected a refutation, got error: {error}")
+
+
+def test_normal_outside_the_group_is_a_fail():
+    suite = _mini('group S3 = (1,2) (1,2,3) expect_order=6\n'
+                  'group C2 = (1,2) expect_order=2\n'
+                  'check normal A3 in S3 ref="r"\n'
+                  'check normal C2 in S3 ref="r"\n'
+                  'check normal C2 in A3 ref="r"')
+    assert [(c.status, c.detail) for c in run_parsed_suite(suite).checks] == [
+        (PASS, "A3 normal in S3"), (FAIL, "C2 normal in S3"),
+        (FAIL, "C2 is not a subgroup of A3")]
 
 
 def test_all_suites_have_expected_statuses(reports):
@@ -799,7 +828,7 @@ def _assert_grounding_matches_oracle(suite):
     exprs = _grounded_expressions(suite)
     for text, stop in exprs:
         want = _ground_by_substitution(suite, text, stop)
-        got = suite.ground_expr(text, stop)
+        _, got = suite.ground_expr(text, stop)
         assert got.vars is want.vars and got.field is want.field, text
         assert ratfunc_eq(got, want), text
     return len(exprs)
@@ -839,7 +868,7 @@ check identity u2*(t3^2 + 1) - t1 + t2 == 0 id=r1 ref="r"
 check distinct u1, u2, t3/x1, 2 ref="r"
 """,
     # an F4 table over an F2 root whose definitions use zeta3, named by
-    # expressions that do not: their field comes from the leaves alone
+    # expressions that do not: their field comes from the tables they name
     "f4-over-f2": """suite mini field=F2
 points 3
 group A3 = (1,2,3) expect_order=3
@@ -877,8 +906,8 @@ def test_ground_expr_matches_substitution_oracle_on_mini_suites(name):
 
 # --- the parser's Poly evaluation against an all-RatFunc evaluation ----------
 
-def _eval_as_ratfuncs(text, vars, field, leaf):
-    """text evaluated with every constant and every leaf a RatFunc, over
+def _eval_as_ratfuncs(text, vars, field):
+    """text evaluated with every constant and every variable a RatFunc, over
     the parser's tokens and grammar: an independent reference for parse_expr,
     which keeps polynomial subexpressions as Polys."""
     tokens = [(kind, val) for kind, val, _ in _tokenize(text)]
@@ -896,8 +925,7 @@ def _eval_as_ratfuncs(text, vars, field, leaf):
         if val == "zeta3":
             return RatFunc.from_poly(Poly.const(vars, field, field.zeta3()))
         if kind == "name":
-            value = leaf(val)
-            return value if isinstance(value, RatFunc) else RatFunc.from_poly(value)
+            return RatFunc.var(vars, field, val)
         if val == "(":
             out = expr()
             take()
@@ -932,40 +960,45 @@ def _eval_as_ratfuncs(text, vars, field, leaf):
 
 
 def _row_work(suite, report):
-    """(the distinct image keys (table, text, row field, via) of the
-    suite's table rows, the same keys of its passing rows alone, and the
-    Table.act substitutions its passing rows make at a non-root level:
-    one per entry and element of the row)."""
+    """(the distinct grounding keys (image text, level) of the suite's
+    table rows, the keys of its passing rows that are substituted: grounded
+    below their own table and not a variable alone, which grounds to its
+    definition, and the Table.act substitutions its passing rows make at
+    a non-root level: one per entry and element of the row).  Each image
+    the run grounded is parsed over its table, in the table's field
+    widened by zeta3 when the image names it."""
     passed = {c.id for c in report.checks if c.status == PASS}
     keys, passing, applied = set(), set(), 0
     for check in suite.checks:
         if check.kind != "table":
             continue
-        table, texts, elems, via, field = check.fields
-        if any("zeta3" in expression_names(t) for t in texts):
-            assert field is with_zeta3(table.field)
-        else:
-            assert field is table.field
-        row = {(table.name, t, field, via) for t in texts}
+        table, texts, elems, via = check.fields
+        level = table.row_level(via)
+        row = {(t, level) for t in texts}
+        for text, _ in row & suite._grounded.keys():
+            parsed, _ = suite._grounded[text, level]
+            widened = "zeta3" in expression_names(text)
+            assert parsed.vars is table.vt, text
+            assert parsed.field is (with_zeta3(table.field) if widened else table.field)
         keys |= row
         if check.id in passed:
-            passing |= row
-            applied += 0 if table.row_level(via)[0].is_root else len(texts) * len(elems)
+            passing |= {key for key in row if level is not table and key[0] not in table.vt}
+            applied += 0 if level.is_root else len(texts) * len(elems)
     return keys, passing, applied
 
 
 def test_parser_matches_an_all_ratfunc_evaluation(monkeypatch, perfbench_workloads):
     # every expression the runner parses while loading and running the
     # shipped suites and, for Qz3, which no shipped suite uses, one seed of
-    # the benchmark's algebra suites: definitions, grounded checks (at their
-    # leaves) and table images, with the leaves of each call
+    # the benchmark's algebra suites: definitions, grounded check expressions
+    # and table images
     import fixedfield.suite as suite_mod
 
     calls = []
 
-    def recording_parse(text, vars, field, leaf=None):
-        out = parse_expr(text, vars, field, leaf)
-        calls.append((text, vars, field, leaf, out))
+    def recording_parse(text, vars, field):
+        out = parse_expr(text, vars, field)
+        calls.append((text, vars, field, out))
         return out
 
     monkeypatch.setattr(suite_mod, "parse_expr", recording_parse)
@@ -973,20 +1006,17 @@ def test_parser_matches_an_all_ratfunc_evaluation(monkeypatch, perfbench_workloa
     for name in ALL_SUITES:
         suite = load_suite(name)
         keys, _, _ = _row_work(suite, run_parsed_suite(suite))
-        # one parse per definition, per distinct image key (the image
-        # memo) and per expression a grounded check names
+        # one parse per definition and per distinct grounding key (text,
+        # stop) of a table image or a grounded check's expression (the
+        # grounding memo)
         floor += sum(len(t.vt) for t in suite.tables.values() if t.defs is not None)
-        floor += len(keys)
-        floor += sum(len(c.fields) if c.kind == "distinct" else 1
-                     for c in suite.checks if c.kind in ("invariance", "identity", "distinct"))
+        floor += len(keys | set(_grounded_expressions(suite)))
     shipped = len(calls)
     for _, text in perfbench_workloads.algebra(11).suites:
         run_parsed_suite(parse_suite_text(text))
     kinds = Counter()
-    for text, vars, field, leaf, got in calls:
-        if leaf is None:
-            leaf = lambda name, vars=vars, field=field: RatFunc.var(vars, field, name)
-        want = _eval_as_ratfuncs(text, vars, field, leaf)
+    for text, vars, field, got in calls:
+        want = _eval_as_ratfuncs(text, vars, field)
         assert got.vars is want.vars and got.field is want.field, text
         # the same fraction, term for term, not only an equal value
         assert got.num.terms == want.num.terms, text
@@ -1051,8 +1081,9 @@ def test_substitute_matches_a_two_pass_reference(monkeypatch, perfbench_workload
         suite = load_suite(name)
         _, passing, applied = _row_work(suite, run_parsed_suite(suite))
         # one substitution per definition carried down to an ancestor, per
-        # distinct image key of a passing row (the image memo) and per
-        # element a passing row applies at a non-root level, entry by entry;
+        # distinct grounding key of a passing row below its own table (the
+        # grounding memo) and per element a passing row applies at a
+        # non-root level, entry by entry;
         # definitions are already over the parent, so carrying them there
         # substitutes nothing
         for t in suite.tables.values():
@@ -1147,10 +1178,10 @@ def _same_ratfunc(a, b):
 
 def test_image_memo_matches_a_memo_free_run(monkeypatch):
     # one image text in a via=ground row, a via=parent row, a row whose
-    # zeta3 widens its field, and an expect=fail row paired with its fix:
-    # the memo's key (text, row field, via) must keep them apart, so the
-    # verdicts and the verified rows equal those of a run that empties
-    # every memo before each check
+    # zeta3 widens its image's field, and an expect=fail row paired with
+    # its fix: the grounding memo's key (text, stop) must keep them apart,
+    # so the verdicts and the verified rows equal those of a run that
+    # empties the memo before each check
     import fixedfield.suite as suite_mod
 
     suite = parse_suite_text(_MEMO_SUITE)
@@ -1158,8 +1189,7 @@ def test_image_memo_matches_a_memo_free_run(monkeypatch):
     run_check = suite_mod._run_check
 
     def memo_free(suite, check):
-        for table in suite.tables.values():
-            table.images.clear()
+        suite._grounded.clear()
         return run_check(suite, check)
 
     monkeypatch.setattr(suite_mod, "_run_check", memo_free)
@@ -1180,11 +1210,37 @@ def test_image_memo_matches_a_memo_free_run(monkeypatch):
     assert {name: len(t.rows) for name, t in reference.tables.items()} == {
         "x": 1, "y": 1, "z": 2}
     widened = reference.table("z").rows[suite.perm_word("h")]
-    assert {im.field.tag for im in widened} == {"Qz3"}
+    assert [im.field.tag for im in widened] == ["Qz3", "Q", "Q"]
     # and the memo did share: z's rows name 18 image texts, 9 of them distinct
     z = suite.table("z")
-    assert len(z.images) < sum(len(c.fields[1]) for c in suite.checks
-                               if c.kind == "table" and c.fields[0] is z)
+    rows = [(c.fields[1], z.row_level(c.fields[3])) for c in suite.checks
+            if c.kind == "table" and c.fields[0] is z]
+    keys = {(text, level) for texts, level in rows for text in texts}
+    assert keys <= suite._grounded.keys()
+    assert len(keys) < sum(len(texts) for texts, _ in rows)
+
+
+def test_grounding_memo_is_keyed_by_stop():
+    # one text grounded at its root and at over=t: two values, over two
+    # tables, each the namespace oracle's
+    suite = parse_suite_text(GROUNDING_MINIS["rational-chain"])
+    text, x, t = "u1 - 1/t3", suite.table("x"), suite.table("t")
+    pairs = [suite.ground_expr(text), suite.ground_expr(text, t)]
+    assert [g.vars for _, g in pairs] == [x.vt, t.vt]
+    assert ratfunc_eq(pairs[0][1], parse_expr("x1/x3", x.vt, suite.field))
+    assert ratfunc_eq(pairs[1][1], parse_expr("t1*t2", t.vt, suite.field))
+    for (_, grounded), stop in zip(pairs, (None, t)):
+        assert ratfunc_eq(grounded, _ground_by_substitution(suite, text, stop))
+    assert suite.ground_expr(text) is pairs[0] and suite.ground_expr(text, t) is pairs[1]
+    # a via=ground and a via=parent row of one image text: one parse over
+    # z each, grounded at x and at y
+    suite = parse_suite_text(_MEMO_SUITE)
+    run_parsed_suite(suite)
+    x, y, z = (suite.table(n) for n in "xyz")
+    (parsed, at_x), (again, at_y) = suite._grounded["z2", x], suite._grounded["z2", y]
+    assert parsed.vars is again.vars is z.vt and ratfunc_eq(parsed, again)
+    assert at_x.vars is x.vt and at_y.vars is y.vt
+    assert ratfunc_eq(at_x, substitute(at_y, y.grounded()))
 
 
 # --- composed rows stay consistent with the verified rows -------------------
@@ -1212,7 +1268,8 @@ def test_table_rows_compose(executed_suites):
                         via = "parent"
                     else:
                         via = "ground"
-                    level, defs = table.row_level(via)
+                    level = table.row_level(via)
+                    defs = table.defs_to(level)
                     composed = _composed_row(row_g, row_h)
                     for i, (d, img) in enumerate(zip(defs, composed)):
                         # the word g*h acts right to left: h first
