@@ -54,10 +54,6 @@ def mat_from_rows(rows):
     return rows
 
 
-def mat_mul(a, b):
-    return matrix_times(b)(a)
-
-
 def is_square(a):
     return all(len(r) == len(a) for r in a)
 
@@ -96,7 +92,7 @@ def matrix_word(word, alphabet):
         if sym not in alphabet:
             raise MonomialError(f"unknown matrix symbol {sym!r}")
         m = alphabet[sym]
-        out = m if out is None else mat_mul(out, m)
+        out = m if out is None else matrix_times(m)(out)
     if out is None:
         raise MonomialError("empty word needs an explicit size; pass ['I'] instead")
     return out

@@ -72,6 +72,11 @@ class SuiteError(ValueError):
     pass
 
 
+# the most levels a table may lie below its root: grounding recurses once
+# per level, and this keeps it far below Python's recursion limit
+TABLE_DEPTH_CAP = 100
+
+
 PASS = "pass"
 FAIL = "fail"
 FLAGGED = "flagged-discrepancy"
@@ -126,12 +131,18 @@ class Table:
         self.defs = None  # RatFuncs over parent.vt, set once complete
         self._defs_to = {}
         self._lattice = None
-        self.unproportional = False  # set once no two grounded defs are proportional
         self.rows = {}
 
     @property
     def is_root(self):
         return self.parent is None
+
+    def ancestors(self):
+        """The parent, its parent and so on up to the root."""
+        t = self.parent
+        while t is not None:
+            yield t
+            t = t.parent
 
     def root(self):
         t = self
@@ -176,10 +187,17 @@ class Table:
 
     def lattice(self) -> Lattice:
         """The monomial shapes and factored exponent lattice of the
-        definitions, built on first use; MonomialError if the exponent rows
-        are linearly dependent."""
+        definitions, built on first use with the two guards that make a
+        group element's scaled action on the table unique: MonomialError if
+        the exponent rows are linearly dependent, and ActionError if the
+        table is not monomial over its parent and two of its grounded
+        definitions are proportional.  A lattice that fails a guard is not
+        kept, so it fails again on every call."""
         if self._lattice is None:
-            self._lattice = Lattice(self.defs)
+            lattice = Lattice(self.defs)
+            if not lattice.monomial:
+                require_unproportional(self.grounded())
+            self._lattice = lattice
         return self._lattice
 
 
@@ -192,7 +210,7 @@ class Suite:
         self.field = default_field
         self.points = points
         self.tables: dict[str, Table] = {}
-        self.var_owner: dict[str, tuple[Table, int]] = {}
+        self.var_owner: dict[str, Table] = {}
         self.perms: dict[str, Perm] = {}
         self.perm_words: dict[str, str] = {}
         self._words: dict[str, Perm] = {}  # perm_word's memo: text -> Perm
@@ -269,7 +287,7 @@ class Suite:
         if out is not None:
             return out
         names = expression_names(text)
-        owners = {self.var_owner[v][0] for v in names - {"zeta3"}}
+        owners = {self.var_owner[v] for v in names - {"zeta3"}}
         tables = [t for t in self.tables.values() if t in owners]
         if stop is None:
             roots = {t.root() for t in tables}
@@ -307,32 +325,24 @@ class Suite:
 
     def scaled_action(self, table: Table, g: Perm):
         """(B, d) with g(t_j) = d_j * prod_k t_k^{B[k][j]}, payloads in
-        table.field."""
+        table.field, unique by the guards of table.lattice().  A table
+        monomial over its parent is read through its lattice from the
+        parent's action; any other, the root included (its grounded
+        definitions are its own variables), by the scaled permutation g
+        makes of its grounded definitions."""
         key = (table.name, g.images)
         if key in self._scaled_cache:
             return self._scaled_cache[key]
-        fld = table.field
-        if table.is_root:
-            if g.degree != len(table.vt):
-                raise SuiteError("permutation degree does not match the root table")
-            out = (permutation_matrix(g), tuple(fld.one() for _ in table.vt.names))
+        if not table.is_root and table.lattice().monomial:
+            bp, dp = self.scaled_action(table.parent, g)
+            dp = tuple(embed(dv, table.parent.field, table.field) for dv in dp)
+            out = extract_monomial_action(table.lattice(), (bp, dp), table.field)
         else:
-            lattice = table.lattice()
-            if lattice.monomial:
-                bp, dp = self.scaled_action(table.parent, g)
-                dp = tuple(embed(dv, table.parent.field, fld) for dv in dp)
-                out = extract_monomial_action(lattice, (bp, dp), fld)
-            else:
-                if not table.unproportional:
-                    require_unproportional(table.grounded())
-                    table.unproportional = True
-                res = induced_scaled_permutation(table.grounded(), g)
-                if res is None:
-                    raise MonomialError(
-                        f"{g} does not act by a scaled permutation on {table.name}"
-                    )
-                p, scal = res
-                out = (permutation_matrix(p), tuple(scal))
+            res = induced_scaled_permutation(table.grounded(), g)
+            if res is None:
+                raise MonomialError(f"{g} does not act by a scaled permutation on {table.name}")
+            p, scal = res
+            out = (permutation_matrix(p), tuple(scal))
         self._scaled_cache[key] = out
         return out
 
@@ -371,8 +381,8 @@ def _logical_lines(text):
         if not stripped or stripped.startswith("#"):
             continue
         yield lineno, stripped
-    if buf.strip():
-        yield -1, buf.strip()
+    if buf.strip():  # the text ends inside a continuation
+        yield lineno, buf.strip()
 
 
 def parse_suite_text(text: str) -> Suite:
@@ -438,6 +448,12 @@ def parse_suite_text(text: str) -> Suite:
                 f"line {lineno}: table {table.name!r} has no definition for "
                 + " ".join(missing)
             )
+        # checked once every parent is known: a table's parent may be
+        # defined after the table, which deepens every table below it
+        depth = sum(1 for _ in table.ancestors())
+        if depth > TABLE_DEPTH_CAP:
+            raise SuiteError(f"line {lineno}: table {table.name!r} lies {depth} levels "
+                             f"below its root, past the cap of {TABLE_DEPTH_CAP}")
     return suite
 
 
@@ -473,10 +489,10 @@ def _parse_vars(suite: Suite, rest):
         raise SuiteError("variable name 'zeta3' is reserved for the cube root of unity")
     table = Table(tname, names, fld, parent=None)
     suite.tables[tname] = table
-    for i, n in enumerate(names):
+    for n in names:
         if n in suite.var_owner:
             raise SuiteError(f"variable {n!r} declared twice")
-        suite.var_owner[n] = (table, i)
+        suite.var_owner[n] = table
     table._pending_defs = {}
 
 
@@ -489,7 +505,7 @@ def _parse_def(suite: Suite, rest):
     if vname not in table.vt:
         raise SuiteError(f"{vname!r} is not a variable of table {tname!r}")
     used = expression_variables(expr)
-    owners = {suite.var_owner[v][0] for v in used if v in suite.var_owner}
+    owners = {suite.var_owner[v] for v in used if v in suite.var_owner}
     missing = [v for v in used if v not in suite.var_owner]
     if missing:
         raise SuiteError(f"definition uses unknown variables {missing}")
@@ -499,6 +515,9 @@ def _parse_def(suite: Suite, rest):
     if table.parent is None:
         if parent is table:
             raise SuiteError(f"definition of {target} refers to its own table")
+        if table in parent.ancestors():
+            raise SuiteError(f"definition of {target} makes table {tname!r} "
+                             "an ancestor of itself")
         if join(table.field, parent.field) is not table.field:
             raise SuiteError(f"table {tname!r} field {table.field.tag} does not "
                              f"contain field {parent.field.tag} of {parent.name!r}")
@@ -887,8 +906,8 @@ def _image_group(suite: Suite, check: Check):
     """(G, phi, phi(1), |phi(G)|) of a kernel kind: phi(g) is
     scaled_action(table, g), B alone for matrix-kernel, and phi(G) is
     closed on the generators' images.  phi is a homomorphism because
-    scaled_action is unique: Lattice rejects dependent exponent rows, and
-    scaled_action rejects proportional definitions of any other table."""
+    scaled_action is unique: Table.lattice rejects dependent exponent rows
+    of a monomial table and proportional definitions of any other."""
     table, (_, group) = check.fields[:2]
     n = len(table.vt)
     if check.kind == "matrix-kernel":
@@ -924,10 +943,10 @@ def _run_stable(suite: Suite, check: Check):
         if table.parent is not None and table.lattice().monomial:
             suite.scaled_action(table.parent, gen)
         try:
-            bmat, _ = suite.scaled_action(table, gen)
+            moved = matrix_permutation(suite.scaled_action(table, gen)[0])
         except MonomialError:
-            return False, f"{gen} leaves the span of {table.name}"
-        if matrix_permutation(bmat) is None:
+            moved = None
+        if moved is None:
             return False, f"{gen} leaves the span of {table.name}"
     return True, "every generator acts by a scaled permutation"
 

@@ -6,6 +6,7 @@ from fixedfield.actions import (
     ActionError,
     induced_scaled_permutation,
     perm_act,
+    permutation_matrix,
     scaled_times,
 )
 from fixedfield.parser import parse_expr
@@ -453,3 +454,26 @@ def test_scaled_times_composes_scaled_actions():
         for h in elements:
             assert times(phi[h])(phi[g]) == phi[g * h], (g, h)
     assert statuses(text) == [PASS]
+
+
+@pytest.mark.parametrize("tag", ["Q", "F2", "Qz3", "F4"])
+def test_scaled_action_on_a_root_is_its_permutation_matrix(tag):
+    # a root's grounded definitions are its own variables, so the rule for
+    # every table that is not monomial over a parent reads g's scaled
+    # permutation of them: g itself, with every scalar 1
+    suite = parse_suite_text(suite_text(
+        tag, {"x": (["x1", "x2", "x3"], None)},
+        ["points 3", "group S3 = (1,2) (1,2,3) expect_order=6"], [],
+    ))
+    root, one = suite.table("x"), suite.field.one()
+    elements = list(map(Perm, suite.group("S3").elements))
+    assert len(elements) == 6
+    for g in elements:
+        assert suite.scaled_action(root, g) == (permutation_matrix(g), (one,) * 3), g
+    # a root of another degree than the group's is an error, not a verdict
+    text = suite_text(
+        tag, {"x": (["x1", "x2"], None)},
+        ["points 3", "group A3 = (1,2,3) expect_order=3"],
+        ["check faithful x under A3", "check monomial x under A3", "check stable x under A3"],
+    )
+    assert results(text) == [(FAIL, "error: permutation degree 3 != variable count 2")] * 3

@@ -202,6 +202,8 @@ def test_loader_rejects_wrong_group_order():
         ('check same-action x elem=(1,2) via=parent ref="r"',
          "check same-action does not read via="),
         ('check identity x1 - x1 == 0 word=a ref="r"', "check identity does not read word="),
+        # the file ends inside a continuation: the line is the last one read
+        ('check order A3 = three ref="r" \\', "needs an integer"),
     ],
     ids=["degree-without-eq", "table-without-elem", "matrix-kernel-without-target",
          "faithful-without-under", "order-not-an-integer", "identity-nonzero-rhs",
@@ -226,7 +228,7 @@ def test_loader_rejects_wrong_group_order():
          "induced-order-unknown-table", "word-unknown-matrix", "matgroup-unknown-matrix",
          "wreath-unknown-factor", "gl23-without-gl23map", "order-unread-attributes",
          "invariance-unread-over", "table-unread-pure", "faithful-unread-transitive",
-         "same-action-unread-via", "identity-unread-word"],
+         "same-action-unread-via", "identity-unread-word", "order-continued-past-the-end"],
 )
 def test_loader_rejects_malformed_checks(check, message):
     # rejected at load time with the line number, not left to crash the
@@ -344,6 +346,32 @@ def test_loader_caps_points(points):
     assert suite.points == POINTS_CAP
 
 
+def _table_chain(depth, reverse=False):
+    """MINI with tables t1..t<depth>, each one variable defined over the
+    one before, t0 their root, and an identity check on the deepest."""
+    tables = [f"vars t{i} = a{i}" for i in range(depth + 1)]
+    links = [f"def t{i}.a{i} = a{i - 1}" for i in range(1, depth + 1)]
+    lines = tables + (links[::-1] if reverse else links)
+    return MINI.format(checks="\n".join(lines) + f'\ncheck identity a{depth} - a0 == 0 ref="r"')
+
+
+def test_loader_caps_table_depth():
+    # a chain of 1,500 tables used to load and then end its run in a
+    # RecursionError out of Table.defs_to
+    from fixedfield.suite import TABLE_DEPTH_CAP
+
+    [check] = run_parsed_suite(parse_suite_text(_table_chain(TABLE_DEPTH_CAP))).checks
+    assert (check.status, check.detail) == (PASS, "expands to zero")
+    deep = TABLE_DEPTH_CAP + 1
+    past = f"table 't{deep}' lies {deep} levels below its root, past the cap of {TABLE_DEPTH_CAP}"
+    # each case's line is that of t<deep>'s link, after the vars lines 5..5+deep;
+    # defined root last, the chain deepens at its top, and the cap still holds
+    for text, line in [(_table_chain(deep), 5 + 2 * deep), (_table_chain(1500), 5 + 1500 + deep),
+                       (_table_chain(deep, reverse=True), 6 + deep)]:
+        with pytest.raises(SuiteError, match="^" + re.escape(f"line {line}: {past}") + "$"):
+            parse_suite_text(text)
+
+
 def test_loader_rejects_points_after_a_check():
     # a check's permutation words are evaluated when it loads, at the
     # degree declared so far, so a later 'points' would come too late
@@ -363,12 +391,16 @@ def test_loader_rejects_points_after_a_check():
         ("vars m = m1 m2\nvars n = n1 n2\ndef n.n1 = x1\ndef m.m2 = x2\n"
          "def n.n2 = x2",
          "line 8: table 'm' has no definition for m1"),
+        ("vars a = a1\nvars b = b1\ndef a.a1 = b1\ndef b.b1 = a1\n"
+         'check identity a1 - a1 == 0 ref="r"',
+         "line 8: definition of b.b1 makes table 'b' an ancestor of itself"),
     ],
-    ids=["one-of-two", "interleaved-with-checks", "first-incomplete-table"],
+    ids=["one-of-two", "interleaved-with-checks", "first-incomplete-table", "cyclic-tables"],
 )
 def test_loader_rejects_partial_tables(body, message):
     # a table whose defs cover only some of its variables has no definitions
-    # to ground through; it used to load and then crash the runner
+    # to ground through; it used to load and then crash the runner.  Tables
+    # defined over each other have no root, and their run never ended
     with pytest.raises(SuiteError, match="^" + re.escape(message) + "$"):
         _mini(body)
 
@@ -788,7 +820,7 @@ def _ground_by_substitution(suite, text, stop=None):
     stop (by default the expression's one root) and every other one by zero.
     The field joins stop's field, the field of every table on the chains
     from the used tables down to stop, and zeta3 when the text names it."""
-    tables = {suite.var_owner[v][0] for v in expression_variables(text)}
+    tables = {suite.var_owner[v] for v in expression_variables(text)}
     if stop is None:
         (stop,) = {t.root() for t in tables} or {next(iter(suite.tables.values())).root()}
     fld = stop.field
@@ -803,7 +835,8 @@ def _ground_by_substitution(suite, text, stop=None):
     zero = RatFunc.from_poly(Poly.zero(stop.vt, fld))
     images = []
     for v in ns.names:
-        owner, i = suite.var_owner[v]
+        owner = suite.var_owner[v]
+        i = owner.vt.index[v]
         images.append(owner.defs_to(stop)[i].embed(fld) if owner in tables else zero)
     return substitute(parse_expr(text, ns, fld), images)
 
@@ -1293,7 +1326,7 @@ def test_induced_permutations_compose(executed_suites):
 
 def test_monomial_cocycle_on_section5_tables(executed_suites):
     # A(g*h) = A(g) A(h) and c(g*h)_j = c(h)_j * prod_i c(g)_i^{A(h)_ij}
-    from fixedfield.monomial import mat_mul
+    from fixedfield.monomial import matrix_times
 
     suite = executed_suites["sec5_char0"]
     cases = [("Za", "G26"), ("Zb", "G32"), ("Vc", "G19"), ("Wa", "G40")]
@@ -1306,7 +1339,7 @@ def test_monomial_cocycle_on_section5_tables(executed_suites):
                 bg, dg = suite.scaled_action(table, g)
                 bh, dh = suite.scaled_action(table, h)
                 bgh, dgh = suite.scaled_action(table, g * h)
-                assert bgh == mat_mul(bg, bh)
+                assert bgh == matrix_times(bh)(bg)
                 n = len(table.vt)
                 for j in range(n):
                     twisted = dh[j]
