@@ -13,8 +13,7 @@ from .actions import (
     induced_scaled_permutation,
     perm_act,
 )
-from .catalog import CatalogEntry, catalog_lookup, catalog_names
-from .monomial import det_fraction_free, matrix_word
+from .monomial import det_fraction_free
 from .parser import ParseError, parse_expr
 from .perms import (
     Perm,
@@ -26,7 +25,7 @@ from .perms import (
 )
 from .poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute
 from .scalars import F2, F4, QQ, QZ3, field_by_tag
-from .suite import SuiteReport, list_suites, run_suite
+from .suite import SuiteReport, list_suites
 
 __all__ = [
     "F2", "F4", "QQ", "QZ3", "field_by_tag",
@@ -36,7 +35,6 @@ __all__ = [
     "is_transitive", "wreath_product",
     "perm_act", "induced_scaled_permutation",
     "extract_monomial_action",
-    "det_fraction_free", "matrix_word",
-    "CatalogEntry", "catalog_lookup", "catalog_names",
-    "SuiteReport", "list_suites", "run_suite",
+    "det_fraction_free",
+    "SuiteReport", "list_suites",
 ]

@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from . import suite
-from .catalog import CatalogError, catalog_lookup
 from .parser import parse_expr
+from .perms import PermGroup
 from .poly import VarTable
 from .scalars import FieldError, field_by_tag
 from .suite import (
@@ -84,26 +84,29 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_groups(args) -> int:
-    if args.action == "list":
-        from .catalog import catalog_names
-
-        for name in catalog_names():
-            print(name)
-        return 0
-    if not args.name:
+    if args.action != "list" and not args.name:
         print("error: group name required", file=sys.stderr)
         return 2
-    try:
-        entry = catalog_lookup(args.name)
-    except CatalogError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    catalog = suite.load_suite("catalog")
+    if args.action == "list":
+        for name in [*catalog.group_words, *catalog.perm_words]:
+            print(name)
+        return 0
+    name = args.name
+    if name in catalog.group_words:
+        kind, words, order = "group", catalog.group_words[name], catalog.groups[name].order
+    elif name in catalog.perm_words:
+        # an element's order is that of the cyclic group it generates
+        kind, words = "element", [catalog.perm_words[name]]
+        order = PermGroup([catalog.perms[name]]).order
+    else:
+        print(f"error: unknown catalog name {name!r}", file=sys.stderr)
         return 2
     if args.action == "order":
-        print(entry.expected_order)
+        print(order)
     else:
-        kind = "group" if entry.kind == "group" else "element"
-        print(f"{entry.name} ({kind}), order {entry.expected_order}")
-        for w in entry.generators:
+        print(f"{name} ({kind}), order {order}")
+        for w in words:
             print(f"  {w}")
     return 0
 

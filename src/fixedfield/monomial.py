@@ -85,19 +85,6 @@ def det_fraction_free(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def matrix_word(word, alphabet):
-    """Left-to-right product of named matrices; [] gives the identity."""
-    out = None
-    for sym in word:
-        if sym not in alphabet:
-            raise MonomialError(f"unknown matrix symbol {sym!r}")
-        m = alphabet[sym]
-        out = m if out is None else matrix_times(m)(out)
-    if out is None:
-        raise MonomialError("empty word needs an explicit size; pass ['I'] instead")
-    return out
-
-
 def close(generators, one, times, cap):
     """The set of elements of the group generated by hashable elements,
     by Dimino's coset enumeration; it closes permutation groups (on image

@@ -28,7 +28,8 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import reduce
 from importlib import resources
 
 from .actions import (
@@ -50,7 +51,6 @@ from .monomial import (
     mat_identity,
     matrix_group_elements,
     matrix_times,
-    matrix_word,
 )
 from .parser import ParseError, expression_names, expression_variables, parse_expr
 from .perms import (
@@ -103,16 +103,6 @@ class SuiteReport:
         for c in self.checks:
             out[c.status] += 1
         return out
-
-    def to_dict(self):
-        return {
-            "suite": self.suite,
-            "checks": [
-                {"id": c.id, "paper_ref": c.paper_ref, "status": c.status,
-                 "detail": c.detail}
-                for c in self.checks
-            ],
-        }
 
 
 class Table:
@@ -235,6 +225,11 @@ class Suite:
         if name not in self.groups:
             raise SuiteError(f"unknown group {name!r} in suite {self.name}")
         return self.groups[name]
+
+    def matrix(self, name):
+        if name not in self.matrices:
+            raise MonomialError(f"unknown matrix symbol {name!r}")
+        return self.matrices[name]
 
     def perm_word(self, text) -> Perm:
         """A product of named permutations and cycle literals, '*'-joined,
@@ -372,23 +367,38 @@ def _logical_lines(text):
     buf = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
+        if line.lstrip().startswith("#"):  # a comment ends in no continuation
+            continue
         if line.endswith("\\"):
             buf += line[:-1]
             continue
         buf += line
         stripped = buf.strip()
         buf = ""
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped
+        if stripped:
+            yield lineno, stripped
     if buf.strip():  # the text ends inside a continuation
         yield lineno, buf.strip()
+
+
+# statement -> the '<name> = <body>' it needs
+_ASSIGNMENTS = {"def": "<table>.<var> = <expression>", "perm": "<name> = <word>",
+                "group": "<name> = <words> expect_order=<int>", "matrix": "<name> = <rows>"}
+
+
+def _assignment(head, rest):
+    """(name, body) of the statement head's '<name> = <body>'."""
+    m = re.fullmatch(r"([^\s=]+)\s*=\s*(\S.*)", rest)
+    if not m or head == "def" and "." not in m[1]:
+        raise SuiteError(f"{head} needs '{_ASSIGNMENTS[head]}'")
+    return m.groups()
 
 
 def parse_suite_text(text: str) -> Suite:
     suite = None
     check_seq = 0
     last_def = {}  # table with definitions -> line of its last def
+    paired = []  # (line, check) of each check with pair=
     for lineno, line in _logical_lines(text):
         try:
             head, rest = (line.split(None, 1) + [""])[:2]
@@ -401,6 +411,8 @@ def parse_suite_text(text: str) -> Suite:
                 continue
             if suite is None:
                 raise SuiteError("first statement must be 'suite'")
+            if head in _ASSIGNMENTS:
+                rest = _assignment(head, rest)
             if head == "points":
                 if suite.perms or suite.groups or suite.tables or suite.checks:
                     raise SuiteError("'points' must precede declarations")
@@ -411,9 +423,9 @@ def parse_suite_text(text: str) -> Suite:
             elif head == "vars":
                 _parse_vars(suite, rest)
             elif head == "def":
-                last_def[_parse_def(suite, rest)] = lineno
+                last_def[_parse_def(suite, *rest)] = lineno
             elif head == "perm":
-                name, word = [s.strip() for s in rest.split("=", 1)]
+                name, word = rest
                 if name in suite.perms:
                     raise SuiteError(f"duplicate perm {name!r}")
                 if name == "rho":  # a table row's elem=rho is conjugation
@@ -421,20 +433,20 @@ def parse_suite_text(text: str) -> Suite:
                 suite.perms[name] = suite.perm_word(word)
                 suite.perm_words[name] = word
             elif head == "group":
-                _parse_group(suite, rest)
+                _parse_group(suite, *rest)
             elif head == "matrix":
-                name, body = [s.strip() for s in rest.split("=", 1)]
+                name, body = rest
                 if name in suite.matrices:
                     raise SuiteError(f"duplicate matrix {name!r}")
-                rows = [
-                    [int(x) for x in row.split(",")] for row in body.split("/")
-                ]
+                rows = [_int_list(row, "matrix") for row in body.split("/")]
                 suite.matrices[name] = mat_from_rows(rows)
             elif head == "gl23map":
                 _parse_gl23map(suite, rest)
             elif head == "check":
                 check_seq += 1
                 _parse_check(suite, rest, check_seq)
+                if "pair" in suite.checks[-1].attrs:
+                    paired.append((lineno, suite.checks[-1]))
             else:
                 raise SuiteError(f"unknown statement {head!r}")
         except ValueError as exc:  # every error class of the package is one
@@ -454,6 +466,11 @@ def parse_suite_text(text: str) -> Suite:
         if depth > TABLE_DEPTH_CAP:
             raise SuiteError(f"line {lineno}: table {table.name!r} lies {depth} levels "
                              f"below its root, past the cap of {TABLE_DEPTH_CAP}")
+    # a pair= may name a check further down the file
+    for lineno, check in paired:
+        if check.attrs["pair"] not in suite.check_ids:
+            raise SuiteError(f"line {lineno}: check {check.kind} pairs with unknown "
+                             f"check id {check.attrs['pair']!r}")
     return suite
 
 
@@ -462,13 +479,18 @@ def _parse_gl23map(suite: Suite, rest):
     entries read mod 3, onto the labels 1..8."""
     if suite.gl23map:
         raise SuiteError("duplicate gl23map")
+    name, eq, body = rest.partition("=")
+    if eq and name.strip():
+        raise SuiteError(f"gl23map takes no name, got {name.strip()!r}")
     labels = {}
-    for item in rest.partition("=")[2].split():
-        vec, idx = item.rsplit(":", 1)
-        a, b = (int(x) % 3 for x in vec.split(","))
+    for item in body.split():
+        m = re.fullmatch(r"(-?\d+),(-?\d+):(\d+)", item)
+        if not m:
+            raise SuiteError(f"gl23map needs items 'a,b:i' of integers, got {item!r}")
+        a, b = int(m[1]) % 3, int(m[2]) % 3
         if (a, b) in labels:
             raise SuiteError(f"gl23map labels the vector ({a},{b}) twice")
-        labels[(a, b)] = int(idx)
+        labels[(a, b)] = int(m[3])
     nonzero = {(a, b) for a in range(3) for b in range(3)} - {(0, 0)}
     if labels.keys() != nonzero or sorted(labels.values()) != list(range(1, 9)):
         raise SuiteError("gl23map must label the 8 nonzero vectors of F3^2 "
@@ -496,8 +518,7 @@ def _parse_vars(suite: Suite, rest):
     table._pending_defs = {}
 
 
-def _parse_def(suite: Suite, rest):
-    target, expr = [s.strip() for s in rest.split("=", 1)]
+def _parse_def(suite: Suite, target, expr):
     tname, vname = target.split(".", 1)
     table = suite.table(tname)
     if table.defs is not None:
@@ -537,8 +558,7 @@ def _parse_def(suite: Suite, rest):
     return table
 
 
-def _parse_group(suite: Suite, rest):
-    name, body = [s.strip() for s in rest.split("=", 1)]
+def _parse_group(suite: Suite, name, body):
     m = re.search(r"expect_order=(\d+)", body)
     if not m:
         raise SuiteError(f"group {name!r} needs expect_order=")
@@ -881,17 +901,17 @@ def _parse_word(suite: Suite, payload, attrs):
             )
         syms.extend([m.group(1)] * int(m.group(2) or 1))
     table, g = suite.table(payload.strip()), suite.perm_word(elem)
-    return table, g, matrix_word(syms, suite.matrices)
+    return table, g, reduce(lambda x, h: matrix_times(h)(x), _matrices(suite, syms))
+
+
+def _matrices(suite: Suite, syms):
+    return [suite.matrix(s) for s in syms]
 
 
 def _run_word(suite: Suite, check: Check):
     table, g, target = check.fields
     bmat, _ = suite.scaled_action(table, g)
     return bmat == target, f"extracted matrix vs word {check.attrs['word']}"
-
-
-def _matrices(suite: Suite, syms):
-    return [matrix_word([s], suite.matrices) for s in syms]
 
 
 def _run_matgroup(suite: Suite, check: Check):
@@ -1131,13 +1151,6 @@ def load_suite(name: str) -> Suite:
     return suite
 
 
-def run_suite(name: str, fail_fast: bool = False) -> SuiteReport:
-    return run_parsed_suite(load_suite(name), fail_fast=fail_fast)
-
-
 def report_to_json(reports) -> str:
-    if isinstance(reports, SuiteReport):
-        doc = reports.to_dict()
-    else:
-        doc = [r.to_dict() for r in reports]
+    doc = asdict(reports) if isinstance(reports, SuiteReport) else [*map(asdict, reports)]
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

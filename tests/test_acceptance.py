@@ -13,13 +13,12 @@ import time
 
 import pytest
 
-from fixedfield.catalog import catalog_lookup
 from fixedfield.monomial import det_fraction_free, is_square, mat_from_rows, monomial_shape
 from fixedfield.parser import parse_expr
 from fixedfield.perms import Perm, is_transitive
 from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute
 from fixedfield.scalars import F2, F4, QQ, QZ3
-from fixedfield.suite import FLAGGED, PASS, list_suites, load_suite, run_parsed_suite, run_suite
+from fixedfield.suite import FLAGGED, PASS, list_suites, load_suite, run_parsed_suite
 
 from test_monomial import smith_diagonal
 from test_scalars import random_payload
@@ -37,7 +36,7 @@ def announce(num, ok, text):
 
 @pytest.fixture(scope="module")
 def all_reports():
-    return {name: run_suite(name) for name in list_suites()}
+    return {name: run_parsed_suite(load_suite(name)) for name in list_suites()}
 
 
 EXPECTED_ORDERS = {
@@ -68,11 +67,11 @@ def test_criterion_1_catalog():
 
 def test_criterion_2_identities():
     t0 = time.time()
-    rep29 = run_suite("prop29")
+    rep29 = run_parsed_suite(load_suite("prop29"))
     by_id = {c.id: c.status for c in rep29.checks}
     ok = all(by_id[f"ident-{k}"] == PASS for k in ("i", "ii", "iii", "iv", "v", "vi"))
-    rep7a = run_suite("sec7_char0")
-    rep7b = run_suite("sec7_char2")
+    rep7a = run_parsed_suite(load_suite("sec7_char0"))
+    rep7b = run_parsed_suite(load_suite("sec7_char2"))
     ok = ok and {c.id: c.status for c in rep7a.checks}["cube-relation"] == PASS
     ok = ok and {c.id: c.status for c in rep7b.checks}["cube-relation-f2"] == PASS
     elapsed = time.time() - t0
@@ -177,10 +176,11 @@ def test_criterion_6_induced_quotients(all_reports):
         "ind-G33": ("G33", 6), "ind-G34": ("G34", 6), "ind-G41": ("G41", 12),
         "ind-G45": ("G45", 36), "ind-G46": ("G46", 36),
     }
+    catalog = load_suite("catalog")
     ok = True
     for cid, (gname, order) in quotients.items():
         ok = ok and by6[cid] == PASS
-        ok = ok and catalog_lookup(gname).expected_order // 16 == order
+        ok = ok and catalog.groups[gname].order // 16 == order
     for cid in ("ind-gam0", "ind-gam1", "ind-gam2"):
         ok = ok and by7[cid] == PASS
     announce(6, ok, "induced quotients have orders 6, 6, 12, 36, 36 on six points "

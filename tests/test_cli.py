@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +266,35 @@ def test_verify_malformed_sec4_exits_2(capsys, monkeypatch, old, new, line):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: line {line}")
+
+
+def _groups_transcript(capsys):
+    """Every `fixedfield groups` invocation on the catalog, each as its
+    command line, its stdout, its stderr after '! ' and its exit code."""
+    from importlib import resources
+
+    text = resources.files("fixedfield").joinpath("data/catalog.suite").read_text()
+    names = re.findall(r"^(?:perm|group) (\S+)", text, flags=re.M)
+    assert len(names) == 66  # 18 named elements and the 48 groups
+    argvs = [["list"]]
+    argvs += [[action, name] for name in names for action in ("show", "order")]
+    argvs += [["show", "G99"], ["order", "G99"], ["show"], ["order"]]
+    out = []
+    for argv in argvs:
+        code, stdout, stderr = run(["groups", *argv], capsys)
+        out.append(f"$ fixedfield groups {' '.join(argv)}\n{stdout}")
+        if stderr:
+            out.append(f"! {stderr}")
+        out.append(f"[exit {code}]\n")
+    return "".join(out)
+
+
+def test_groups_output_is_pinned_byte_for_byte(capsys, monkeypatch):
+    import functools
+
+    import fixedfield.suite as suite_mod
+
+    # every invocation loads the catalog; load it once for all 137 of them
+    monkeypatch.setattr(suite_mod, "load_suite", functools.lru_cache(suite_mod.load_suite))
+    golden = Path(__file__).parent / "data" / "groups_cli.txt"
+    assert _groups_transcript(capsys) == golden.read_text(encoding="utf-8")

@@ -9,6 +9,8 @@ function fields.
 
 import random
 import re
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +21,7 @@ from sympy.combinatorics.named_groups import (
     AlternatingGroup, CyclicGroup, DihedralGroup, SymmetricGroup,
 )
 
-from fixedfield.catalog import catalog_lookup
+from fixedfield.cli import main
 from fixedfield.perms import is_transitive
 from fixedfield.suite import SuiteError, load_suite, parse_suite_text
 
@@ -29,12 +31,65 @@ def to_sympy(perm):
 
 
 @pytest.mark.parametrize("index", range(1, 49))
-def test_catalog_orders_against_schreier_sims(index):
+def test_catalog_orders_against_schreier_sims(index, capsys):
     name = f"G{index}"
     group = load_suite("catalog").groups[name]
     ref = PermutationGroup([to_sympy(g) for g in group.generators])
-    assert ref.order() == catalog_lookup(name).expected_order == group.order
+    assert main(["groups", "order", name]) == 0
+    assert ref.order() == int(capsys.readouterr().out) == group.order
     assert ref.is_transitive() == is_transitive(group) == True
+
+
+def _cycle_type(af):
+    """The sorted cycle lengths, fixed points included, of an array form."""
+    seen, lengths = set(), []
+    for start in range(len(af)):
+        length = 0
+        while start not in seen:
+            seen.add(start)
+            start, length = af[start], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _conjugacy_invariant(gens):
+    """(order, cycle-type counts, orbit lengths on 2-subsets) of the group
+    sympy generates from gens.  Conjugation in S_n keeps each of them, so
+    two groups whose values differ are not conjugate.  The elements come
+    from sympy; the orbits on 2-subsets are closed on the generators."""
+    group = PermutationGroup(gens)
+    types = Counter(map(_cycle_type, group.generate(af=True)))
+    afs = [g.array_form for g in gens]
+    seen, orbits = set(), []
+    for pair in combinations(range(group.degree), 2):
+        if pair in seen:
+            continue
+        seen.add(pair)
+        orbit = [pair]
+        for a, b in orbit:  # orbit grows while it is walked
+            for af in afs:
+                image = tuple(sorted((af[a], af[b])))
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        orbits.append(len(orbit))
+    return group.order(), tuple(sorted(types.items())), tuple(sorted(orbits))
+
+
+def test_catalog_names_48_distinct_classes():
+    # the transitive subgroups of S8 fall into 50 conjugacy classes (Butler
+    # and McKay 1983); the catalog holds 48 of them, and A8 and S8, of
+    # orders 20160 and 40320, are the other two
+    catalog = load_suite("catalog")
+    gens = {name: [to_sympy(g) for g in group.generators]
+            for name, group in catalog.groups.items()}
+    invariants = {name: _conjugacy_invariant(g) for name, g in gens.items()}
+    assert len(invariants) == len(set(invariants.values())) == 48
+    assert not {order for order, _, _ in invariants.values()} & {20160, 40320}
+    # a G11 given a conjugate of G10's generators would be caught
+    conjugator = Permutation([[0, 3, 6], [1, 7]], size=8)
+    assert _conjugacy_invariant([g ^ conjugator for g in gens["G10"]]) == invariants["G10"]
 
 
 def test_quotient_orders_against_schreier_sims():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -15,7 +16,6 @@ from fixedfield.monomial import (
     mat_identity,
     matrix_group_elements,
     matrix_times,
-    matrix_word,
     monomial_shape,
     solve_int_combination,
 )
@@ -23,7 +23,7 @@ from fixedfield.parser import parse_expr
 from fixedfield.perms import Perm, parse_cycles
 from fixedfield.poly import Poly, RatFunc, VarTable
 from fixedfield.scalars import QQ
-from fixedfield.suite import FAIL, PASS, load_suite, parse_suite_text, run_parsed_suite
+from fixedfield.suite import FAIL, PASS, SuiteError, load_suite, parse_suite_text, run_parsed_suite
 
 SIGMA_4A = mat_from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
 LAMBDA_1 = mat_from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
@@ -76,16 +76,26 @@ def smith_diagonal(m):
     return diag
 
 
-def test_matrix_word_examples():
+def test_matrix_products_examples():
+    # a word= of named matrices is their left-to-right matrix_times product
+    def product(*factors):
+        return reduce(lambda x, h: matrix_times(h)(x), factors)
+
     neg = mat_neg(SIGMA_4A)
-    alphabet = {"nsA": neg, "l1": LAMBDA_1}
-    cubed = matrix_word(["nsA", "nsA", "nsA"], alphabet)
-    assert cubed == mat_from_rows([[0, -1, 0], [1, 0, 0], [0, 0, -1]])
-    squared = matrix_word(["nsA", "nsA"], alphabet)
-    assert squared == mat_from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
-    with pytest.raises(MonomialError):
-        matrix_word([], alphabet)
-    assert matrix_word(["I3"], {"I3": mat_identity(3)}) == mat_identity(3)
+    cubed = mat_from_rows([[0, -1, 0], [1, 0, 0], [0, 0, -1]])
+    assert product(neg, neg, neg) == cubed
+    assert product(neg, neg) == mat_from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    assert product(mat_identity(3)) == mat_identity(3)
+    assert product(neg, LAMBDA_1) == mat_from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])  # not L*neg
+    # the loader reads a word= as that product, and has no empty word
+    head = ("suite m field=Q\npoints 3\nvars x = x1 x2 x3\nmatrix nsA = 0,1,0 / -1,0,0 / 0,0,-1\n"
+            "matrix l1 = -1,0,0 / 0,1,0 / 0,0,-1\n")
+    suite = parse_suite_text(head + 'check word x elem=(1,2) word=nsA^2*nsA ref="r"\n')
+    assert suite.checks[0].fields[2] == cubed
+    suite = parse_suite_text(head + 'check word x elem=(1,2) word=nsA*l1 ref="r"\n')
+    assert suite.checks[0].fields[2] == product(neg, LAMBDA_1)
+    with pytest.raises(SuiteError, match="^line 6: check word needs word= factors"):
+        parse_suite_text(head + 'check word x elem=(1,2) word=* ref="r"\n')
 
 
 def _triple_loop(a, b):

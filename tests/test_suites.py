@@ -1,13 +1,13 @@
 import hashlib
 import re
 from collections import Counter
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from fixedfield.actions import perm_act
-from fixedfield.catalog import CatalogError, catalog_lookup, catalog_names
 from fixedfield.monomial import mat_identity
 from fixedfield.parser import _tokenize, expression_names, expression_variables, parse_expr
 from fixedfield.perms import POINTS_CAP, Perm, PermGroup
@@ -25,7 +25,6 @@ from fixedfield.suite import (
     parse_suite_text,
     report_to_json,
     run_parsed_suite,
-    run_suite,
 )
 
 ALL_SUITES = list_suites()
@@ -33,7 +32,7 @@ ALL_SUITES = list_suites()
 
 @pytest.fixture(scope="module")
 def reports():
-    return {name: run_suite(name) for name in ALL_SUITES}
+    return {name: run_parsed_suite(load_suite(name)) for name in ALL_SUITES}
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +56,8 @@ def test_list_suites_contract():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(SuiteError):
-        run_suite("nope")
+    with pytest.raises(SuiteError, match="^unknown suite 'nope'$"):
+        load_suite("nope")
 
 
 MINI = """suite mini field=Q
@@ -258,6 +257,56 @@ def test_loader_rejects_malformed_checks(check, message):
 def test_loader_rejects_reserved_and_repeated_names(lines, message):
     with pytest.raises(SuiteError, match="^" + re.escape(message) + "$"):
         _mini(lines)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("perm p (1,2)", "perm needs '<name> = <word>'"),
+        ("perm p =", "perm needs '<name> = <word>'"),
+        ("perm p q = (1,2)", "perm needs '<name> = <word>'"),
+        ("matrix M 1,0/0,1", "matrix needs '<name> = <rows>'"),
+        ("matrix M = 1,x / 0,1", "matrix entry is not an integer in '1,x '"),
+        ("group G (1,2)", "group needs '<name> = <words> expect_order=<int>'"),
+        ("def x.x1", "def needs '<table>.<var> = <expression>'"),
+        ("def xa = x1", "def needs '<table>.<var> = <expression>'"),
+        ("gl23map = 1,0", "gl23map needs items 'a,b:i' of integers, got '1,0'"),
+        ("gl23map = 1,0:x", "gl23map needs items 'a,b:i' of integers, got '1,0:x'"),
+        ("gl23map foo = 1,0:1", "gl23map takes no name, got 'foo'"),
+    ],
+    ids=["perm-without-eq", "perm-without-word", "perm-two-names", "matrix-without-eq",
+         "matrix-non-integer-entry", "group-without-eq", "def-without-eq",
+         "def-without-dot", "gl23map-item-without-label", "gl23map-non-integer-label",
+         "gl23map-named"],
+)
+def test_loader_rejects_statements_without_their_assignment(line, message):
+    # each error names its statement, not Python's unpacking error, and a
+    # name before gl23map's '=' is an error, not ignored
+    with pytest.raises(SuiteError, match="^line 5: " + re.escape(message) + "$"):
+        _mini(line)
+
+
+def test_a_comment_line_ends_in_no_continuation():
+    # a backslash at the end of a comment continues nothing: the next line
+    # is a check of its own, here a wrong one that must show as a fail
+    suite = _mini('# a note \\\ncheck order A3 = 5 ref="r"')
+    [check] = run_parsed_suite(suite).checks
+    assert (check.status, check.detail) == (FAIL, "order 3, expected 5")
+    # inside a continuation, a comment line is dropped and the line goes on
+    suite = _mini('check order A3 \\\n  # the order of A3\n = 3 ref="r"')
+    assert [c.status for c in run_parsed_suite(suite).checks] == [PASS]
+
+
+def test_loader_checks_pair_once_the_file_is_read():
+    # a pair= may name a check further down, but must name some check
+    fail = 'check order A3 = 6 expect=fail pair=fixed note="n" ref="r"'
+    fixed = 'check order A3 = 3 id=fixed ref="r"'
+    statuses = [c.status for c in run_parsed_suite(_mini(fail + "\n" + fixed)).checks]
+    assert statuses == [FLAGGED, PASS]
+    other = 'check order A3 = 3 id=other ref="r"'
+    with pytest.raises(SuiteError, match="^line 5: check order pairs with unknown check "
+                       "id 'fixed'$"):
+        _mini(fail + "\n" + other)
 
 
 def test_loader_rejects_zeta3_in_a_definition_over_a_field_without_it():
@@ -530,8 +579,8 @@ def test_deep_nesting_is_a_load_error_or_an_error_verdict():
 
 
 def test_reports_are_deterministic():
-    blob1 = report_to_json([run_suite(n) for n in ALL_SUITES])
-    blob2 = report_to_json([run_suite(n) for n in ALL_SUITES])
+    blob1 = report_to_json([run_parsed_suite(load_suite(n)) for n in ALL_SUITES])
+    blob2 = report_to_json([run_parsed_suite(load_suite(n)) for n in ALL_SUITES])
     assert blob1 == blob2
 
 
@@ -547,7 +596,7 @@ def test_canonical_report_md5(reports):
 
 def test_runs_look_no_name_up(monkeypatch):
     # every name a check uses is resolved when its suite loads: with the
-    # three lookups made to raise, the runs still give the pinned report
+    # four lookups made to raise, the runs still give the pinned report
     from fixedfield.suite import Suite
 
     suites = [load_suite(n) for n in ALL_SUITES]
@@ -555,14 +604,14 @@ def test_runs_look_no_name_up(monkeypatch):
     def refuse(self, name):
         raise AssertionError(f"{name!r} looked up while a check runs")
 
-    for lookup in ("table", "group", "perm_word"):
+    for lookup in ("table", "group", "perm_word", "matrix"):
         monkeypatch.setattr(Suite, lookup, refuse)
     blob = report_to_json([run_parsed_suite(s) for s in suites])
     assert hashlib.md5(blob.encode()).hexdigest() == CANONICAL_REPORT_MD5
 
 
 def test_report_shape(reports):
-    doc = reports["catalog"].to_dict()
+    doc = asdict(reports["catalog"])
     assert set(doc) == {"suite", "checks"}
     assert doc["suite"] == "catalog"
     for entry in doc["checks"]:
@@ -679,18 +728,30 @@ def test_mod3_matrix_groups_have_matching_orders():
     m_theta = ((1, 1), (2, 1))
     m_phi = ((1, 0), (2, 1))
     m_psi = ((0, 2), (1, 0))
-    assert len(close([m_theta, m_phi])) == catalog_lookup("G23").expected_order == 48
-    assert len(close([m_phi, m_psi])) == catalog_lookup("G12").expected_order == 24
+    catalog = load_suite("catalog")
+    assert len(close([m_theta, m_phi])) == catalog.groups["G23"].order == 48
+    assert len(close([m_phi, m_psi])) == catalog.groups["G12"].order == 24
 
 
 # --- catalog lookups ---------------------------------------------------------
 
-def test_catalog_lookup_examples():
-    assert catalog_lookup("G48").expected_order == 1344
-    assert catalog_lookup("G43").expected_order == 336
-    assert catalog_lookup("G17").generators == ("(1,2,3,4)", "kappa")
-    with pytest.raises(CatalogError):
-        catalog_lookup("G99")
+def _groups_cli(capsys, *argv):
+    from fixedfield.cli import main
+
+    code = main(["groups", *argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_catalog_examples(capsys):
+    catalog = load_suite("catalog")
+    assert catalog.groups["G48"].order == 1344
+    assert catalog.groups["G43"].order == 336
+    assert catalog.group_words["G17"] == ["(1,2,3,4)", "kappa"]
+    assert "G99" not in catalog.groups and "G99" not in catalog.perms
+    assert _groups_cli(capsys, "show", "G17") == (0, "G17 (group), order 32\n"
+                                                  "  (1,2,3,4)\n  kappa\n", "")
+    assert _groups_cli(capsys, "order", "G99") == (2, "", "error: unknown catalog name 'G99'\n")
 
 
 # orders of the cyclic groups generated by the named elements of
@@ -703,23 +764,24 @@ ELEMENT_ORDERS = {
 }
 
 
-def test_catalog_elements_close_to_their_orders():
+def test_catalog_elements_close_to_their_orders(capsys):
     catalog = load_suite("catalog")
-    assert catalog_names() == [f"G{i}" for i in range(1, 49)] + list(ELEMENT_ORDERS)
+    names = [f"G{i}" for i in range(1, 49)] + list(ELEMENT_ORDERS)
+    assert [*catalog.group_words, *catalog.perm_words] == names
+    assert _groups_cli(capsys, "list") == (0, "".join(f"{n}\n" for n in names), "")
     for name, order in ELEMENT_ORDERS.items():
-        entry = catalog_lookup(name)
-        assert entry.kind == "element"
-        assert entry.expected_order == order
+        assert name not in catalog.groups
         assert PermGroup([catalog.perms[name]]).order == order
+        code, out, _ = _groups_cli(capsys, "show", name)
+        assert code == 0 and out.startswith(f"{name} (element), order {order}\n")
 
 
-def test_catalog_groups_close_to_their_orders():
+def test_catalog_groups_close_to_their_orders(capsys):
     factorial8 = 40320
     catalog = load_suite("catalog")
     for i in range(1, 49):
-        entry = catalog_lookup(f"G{i}")
         group = catalog.groups[f"G{i}"]
-        assert group.order == entry.expected_order
+        assert _groups_cli(capsys, "order", f"G{i}") == (0, f"{group.order}\n", "")
         assert factorial8 % group.order == 0
 
 
