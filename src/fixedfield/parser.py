@@ -229,14 +229,16 @@ class _Parser:
                 out = (out[0], f.neg(out[1])) if type(out) is tuple else -out
             self.depth -= 1
             return out
-        raise self.error(f"unexpected token {_value(self.tokens[self.i - 1])!r}", self.i - 1)
+        if not op:  # the end token
+            raise self.error("unexpected end of expression", self.i - 1)
+        raise self.error(f"unexpected token {op!r}", self.i - 1)
 
 
 def _value(token):
-    """The value of a token in a message: an int, a string, or None at the
-    end."""
+    """The value of a token other than the end in a message: an int or a
+    string."""
     num, name, op = token
-    return int(num) if num else name or op or None
+    return int(num) if num else name or op
 
 
 def _folds(prod):

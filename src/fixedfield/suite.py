@@ -203,7 +203,7 @@ class Suite:
         self.var_owner: dict[str, Table] = {}
         self.perms: dict[str, Perm] = {}
         self.perm_words: dict[str, str] = {}
-        self._words: dict[str, Perm] = {}  # perm_word's memo: text -> Perm
+        self._words: dict[str, Perm] = {}  # perm_word's memo: word or atom -> Perm
         self.groups: dict[str, PermGroup] = {}
         self.group_words: dict[str, list] = {}
         self.matrices: dict[str, tuple] = {}
@@ -235,36 +235,40 @@ class Suite:
         """A product of named permutations and cycle literals, '*'-joined,
         each optionally raised to an integer power.
 
-        Each text is evaluated once and its Perm kept in self._words.  That
-        is sound because a text's value never changes: a perm name cannot be
-        rebound (duplicate perm), and 'points' must precede every
-        declaration and check.  A text that raises is not kept, so it
-        raises again on every call."""
-        if text in self._words:
-            return self._words[text]
+        Each text, and each of its stripped '*'-separated atoms, is
+        evaluated once and its Perm kept in self._words: an atom is the
+        one-atom word of the same value.  That is sound because a text's
+        value never changes: a perm name cannot be rebound (duplicate perm),
+        and 'points' must precede every declaration and check.  A text or
+        atom that raises is not kept, so it raises again on every call; the
+        errors of a word's syntax quote the whole word."""
+        words = self._words
+        if text in words:
+            return words[text]
         out = None
         for atom in text.split("*"):
             atom = atom.strip()
-            if not atom:
-                raise SuiteError(f"empty factor in permutation word {text!r}")
-            m = _WORD_ATOM.match(atom)
-            if not m:
-                raise SuiteError(f"bad permutation word {text!r}")
-            base, power = m.groups()
-            if base == "(ID)":
-                p = Perm.identity(self.points)
-            elif base in self.perms:
-                p = self.perms[base]
-            elif base.startswith("("):
-                p = parse_cycles(base, self.points)
-            else:
-                raise SuiteError(f"unknown permutation {base!r}")
-            if power is not None:
-                p = p**int(power)
+            p = words.get(atom)
+            if p is None:
+                if not atom:
+                    raise SuiteError(f"empty factor in permutation word {text!r}")
+                m = _WORD_ATOM.match(atom)
+                if not m:
+                    raise SuiteError(f"bad permutation word {text!r}")
+                base, power = m.groups()
+                if base == "(ID)":
+                    p = Perm.identity(self.points)
+                elif base in self.perms:
+                    p = self.perms[base]
+                elif base.startswith("("):
+                    p = parse_cycles(base, self.points)
+                else:
+                    raise SuiteError(f"unknown permutation {base!r}")
+                if power is not None:
+                    p = p**int(power)
+                words[atom] = p
             out = p if out is None else out * p
-        if out is None:
-            raise SuiteError("empty permutation word")
-        self._words[text] = out
+        words[text] = out
         return out
 
     # ------------------------------------------------------------------
@@ -416,7 +420,10 @@ def parse_suite_text(text: str) -> Suite:
             if head == "points":
                 if suite.perms or suite.groups or suite.tables or suite.checks:
                     raise SuiteError("'points' must precede declarations")
-                suite.points = int(rest)
+                try:
+                    suite.points = int(rest)
+                except ValueError:
+                    raise SuiteError(f"points needs an integer, got {rest!r}") from None
                 if not 1 <= suite.points <= POINTS_CAP:
                     raise SuiteError(f"points must be between 1 and {POINTS_CAP}, "
                                      f"got {suite.points}")

@@ -2,7 +2,10 @@
 
 Each record holds paired perfbench runs of a parent commit and a change.
 Every record must describe correct runs that kept the pinned report, and
-its summary numbers must follow from the runs it lists.
+its summary numbers must follow from the runs it lists.  A record that
+claims a gain must name a workload and an end-to-end metric of
+BENCHMARK.json, and the gain must show in the medians of every round that
+ran that workload.
 """
 
 import json
@@ -14,7 +17,9 @@ import pytest
 
 from test_suites import CANONICAL_REPORT_MD5
 
-RECORDS = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+CLAIMED = [p for p in RECORDS if json.loads(p.read_text())["claim"] is not None]
 
 
 def _workloads(record):
@@ -48,3 +53,23 @@ def test_bench_record_is_consistent(path):
                                     rel_tol=0, abs_tol=5e-5 + 1e-9), (where, name, side)
         seen += 1
     assert seen, path.name
+
+
+@pytest.mark.parametrize("path", CLAIMED, ids=[p.name for p in CLAIMED])
+def test_a_claimed_gain_shows_in_every_round(path):
+    # the claim names a workload and an end-to-end metric of the benchmark,
+    # and every round that ran the workload moved the median its better way
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    record = json.loads(path.read_text())
+    claim = record["claim"]
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
+    assert claim["workload"] in {w["name"] for w in benchmark["workloads"]}
+    assert claim["metric"] in metrics
+    assert claim["better"] == metrics[claim["metric"]]["better"]
+    rounds = [(i + 1, r["workloads"][claim["workload"]]) for i, r in enumerate(record["rounds"])
+              if claim["workload"] in r["workloads"]]
+    assert rounds, path.name
+    for number, workload in rounds:
+        metric = workload[claim["metric"]]
+        parent, change = metric["parent"]["median"], metric["change"]["median"]
+        assert change < parent if claim["better"] == "lower" else change > parent, number

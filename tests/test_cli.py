@@ -251,8 +251,9 @@ def test_verify_partial_table_exits_2(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "old, new, line",
-    [("-1,-1:8", "-1,-1:9", "31: gl23map must label"), ("points 8", "points 65536", "7: points")],
-    ids=["gl23map-label-9", "points-65536"],
+    [("-1,-1:8", "-1,-1:9", "31: gl23map must label"), ("points 8", "points 65536", "7: points"),
+     ("points 8", "points abc", "7: points needs an integer, got 'abc'\n")],
+    ids=["gl23map-label-9", "points-65536", "points-abc"],
 )
 def test_verify_malformed_sec4_exits_2(capsys, monkeypatch, old, new, line):
     import fixedfield.suite as suite_mod

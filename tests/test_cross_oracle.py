@@ -301,6 +301,25 @@ def test_random_words_against_sympy():
             suite.perm_word("(1,2)*c")
 
 
+def test_each_atom_is_evaluated_once_per_suite(monkeypatch):
+    # (1,2,3)^2 occurs in three words, twice in the second, and is parsed
+    # once; no word is the atom alone, which the memo of words would cover
+    import fixedfield.suite as suite_mod
+
+    suite = parse_suite_text("suite mini field=Q\npoints 4\nperm a = (1,4)\n")
+    parsed = Counter()
+    parse_cycles = suite_mod.parse_cycles
+
+    def counted(text, n):
+        parsed[text] += 1
+        return parse_cycles(text, n)
+
+    monkeypatch.setattr(suite_mod, "parse_cycles", counted)
+    for text in ("a*(1,2,3)^2", "(1,2,3)^2 * a^-1 * (1,2,3)^2", "(2,4)*(1,2,3)^2*a"):
+        _assert_word_matches_sympy(suite, text)
+    assert parsed == {"(1,2,3)": 1, "(2,4)": 1}
+
+
 # --- the expression parser against sympy's rational function fields ---------
 
 def _render(tree, level=0):

@@ -92,11 +92,12 @@ def test_errors_carry_position():
         ("3*y^2", QQ, "unknown variable 'y'", 2),
         ("zeta3 + x1", QQ, "zeta3 is not available over Q", 0),
         ("x1*zeta3", F2, "zeta3 is not available over F2", 3),
-        ("x1 + ", QQ, "unexpected token None", 5),
+        ("x1 + ", QQ, "unexpected end of expression", 5),
         ("x1 * )", QQ, "unexpected token ')'", 5),
         ("* x1", QQ, "unexpected token '*'", 0),
         ("(" * 101 + "x1" + ")" * 101, QQ, "nesting deeper than 100", 100),
         ("x1*" + "-" * 101 + "x2", QQ, "nesting deeper than 100", 103),
+        ("(x1 - ", QQ, "unexpected end of expression", 6),
     ],
 )
 def test_error_messages_and_positions(text, field, message, position):

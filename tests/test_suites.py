@@ -395,6 +395,38 @@ def test_loader_caps_points(points):
     assert suite.points == POINTS_CAP
 
 
+@pytest.mark.parametrize("points", ["abc", "3.5", ""])
+def test_loader_rejects_points_that_are_not_integers(points):
+    # the message names the statement, not int()'s reading of the text
+    with pytest.raises(SuiteError, match="^line 2: points needs an integer, got "
+                       + re.escape(repr(points)) + "$"):
+        parse_suite_text(f"suite mini field=Q\npoints {points}\n")
+
+
+def test_an_expression_that_ends_early_is_a_load_error():
+    # the parser names the end of the text, not its end token (None)
+    with pytest.raises(SuiteError, match=r"^line 5: unexpected end of expression "
+                       r"\(at position 4\)$"):
+        parse_suite_text("suite mini field=Q\npoints 3\nvars x = x1 x2\nvars t = t1\n"
+                         "def t.t1 = x1 +\n")
+
+
+@pytest.mark.parametrize("word, message", [
+    ("a*b^", "bad permutation word 'a*b^'"),
+    ("a^x*a", "bad permutation word 'a^x*a'"),
+    ("a**a", "empty factor in permutation word 'a**a'"),
+    ("a*(1,9)", "point 9 out of range 1..3"),
+])
+def test_a_word_error_quotes_the_word_and_is_not_kept(word, message):
+    # each atom is kept once evaluated, but a syntax error still quotes the
+    # whole word, and neither the word nor the atom that raised is kept
+    suite = parse_suite_text("suite mini field=Q\npoints 3\nperm a = (1,2)\n")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            suite.perm_word(word)
+    assert suite.perm_word("a*a") == Perm.identity(3)
+
+
 def _table_chain(depth, reverse=False):
     """MINI with tables t1..t<depth>, each one variable defined over the
     one before, t0 their root, and an identity check on the deepest."""
@@ -783,6 +815,46 @@ def test_catalog_groups_close_to_their_orders(capsys):
         group = catalog.groups[f"G{i}"]
         assert _groups_cli(capsys, "order", f"G{i}") == (0, f"{group.order}\n", "")
         assert factorial8 % group.order == 0
+
+
+# section-suite groups that restate a catalog group under another name
+CATALOG_ALIASES = {
+    **{(suite, "V8"): "G3" for suite in ("prop29", "sec5_char2", "sec7_char0", "sec7_char2")},
+    **{("sec4", f"G{i}dict"): f"G{i}" for i in range(6, 11)},
+    ("sec4", "G11dict4"): "G11",
+}
+
+
+def _restated_groups(suites, catalog):
+    """(suite, group, catalog group, same elements) of each group of a
+    section suite that restates a catalog group, by name or by alias."""
+    out = []
+    for suite in suites:
+        for name, group in suite.groups.items():
+            of = name if name in catalog.groups else CATALOG_ALIASES.get((suite.name, name))
+            if of is not None:
+                out.append((suite.name, name, of,
+                            group.elements == catalog.groups[of].elements))
+    return out
+
+
+def test_section_suites_restate_catalog_groups_exactly():
+    catalog = load_suite("catalog")
+    sections = [load_suite(n) for n in ALL_SUITES if n != "catalog"]
+    restated = _restated_groups(sections, catalog)
+    assert all(same for *_, same in restated), [r for r in restated if not r[3]]
+    by_name = [(s, n) for s, n, of, _ in restated if n == of]
+    assert len(by_name) == 43
+    assert {(s, n): of for s, n, of, _ in restated if n != of} == CATALOG_ALIASES
+    # a G14 of the same order but another element set is caught
+    text = resources.files("fixedfield").joinpath("data/sec5_char0.suite").read_text()
+    line = "group G14 = sigma2 phi1_tilde kappa_circ expect_order=24"
+    conjugate = "group G14 = " + " ".join(
+        f"(1,2)*{w}*(1,2)" for w in catalog.group_words["G14"]) + " expect_order=24"
+    assert line in text
+    mutant = parse_suite_text(text.replace(line, conjugate))
+    assert [r for r in _restated_groups([mutant], catalog) if not r[3]] == [
+        ("sec5_char0", "G14", "G14", False)]
 
 
 def test_failing_rows_are_not_registered():
