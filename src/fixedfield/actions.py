@@ -1,6 +1,6 @@
 """Permutation actions on rational functions: scaled permutations of
-generator sets, monomial-action extraction, and the product of scaled
-actions.
+generator sets, monomial-action extraction, and scaled actions as
+permutations of a finite orbit.
 
 All comparisons are between exact rational functions; nothing is ever
 solved for.
@@ -8,18 +8,16 @@ A permutation g acts on a rational function over an n-variable table by
 sending variable i to variable g(i); this is a left action:
 perm_act(g*h, f) == perm_act(g, perm_act(h, f)).  So when the scaled
 action (B, d) of each g on a generator set is unique, g -> (B, d) is a
-homomorphism for the product scaled_times, and kernels and faithfulness
-are read off the group its generators' images generate (monomial.close).
+homomorphism, and kernels and faithfulness are read off the group its
+generators' images generate, closed (monomial.close) as the permutations
+they make of one orbit of scaled monomials (orbit_permutations).
 """
 
 from __future__ import annotations
 
-from .monomial import (
-    MonomialError,
-    mat_from_rows,
-    matrix_times,
-    solve_int_combination,
-)
+from operator import mul
+
+from .monomial import MonomialError, mat_from_rows, solve_int_combination
 from .perms import Perm
 from .poly import Poly, RatFunc
 
@@ -92,30 +90,33 @@ def require_unproportional(definitions):
                 raise ActionError(f"definitions {i + 1} and {j + 1} are proportional")
 
 
-def scaled_times(field):
-    """times of monomial.close for scaled actions (B, d) with
-    g(t_j) = d_j * prod_k t_k^{B[k][j]}: times(h) is x -> x*h.  As
-    perm_act is a left action, x(h(t_j)) = d_h[j] * prod_k x(t_k)^{B_h[k][j]},
-    so x*h is (B_x B_h, d') with d'_j = d_h[j] * prod_k d_x[k]^{B_h[k][j]}."""
-    mul, power = field.mul, field.pow
-
-    def times(h):
-        bh, dh = h
-        cols = [[(k, e) for k, e in enumerate(col) if e] for col in zip(*bh)]
-        times_bh = matrix_times(bh)
-
-        def right(x):
-            bx, dx = x
-            d = []
-            for c, col in zip(dh, cols):
-                for k, e in col:
-                    c = mul(c, dx[k] if e == 1 else power(dx[k], e))
-                d.append(c)
-            return times_bh(bx), tuple(d)
-
-        return right
-
-    return times
+def orbit_permutations(actions, n, field, cap):
+    """[identity, *perms]: the scaled actions (B, d) on n variables t, as
+    1-based image tuples on Omega, the orbit of the points (1, e_j) under
+    the group they generate.  A point (c, v) is the scaled monomial
+    c * prod_k t_k^{v_k}, which (B, d) sends to (c * prod_j d_j^{v_j}, B*v).
+    It sends (1, e_j) to (d_j, column j of B), so the group acts faithfully
+    on Omega, and close on perms lists it.  Omega has at most n points per
+    group element: MonomialError when it has more than n * cap."""
+    one, scale, power = field.one(), field.mul, field.pow
+    points = [(one, tuple(int(i == j) for i in range(n))) for j in range(n)]
+    index = {p: k for k, p in enumerate(points, 1)}
+    perms = [[] for _ in actions]
+    for c, v in points:  # points grows while it is walked
+        for (bmat, dvec), images in zip(actions, perms):
+            s = c
+            for d, e in zip(dvec, v):
+                if e and d != one:
+                    s = scale(s, d if e == 1 else power(d, e))
+            q = s, tuple([sum(map(mul, row, v)) for row in bmat])
+            k = index.get(q)
+            if k is None:
+                if len(points) >= n * cap:
+                    raise MonomialError(f"group exceeded cap {cap}")
+                points.append(q)
+                k = index[q] = len(points)
+            images.append(k)
+    return [tuple(range(1, len(points) + 1))] + [tuple(p) for p in perms]
 
 
 def permutation_matrix(g: Perm):
@@ -147,13 +148,12 @@ def extract_monomial_action(lattice, ambient_action, field):
     if not lattice.monomial:
         i = lattice.shapes.index(None)
         raise MonomialError(f"definition {i + 1} is not a Laurent monomial")
-    m = len(lattice.columns)
     bmat, dvec = ambient_action
     coeffs = lattice.coeffs
     acols = []
     cvec = []
     for j, (a_j, m_j) in enumerate(lattice.shapes):
-        target = [sum(bmat[k][i] * m_j[i] for i in range(m)) for k in range(m)]
+        target = [sum(map(mul, row, m_j)) for row in bmat]
         col = solve_int_combination(lattice, target)
         if col is None:
             raise MonomialError(
@@ -161,9 +161,9 @@ def extract_monomial_action(lattice, ambient_action, field):
                 "combination of the generator set"
             )
         coeff = a_j
-        for i in range(m):
-            if m_j[i]:
-                coeff = field.mul(coeff, field.pow(dvec[i], m_j[i]))
+        for d, e in zip(dvec, m_j):
+            if e:
+                coeff = field.mul(coeff, field.pow(d, e))
         for i, e in enumerate(col):
             if e:
                 coeff = field.div(coeff, field.pow(coeffs[i], e))

@@ -5,32 +5,32 @@ exponent matrix; a group element acting on the ambient induces, when
 everything stays monomial, an integer matrix A and a coefficient vector
 c with  g(f_j) = c_j * prod_i f_i^{A[i][j]}  (columns are images).  The
 extension degree of a monomial generator set is |det| of its exponent
-matrix, computed here by fraction-free (Bareiss) elimination.
+matrix.  Both it and the lattice below come from one fraction-free
+(Bareiss) Gauss-Jordan elimination over the integers.
 
 Each column of A solves  sum_i a_i * row_i == target  over the integers,
 and one table's rows are solved against many targets.  So a Lattice
-factors the rows once, by one Gauss-Jordan elimination over Q: it keeps
-k pivot coordinates on which the k rows are independent, and the inverse
-of the rows' pivot submatrix as an integer matrix over a denominator d.
-A solve is then integer arithmetic only: a mat-vec on the target's pivot
-coordinates, a divisibility test by d, and a residual check of the sum
-on every coordinate.  The rows are independent, so at most one rational
-a exists; the residual check alone makes an answer exact (an integer a
-that reproduces every coordinate is that one), and the divisibility
-test only rejects a non-integral a before the residual is summed.
+factors the rows once: it keeps k pivot coordinates on which the k rows
+are independent, and the inverse of the rows' pivot submatrix as an
+integer matrix over a denominator d.  A solve is then integer arithmetic
+only: a mat-vec on the target's pivot coordinates, a divisibility test
+by d, and a residual check of the sum on every coordinate.  The rows are
+independent, so at most one rational a exists; the residual check alone
+makes an answer exact (an integer a that reproduces every coordinate is
+that one), and the divisibility test only rejects a non-integral a
+before the residual is summed.
 
 Matrices have one product, matrix_times(h), the map x -> x*h.  It splits
 h once into sparse layers, each with at most one nonzero per column, so
 a row of x*h is one C-level itemgetter-and-map pass per layer.  A closure
 builds that map once per generator and applies it to every element; the
-matrices of the shipped image groups are signed permutation matrices,
+matrices of the shipped matgroup checks are signed permutation matrices,
 one layer each, where a dense product would make n^3 multiplications.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd
 from operator import add, itemgetter, mul
 
 MATRIX_GROUP_CAP = 10000
@@ -58,42 +58,53 @@ def is_square(a):
     return all(len(r) == len(a) for r in a)
 
 
+def _eliminate(a, width):
+    """Fraction-free (Bareiss) Gauss-Jordan on the integer rows a, in place:
+    (pivot columns among the first width, the last pivot, the sign of the
+    row swaps).  A column's pivot is its first nonzero at or below the
+    current row, as over Q; each step scales every other row by the new
+    pivot and divides exactly by the previous one, so a ends as the last
+    pivot times what the same steps over Q reach."""
+    pivots, prev, sign = [], 1, 1
+    for c in range(width):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top, pv = a[r], a[r][c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
+        pivots.append(c)
+    return pivots, prev, sign
+
+
 def det_fraction_free(m) -> int:
-    """Exact determinant by Bareiss' fraction-free elimination."""
+    """Exact determinant: the signed last pivot of _eliminate, or 0."""
     if not is_square(m):
         raise MonomialError("determinant of a non-square matrix")
-    n = len(m)
-    if n == 0:
-        return 1
     a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, last, sign = _eliminate(a, len(a))
+    return sign * last if len(pivots) == len(a) else 0
 
 
 def close(generators, one, times, cap):
     """The set of elements of the group generated by hashable elements,
-    by Dimino's coset enumeration; it closes permutation groups (on image
-    tuples), matrix groups and groups of scaled actions alike.  times(h)
-    is the map x -> x*h, a generator already in the group built so far is
-    skipped, and each new one grows the previous subgroup H by the right
-    cosets H*r*s that are new, for r among the coset representatives found
-    so far and s among the generators taken so far.  MonomialError when
-    the group has more than cap elements."""
+    by Dimino's coset enumeration; it closes permutation groups on image
+    tuples (the image groups of scaled actions among them, as permutations
+    of an orbit) and matrix groups alike.  times(h) is the map x -> x*h, a
+    generator already in the group built so far is skipped, and each new
+    one grows the previous subgroup H by the right cosets H*r*s that are
+    new, for r among the coset representatives found so far and s among
+    the generators taken so far.  MonomialError when the group has more
+    than cap elements."""
     elements = [one]
     seen = {one}
     gens = []  # times(s) for the generators taken so far
@@ -233,36 +244,22 @@ class Lattice:
 def _factor(rows):
     """(pivots, inverse, den) of Lattice for k independent rows.
 
-    Gauss-Jordan on [rows | I_k] reaches [U*rows | U], where U*rows is the
-    identity on the pivot columns, so U inverts the pivot submatrix P:
-    a*P == target[pivots] gives a == target[pivots] * U, and inverse is
-    den * U transposed, with den the least common denominator of U.
+    Gauss-Jordan on [rows | I_k] over Q reaches [U*rows | U], where U*rows
+    is the identity on the pivot columns, so U inverts the pivot submatrix
+    P: a*P == target[pivots] gives a == target[pivots] * U.  _eliminate
+    reaches D*[U*rows | U] instead, D the last pivot.  With g the gcd of D
+    and the entries of D*U, den = |D|/g is the least common denominator of
+    U, and inverse is den * U transposed.
     """
     k, n = len(rows), len(rows[0])
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
-         for i, row in enumerate(rows)]
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        if r == k:
-            break
-        piv = next((i for i in range(r, k) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(k):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
+    a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    pivots, last, _ = _eliminate(a, n)
     if len(pivots) < k:
         raise MonomialError("exponent rows are linearly dependent")
     u = [row[n:] for row in a]
-    den = lcm(*(x.denominator for row in u for x in row))
-    inverse = tuple(tuple(int(u[p][i] * den) for p in range(k)) for i in range(k))
-    return tuple(pivots), inverse, den
+    g = gcd(last, *(x for row in u for x in row)) * (1 if last > 0 else -1)
+    inverse = tuple(tuple(u[p][i] // g for p in range(k)) for i in range(k))
+    return tuple(pivots), inverse, last // g
 
 
 def solve_int_combination(lattice, target):

@@ -37,7 +37,7 @@ class PermError(ValueError):
     pass
 
 
-def _times(h):
+def image_times(h):
     """times of monomial.close for image tuples: x -> x*h."""
     return picker([j - 1 for j in h])
 
@@ -177,7 +177,7 @@ class PermGroup:
         self.generators = generators
         try:
             self.elements = frozenset(close([g.images for g in generators],
-                                            tuple(range(1, degree + 1)), _times, CLOSURE_CAP))
+                                            tuple(range(1, degree + 1)), image_times, CLOSURE_CAP))
         except MonomialError:
             raise PermError(f"closure exceeded cap {CLOSURE_CAP}") from None
         self.order = len(self.elements)

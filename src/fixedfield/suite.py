@@ -37,10 +37,10 @@ from .actions import (
     extract_monomial_action,
     induced_scaled_permutation,
     matrix_permutation,
+    orbit_permutations,
     perm_act,
     permutation_matrix,
     require_unproportional,
-    scaled_times,
 )
 from .monomial import (
     Lattice,
@@ -58,6 +58,7 @@ from .perms import (
     Perm,
     PermError,
     PermGroup,
+    image_times,
     is_normal,
     is_transitive,
     named_group,
@@ -931,19 +932,21 @@ def _run_matgroup(suite: Suite, check: Check):
 
 def _image_group(suite: Suite, check: Check):
     """(G, phi, phi(1), |phi(G)|) of a kernel kind: phi(g) is
-    scaled_action(table, g), B alone for matrix-kernel, and phi(G) is
-    closed on the generators' images.  phi is a homomorphism because
+    scaled_action(table, g), with unit scalars for matrix-kernel, and
+    phi(G) is closed as the permutations its generators' images make of
+    their orbit (orbit_permutations).  phi is a homomorphism because
     scaled_action is unique: Table.lattice rejects dependent exponent rows
     of a monomial table and proportional definitions of any other."""
     table, (_, group) = check.fields[:2]
     n = len(table.vt)
+    one = mat_identity(n), (table.field.one(),) * n
     if check.kind == "matrix-kernel":
-        one, times = mat_identity(n), matrix_times
-        phi = lambda g: suite.scaled_action(table, g)[0]
+        phi = lambda g: (suite.scaled_action(table, g)[0], one[1])
     else:
-        one, times = (mat_identity(n), (table.field.one(),) * n), scaled_times(table.field)
         phi = lambda g: suite.scaled_action(table, g)
-    return group, phi, one, len(close(map(phi, group.generators), one, times, group.order))
+    ident, *gens = orbit_permutations(
+        [phi(g) for g in group.generators], n, table.field, group.order)
+    return group, phi, one, len(close(gens, ident, image_times, group.order))
 
 
 def _run_kernel(suite: Suite, check: Check):

@@ -5,15 +5,16 @@ import pytest
 from fixedfield.actions import (
     ActionError,
     induced_scaled_permutation,
+    orbit_permutations,
     perm_act,
     permutation_matrix,
-    scaled_times,
 )
+from fixedfield.monomial import MonomialError, close
 from fixedfield.parser import parse_expr
-from fixedfield.perms import Perm, parse_cycles
+from fixedfield.perms import Perm, image_times, parse_cycles
 from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute
 from fixedfield.scalars import F2, QQ
-from fixedfield.suite import FAIL, PASS, parse_suite_text, run_parsed_suite
+from fixedfield.suite import FAIL, PASS, Suite, parse_suite_text, run_parsed_suite
 
 X8 = VarTable([f"x{i}" for i in range(1, 9)])
 X3 = VarTable(["x1", "x2", "x3"])
@@ -431,10 +432,10 @@ def test_stable_blames_the_table_not_its_parent():
     ]
 
 
-def test_scaled_times_composes_scaled_actions():
+def test_orbit_permutations_compose_scaled_actions():
     # the coefficients 2 and 1/3 of t give scalars other than 1 and -1,
     # and u's exponent rows give lattice matrices with entries other than
-    # 0, 1 and -1, so the cocycle raises scalars to powers beyond 1
+    # 0, 1 and -1, so the orbit's scalars take powers beyond 1
     text = suite_text(
         "Q",
         {"x": (["x1", "x2", "x3"], None),
@@ -449,11 +450,43 @@ def test_scaled_times_composes_scaled_actions():
     phi = {g: suite.scaled_action(table, g) for g in elements}
     assert max(abs(e) for b, _ in phi.values() for row in b for e in row) > 1
     assert {c for _, d in phi.values() for c in d} - {1, -1}
-    times = scaled_times(table.field)
+    # the images of all six elements, as permutations of the one orbit
+    ident, *perms = orbit_permutations(list(phi.values()), 3, table.field, group.order)
+    orbit = dict(zip(phi, perms))
+    assert orbit[Perm.identity(3)] == ident
     for g in elements:
         for h in elements:
-            assert times(phi[h])(phi[g]) == phi[g * h], (g, h)
+            assert image_times(orbit[h])(orbit[g]) == orbit[g * h], (g, h)
+            assert (orbit[g] == orbit[h]) == (phi[g] == phi[h]), (g, h)
+    assert len(set(perms)) == len(set(phi.values())) == 6
     assert statuses(text) == [PASS]
+
+
+def test_orbit_permutations_cap_an_action_of_infinite_order():
+    # t2 -> t1*t2 and t1 -> 2*t1 have infinite order: the orbit of (1, e2),
+    # or of (1, e1), grows without end, and stops at n * cap points
+    shear = (((1, 1), (0, 1)), (1, 1))
+    for action, n in ((shear, 2), ((((1,),), (2,)), 1)):
+        with pytest.raises(MonomialError, match="^group exceeded cap 5$"):
+            orbit_permutations([action], n, QQ, 5)
+    # the closure keeps the cap on the group: a swap fits the orbit's 2 * 1
+    # points, but not a group of order 1
+    swap = (((0, 1), (1, 0)), (1, 1))
+    ident, perm = orbit_permutations([swap], 2, QQ, 1)
+    assert (ident, perm) == ((1, 2), (2, 1))
+    with pytest.raises(MonomialError, match="^group exceeded cap 1$"):
+        close([perm], ident, image_times, 1)
+
+
+def test_a_kernel_kind_on_an_infinite_image_is_an_error(monkeypatch):
+    text = suite_text(
+        "Q", {"x": (["x1", "x2"], None)}, ["points 2", "group S2 = (1,2) expect_order=2"],
+        ["check faithful x under S2", "check action-kernel x under S2 = S2",
+         "check matrix-kernel x under S2 = S2"],
+    )
+    shear = (((1, 1), (0, 1)), (1, 1))
+    monkeypatch.setattr(Suite, "scaled_action", lambda self, table, g: shear)
+    assert results(text) == [(FAIL, "error: group exceeded cap 2")] * 3
 
 
 @pytest.mark.parametrize("tag", ["Q", "F2", "Qz3", "F4"])

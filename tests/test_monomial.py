@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import pytest
 
@@ -448,6 +450,71 @@ def test_solver_matches_gauss_jordan_on_random_lattices():
             assert (want is not None) == (kind == "lattice")
             kinds[kind] += 1
     assert min(kinds.values()) >= 50, kinds
+
+
+def fraction_factor(rows):
+    """The former Lattice factoring, kept as the reference: Gauss-Jordan on
+    [rows | I_k] over Q, and den the least common denominator of U."""
+    k, n = len(rows), len(rows[0])
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+         for i, row in enumerate(rows)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == k:
+            break
+        piv = next((i for i in range(r, k) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(k):
+            if i != r and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    if len(pivots) < k:
+        raise MonomialError("exponent rows are linearly dependent")
+    u = [row[n:] for row in a]
+    den = lcm(*(x.denominator for row in u for x in row))
+    inverse = tuple(tuple(int(u[p][i] * den) for p in range(k)) for i in range(k))
+    return tuple(pivots), inverse, den
+
+
+def test_factor_matches_fraction_gauss_jordan():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw):
+        k = draw(st.integers(1, 7))
+        n = draw(st.integers(k, 9))
+        row = st.lists(st.integers(-7, 7), min_size=n, max_size=n)
+        rows = draw(st.lists(row, min_size=k, max_size=k))
+        if k > 1 and draw(st.booleans()):  # a multiple of another row
+            i, j = draw(st.permutations(range(k)))[:2]
+            c = draw(st.integers(-1, 1))
+            rows[i] = [c * x for x in rows[j]]
+        return rows
+
+    seen = Counter()
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None,
+                         database=None, suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(matrices())
+    def check(rows):
+        try:
+            want = fraction_factor(rows)
+        except MonomialError:
+            with pytest.raises(MonomialError, match="^exponent rows are linearly dependent$"):
+                monomial._factor(rows)
+            seen["dependent"] += 1
+            return
+        got = monomial._factor(rows)
+        assert got == want and got[2] > 0, rows
+        seen["independent"] += 1
+
+    check()
+    assert min(seen.values()) >= 100, seen
 
 
 def zset_for_extraction():

@@ -1,7 +1,7 @@
 import hashlib
 import re
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -1586,6 +1586,49 @@ def test_kernels_match_element_by_element_oracle(executed_suites):
             counts[kind] += 1
     # every kernel check of the shipped suites takes the image-group route
     assert counts == {"matrix-kernel": 11, "action-kernel": 13, "faithful": 17}
+
+
+def test_image_orders_match_scaled_actions_of_every_element(executed_suites):
+    # |phi(G)| = |G| / #{g in G : phi(g) = 1}, with phi(g) read off
+    # scaled_action on each element of G and no closure
+    counts = Counter()
+    for name, suite in executed_suites.items():
+        for check in suite.checks:
+            if check.kind not in ("matrix-kernel", "action-kernel", "faithful"):
+                continue
+            table, (_, group) = check.fields[:2]
+            n = len(table.vt)
+            ident, ones = mat_identity(n), (table.field.one(),) * n
+            trivial = 0
+            for g in group.elements:
+                bmat, dvec = suite.scaled_action(table, Perm(g))
+                trivial += bmat == ident and (check.kind == "matrix-kernel" or dvec == ones)
+            assert _image_group(suite, check)[3] * trivial == group.order, (name, check.id)
+            counts[check.kind] += 1
+    assert sum(counts.values()) == 41
+
+
+def test_kernel_claims_swapped_for_the_trivial_group_or_g_fail():
+    # each shipped kernel claim H -> {1}, or -> G when H is trivial, must be
+    # refuted, not an error.  No mutant is equivalent: every shipped claim
+    # holds with a nontrivial H, so each mutant claims the kernel is {1}
+    kills = Counter()
+    for name in ALL_SUITES:
+        suite = load_suite(name)
+        one = PermGroup([], degree=suite.points)
+        mutants = []
+        for check in suite.checks:
+            if check.kind not in ("action-kernel", "matrix-kernel"):
+                continue
+            table, (gname, group), (_, claimed) = check.fields
+            swap = (gname, group) if claimed.order == 1 else ("1", one)
+            mutants.append(replace(check, fields=(table, (gname, group), swap)))
+        suite.checks = mutants
+        for check, res in zip(mutants, run_parsed_suite(suite).checks):
+            assert res.status == FAIL and not res.detail.startswith("error:"), (
+                name, check.id, res.detail)
+            kills[check.kind] += 1
+    assert kills == {"action-kernel": 13, "matrix-kernel": 11}
 
 
 def test_mutated_kernel_claims_fail():
