@@ -208,11 +208,13 @@ class Lattice:
     coeffs their coefficients, columns the rows transposed, pivots k
     coordinates on which the rows are independent, and inverse/den the
     integer matrix with  a = inverse * target[pivots] / den  the unique
-    rational a satisfying sum_i a[i]*rows[i] == target on the pivots.
+    rational a satisfying sum_i a[i]*rows[i] == target on the pivots, and
+    det |det| of the rows' pivot submatrix, which is |det| of the rows when
+    they are square.
     """
 
     __slots__ = ("field", "shapes", "coeffs", "rows", "columns", "pivots",
-                 "inverse", "den")
+                 "inverse", "den", "det")
 
     def __init__(self, defs):
         self.field = defs[0].field
@@ -223,7 +225,7 @@ class Lattice:
         self.coeffs = tuple(c for c, _ in self.shapes)
         self.rows = mat_from_rows([e for _, e in self.shapes])
         self.columns = tuple(zip(*self.rows))
-        self.pivots, self.inverse, self.den = _factor(self.rows)
+        self.pivots, self.inverse, self.den, self.det = _factor(self.rows)
 
     @property
     def monomial(self):
@@ -242,14 +244,15 @@ class Lattice:
 
 
 def _factor(rows):
-    """(pivots, inverse, den) of Lattice for k independent rows.
+    """(pivots, inverse, den, det) of Lattice for k independent rows.
 
     Gauss-Jordan on [rows | I_k] over Q reaches [U*rows | U], where U*rows
     is the identity on the pivot columns, so U inverts the pivot submatrix
     P: a*P == target[pivots] gives a == target[pivots] * U.  _eliminate
     reaches D*[U*rows | U] instead, D the last pivot.  With g the gcd of D
     and the entries of D*U, den = |D|/g is the least common denominator of
-    U, and inverse is den * U transposed.
+    U, and inverse is den * U transposed.  D is the determinant of P up to
+    the sign of the row swaps, so det is |D|.
     """
     k, n = len(rows), len(rows[0])
     a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
@@ -259,7 +262,7 @@ def _factor(rows):
     u = [row[n:] for row in a]
     g = gcd(last, *(x for row in u for x in row)) * (1 if last > 0 else -1)
     inverse = tuple(tuple(u[p][i] // g for p in range(k)) for i in range(k))
-    return tuple(pivots), inverse, last // g
+    return tuple(pivots), inverse, last // g, abs(last)
 
 
 def solve_int_combination(lattice, target):

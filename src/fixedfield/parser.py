@@ -30,6 +30,22 @@ After each monomial addition the guard bits of the product's leading
 monomial are checked, which is the check a product by that factor
 makes, so the caps raise at the same factor as without folding.  An
 expression adds its terms into one dict until a RatFunc term arrives.
+
+Each parenthesised group is evaluated once per memo.  The memo maps a
+group's exact text, '(' to its matching ')', to its value, its depth
+(the most '(' and unary '-' around a base inside it, its own '('
+included) and its length in tokens.  The parentheses of the text are
+paired once per parse, so a group's text is known when its '(' is read.
+A value depends on the text, the table and the field alone, and no
+parse changes a value it reads (a Poly is never changed; expr and term
+copy before they add), so every parse over one table in one field may
+share one memo: a suite keeps one per pair for as long as it lives, and
+a parse_expr call without one gets its own.  A group of the memo is
+skipped when the depth around its '(' plus its depth stays within
+NESTING_LIMIT; otherwise it is parsed again and raises where it would
+without the memo.  A group that raises is not stored, and a power of a
+group is not stored either.  Error positions are unchanged, since a
+skipped group leaves the next token where a parse of it would.
 """
 
 from __future__ import annotations
@@ -55,6 +71,7 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # alternative, all groups empty, is an unexpected character
 _SCAN = re.compile(rf"(\d+)|({_NAME.pattern})|([()+\-*/^])|\S")
 _UNEXPECTED = ("", "", "")
+_PAREN = re.compile(r"[()]")
 
 
 def _tokenize(text):
@@ -78,7 +95,7 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, vars: VarTable, field: Field):
+    def __init__(self, text, vars: VarTable, field: Field, memo: dict):
         self.text = text
         # (integer, name, operator) strings, one of them nonempty, then an
         # all-empty end token
@@ -88,8 +105,12 @@ class _Parser:
         self.tokens.append(_UNEXPECTED)
         self.i = 0
         self.depth = 0  # open '(' and unary '-' around the current base
+        self.peak = 0  # the greatest depth reached in the innermost open group
         self.vars = vars
         self.field = field
+        self.memo = memo
+        self.groups = paren_groups(text)[0]
+        self.opened = 0  # the '(' tokens read so far
 
     def error(self, message, i):
         """A ParseError at the i-th token."""
@@ -219,11 +240,10 @@ class _Parser:
             self.depth += 1
             if self.depth > NESTING_LIMIT:
                 raise self.error(f"nesting deeper than {NESTING_LIMIT}", self.i - 1)
+            if self.depth > self.peak:
+                self.peak = self.depth
             if op == "(":
-                out = self.expr()
-                if self.tokens[self.i][2] != ")":
-                    raise self.error("expected ')'", self.i)
-                self.i += 1
+                out = self.group()
             else:
                 out = self.base()
                 out = (out[0], f.neg(out[1])) if type(out) is tuple else -out
@@ -232,6 +252,34 @@ class _Parser:
         if not op:  # the end token
             raise self.error("unexpected end of expression", self.i - 1)
         raise self.error(f"unexpected token {op!r}", self.i - 1)
+
+    def group(self):
+        """The value of the group whose '(' was just read.  A group of the
+        memo is skipped when its depth fits under the cap; any other is
+        parsed, and stored unless it raises.  A memo entry is (value,
+        depth, tokens from '(' to ')', groups nested inside)."""
+        key = self.groups[self.opened]
+        self.opened += 1
+        outer = self.depth - 1  # the depth around the '('
+        hit = self.memo.get(key)
+        if hit is not None:
+            out, depth, tokens, inner = hit
+            if outer + depth <= NESTING_LIMIT:
+                self.i += tokens - 1
+                self.opened += inner
+                if outer + depth > self.peak:
+                    self.peak = outer + depth
+                return out
+        start, peak = self.i - 1, self.peak
+        self.peak = self.depth
+        out = self.expr()
+        if self.tokens[self.i][2] != ")":
+            raise self.error("expected ')'", self.i)
+        self.i += 1
+        # the ')' just read matches the '(', so key is this group's text
+        self.memo[key] = out, self.peak - outer, self.i - start, key.count("(") - 1
+        self.peak = max(self.peak, peak)
+        return out
 
 
 def _value(token):
@@ -261,10 +309,35 @@ def _same_kind(a, b):
     return _ratfunc(a), _ratfunc(b)
 
 
-def parse_expr(text: str, vars: VarTable, field: Field) -> RatFunc:
+def parse_expr(text: str, vars: VarTable, field: Field, memo: dict | None = None) -> RatFunc:
     """The value of text over vars in field, as a RatFunc; every name but
-    zeta3 must be a variable of vars.  str(r) parses back to r."""
-    return _ratfunc(_Parser(text, vars, field).parse())
+    zeta3 must be a variable of vars.  str(r) parses back to r.  memo maps
+    group texts to their values over vars in field; calls over the same
+    vars and field may share one, and None gives this call its own."""
+    return _ratfunc(_Parser(text, vars, field, {} if memo is None else memo).parse())
+
+
+def paren_groups(text: str):
+    """(groups, stray) of the parentheses of text.  groups[k] is the text
+    from the k-th '(' to its matching ')', or None when it has none; stray
+    is the position of the first ')' that closes no '(', else of the first
+    '(' left open, else None."""
+    if "(" not in text and ")" not in text:
+        return [], None
+    groups, opens, stray = [], [], None
+    for m in _PAREN.finditer(text):
+        at = m.start()
+        if m.group() == "(":
+            opens.append((len(groups), at))
+            groups.append(None)
+        elif opens:
+            k, start = opens.pop()
+            groups[k] = text[start:at + 1]
+        elif stray is None:
+            stray = at
+    if stray is None and opens:
+        stray = opens[0][1]
+    return groups, stray
 
 
 def expression_names(text: str):

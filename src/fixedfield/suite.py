@@ -46,13 +46,19 @@ from .monomial import (
     Lattice,
     MonomialError,
     close,
-    det_fraction_free,
+    is_square,
     mat_from_rows,
     mat_identity,
     matrix_group_elements,
     matrix_times,
 )
-from .parser import ParseError, expression_names, expression_variables, parse_expr
+from .parser import (
+    ParseError,
+    expression_names,
+    expression_variables,
+    paren_groups,
+    parse_expr,
+)
 from .perms import (
     POINTS_CAP,
     Perm,
@@ -213,6 +219,7 @@ class Suite:
         self.check_ids: set[str] = set()
         self._scaled_cache: dict = {}
         self._grounded: dict = {}  # ground_expr's memo: (text, stop) -> pair
+        self._groups: dict = {}  # (VarTable, Field) -> parse_expr's memo of group texts
 
     # ------------------------------------------------------------------
     # name resolution
@@ -275,6 +282,15 @@ class Suite:
     # ------------------------------------------------------------------
     # expression grounding
 
+    def group_memo(self, vt: VarTable, fld: Field) -> dict:
+        """The memo of parenthesised groups that every parse of this suite
+        over vt in fld shares: a group's value depends on its text, vt and
+        fld alone, and no parse changes a value it reads."""
+        memo = self._groups.get((vt, fld))
+        if memo is None:
+            memo = self._groups[vt, fld] = {}
+        return memo
+
     def ground_expr(self, text, stop: Table | None = None):
         """(parsed, grounded): text parsed over the tables it names (else stop),
         their variables in declaration order, and substituted at their
@@ -302,7 +318,7 @@ class Suite:
         tables = tables or [stop]
         vt = tables[0].vt if len(tables) == 1 else VarTable(
             [n for t in tables for n in t.vt.names])
-        parsed = grounded = parse_expr(text, vt, fld)
+        parsed = grounded = parse_expr(text, vt, fld, self.group_memo(vt, fld))
         if tables != [stop]:
             images = [d for t in tables for d in t.defs_to(stop)]
             # a variable alone grounds to its definition, as substitute would
@@ -556,7 +572,8 @@ def _parse_def(suite: Suite, target, expr):
             f"definition of {target} uses table {parent.name!r}, expected "
             f"{table.parent.name!r}"
         )
-    table._pending_defs[vname] = parse_expr(expr, parent.vt, table.field)
+    table._pending_defs[vname] = parse_expr(expr, parent.vt, table.field,
+                                            suite.group_memo(parent.vt, table.field))
     if len(table._pending_defs) == len(table.vt):
         table.defs = [table._pending_defs[n] for n in table.vt.names]
         for d in table.defs:
@@ -696,12 +713,16 @@ _group, _word = _named(Suite.group), _named(Suite.perm_word)
 
 
 def _declared(suite: Suite, text):
-    """An expression's text, once every variable it names is declared."""
+    """An expression's text, once every variable it names is declared and
+    its parentheses balance."""
     if not suite.tables:
         raise SuiteError("comes before any vars table")
     unknown = expression_variables(text) - suite.var_owner.keys()
     if unknown:
         raise SuiteError(f"uses unknown variable {min(unknown)!r}")
+    stray = paren_groups(text)[1]
+    if stray is not None:
+        raise SuiteError(f"has an unbalanced {text[stray]!r} at position {stray} of {text!r}")
     return text
 
 
@@ -877,7 +898,10 @@ def _run_degree(suite: Suite, check: Check):
     table, want = check.fields
     if table.defs is None:
         raise SuiteError(f"table {table.name!r} has no definitions to take degrees of")
-    d = abs(det_fraction_free(table.lattice().unit_rows()))
+    lattice = table.lattice()
+    if not is_square(lattice.unit_rows()):
+        raise MonomialError("determinant of a non-square matrix")
+    d = lattice.det
     return d == want, f"|det| = {d}, expected {want}"
 
 

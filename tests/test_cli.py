@@ -224,6 +224,18 @@ def test_verify_grounded_check_before_vars_exits_2(capsys, monkeypatch):
     assert err.startswith("error: line 3: check identity comes before any vars table")
 
 
+def test_verify_unbalanced_table_image_exits_2(capsys, monkeypatch):
+    import fixedfield.suite as suite_mod
+
+    text = ('suite catalog field=Q\npoints 3\nvars x = x1 x2 x3\n'
+            'check table x images = x2, x3, x1) elem=(1,2,3) ref="r"\n')
+    monkeypatch.setattr(suite_mod, "load_suite", lambda name: suite_mod.parse_suite_text(text))
+    code, out, err = run(["verify", "--suite", "catalog"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 4: check table has an unbalanced ')' at position 2 of 'x1)'\n"
+
+
 def test_verify_zeta3_definition_over_f2_exits_2(capsys, monkeypatch):
     import fixedfield.suite as suite_mod
 

@@ -330,6 +330,8 @@ def _render(tree, level=0):
         return str(tree[1])
     if op == "zeta3":
         return "zeta3"
+    if op == "group":  # a parenthesized expr wherever it stands
+        return f"({_render(tree[1], 0)})"
     if op == "neg":  # '-' base, so -x1^2 reads as (-x1)^2
         return "-" + _render(tree[1], 3)
     if op == "^":
@@ -345,6 +347,8 @@ def _sympy_value(tree, K, gens):
     """tree evaluated in the sympy field K, or None where the parser must
     refuse it (a division by zero or a negative power of zero)."""
     op = tree[0]
+    if op == "group":
+        return _sympy_value(tree[1], K, gens)
     if op == "int":
         return K(tree[1])
     if op == "var":
@@ -376,6 +380,8 @@ def _sympy_pair(tree, R, gens, modulus):
     modulus is monic in w, so a reduced part is 0 exactly when the value
     it stands for is."""
     op = tree[0]
+    if op == "group":
+        return _sympy_pair(tree[1], R, gens, modulus)
     if op == "int":
         return R(tree[1]), R.one
     if op == "var":
@@ -418,7 +424,11 @@ def test_parser_matches_sympy_fields_on_random_expressions():
     # zeta3, compared by cross-multiplication: over Q and F2 against
     # sympy's sympy.polys.fields.field, over Qz3 and F4 against fractions
     # of sympy's QQ[x1, x2, x3, w] and GF(2)[x1, x2, x3, w] modulo
-    # w^2 + w + 1, which model Qz3[x1, x2, x3] and F4[x1, x2, x3]
+    # w^2 + w + 1, which model Qz3[x1, x2, x3] and F4[x1, x2, x3].  Each
+    # example also parses two texts that reuse a parenthesized group (t):
+    # u*(t), then (t) op u*(t).  All texts over one field share one memo of
+    # groups, as the parses of one suite do, and each value must also equal
+    # the parse of its text with a fresh memo
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from fractions import Fraction
@@ -432,6 +442,7 @@ def test_parser_matches_sympy_fields_on_random_expressions():
     from fixedfield.scalars import F2, F4, QQ, QZ3
 
     table = VarTable(["x1", "x2", "x3"])
+    memos = {f: {} for f in (QQ, F2, QZ3, F4)}
 
     def leaves(zeta3):
         return st.one_of(
@@ -448,9 +459,26 @@ def test_parser_matches_sympy_fields_on_random_expressions():
         )
 
     trees = {z: st.recursive(leaves(z), grow, max_leaves=10) for z in (False, True)}
-    cases = st.sampled_from([QQ, F2, QZ3, F4]).flatmap(
-        lambda fld: st.tuples(trees[fld.has_zeta3], st.just(fld)))
-    seen = {(f.tag, what): 0 for f in (QQ, F2, QZ3, F4) for what in ("value", "refused")}
+    fields = st.sampled_from([QQ, F2, QZ3, F4])
+    cases = fields.flatmap(lambda fld: st.tuples(trees[fld.has_zeta3], st.just(fld)))
+    reuses = fields.flatmap(lambda fld: st.tuples(
+        trees[fld.has_zeta3], trees[fld.has_zeta3], st.sampled_from(["+", "-", "*", "/"]),
+        st.just(fld)))
+    seen = Counter()
+    refused = "division by zero|negative power of zero"
+
+    def parse(text, fld):
+        """The parse of text with the field's shared memo, once it equals
+        the parse with a fresh memo."""
+        got = parse_expr(text, table, fld, memos[fld])
+        fresh = parse_expr(text, table, fld)
+        assert (got.num.terms, got.den.terms) == (fresh.num.terms, fresh.den.terms), text
+        return got
+
+    def refuse(text, fld):
+        for memo in (memos[fld], None):
+            with pytest.raises(ParseError, match=refused):
+                parse_expr(text, table, fld, memo)
 
     def check_zeta3(tree, fld, text):
         R, *gens = sympy_ring("x1,x2,x3,w", SQQ if fld is QZ3 else GF(2))
@@ -458,10 +486,9 @@ def test_parser_matches_sympy_fields_on_random_expressions():
         modulus = w**2 + w + 1
         want = _sympy_pair(tree, R, gens, modulus)
         if want is None:
-            with pytest.raises(ParseError, match="division by zero|negative power of zero"):
-                parse_expr(text, table, fld)
+            refuse(text, fld)
             return "refused"
-        got = parse_expr(text, table, fld)
+        got = parse(text, fld)
 
         def to_ring(p):
             # the payload a + b*zeta3 at x^e becomes a*x^e + b*x^e*w
@@ -476,34 +503,14 @@ def test_parser_matches_sympy_fields_on_random_expressions():
         assert diff.rem(modulus) == 0, text
         return "value"
 
-    # divisors that vanish only through w^2 + w + 1
-    z = ("zeta3",)
-    norm = ("+", ("+", ("^", z, 2), z), ("int", 1))
-    vanishing = [("/", ("var", "x1"), norm),
-                 ("^", ("+", ("*", z, z), ("+", z, ("int", 1))), -1)]
-
-    @hypothesis.settings(derandomize=True, max_examples=800, deadline=None,
-                         database=None, suppress_health_check=list(hypothesis.HealthCheck))
-    @hypothesis.given(cases)
-    @hypothesis.example((vanishing[0], QZ3))
-    @hypothesis.example((vanishing[0], F4))
-    @hypothesis.example((vanishing[1], QZ3))
-    @hypothesis.example((vanishing[1], F4))
-    def check(case):
-        tree, fld = case
-        text = _render(tree)
-        if fld.has_zeta3:
-            seen[fld.tag, check_zeta3(tree, fld, text)] += 1
-            return
+    def check_rational(tree, fld, text):
         K, *gens = field("x1,x2,x3", SQQ if fld is QQ else GF(2))
         R = K.ring
         want = _sympy_value(tree, K, gens)
         if want is None:
-            with pytest.raises(ParseError, match="division by zero|negative power of zero"):
-                parse_expr(text, table, fld)
-            seen[fld.tag, "refused"] += 1
-            return
-        got = parse_expr(text, table, fld)
+            refuse(text, fld)
+            return "refused"
+        got = parse(text, fld)
 
         def ring(p):
             return R.from_dict({
@@ -513,10 +520,46 @@ def test_parser_matches_sympy_fields_on_random_expressions():
             })
 
         assert ring(got.num) * want.denom == want.numer * ring(got.den), text
-        seen[fld.tag, "value"] += 1
+        return "value"
+
+    # divisors that vanish only through w^2 + w + 1
+    z = ("zeta3",)
+    norm = ("+", ("+", ("^", z, 2), z), ("int", 1))
+    vanishing = [("/", ("var", "x1"), norm),
+                 ("^", ("+", ("*", z, z), ("+", z, ("int", 1))), -1)]
+    settings = dict(derandomize=True, deadline=None, database=None,
+                    suppress_health_check=list(hypothesis.HealthCheck))
+
+    @hypothesis.settings(max_examples=800, **settings)
+    @hypothesis.given(cases)
+    @hypothesis.example((vanishing[0], QZ3))
+    @hypothesis.example((vanishing[0], F4))
+    @hypothesis.example((vanishing[1], QZ3))
+    @hypothesis.example((vanishing[1], F4))
+    def check(case):
+        tree, fld = case
+        compare = check_zeta3 if fld.has_zeta3 else check_rational
+        seen[fld.tag, compare(tree, fld, _render(tree))] += 1
+
+    @hypothesis.settings(max_examples=400, **settings)
+    @hypothesis.given(reuses)
+    def check_reuse(case):
+        tree, other, op, fld = case
+        compare = check_zeta3 if fld.has_zeta3 else check_rational
+        group = ("group", tree)
+        reused = ("*", other, group)
+        for whole in (reused, (op, group, reused)):
+            verdict = compare(whole, fld, _render(whole))
+            seen[fld.tag, "reuse " + verdict] += 1
+            # a text that parses leaves each of its groups in the memo
+            assert verdict == "refused" or _render(group) in memos[fld], case
 
     check()
+    check_reuse()
     assert seen["Q", "value"] + seen["F2", "value"] > 200, seen
     assert seen["Q", "refused"] + seen["F2", "refused"] > 10, seen
     assert seen["Qz3", "value"] >= 100 and seen["F4", "value"] >= 100, seen
     assert seen["Qz3", "refused"] > len(vanishing) and seen["F4", "refused"] > len(vanishing), seen
+    for f in (QQ, F2, QZ3, F4):
+        assert seen[f.tag, "reuse value"] >= 100 and seen[f.tag, "reuse refused"] > 0, seen
+    assert sum(seen[f.tag, "reuse refused"] for f in (QQ, F2, QZ3, F4)) > 20, seen

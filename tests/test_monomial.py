@@ -454,11 +454,12 @@ def test_solver_matches_gauss_jordan_on_random_lattices():
 
 def fraction_factor(rows):
     """The former Lattice factoring, kept as the reference: Gauss-Jordan on
-    [rows | I_k] over Q, and den the least common denominator of U."""
+    [rows | I_k] over Q, den the least common denominator of U, and det
+    the product of the pivots met, |det| of the pivot submatrix."""
     k, n = len(rows), len(rows[0])
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
          for i, row in enumerate(rows)]
-    pivots = []
+    pivots, det = [], Fraction(1)
     for c in range(n):
         r = len(pivots)
         if r == k:
@@ -467,6 +468,7 @@ def fraction_factor(rows):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
+        det *= a[r][c]
         a[r] = [x / a[r][c] for x in a[r]]
         for i in range(k):
             if i != r and a[i][c]:
@@ -477,7 +479,7 @@ def fraction_factor(rows):
     u = [row[n:] for row in a]
     den = lcm(*(x.denominator for row in u for x in row))
     inverse = tuple(tuple(int(u[p][i] * den) for p in range(k)) for i in range(k))
-    return tuple(pivots), inverse, den
+    return tuple(pivots), inverse, den, abs(int(det))
 
 
 def test_factor_matches_fraction_gauss_jordan():

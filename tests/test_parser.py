@@ -47,6 +47,62 @@ def test_nesting_is_capped():
         parse_expr("-" * 1000 + "x1", X, QQ)
 
 
+def test_a_memoised_group_keeps_the_nesting_cap():
+    # (x1*-x2) sits 2 deep.  Its memo entry is swapped for that of
+    # (x3*-x1), so a parse that takes the entry gives x3*-x1.  Under n - 2
+    # unary '-' the entry fits under the cap and is taken; under n - 1 it
+    # would reach n + 1, so the group is parsed and raises where a parse
+    # with a fresh memo does
+    from fixedfield.parser import NESTING_LIMIT
+
+    n = NESTING_LIMIT
+    memo = {}
+    parse_expr("(x1*-x2) + (x3*-x1)", X, QQ, memo)
+    memo["(x1*-x2)"] = memo["(x3*-x1)"]
+    got = parse_expr("-" * (n - 2) + "(x1*-x2)", X, QQ, memo)
+    assert ratfunc_eq(got, parse_expr("x3*-x1", X, QQ))
+    for m in (memo, None):
+        with pytest.raises(ParseError) as e:
+            parse_expr("-" * (n - 1) + "(x1*-x2)", X, QQ, m)
+        assert str(e.value) == f"nesting deeper than {n} (at position {n + 3})"
+    # a memoised group nested in a group counts toward its depth
+    parse_expr("((x1*-x2) + x3)", X, QQ, memo)
+    with pytest.raises(ParseError, match=rf"nesting deeper than {n} \(at position {n + 3}\)"):
+        parse_expr("-" * (n - 2) + "((x1*-x2) + x3)", X, QQ, memo)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("(x1+x2)*(x1+x2) x3", "trailing input 'x3'", 16),
+        ("(x1+x2)*(x1+x2)^x2", "expected integer exponent", 16),
+        ("(x1+x2)/((x1+x2) - (x1+x2))", "division by zero", 7),
+        ("(x1+x2)*(x1+x2) + (x1/0)", "division by zero", 21),
+        ("(x1+x2) - -(x1+x2) * )", "unexpected token ')'", 21),
+    ],
+)
+def test_errors_after_a_memoised_group_keep_their_positions(text, message, position):
+    # the memo holds (x1+x2), and the text holds it again; a group that
+    # raises is not kept
+    memo = {}
+    parse_expr("(x1+x2)", X, QQ, memo)
+    for m in (memo, {}, None):
+        with pytest.raises(ParseError) as e:
+            parse_expr(text, X, QQ, m)
+        assert str(e.value) == f"{message} (at position {position})"
+    assert memo.keys() <= {"(x1+x2)", "((x1+x2) - (x1+x2))"}
+
+
+def test_paren_groups():
+    from fixedfield.parser import paren_groups
+
+    assert paren_groups("x1") == ([], None)
+    assert paren_groups("(x1*(x2)) + (x3)") == (["(x1*(x2))", "(x2)", "(x3)"], None)
+    assert paren_groups("(x1 + (x2)") == ([None, "(x2)"], 0)
+    assert paren_groups("x1) + (x2") == ([None], 2)
+    assert paren_groups("((x1)") == ([None, "(x1)"], 0)
+
+
 def test_char2_minus_is_plus():
     assert ratfunc_eq(parse_expr("x1 - x2", X, F2), parse_expr("x1 + x2", X, F2))
 

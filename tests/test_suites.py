@@ -99,6 +99,64 @@ def test_degree_of_a_root_table_is_an_error_verdict():
     assert check.detail == "error: table 'x' has no definitions to take degrees of"
 
 
+def test_degree_of_a_non_square_exponent_matrix_is_an_error_verdict():
+    # two definitions over three variables: independent rows, no determinant
+    text = 'vars t = t1 t2\ndef t.t1 = x1\ndef t.t2 = x2*x3\ncheck degree t = 1 ref="r"'
+    [check] = run_parsed_suite(_mini(text)).checks
+    assert check.status == FAIL
+    assert check.detail == "error: determinant of a non-square matrix"
+
+
+def test_degree_reads_the_determinant_of_the_factored_lattice():
+    # the rows of (x1*x2, x2*x3, x1*x3) have determinant 2
+    from fixedfield.monomial import det_fraction_free
+
+    text = ('vars t = t1 t2 t3\ndef t.t1 = x1*x2\ndef t.t2 = x2*x3\ndef t.t3 = x1*x3\n'
+            'check degree t = 2 ref="r"\ncheck degree t = 4 ref="r"')
+    suite = _mini(text)
+    checks = run_parsed_suite(suite).checks
+    assert [(c.status, c.detail) for c in checks] == [
+        (PASS, "|det| = 2, expected 2"), (FAIL, "|det| = 2, expected 4")]
+    lattice = suite.table("t").lattice()
+    assert lattice.det == abs(det_fraction_free(lattice.rows)) == 2
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        ('check table x elem=(1,2,3) images = x2, x3, x1) ref="r"',
+         "check table has an unbalanced ')' at position 2 of 'x1)'"),
+        ('check identity (x1 - x2 == 0 ref="r"',
+         "check identity has an unbalanced '(' at position 0 of '(x1 - x2'"),
+        ('check invariance x1*(x2 + x3)) under A3 ref="r"',
+         "check invariance has an unbalanced ')' at position 12 of 'x1*(x2 + x3))'"),
+        ('check distinct x1, )x2( ref="r"',
+         "check distinct has an unbalanced ')' at position 0 of ')x2('"),
+    ],
+    ids=["table", "identity", "invariance", "distinct"],
+)
+def test_unbalanced_parentheses_are_a_load_error(check, message):
+    with pytest.raises(SuiteError, match=f"^line 5: {re.escape(message)}$"):
+        _mini(check)
+
+
+def test_parses_of_a_suite_share_one_memo_of_groups():
+    # definitions and grounded expressions over x in Q share one memo;
+    # zeta3 widens the field, and the widened parse has a memo of its own
+    text = 'vars t = t1 t2\ndef t.t1 = (x1 + x2)*x3\ndef t.t2 = (x1 + x2)^2'
+    suite = _mini(text)
+    x, fld = suite.table("x"), suite.field
+    memo = suite.group_memo(x.vt, fld)
+    assert memo.keys() == {"(x1 + x2)"}
+    parsed, _ = suite.ground_expr("x3*(x1 + x2) - (x1 - x2)")
+    assert memo.keys() == {"(x1 + x2)", "(x1 - x2)"}
+    assert ratfunc_eq(parsed, parse_expr("x3*(x1 + x2) - (x1 - x2)", x.vt, fld))
+    parsed, _ = suite.ground_expr("zeta3*(x1 + x2)")
+    assert parsed.field is with_zeta3(fld)
+    assert suite.group_memo(x.vt, parsed.field).keys() == {"(x1 + x2)"}
+    assert suite._groups.keys() == {(x.vt, fld), (x.vt, parsed.field)}
+
+
 def test_matgroup_naming_an_undeclared_matrix_is_a_load_error():
     # A3 acts on m by cyclic permutation matrices: C generates their group
     text = """vars m = m1 m2 m3
@@ -1158,13 +1216,13 @@ def test_parser_matches_an_all_ratfunc_evaluation(monkeypatch, perfbench_workloa
     # every expression the runner parses while loading and running the
     # shipped suites and, for Qz3, which no shipped suite uses, one seed of
     # the benchmark's algebra suites: definitions, grounded check expressions
-    # and table images
+    # and table images, each parsed with its suite's memo of groups
     import fixedfield.suite as suite_mod
 
     calls = []
 
-    def recording_parse(text, vars, field):
-        out = parse_expr(text, vars, field)
+    def recording_parse(text, vars, field, memo):
+        out = parse_expr(text, vars, field, memo)
         calls.append((text, vars, field, out))
         return out
 
