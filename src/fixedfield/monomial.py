@@ -95,7 +95,7 @@ def det_fraction_free(m) -> int:
     return sign * last if len(pivots) == len(a) else 0
 
 
-def close(generators, one, times, cap):
+def close(generators, one, times, cap, start=None):
     """The set of elements of the group generated by hashable elements,
     by Dimino's coset enumeration; it closes permutation groups on image
     tuples (the image groups of scaled actions among them, as permutations
@@ -104,13 +104,22 @@ def close(generators, one, times, cap):
     one grows the previous subgroup H by the right cosets H*r*s that are
     new, for r among the coset representatives found so far and s among
     the generators taken so far.  MonomialError when the group has more
-    than cap elements."""
-    elements = [one]
-    seen = {one}
-    gens = []  # times(s) for the generators taken so far
+    than cap elements.
+
+    start = (elements, generators) is a closed subgroup of the group to
+    grow from, the trivial group ({one}, ()) by default; PermGroup passes
+    the base perms.GroupIndex chose, a subgroup by its generators.  Its
+    generators count as taken, so the coset walk multiplies by them too,
+    or it would miss cosets; when every generator already lies in it, its
+    element set itself is returned, so the two groups share one set."""
+    seen, taken = start or ({one}, ())
+    gens = None  # times(s) for the generators taken so far
     for g in generators:
         if g in seen:
             continue
+        if gens is None:  # the first new generator: grow a copy of the start
+            gens, seen = [times(s) for s in taken], set(seen)
+            elements = list(seen)
         gens.append(times(g))
         subgroup = list(elements)
         reps = [one]

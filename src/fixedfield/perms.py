@@ -16,6 +16,16 @@ element costs about one product.  The orders involved never exceed a few
 thousand, so no stabilizer chains are needed.  A PermGroup closes on
 plain image tuples, where x*h is itemgetter(*[j - 1 for j in h]) applied
 to x, one C call per product, and keeps those tuples as its elements.
+
+Dimino's enumeration grows a known subgroup, so a PermGroup may start
+from a closed subgroup, its base.  Suites declare groups along chains of
+growing generating sets, so GroupIndex.declare takes as base the largest
+earlier group (the first declared among equals) whose distinct
+generators all lie among the new ones, which makes it a subgroup; a
+group that merely contains them is never a base.  A group that adds no
+generator to its base, such as a redundant generating set, shares the
+base's element set and makes no product.
+
 Normality is decided on generators alone: H is normal in G = <S> iff
 s*t*s^-1 lies in H for every s in S and every generator t of H.
 """
@@ -162,9 +172,10 @@ def parse_cycles(text: str, n: int) -> Perm:
 
 class PermGroup:
     """A finitely generated subgroup of S_n; elements is its full element
-    set as image tuples."""
+    set as image tuples.  A base, a PermGroup whose generators all lie
+    among generators, is a subgroup to close from."""
 
-    def __init__(self, generators, degree=None):
+    def __init__(self, generators, degree=None, base=None):
         generators = list(generators)
         if degree is None:
             if not generators:
@@ -175,9 +186,13 @@ class PermGroup:
                 raise PermError("generators of mixed degree")
         self.degree = degree
         self.generators = generators
+        start = base and (base.elements, [g.images for g in base.generators])
         try:
+            # frozenset of a frozenset is that frozenset: a group that adds
+            # nothing to its base shares the base's element set
             self.elements = frozenset(close([g.images for g in generators],
-                                            tuple(range(1, degree + 1)), image_times, CLOSURE_CAP))
+                                            tuple(range(1, degree + 1)), image_times, CLOSURE_CAP,
+                                            start))
         except MonomialError:
             raise PermError(f"closure exceeded cap {CLOSURE_CAP}") from None
         self.order = len(self.elements)
@@ -188,6 +203,32 @@ class PermGroup:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"PermGroup(order={self.order}, gens=[{gens}])"
+
+
+class GroupIndex:
+    """A suite's declared groups, kept as bases for the groups declared
+    after them (see the module docstring)."""
+
+    def __init__(self):
+        # first generator's image tuple -> [(-order, number, generator images,
+        # group)], so the least entry found is the base
+        self.by_first = {}
+        self.added = 0
+
+    def declare(self, generators, degree):
+        """PermGroup(generators, degree), closed from its base.  A candidate
+        base is filed under its first generator, so it is met once.  The new
+        group is filed unless it closed to its base's element set: that base
+        qualifies wherever it would, and was declared first."""
+        images = {g.images for g in generators}
+        found = [e for s in images for e in self.by_first.get(s, ()) if e[2] <= images]
+        base = min(found)[3] if found else None
+        group = PermGroup(generators, degree, base)
+        if generators and (base is None or group.elements is not base.elements):
+            entry = (-group.order, self.added, images, group)
+            self.by_first.setdefault(generators[0].images, []).append(entry)
+            self.added += 1
+        return group
 
 
 def is_normal(h: PermGroup, g: PermGroup) -> bool:

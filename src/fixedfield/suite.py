@@ -61,6 +61,7 @@ from .parser import (
 )
 from .perms import (
     POINTS_CAP,
+    GroupIndex,
     Perm,
     PermError,
     PermGroup,
@@ -213,6 +214,7 @@ class Suite:
         self._words: dict[str, Perm] = {}  # perm_word's memo: word or atom -> Perm
         self.groups: dict[str, PermGroup] = {}
         self.group_words: dict[str, list] = {}
+        self._bases = GroupIndex()  # the groups declared so far, to close each from a base
         self.matrices: dict[str, tuple] = {}
         self.gl23map: dict[tuple[int, int], int] = {}
         self.checks: list[Check] = []
@@ -584,19 +586,19 @@ def _parse_def(suite: Suite, target, expr):
 
 
 def _parse_group(suite: Suite, name, body):
-    m = re.search(r"expect_order=(\d+)", body)
+    m = re.fullmatch(r"(.*?)expect_order=(\S*)\s*(.*)", body)
     if not m:
         raise SuiteError(f"group {name!r} needs expect_order=")
-    expect = int(m.group(1))
-    body = body[: m.start()].strip()
-    words = body.split()
-    gens = [suite.perm_word(w) for w in words]
+    words, expect, tail = m[1].split(), m[2], m[3]
+    if tail or not expect.isdecimal():
+        raise SuiteError(f"group {name!r}: expect_order= must end the line, not {tail!r}" if tail
+                         else f"group {name!r}: expect_order={expect!r} is not an integer")
     if name in suite.groups:
         raise SuiteError(f"duplicate group {name!r}")
-    group = PermGroup(gens, degree=suite.points)
+    group = suite._bases.declare([suite.perm_word(w) for w in words], suite.points)
     suite.groups[name] = group
     suite.group_words[name] = words
-    if group.order != expect:
+    if group.order != int(expect):
         raise SuiteError(
             f"group {name!r} closed to order {group.order}, declared {expect}"
         )

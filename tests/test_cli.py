@@ -190,6 +190,19 @@ def test_verify_unknown_variable_exits_2(capsys, monkeypatch):
     assert err.startswith("error: line 5: check invariance uses unknown variable 'q9'")
 
 
+def test_verify_text_after_expect_order_exits_2(capsys, monkeypatch):
+    import fixedfield.suite as suite_mod
+
+    text = ('suite catalog field=Q\npoints 4\ngroup G = (1,2) expect_order=2 (3,4)\n'
+            'check member (3,4) in G ref="r"\n')
+    monkeypatch.setattr(suite_mod, "load_suite", lambda name: suite_mod.parse_suite_text(text))
+    code, out, err = run(["verify", "--suite", "catalog"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 3: group 'G': expect_order= must end the line, "
+                          "not '(3,4)'")
+
+
 def test_verify_unknown_table_exits_2(capsys, monkeypatch):
     import fixedfield.suite as suite_mod
 

@@ -443,6 +443,24 @@ def test_loader_rejects_a_second_gl23map():
         parse_suite_text(text.replace(line, line + "\n" + line, 1))
 
 
+@pytest.mark.parametrize("order, message", [
+    ("2 (3,4)", "expect_order= must end the line, not '(3,4)'"),
+    ("2 expect_order=3", "expect_order= must end the line, not 'expect_order=3'"),
+    ("2x", "expect_order='2x' is not an integer"),
+    ("abc", "expect_order='abc' is not an integer"),
+    ("", "expect_order='' is not an integer"),
+])
+def test_expect_order_is_an_integer_that_ends_the_group_line(order, message):
+    # text after expect_order= used to be dropped, generators included
+    text = "suite mini field=Q\npoints 4\ngroup G = (1,2) expect_order={}\n"
+    with pytest.raises(SuiteError, match="^line 3: group 'G': " + re.escape(message) + "$"):
+        parse_suite_text(text.format(order))
+    with pytest.raises(SuiteError, match="^line 3: group 'G' needs expect_order=$"):
+        parse_suite_text(text.format(order).replace("expect_order=", ""))
+    group = parse_suite_text(text.format("4 ").replace("(1,2)", "(1,2) (3,4)")).groups["G"]
+    assert group.order == 4 and Perm((1, 2, 4, 3)) in group
+
+
 @pytest.mark.parametrize("points", ["0", "-3", "65536"])
 def test_loader_caps_points(points):
     # points 65536 used to load and then run without bound
