@@ -13,7 +13,6 @@ from .actions import (
     induced_scaled_permutation,
     perm_act,
 )
-from .monomial import det_fraction_free
 from .parser import ParseError, parse_expr
 from .perms import (
     Perm,
@@ -35,6 +34,5 @@ __all__ = [
     "is_transitive", "wreath_product",
     "perm_act", "induced_scaled_permutation",
     "extract_monomial_action",
-    "det_fraction_free",
     "SuiteReport", "list_suites",
 ]

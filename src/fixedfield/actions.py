@@ -1,6 +1,5 @@
 """Permutation actions on rational functions: scaled permutations of
-generator sets, monomial-action extraction, and scaled actions as
-permutations of a finite orbit.
+generator sets and monomial-action extraction.
 
 All comparisons are between exact rational functions; nothing is ever
 solved for.
@@ -10,7 +9,7 @@ perm_act(g*h, f) == perm_act(g, perm_act(h, f)).  So when the scaled
 action (B, d) of each g on a generator set is unique, g -> (B, d) is a
 homomorphism, and kernels and faithfulness are read off the group its
 generators' images generate, closed (monomial.close) as the permutations
-they make of one orbit of scaled monomials (orbit_permutations).
+they make of one orbit of scaled monomials (monomial.orbit_permutations).
 """
 
 from __future__ import annotations
@@ -88,35 +87,6 @@ def require_unproportional(definitions):
         for j in range(i + 1, len(definitions)):
             if scaled_match(d, definitions[j]) is not None:
                 raise ActionError(f"definitions {i + 1} and {j + 1} are proportional")
-
-
-def orbit_permutations(actions, n, field, cap):
-    """[identity, *perms]: the scaled actions (B, d) on n variables t, as
-    1-based image tuples on Omega, the orbit of the points (1, e_j) under
-    the group they generate.  A point (c, v) is the scaled monomial
-    c * prod_k t_k^{v_k}, which (B, d) sends to (c * prod_j d_j^{v_j}, B*v).
-    It sends (1, e_j) to (d_j, column j of B), so the group acts faithfully
-    on Omega, and close on perms lists it.  Omega has at most n points per
-    group element: MonomialError when it has more than n * cap."""
-    one, scale, power = field.one(), field.mul, field.pow
-    points = [(one, tuple(int(i == j) for i in range(n))) for j in range(n)]
-    index = {p: k for k, p in enumerate(points, 1)}
-    perms = [[] for _ in actions]
-    for c, v in points:  # points grows while it is walked
-        for (bmat, dvec), images in zip(actions, perms):
-            s = c
-            for d, e in zip(dvec, v):
-                if e and d != one:
-                    s = scale(s, d if e == 1 else power(d, e))
-            q = s, tuple([sum(map(mul, row, v)) for row in bmat])
-            k = index.get(q)
-            if k is None:
-                if len(points) >= n * cap:
-                    raise MonomialError(f"group exceeded cap {cap}")
-                points.append(q)
-                k = index[q] = len(points)
-            images.append(k)
-    return [tuple(range(1, len(points) + 1))] + [tuple(p) for p in perms]
 
 
 def permutation_matrix(g: Perm):

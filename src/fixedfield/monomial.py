@@ -19,19 +19,12 @@ independent, so at most one rational a exists; the residual check alone
 makes an answer exact (an integer a that reproduces every coordinate is
 that one), and the divisibility test only rejects a non-integral a
 before the residual is summed.
-
-Matrices have one product, matrix_times(h), the map x -> x*h.  It splits
-h once into sparse layers, each with at most one nonzero per column, so
-a row of x*h is one C-level itemgetter-and-map pass per layer.  A closure
-builds that map once per generator and applies it to every element; the
-matrices of the shipped matgroup checks are signed permutation matrices,
-one layer each, where a dense product would make n^3 multiplications.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import add, itemgetter, mul
+from operator import mul
 
 MATRIX_GROUP_CAP = 10000
 
@@ -60,12 +53,12 @@ def is_square(a):
 
 def _eliminate(a, width):
     """Fraction-free (Bareiss) Gauss-Jordan on the integer rows a, in place:
-    (pivot columns among the first width, the last pivot, the sign of the
-    row swaps).  A column's pivot is its first nonzero at or below the
-    current row, as over Q; each step scales every other row by the new
-    pivot and divides exactly by the previous one, so a ends as the last
-    pivot times what the same steps over Q reach."""
-    pivots, prev, sign = [], 1, 1
+    (pivot columns among the first width, the last pivot).  A column's
+    pivot is its first nonzero at or below the current row, as over Q; each
+    step scales every other row by the new pivot and divides exactly by the
+    previous one, so a ends as the last pivot times what the same steps over
+    Q reach."""
+    pivots, prev = [], 1
     for c in range(width):
         r = len(pivots)
         if r == len(a):
@@ -73,9 +66,7 @@ def _eliminate(a, width):
         piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
+        a[r], a[piv] = a[piv], a[r]
         top, pv = a[r], a[r][c]
         for i, row in enumerate(a):
             if i != r:
@@ -83,28 +74,19 @@ def _eliminate(a, width):
                 a[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
         prev = pv
         pivots.append(c)
-    return pivots, prev, sign
-
-
-def det_fraction_free(m) -> int:
-    """Exact determinant: the signed last pivot of _eliminate, or 0."""
-    if not is_square(m):
-        raise MonomialError("determinant of a non-square matrix")
-    a = [list(row) for row in m]
-    pivots, last, sign = _eliminate(a, len(a))
-    return sign * last if len(pivots) == len(a) else 0
+    return pivots, prev
 
 
 def close(generators, one, times, cap, start=None):
     """The set of elements of the group generated by hashable elements,
     by Dimino's coset enumeration; it closes permutation groups on image
-    tuples (the image groups of scaled actions among them, as permutations
-    of an orbit) and matrix groups alike.  times(h) is the map x -> x*h, a
-    generator already in the group built so far is skipped, and each new
-    one grows the previous subgroup H by the right cosets H*r*s that are
-    new, for r among the coset representatives found so far and s among
-    the generators taken so far.  MonomialError when the group has more
-    than cap elements.
+    tuples, and with them matrix groups and the image groups of scaled
+    actions, as permutations of an orbit (orbit_permutations).  times(h)
+    is the map x -> x*h, a generator already in the group built so far is
+    skipped, and each new one grows the previous subgroup H by the right
+    cosets H*r*s that are new, for r among the coset representatives found
+    so far and s among the generators taken so far.  MonomialError when
+    the group has more than cap elements.
 
     start = (elements, generators) is a closed subgroup of the group to
     grow from, the trivial group ({one}, ()) by default; PermGroup passes
@@ -138,58 +120,50 @@ def close(generators, one, times, cap, start=None):
     return seen
 
 
-def picker(index):
-    """x -> the tuple of x's items at index, one C call for two or more:
-    itemgetter of one index returns the item, not a tuple."""
-    if len(index) > 1:
-        return itemgetter(*index)
-    return lambda x: tuple([x[k] for k in index])
+def orbit_permutations(actions, n, field, cap):
+    """[identity, *perms]: the scaled actions (B, d) on n variables t, as
+    1-based image tuples on Omega, the orbit of the points (1, e_j) under
+    the group they generate.  A point (c, v) is the scaled monomial
+    c * prod_k t_k^{v_k}, which (B, d) sends to (c * prod_j d_j^{v_j}, B*v).
+    It sends (1, e_j) to (d_j, column j of B), so the group acts faithfully
+    on Omega, and close on perms lists it.  Omega has at most n points per
+    group element: MonomialError when it has more than n * cap."""
+    one, scale, power = field.one(), field.mul, field.pow
+    points = [(one, tuple(int(i == j) for i in range(n))) for j in range(n)]
+    index = {p: k for k, p in enumerate(points, 1)}
+    perms = [[] for _ in actions]
+    for c, v in points:  # points grows while it is walked
+        for (bmat, dvec), images in zip(actions, perms):
+            s = c
+            for d, e in zip(dvec, v):
+                if e and d != one:
+                    s = scale(s, d if e == 1 else power(d, e))
+            q = s, tuple([sum(map(mul, row, v)) for row in bmat])
+            k = index.get(q)
+            if k is None:
+                if len(points) >= n * cap:
+                    raise MonomialError(f"group exceeded cap {cap}")
+                points.append(q)
+                k = index[q] = len(points)
+            images.append(k)
+    return [tuple(range(1, len(points) + 1))] + [tuple(p) for p in perms]
 
 
-def matrix_times(h):
-    """x -> x*h for integer matrices x with len(h) columns: the one matrix
-    product, and the times of close for matrix groups.
+def matrix_group_elements(left, right, n, field):
+    """The element sets of <left>, <right> and <left + right>, for lists of
+    n x n integer matrices, as the permutations each group makes of the
+    orbit_permutations orbit of all the matrices with unit scalars, one
+    orbit that the largest group acts on faithfully.  MonomialError when
+    the orbit or a group outgrows MATRIX_GROUP_CAP, as for a matrix of
+    infinite order."""
+    from .perms import image_times  # perms imports close from here
 
-    h is split once into layers, each with at most one nonzero per column:
-    layer l picks row index[l][j] of h, with coefficient coeffs[l][j], for
-    column j (index 0 and coefficient 0 where the column has no l-th
-    nonzero, so an all-zero column is one such slot).  Row r of x*h is then
-    sum_l map(mul, picker(index[l])(x[r]), coeffs[l]), one C-level
-    pass per layer.  A signed permutation matrix, which every matrix of the
-    shipped image groups is, has a single layer."""
-    n = len(h)
-    cols = [[(k, e) for k, e in enumerate(col) if e] for col in zip(*h)]
-    layers = []
-    for depth in range(max(1, *map(len, cols))):
-        slots = [col[depth] if depth < len(col) else (0, 0) for col in cols]
-        layers.append((picker([k for k, _ in slots]), tuple([c for _, c in slots])))
-    (get, coeffs), rest = layers[0], layers[1:]
-
-    def times(x):
-        if len(x[0]) != n:
-            raise MonomialError("matrix size mismatch")
-        out = []
-        for row in x:
-            acc = map(mul, get(row), coeffs)
-            for get_l, coeffs_l in rest:
-                acc = map(add, acc, map(mul, get_l(row), coeffs_l))
-            out.append(tuple(acc))
-        return tuple(out)
-
-    return times
-
-
-def matrix_group_elements(gens):
-    gens = [mat_from_rows(g) for g in gens]
-    if not gens:
-        raise MonomialError("no generators")
-    n = len(gens[0])
-    for g in gens:
-        if not is_square(g) or len(g) != n:
-            raise MonomialError("generators of mixed size")
-        if det_fraction_free(g) not in (1, -1):
-            raise MonomialError("generator with |det| != 1")
-    return close(gens, mat_identity(n), matrix_times, MATRIX_GROUP_CAP)
+    units = (field.one(),) * n
+    ident, *perms = orbit_permutations(
+        [(m, units) for m in left + right], n, field, MATRIX_GROUP_CAP)
+    k = len(left)
+    return [close(gens, ident, image_times, MATRIX_GROUP_CAP)
+            for gens in (perms[:k], perms[k:], perms)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +239,7 @@ def _factor(rows):
     """
     k, n = len(rows), len(rows[0])
     a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
-    pivots, last, _ = _eliminate(a, n)
+    pivots, last = _eliminate(a, n)
     if len(pivots) < k:
         raise MonomialError("exponent rows are linearly dependent")
     u = [row[n:] for row in a]

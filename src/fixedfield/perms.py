@@ -33,9 +33,9 @@ s*t*s^-1 lies in H for every s in S and every generator t of H.
 from __future__ import annotations
 
 import re
-from operator import mul
+from operator import itemgetter, mul
 
-from .monomial import MonomialError, close, picker
+from .monomial import MonomialError, close
 from .scalars import power
 
 CLOSURE_CAP = 50000
@@ -45,6 +45,14 @@ POINTS_CAP = 64
 
 class PermError(ValueError):
     pass
+
+
+def picker(index):
+    """x -> the tuple of x's items at index, one C call for two or more:
+    itemgetter of one index returns the item, not a tuple."""
+    if len(index) > 1:
+        return itemgetter(*index)
+    return lambda x: tuple([x[k] for k in index])
 
 
 def image_times(h):

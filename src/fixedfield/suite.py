@@ -31,13 +31,13 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import reduce
 from importlib import resources
+from operator import mul
 
 from .actions import (
     ActionError,
     extract_monomial_action,
     induced_scaled_permutation,
     matrix_permutation,
-    orbit_permutations,
     perm_act,
     permutation_matrix,
     require_unproportional,
@@ -50,7 +50,7 @@ from .monomial import (
     mat_from_rows,
     mat_identity,
     matrix_group_elements,
-    matrix_times,
+    orbit_permutations,
 )
 from .parser import (
     ParseError,
@@ -935,11 +935,18 @@ def _parse_word(suite: Suite, payload, attrs):
             )
         syms.extend([m.group(1)] * int(m.group(2) or 1))
     table, g = suite.table(payload.strip()), suite.perm_word(elem)
-    return table, g, reduce(lambda x, h: matrix_times(h)(x), _matrices(suite, syms))
+    product = lambda x, h: tuple(tuple(sum(map(mul, row, col)) for col in zip(*h)) for row in x)
+    return table, g, reduce(product, _matrices(suite, table, syms))
 
 
-def _matrices(suite: Suite, syms):
-    return [suite.matrix(s) for s in syms]
+def _matrices(suite: Suite, table: Table, syms):
+    """The matrices named by syms, each n x n for the n variables of table."""
+    n, mats = len(table.vt), [suite.matrix(s) for s in syms]
+    for s, m in zip(syms, mats):
+        if (len(m), len(m[0])) != (n, n):
+            raise SuiteError(f"matrix {s!r} is {len(m)}x{len(m[0])}, but table "
+                             f"{table.name!r} has {n} variables")
+    return mats
 
 
 def _run_word(suite: Suite, check: Check):
@@ -948,12 +955,21 @@ def _run_word(suite: Suite, check: Check):
     return bmat == target, f"extracted matrix vs word {check.attrs['word']}"
 
 
+_matgroup_parts = _shape(" under ", "==", last=str.split, resolve=(Suite.table, Suite.group))
+
+
+def _parse_matgroup(suite: Suite, payload, attrs):
+    table, group, syms = _matgroup_parts(suite, payload, attrs)
+    return table, group, _matrices(suite, table, syms)
+
+
 def _run_matgroup(suite: Suite, check: Check):
+    """<A> = <B> iff |<A>| = |<B>| = |<A, B>|, for A the matrices of G's
+    generators on the table and B the named matrices."""
     table, group, mats = check.fields
     gens = [suite.scaled_action(table, gen)[0] for gen in group.generators]
-    left = matrix_group_elements(gens)
-    right = matrix_group_elements(mats)
-    return left == right, f"orders {len(left)} vs {len(right)}"
+    left, right, both = map(len, matrix_group_elements(gens, mats, len(table.vt), table.field))
+    return left == right == both, f"orders {left} vs {right}"
 
 
 def _image_group(suite: Suite, check: Check):
@@ -1070,10 +1086,7 @@ KINDS: dict[str, CheckKind] = {
         reads=("pure",),
     ),
     "word": CheckKind(_parse_word, _run_word, reads=("elem", "word")),
-    "matgroup": CheckKind(
-        _shape(" under ", "==", last=str.split, resolve=(Suite.table, Suite.group, _matrices)),
-        _run_matgroup,
-    ),
+    "matgroup": CheckKind(_parse_matgroup, _run_matgroup),
     "matrix-kernel": CheckKind(
         _shape(" under ", "=", resolve=(Suite.table, _group, _group)), _run_kernel
     ),

@@ -5,11 +5,10 @@ import pytest
 from fixedfield.actions import (
     ActionError,
     induced_scaled_permutation,
-    orbit_permutations,
     perm_act,
     permutation_matrix,
 )
-from fixedfield.monomial import MonomialError, close
+from fixedfield.monomial import MonomialError, close, orbit_permutations
 from fixedfield.parser import parse_expr
 from fixedfield.perms import Perm, image_times, parse_cycles
 from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute

@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
 from math import lcm
 
 import pytest
@@ -9,20 +8,18 @@ import pytest
 from fixedfield import monomial
 from fixedfield.actions import extract_monomial_action, permutation_matrix
 from fixedfield.monomial import (
-    MATRIX_GROUP_CAP,
     Lattice,
     MonomialError,
     close,
-    det_fraction_free,
     mat_from_rows,
     mat_identity,
     matrix_group_elements,
-    matrix_times,
     monomial_shape,
+    orbit_permutations,
     solve_int_combination,
 )
 from fixedfield.parser import parse_expr
-from fixedfield.perms import Perm, parse_cycles
+from fixedfield.perms import Perm, image_times, parse_cycles
 from fixedfield.poly import Poly, RatFunc, VarTable
 from fixedfield.scalars import QQ
 from fixedfield.suite import FAIL, PASS, SuiteError, load_suite, parse_suite_text, run_parsed_suite
@@ -78,24 +75,33 @@ def smith_diagonal(m):
     return diag
 
 
-def test_matrix_products_examples():
-    # a word= of named matrices is their left-to-right matrix_times product
-    def product(*factors):
-        return reduce(lambda x, h: matrix_times(h)(x), factors)
+def word_products(pairs):
+    """The matrix a suite loads for word=a*b, for each (a, b) of n x n
+    matrices, all pairs of one size n, through one suite with n variables."""
+    n = len(pairs[0][0])
+    lines = ["suite m field=Q", f"points {n}", "vars x = " + " ".join(f"x{k}" for k in range(n))]
+    for k, (a, b) in enumerate(pairs):
+        for name, m in ((f"a{k}", a), (f"b{k}", b)):
+            lines.append(f"matrix {name} = " + " / ".join(",".join(map(str, r)) for r in m))
+        lines.append(f'check word x elem=(ID) word=a{k}*b{k} ref="r"')
+    return [check.fields[2] for check in parse_suite_text("\n".join(lines) + "\n").checks]
 
+
+def test_matrix_products_examples():
+    # a word= of named matrices is their left-to-right product
     neg = mat_neg(SIGMA_4A)
     cubed = mat_from_rows([[0, -1, 0], [1, 0, 0], [0, 0, -1]])
-    assert product(neg, neg, neg) == cubed
-    assert product(neg, neg) == mat_from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
-    assert product(mat_identity(3)) == mat_identity(3)
-    assert product(neg, LAMBDA_1) == mat_from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])  # not L*neg
+    squared = mat_from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    assert word_products([(neg, neg), (squared, neg), (mat_identity(3), mat_identity(3)),
+                          (neg, LAMBDA_1)]) == [
+        squared, cubed, mat_identity(3), mat_from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])]
     # the loader reads a word= as that product, and has no empty word
     head = ("suite m field=Q\npoints 3\nvars x = x1 x2 x3\nmatrix nsA = 0,1,0 / -1,0,0 / 0,0,-1\n"
             "matrix l1 = -1,0,0 / 0,1,0 / 0,0,-1\n")
     suite = parse_suite_text(head + 'check word x elem=(1,2) word=nsA^2*nsA ref="r"\n')
     assert suite.checks[0].fields[2] == cubed
     suite = parse_suite_text(head + 'check word x elem=(1,2) word=nsA*l1 ref="r"\n')
-    assert suite.checks[0].fields[2] == product(neg, LAMBDA_1)
+    assert suite.checks[0].fields[2] == word_products([(neg, LAMBDA_1)])[0]  # not L*neg
     with pytest.raises(SuiteError, match="^line 6: check word needs word= factors"):
         parse_suite_text(head + 'check word x elem=(1,2) word=* ref="r"\n')
 
@@ -106,17 +112,17 @@ def _triple_loop(a, b):
 
 
 def test_mat_mul_matches_a_triple_loop():
-    # the layered kernel against the definition of the product: 1x1 (the
-    # one-index itemgetter), all-zero columns and rows, dense, signed
-    # permutation and rectangular factors, one column or one row included
+    # the product a word= loads against the definition of the product: 1x1,
+    # all-zero columns and rows, dense and signed permutation factors
     rng = random.Random(20141)
 
     def rand(rows, cols, density=1.0):
         return mat_from_rows([[rng.randint(-9, 9) if rng.random() < density else 0
                                for _ in range(cols)] for _ in range(rows)])
 
-    cases = [(rand(1, 1), rand(1, 1)), (((0,),), ((5,),)), (((3,),), ((0,),))]
+    sized = {1: [(rand(1, 1), rand(1, 1)), (((0,),), ((5,),)), (((3,),), ((0,),))]}
     for n in range(1, 7):
+        cases = sized.setdefault(n, [])
         cases.append((rand(n, n), rand(n, n)))  # dense
         cases.append((rand(n, n), _signed_permutation_matrix(rng, n)))
         cases.append((_signed_permutation_matrix(rng, n), rand(n, n)))
@@ -125,35 +131,35 @@ def test_mat_mul_matches_a_triple_loop():
                                    for row in zero_cols])
         cases.append((rand(n, n), zero_cols))
         cases.append((rand(n, n), mat_from_rows([[0] * n] * n)))
-        for k, m in ((1, n), (n, 1), (2, n + 1), (n + 2, 3)):
-            cases.append((rand(k, n), rand(n, m, density=rng.random())))
-    for a, b in cases:
-        assert matrix_times(b)(a) == _triple_loop(a, b), (a, b)
-        times_b = matrix_times(b)  # built once, reused
-        assert times_b(a) == times_b(a) == _triple_loop(a, b)
+        cases.append((rand(n, n, density=rng.random()), rand(n, n, density=rng.random())))
     # all 48 signed permutation matrices of size 3 and their products
     signed = {_signed_permutation_matrix(rng, 3) for _ in range(2000)}
     assert len(signed) == 48
-    for a in signed:
-        for b in list(signed)[:8]:
-            assert matrix_times(b)(a) == _triple_loop(a, b)
-    for a, b in [(rand(2, 3), rand(2, 3)), (rand(1, 1), rand(2, 2)), (rand(3, 2), rand(1, 2))]:
-        with pytest.raises(MonomialError, match="matrix size mismatch"):
-            matrix_times(b)(a)
+    sized[3] += [(a, b) for a in signed for b in list(signed)[:8]]
+    for cases in sized.values():
+        assert word_products(cases) == [_triple_loop(a, b) for a, b in cases]
 
 
-def test_matrix_group_orders():
-    assert len(matrix_group_elements([mat_identity(3)])) == 1
-    assert len(matrix_group_elements([mat_neg(mat_identity(3))])) == 2
+def test_matrix_group_orders(monkeypatch):
+    def orders(gens):
+        return [len(g) for g in matrix_group_elements(gens, gens, len(gens[0]), QQ)]
+
+    assert orders([mat_identity(3)]) == [1, 1, 1]
+    assert orders([mat_neg(mat_identity(3))]) == [2, 2, 2]
     # the dihedral group generated by -sigma_4A (order 4) and lambda_1
-    assert len(matrix_group_elements([mat_neg(SIGMA_4A), LAMBDA_1])) == 8
-    with pytest.raises(MonomialError):
-        matrix_group_elements([mat_from_rows([[2, 0], [0, 1]])])
+    assert orders([mat_neg(SIGMA_4A), LAMBDA_1]) == [8, 8, 8]
+    # <left>, <right> and the group both generate
+    assert [len(g) for g in matrix_group_elements(
+        [mat_neg(SIGMA_4A)], [LAMBDA_1], 3, QQ)] == [4, 2, 8]
+    monkeypatch.setattr(monomial, "MATRIX_GROUP_CAP", 100)  # an infinite order
+    with pytest.raises(MonomialError, match="^group exceeded cap 100$"):
+        orders([mat_from_rows([[2, 0], [0, 1]])])
 
 
 def _bfs_matrix_group(gens):
-    """Breadth-first closure by left multiplication with the generators:
-    the reference the coset enumeration of close must agree with."""
+    """Breadth-first closure by left multiplication with the generators,
+    with its own triple-loop product: the reference the closure of
+    matrix_group_elements must agree with."""
     ident = mat_identity(len(gens[0]))
     seen = {ident}
     frontier = [ident]
@@ -161,7 +167,7 @@ def _bfs_matrix_group(gens):
         nxt = []
         for h in frontier:
             for g in gens:
-                p = matrix_times(h)(g)
+                p = _triple_loop(g, h)
                 if p not in seen:
                     seen.add(p)
                     nxt.append(p)
@@ -170,10 +176,12 @@ def _bfs_matrix_group(gens):
 
 
 def _closes_like_bfs(gens):
-    group = close(gens, mat_identity(len(gens[0])), matrix_times, MATRIX_GROUP_CAP)
-    assert group == _bfs_matrix_group(gens)
-    assert matrix_group_elements(gens) == group
-    return len(group)
+    # <gens> and the BFS elements, as generators, close to groups of the
+    # BFS order, and so does their join: <gens> is exactly the BFS set
+    bfs = sorted(_bfs_matrix_group(gens))
+    orders = [len(g) for g in matrix_group_elements(gens, bfs, len(gens[0]), QQ)]
+    assert orders == [len(bfs)] * 3
+    return len(bfs)
 
 
 def test_close_matches_bfs_on_shipped_matgroups():
@@ -203,19 +211,23 @@ def test_close_matches_bfs_on_random_signed_permutation_matrices():
         gens = [_signed_permutation_matrix(rng, n) for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.3:  # a generator already in the group
             a, b = rng.choice(gens), rng.choice(gens)
-            gens.append(matrix_times(b)(a))
+            gens.append(_triple_loop(a, b))
         _closes_like_bfs(gens)
 
 
 def test_close_cap_is_exact(monkeypatch):
-    # -sigma_4A and lambda_1 generate a dihedral group of order 8
+    # -sigma_4A and lambda_1 generate a dihedral group of order 8, which
+    # permutes the 6 points (1, +-e_j) of their orbit
     gens = [mat_neg(SIGMA_4A), LAMBDA_1]
+    units = (QQ.one(),) * 3
+    ident, *perms = orbit_permutations([(g, units) for g in gens], 3, QQ, 8)
+    assert len(ident) == 6
     with pytest.raises(MonomialError, match="^group exceeded cap 7$"):
-        close(gens, mat_identity(3), matrix_times, 7)
-    assert len(close(gens, mat_identity(3), matrix_times, 8)) == 8
+        close(perms, ident, image_times, 7)
+    assert len(close(perms, ident, image_times, 8)) == 8
     monkeypatch.setattr(monomial, "MATRIX_GROUP_CAP", 7)
     with pytest.raises(MonomialError, match="^group exceeded cap 7$"):
-        matrix_group_elements(gens)
+        matrix_group_elements(gens, gens, 3, QQ)
 
 
 SEC6_BLOCK = [[1, 1, -1], [-1, 1, 1], [1, -1, 1]]
@@ -245,11 +257,23 @@ def test_exponent_matrix_examples():
         Lattice([parse_expr("-x1", xt, QQ), parse_expr("x2", xt, QQ)]).unit_rows()
 
 
-def test_det_fraction_free_examples():
-    assert det_fraction_free(mat_from_rows(SEC6_BLOCK)) == 4
-    assert det_fraction_free(mat_identity(5)) == 1
-    assert abs(det_fraction_free(sec7_matrix())) == 8
-    assert det_fraction_free(mat_from_rows([[1, 2], [2, 4]])) == 0
+def lattice_of(rows):
+    """The Lattice of one Laurent monomial prod_k t_k^{row[k]} per row."""
+    vt = VarTable([f"t{k}" for k in range(len(rows[0]))])
+
+    def mono(exps):
+        return Poly(vt, QQ, {vt.pack(exps): QQ.one()})
+
+    return Lattice([RatFunc(mono([max(e, 0) for e in row]), mono([max(-e, 0) for e in row]))
+                    for row in rows])
+
+
+def test_lattice_det_examples():
+    assert lattice_of(SEC6_BLOCK).det == 4
+    assert lattice_of(mat_identity(5)).det == 1
+    assert lattice_of(sec7_matrix()).det == 8
+    with pytest.raises(MonomialError, match="^exponent rows are linearly dependent$"):
+        lattice_of([[1, 2], [2, 4]])
 
 
 def test_det_against_smith_oracle_random():
@@ -257,15 +281,15 @@ def test_det_against_smith_oracle_random():
     for _ in range(40):
         n = rng.randint(1, 4)
         m = mat_from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        d = abs(det_fraction_free(m))
         diag = smith_diagonal(m)
         prod = 1
         for x in diag:
             prod *= x
         if len(diag) < n:
-            assert d == 0
+            with pytest.raises(MonomialError, match="^exponent rows are linearly dependent$"):
+                lattice_of(m)
         else:
-            assert prod == d
+            assert lattice_of(m).det == prod
 
 
 def test_verify_degree_examples():

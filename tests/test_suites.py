@@ -109,7 +109,7 @@ def test_degree_of_a_non_square_exponent_matrix_is_an_error_verdict():
 
 def test_degree_reads_the_determinant_of_the_factored_lattice():
     # the rows of (x1*x2, x2*x3, x1*x3) have determinant 2
-    from fixedfield.monomial import det_fraction_free
+    matrix = pytest.importorskip("sympy").Matrix
 
     text = ('vars t = t1 t2 t3\ndef t.t1 = x1*x2\ndef t.t2 = x2*x3\ndef t.t3 = x1*x3\n'
             'check degree t = 2 ref="r"\ncheck degree t = 4 ref="r"')
@@ -118,7 +118,7 @@ def test_degree_reads_the_determinant_of_the_factored_lattice():
     assert [(c.status, c.detail) for c in checks] == [
         (PASS, "|det| = 2, expected 2"), (FAIL, "|det| = 2, expected 4")]
     lattice = suite.table("t").lattice()
-    assert lattice.det == abs(det_fraction_free(lattice.rows)) == 2
+    assert lattice.det == abs(matrix(lattice.rows).det()) == 2
 
 
 @pytest.mark.parametrize(
@@ -170,6 +170,24 @@ check matgroup m under A3 == C ref="r"
     assert [c.status for c in checks] == [PASS]
     with pytest.raises(SuiteError, match="^line 11: unknown matrix symbol 'foo'$"):
         _mini(text + 'check matgroup m under A3 == C foo ref="r"')
+
+
+def test_matgroup_with_a_matrix_of_infinite_order_is_an_error_verdict():
+    # T has |det| 2 and R is unipotent: each has infinite order, so the orbit
+    # the matrices are closed on outgrows the cap
+    text = """vars m = m1 m2 m3
+def m.m1 = x1
+def m.m2 = x2
+def m.m3 = x3
+matrix C = 0,0,1 / 1,0,0 / 0,1,0
+matrix T = 2,0,0 / 0,1,0 / 0,0,1
+matrix R = 1,1,0 / 0,1,0 / 0,0,1
+check matgroup m under A3 == T ref="r"
+check matgroup m under A3 == C R ref="r"
+"""
+    checks = run_parsed_suite(_mini(text)).checks
+    assert [(c.status, c.detail) for c in checks] == [
+        (FAIL, "error: group exceeded cap 10000")] * 2
 
 
 def test_loader_rejects_wrong_group_order():
@@ -246,6 +264,12 @@ def test_loader_rejects_wrong_group_order():
         ('check word x elem=(1,2) word=nsA ref="r"', "unknown matrix symbol 'nsA'"),
         ('matrix C = 0,0,1 / 1,0,0 / 0,1,0\ncheck matgroup x under A3 == C foo ref="r"',
          "unknown matrix symbol 'foo'"),
+        ('matrix D2 = 1,0 / 0,-1\ncheck matgroup x under A3 == D2 ref="r"',
+         "check matgroup matrix 'D2' is 2x2, but table 'x' has 3 variables"),
+        ('matrix NS = 0,0,1 / 1,0,0\ncheck matgroup x under A3 == NS ref="r"',
+         "check matgroup matrix 'NS' is 2x3, but table 'x' has 3 variables"),
+        ('matrix D2 = 1,0 / 0,-1\ncheck word x elem=(1,2) word=D2 ref="r"',
+         "check word matrix 'D2' is 2x2, but table 'x' has 3 variables"),
         ('check wreath A3 = Q8 wr C2 blocks = 1,2,3 ref="r"', "unknown named group 'Q8'"),
         ('check gl23 elem=(1,2) matrix=1,0;0,1 ref="r"', "check gl23 needs an earlier gl23map"),
         ('check order A3 = 3 elem=nope matrix=junk ref="r"',
@@ -283,6 +307,7 @@ def test_loader_rejects_wrong_group_order():
          "induced-point-out-of-range", "degree-unknown-table", "faithful-unknown-table",
          "monomial-unknown-table", "stable-unknown-table", "same-action-unknown-table",
          "induced-order-unknown-table", "word-unknown-matrix", "matgroup-unknown-matrix",
+         "matgroup-2x2-matrix", "matgroup-2x3-matrix", "word-2x2-matrix",
          "wreath-unknown-factor", "gl23-without-gl23map", "order-unread-attributes",
          "invariance-unread-over", "table-unread-pure", "faithful-unread-transitive",
          "same-action-unread-via", "identity-unread-word", "order-continued-past-the-end"],
@@ -1536,7 +1561,7 @@ def test_induced_permutations_compose(executed_suites):
 
 def test_monomial_cocycle_on_section5_tables(executed_suites):
     # A(g*h) = A(g) A(h) and c(g*h)_j = c(h)_j * prod_i c(g)_i^{A(h)_ij}
-    from fixedfield.monomial import matrix_times
+    matrix = pytest.importorskip("sympy").Matrix
 
     suite = executed_suites["sec5_char0"]
     cases = [("Za", "G26"), ("Zb", "G32"), ("Vc", "G19"), ("Wa", "G40")]
@@ -1549,7 +1574,7 @@ def test_monomial_cocycle_on_section5_tables(executed_suites):
                 bg, dg = suite.scaled_action(table, g)
                 bh, dh = suite.scaled_action(table, h)
                 bgh, dgh = suite.scaled_action(table, g * h)
-                assert bgh == matrix_times(bh)(bg)
+                assert matrix(bgh) == matrix(bg) * matrix(bh)
                 n = len(table.vt)
                 for j in range(n):
                     twisted = dh[j]
@@ -1585,7 +1610,7 @@ def test_extraction_reads_off_signed_monomial_rows(executed_suites):
 
 
 def test_extracted_generator_matrices_are_unimodular(executed_suites):
-    from fixedfield.monomial import det_fraction_free
+    matrix = pytest.importorskip("sympy").Matrix
 
     suite = executed_suites["sec5_char0"]
     for tname, gname in [("za", "G14"), ("zb", "G13"), ("Za", "G26"),
@@ -1594,13 +1619,14 @@ def test_extracted_generator_matrices_are_unimodular(executed_suites):
         table = suite.table(tname)
         for g in suite.group(gname).generators:
             bmat, _ = suite.scaled_action(table, g)
-            assert det_fraction_free(bmat) in (1, -1)
+            assert matrix(bmat).det() in (1, -1)
 
 
 def test_degree_oracle_smith_normal_form(executed_suites):
-    # |det| of every monomial generator set's exponent matrix equals the
-    # product of its Smith normal form diagonal (independent oracle)
-    from fixedfield.monomial import det_fraction_free, is_square, mat_from_rows, monomial_shape
+    # |det| of every monomial generator set's exponent matrix, as its
+    # factored lattice reads it, equals the product of its Smith normal form
+    # diagonal (independent oracle)
+    from fixedfield.monomial import MonomialError, is_square, mat_from_rows, monomial_shape
 
     from test_monomial import smith_diagonal
 
@@ -1621,11 +1647,11 @@ def test_degree_oracle_smith_normal_form(executed_suites):
             prod = 1
             for x in diag:
                 prod *= x
-            d = abs(det_fraction_free(m))
             if len(diag) < len(m):
-                assert d == 0
+                with pytest.raises(MonomialError, match="linearly dependent"):
+                    table.lattice()
             else:
-                assert prod == d
+                assert prod == table.lattice().det
             checked += 1
     assert checked >= 10
 
@@ -1747,3 +1773,23 @@ def test_algebra_workload_verdicts_match_construction(seed, perfbench_workloads)
         for cid, status in expected.items():
             assert got[cid].status == status, (name, cid, got[cid].detail)
             assert not got[cid].detail.startswith("error:"), (name, cid, got[cid].detail)
+
+
+def test_mutated_matgroup_claims_fail():
+    # two claims of the right order but the wrong group (<nsA, l1> against
+    # <nsA, nl1>, both of order 8, whose join has order 16), then G_{7,4,1}
+    # without m741d and G_{4,6,1} without l1
+    lines = [
+        'check matgroup Za under G26 == nsA nl1 id=mut-G26-other ref="r"',
+        'check matgroup Va under G15 == nsA l1 id=mut-G15-other ref="r"',
+        'check matgroup Wa under G40 == m741a m741b m741c id=mut-G40-dropped ref="r"',
+        'check matgroup Za under G26 == nsA id=mut-G26-short ref="r"',
+    ]
+    path = resources.files("fixedfield").joinpath("data", "sec5_char0.suite")
+    suite = parse_suite_text(path.read_text(encoding="utf-8") + "\n".join(lines) + "\n")
+    suite.checks = [c for c in suite.checks if c.id.startswith("mut-")]
+    rep = run_parsed_suite(suite)
+    assert len(rep.checks) == len(lines)
+    for c in rep.checks:
+        assert c.status == FAIL and not c.detail.startswith("error:"), (c.id, c.detail)
+    assert [c.detail for c in rep.checks][:2] == ["orders 8 vs 8"] * 2
