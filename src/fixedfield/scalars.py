@@ -24,8 +24,6 @@ permutations and polynomials are raised to powers through it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class FieldError(ValueError):
     pass
@@ -116,7 +114,11 @@ class _RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("division by zero in Q")
         if type(a) is int:
-            return 1 if a == 1 else -1 if a == -1 else Fraction(1, a)
+            if a == 1 or a == -1:
+                return a
+            # imported on first use: most suites never leave the integers
+            from fractions import Fraction
+            return Fraction(1, a)
         return _norm(1 / a)
 
     def to_str(self, a):
@@ -169,6 +171,7 @@ class _CyclotomicField(Field):
         n = a0 * a0 - a0 * a1 + a1 * a1
         if n == 0:
             raise ZeroDivisionError("division by zero in Qz3")
+        from fractions import Fraction  # imported on first use, as in Q
         return (_norm(Fraction(a0 - a1) / n), _norm(Fraction(-a1) / n))
 
     def conj(self, a):

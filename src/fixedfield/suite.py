@@ -25,10 +25,8 @@ single-element row is kept on its table for the later checks of the run.
 
 from __future__ import annotations
 
-import json
 import re
-from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from functools import reduce
 from importlib import resources
 from operator import mul
@@ -90,18 +88,22 @@ FAIL = "fail"
 FLAGGED = "flagged-discrepancy"
 
 
-@dataclass
 class CheckResult:
-    id: str
-    paper_ref: str
-    status: str
-    detail: str
+    __slots__ = ("id", "paper_ref", "status", "detail")
+
+    def __init__(self, id, paper_ref, status, detail):
+        self.id = id
+        self.paper_ref = paper_ref
+        self.status = status
+        self.detail = detail
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    checks: list
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite, checks):
+        self.suite = suite
+        self.checks = checks
 
     def ok(self) -> bool:
         return all(c.status != FAIL for c in self.checks)
@@ -612,21 +614,13 @@ def _parse_group(suite: Suite, name, body):
 # grounded when the check runs
 
 
-@dataclass(frozen=True)
-class Check:
-    kind: str
-    id: str
-    ref: str
-    attrs: dict
-    payload: str
-    fields: tuple  # what the kind's parse read off the payload and attrs, resolved
+# fields: what the kind's parse read off the payload and attrs, resolved
+Check = namedtuple("Check", "kind id ref attrs payload fields")
 
-
-@dataclass(frozen=True)
-class CheckKind:
-    parse: Callable  # (suite, payload, attrs) -> fields, or raises SuiteError
-    run: Callable  # (suite, check) -> (ok, detail)
-    reads: tuple = ()  # the attributes parse reads, beside those of every check
+# parse: (suite, payload, attrs) -> fields, or raises SuiteError
+# run: (suite, check) -> (ok, detail)
+# reads: the attributes parse reads, beside those of every check
+CheckKind = namedtuple("CheckKind", "parse run reads", defaults=((),))
 
 
 # the attributes every check may carry: the runner and the report read them
@@ -1200,6 +1194,15 @@ def load_suite(name: str) -> Suite:
     return suite
 
 
+def _report_doc(report: SuiteReport):
+    return {"suite": report.suite,
+            "checks": [{"id": c.id, "paper_ref": c.paper_ref, "status": c.status,
+                        "detail": c.detail} for c in report.checks]}
+
+
 def report_to_json(reports) -> str:
-    doc = asdict(reports) if isinstance(reports, SuiteReport) else [*map(asdict, reports)]
+    import json  # only a written report needs it, not loading or running
+
+    doc = (_report_doc(reports) if isinstance(reports, SuiteReport)
+           else [*map(_report_doc, reports)])
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,6 +1,4 @@
 import random
-import signal
-from contextlib import contextmanager
 
 import pytest
 
@@ -538,35 +536,40 @@ def test_constant_power_reaches_the_coefficient_cap():
     assert time.perf_counter() - start < 1
 
 
-@contextmanager
-def _deadline(seconds):
-    """Fail the body, rather than let it run on, after seconds."""
-
-    def expire(signum, frame):
-        raise AssertionError(f"took longer than {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_many_term_product_reaches_the_term_pair_cap(monkeypatch):
     import fixedfield.poly as poly_mod
     from fixedfield.suite import parse_suite_text, run_parsed_suite
 
+    # the term pairs of every product, in order.  A product past the cap
+    # must raise, so a missing cap fails here rather than running on
+    pairs = []
+    poly_mul = Poly.__mul__
+
+    def counted(self, other):
+        pairs.append(len(self.terms) * len(other.terms))
+        out = poly_mul(self, other)
+        assert pairs[-1] <= poly_mod.TERM_PAIRS_LIMIT, f"{pairs[-1]} term pairs multiplied"
+        return out
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+
+    def refused_last(n):
+        # square-and-multiply makes at most two products per bit of n; the
+        # last passed the cap and raised
+        assert pairs[-1] > poly_mod.TERM_PAIRS_LIMIT, pairs
+        assert len(pairs) <= 2 * n.bit_length(), pairs
+        pairs.clear()
+
     # a many-term power is refused before its squares outgrow the cap
-    with _deadline(1), pytest.raises(PolyError, match="term pairs pass the cap"):
+    with pytest.raises(PolyError, match="term pairs pass the cap"):
         parse_expr("(x1+1)^4000", X, QQ)
+    refused_last(4000)
     suite = parse_suite_text(
         "suite mini field=Q\npoints 3\nvars x = x1 x2 x3\n"
         'check identity (x1+1)^30000 - (x1+1)^30000 == 0 ref="r"\n'
     )
-    with _deadline(1):
-        (result,) = run_parsed_suite(suite).checks
+    (result,) = run_parsed_suite(suite).checks
+    refused_last(30000)
     assert result.status == "fail"
     assert result.detail.startswith("error:") and "term pairs pass the cap" in result.detail
     # the cap bounds len(a) * len(b); a product of exactly the cap passes

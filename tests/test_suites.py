@@ -1,12 +1,15 @@
 import hashlib
+import json
 import re
+import subprocess
+import sys
 from collections import Counter
-from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import fixedfield
 from fixedfield.actions import perm_act
 from fixedfield.monomial import mat_identity
 from fixedfield.parser import _tokenize, expression_names, expression_variables, parse_expr
@@ -744,11 +747,35 @@ def test_runs_look_no_name_up(monkeypatch):
 
 
 def test_report_shape(reports):
-    doc = asdict(reports["catalog"])
+    doc = json.loads(report_to_json(reports["catalog"]))
     assert set(doc) == {"suite", "checks"}
     assert doc["suite"] == "catalog"
     for entry in doc["checks"]:
         assert set(entry) == {"id", "paper_ref", "status", "detail"}
+
+
+# stdlib modules that loading must not import: dataclasses pulls in inspect,
+# and with json, fractions and decimal they cost about a fifth of a cold start
+_LOADING_NEVER_IMPORTS = ("dataclasses", "inspect", "json", "fractions", "decimal")
+
+
+def test_loading_imports_no_module_it_does_not_run(reports):
+    # a fresh interpreter without site (-S), so that only fixedfield imports
+    src = Path(fixedfield.__file__).resolve().parent.parent
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(src)!r})",
+        "before = set(sys.modules)",
+        "from fixedfield import suite",
+        "loaded = [suite.load_suite(name) for name in suite.list_suites()]",
+        f"print(sorted((set(sys.modules) - before) & set({_LOADING_NEVER_IMPORTS!r})))",
+        "sys.stdout.write(suite.report_to_json(suite.run_parsed_suite(loaded[0])))",
+    ])
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                         text=True, check=True).stdout
+    imported, blob = out.split("\n", 1)
+    assert imported == "[]"
+    assert blob == report_to_json(reports["catalog"])
 
 
 # --- coverage manifest: every in-scope topic is touched by some check -------
@@ -1724,7 +1751,7 @@ def test_kernel_claims_swapped_for_the_trivial_group_or_g_fail():
                 continue
             table, (gname, group), (_, claimed) = check.fields
             swap = (gname, group) if claimed.order == 1 else ("1", one)
-            mutants.append(replace(check, fields=(table, (gname, group), swap)))
+            mutants.append(check._replace(fields=(table, (gname, group), swap)))
         suite.checks = mutants
         for check, res in zip(mutants, run_parsed_suite(suite).checks):
             assert res.status == FAIL and not res.detail.startswith("error:"), (
