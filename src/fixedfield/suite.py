@@ -17,18 +17,18 @@ Expressions in checks may mix variables from any tables sharing a root.
 Each, and each image of a table row, is parsed over the tables it names
 and substituted at their definitions over the root (or ``over=``, or the
 row's level).  Action-table rows are verified either against the root
-permutation action (``via=ground``, default) or against the rows of the
-parent table verified earlier in the run (``via=parent``), which keeps
-deeply chained changes of variables affordable.  Every verified
-single-element row is kept on its table for the later checks of the run.
+permutation action (``via=ground``, default) or against the parent table
+(``via=parent``), which keeps deeply chained changes of variables
+affordable: there each element acts through the first earlier
+single-element row of the parent on it, linked when the suite loads.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from collections import namedtuple
 from functools import reduce
-from importlib import resources
 from operator import mul
 
 from .actions import (
@@ -119,9 +119,7 @@ class Table:
     """A table of variables, with their definitions over the parent table
     once complete, and what is derived from them and kept for the life of
     the suite: the definitions carried down to each ancestor and the
-    factored exponent lattice.  rows holds the single-element rows the
-    current run verified, elem -> the images parsed over the table, for
-    act."""
+    factored exponent lattice."""
 
     def __init__(self, name, names, field: Field, parent: "Table | None"):
         self.name = name
@@ -131,7 +129,6 @@ class Table:
         self.defs = None  # RatFuncs over parent.vt, set once complete
         self._defs_to = {}
         self._lattice = None
-        self.rows = {}
 
     @property
     def is_root(self):
@@ -166,24 +163,6 @@ class Table:
 
     def grounded(self):
         return self.defs_to(self.root())
-
-    def row_level(self, via):
-        """The table at which an action row is compared: the parent for
-        via='parent', the root for via='ground'."""
-        if via == "parent":
-            if self.is_root:
-                raise SuiteError("via=parent on a root table")
-            return self.parent
-        return self.root()
-
-    def act(self, elem, f: RatFunc) -> RatFunc:
-        """f under a row's element, a Perm or "rho" for conjugation: at the
-        root the permutation action, below it the row this run verified."""
-        if self.is_root:
-            return f.conj() if elem == "rho" else perm_act(elem, f)
-        if elem not in self.rows:
-            raise SuiteError(f"no action row registered for '{elem}' on table {self.name!r}")
-        return substitute(f.conj() if elem == "rho" else f, self.rows[elem])
 
     def lattice(self) -> Lattice:
         """The monomial shapes and factored exponent lattice of the
@@ -224,6 +203,9 @@ class Suite:
         self._scaled_cache: dict = {}
         self._grounded: dict = {}  # ground_expr's memo: (text, stop) -> pair
         self._groups: dict = {}  # (VarTable, Field) -> parse_expr's memo of group texts
+        # (table, elem) -> index in checks of the first single-element row of
+        # table on elem that is not expect=fail: the row that rows below act through
+        self._rows: dict = {}
 
     # ------------------------------------------------------------------
     # name resolution
@@ -570,6 +552,9 @@ def _parse_def(suite: Suite, target, expr):
         if join(table.field, parent.field) is not table.field:
             raise SuiteError(f"table {tname!r} field {table.field.tag} does not "
                              f"contain field {parent.field.tag} of {parent.name!r}")
+        # an earlier row compared at this table took it for a root
+        if any(c.kind == "table" and c.fields[2] is table for c in suite.checks):
+            raise SuiteError(f"table {tname!r} gets a parent after a table row read it as a root")
         table.parent = parent
     elif parent is not table.parent:
         raise SuiteError(
@@ -833,9 +818,11 @@ def _run_invariance(suite: Suite, check: Check):
 
 
 def _parse_table(suite: Suite, payload, attrs):
-    """(table, image texts, elements of elem=, via) of a table row: each
-    element a Perm, or "rho" for conjugation.  Each image names variables of
-    the row's table, and no others, so that it is parsed over that table."""
+    """(table, image texts, level, via, acts) of a table row: the level is
+    the parent for via=parent, else the root, and acts pairs each element
+    of elem=, a Perm or "rho" for conjugation, with the row it acts through
+    below the root (Suite._rows).  Each image names variables of the row's
+    table, and no others, so that it is parsed over that table."""
     m = re.fullmatch(r"(\S+)\s+images\s*=\s*(.+)", payload)
     if not m:
         raise SuiteError(f"needs '<table> images = <expressions>' in {payload!r}")
@@ -851,28 +838,39 @@ def _parse_table(suite: Suite, payload, attrs):
             raise SuiteError(f"image uses {min(foreign)!r}, not a variable of table {tname!r}")
         if not used:
             raise SuiteError(f"image {text!r} names no variable of table {tname!r}")
-    elems = tuple(s if s == "rho" else suite.perm_word(s) for s in symbols)
-    return table, images, elems, attrs.get("via", "ground")
+    via = attrs.get("via", "ground")
+    if via == "parent" and table.is_root:
+        raise SuiteError(f"via=parent on root table {tname!r}")
+    level = table.parent if via == "parent" else table.root()
+    acts = []
+    for s in symbols:
+        elem = s if s == "rho" else suite.perm_word(s)
+        if not level.is_root and (level, elem) not in suite._rows:
+            raise SuiteError(f"acts through {s} on table {level.name!r}, "
+                             "but no earlier single-element row of that table gives it")
+        acts.append((elem, None if level.is_root else suite.checks[suite._rows[level, elem]]))
+    if len(acts) == 1 and attrs.get("expect") != "fail":
+        suite._rows.setdefault((table, acts[0][0]), len(suite.checks))  # this row, once parsed
+    return table, images, level, via, tuple(acts)
 
 
 def _run_table(suite: Suite, check: Check):
-    """Verify a row: each image, grounded at level = table.row_level(via),
-    must equal the word's action (right to left, by level.act) on its
-    definition, up to the first mismatch.  A verified single-element row that
-    is not expect=fail goes on table.rows, for the rows and tables that build on it."""
-    table, texts, elems, via = check.fields
-    level = table.row_level(via)
-    images = []
+    """Verify a row: each image, grounded at the row's level, must equal the
+    word's action (right to left) on its definition there, up to the first
+    mismatch: by permutation at the root, else through the linked rows."""
+    table, texts, level, via, acts = check.fields
+    acts = [(elem, link and [suite.ground_expr(t, link.fields[2])[0] for t in link.fields[1]])
+            for elem, link in reversed(acts)]
     for i, (text, d) in enumerate(zip(texts, table.defs_to(level))):
-        image, pushed = suite.ground_expr(text, level)
-        for elem in reversed(elems):
-            d = level.act(elem, d)
+        _, pushed = suite.ground_expr(text, level)
+        for elem, images in acts:
+            if images is None:
+                d = d.conj() if elem == "rho" else perm_act(elem, d)
+            else:
+                d = substitute(d.conj() if elem == "rho" else d, images)
         if not ratfunc_eq(d, pushed):
             return False, f"row entry {i + 1} ({table.vt.names[i]}) mismatches"
-        images.append(image)
-    if len(elems) == 1 and check.attrs.get("expect") != "fail":
-        table.rows[elems[0]] = images
-    return True, f"all {len(images)} images verified via {via}"
+    return True, f"all {len(texts)} images verified via {via}"
 
 
 def _run_identity(suite: Suite, check: Check):
@@ -1113,18 +1111,21 @@ _ATTR_PLAIN = re.compile(r"\s(%s)=(\S+)" % "|".join(sorted(
 
 
 def run_parsed_suite(suite: Suite, fail_fast: bool = False) -> SuiteReport:
-    # no row verified by an earlier run; this run's stay readable after it
-    for table in suite.tables.values():
-        table.rows.clear()
     results = []
     raw_status = {}
     for check in suite.checks:
         attrs = check.attrs
-        try:
-            ok, detail = _run_check(suite, check)
-        except (SuiteError, ActionError, MonomialError, PolyError, FieldError,
-                PermError, ParseError, ZeroDivisionError) as exc:
-            ok, detail = None, f"error: {exc}"  # an error, not a refutation
+        # a row stands on the rows it acts through, each earlier in the suite
+        unpassed = check.kind == "table" and next(
+            (link.id for _, link in check.fields[4] if link and not raw_status[link.id]), None)
+        if unpassed:
+            ok, detail = None, f"acts through row {unpassed}, which did not pass"
+        else:
+            try:
+                ok, detail = _run_check(suite, check)
+            except (SuiteError, ActionError, MonomialError, PolyError, FieldError,
+                    PermError, ParseError, ZeroDivisionError) as exc:
+                ok, detail = None, f"error: {exc}"  # an error, not a refutation
         raw_status[check.id] = ok
         if attrs.get("expect") == "fail":
             if ok is not False:
@@ -1175,10 +1176,6 @@ CANONICAL_SUITES = [
 ]
 
 
-def _data_dir():
-    return resources.files("fixedfield").joinpath("data")
-
-
 def list_suites():
     """The stable list of shipped suites, in canonical run order."""
     return list(CANONICAL_SUITES)
@@ -1187,8 +1184,10 @@ def list_suites():
 def load_suite(name: str) -> Suite:
     if name not in CANONICAL_SUITES:
         raise SuiteError(f"unknown suite {name!r}")
-    path = _data_dir().joinpath(f"{name}.suite")
-    suite = parse_suite_text(path.read_text(encoding="utf-8"))
+    # read beside this file: importlib.resources would import pathlib and zipfile
+    with open(os.path.join(os.path.dirname(__file__), "data", f"{name}.suite"),
+              encoding="utf-8") as f:
+        suite = parse_suite_text(f.read())
     if suite.name != name:
         raise SuiteError(f"suite file {name}.suite declares name {suite.name!r}")
     return suite

@@ -226,6 +226,28 @@ def test_verify_attribute_the_kind_does_not_read_exits_2(capsys, monkeypatch):
     assert err == "error: line 4: check order does not read elem=, matrix=\n"
 
 
+_CHAIN = ('suite catalog field=Q\npoints 3\nvars x = x1 x2 x3\nvars t = t1 t2\n'
+          'def t.t1 = x1 + x2\ndef t.t2 = x3\nvars u = u1\ndef u.u1 = t1 + t2\n')
+
+
+@pytest.mark.parametrize("row, message", [
+    ('check table x elem=(1,2) via=parent images = x2, x1, x3 ref="r"',
+     "line 9: check table via=parent on root table 'x'"),
+    ('check table u elem=(1,2) via=parent images = u1 ref="r"',
+     "line 9: check table acts through (1,2) on table 't', but no earlier "
+     "single-element row of that table gives it"),
+], ids=["via-parent-on-a-root", "no-earlier-row"])
+def test_verify_row_with_nothing_to_act_through_exits_2(capsys, monkeypatch, row, message):
+    import fixedfield.suite as suite_mod
+
+    text = _CHAIN + row + "\n"
+    monkeypatch.setattr(suite_mod, "load_suite", lambda name: suite_mod.parse_suite_text(text))
+    code, out, err = run(["verify", "--suite", "catalog"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_grounded_check_before_vars_exits_2(capsys, monkeypatch):
     import fixedfield.suite as suite_mod
 

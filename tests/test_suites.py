@@ -43,7 +43,7 @@ def executed_suites():
     out = {}
     for name in ALL_SUITES:
         suite = load_suite(name)
-        run_parsed_suite(suite)  # keeps each table's verified rows
+        run_parsed_suite(suite)  # fills the suite's memos
         out[name] = suite
     return out
 
@@ -431,10 +431,11 @@ def test_zeta3_widens_only_on_the_zeta3_name_token():
         text = ("suite m field={0}\npoints 3\nvars x = zeta3x x2 x3\n"
                 "check table x elem=(1,2) images = x2, zeta3x, x3 ref=\"r\"\n")
         table_check = parse_suite_text(text.format(base))
-        (result,) = run_parsed_suite(table_check).checks
-        assert result.status == PASS
-        images = table_check.table("x").rows[Perm((2, 1, 3))]
-        assert {im.field.tag for im in images} == {base}
+        report = run_parsed_suite(table_check)
+        assert [c.status for c in report.checks] == [PASS]
+        rows = _rows_acted_through(table_check, report)
+        assert rows.keys() == {("x", Perm((2, 1, 3)))}
+        assert {im.field.tag for im in rows["x", Perm((2, 1, 3))]} == {base}
 
 
 def _sec4_text():
@@ -675,9 +676,9 @@ def test_every_check_carries_a_ref(reports):
 
 
 def test_a_rerun_of_a_parsed_suite_gives_the_same_report():
-    # the via=parent row of z comes before the row of its parent y that it
-    # needs, so it is an error verdict on every run, not only on the first
-    text = """suite rerun field=Q
+    # the via=parent row of z acts through the row of its parent y, so z's
+    # row before y's is a load error, not an error verdict of every run
+    head = """suite rerun field=Q
 points 2
 vars x = x1 x2
 vars y = y1 y2
@@ -686,18 +687,19 @@ def y.y2 = x1 - x2
 vars z = z1 z2
 def z.z1 = y1 + y2
 def z.z2 = y1 - y2
-check table z elem=(1,2) via=parent images = z2, z1 id=child ref="r"
-check table y elem=(1,2) images = y1, -y2 id=parent ref="r"
 """
-    suite = parse_suite_text(text)
+    child = 'check table z elem=(1,2) via=parent images = z2, z1 id=child ref="r"\n'
+    parent = 'check table y elem=(1,2) images = y1, -y2 id=parent ref="r"\n'
+    with pytest.raises(SuiteError, match=r"^line 10: check table acts through \(1,2\) "
+                       "on table 'y', but no earlier single-element row"):
+        parse_suite_text(head + child + parent)
+    suite = parse_suite_text(head + parent + child)
     first = report_to_json(run_parsed_suite(suite))
-    child, parent = run_parsed_suite(suite).checks
+    parent, child = run_parsed_suite(suite).checks
     assert report_to_json(run_parsed_suite(suite)) == first
-    assert child.detail == "error: no action row registered for '(1,2)' on table 'y'"
-    assert parent.status == PASS
-    # the rows of the last run stay readable
-    assert {t.name: set(t.rows) for t in suite.tables.values()} == {
-        "x": set(), "y": {Perm((2, 1))}, "z": set()}
+    assert (parent.status, child.status) == (PASS, PASS)
+    # the row that z's row acts through, linked as the suite loaded
+    assert suite.checks[1].fields[4] == ((Perm((2, 1)), suite.checks[0]),)
     shipped = load_suite("sec6_char2")
     assert report_to_json(run_parsed_suite(shipped)) == report_to_json(
         run_parsed_suite(shipped)
@@ -730,12 +732,30 @@ def test_canonical_report_md5(reports):
     assert hashlib.md5(blob.encode()).hexdigest() == CANONICAL_REPORT_MD5
 
 
+# the attributes a run may write: memos of values that depend on the
+# loaded suite alone
+_MEMOS = {"_words", "_scaled_cache", "_grounded", "_groups", "_defs_to", "_lattice"}
+
+
+def _loaded_state(suite):
+    """(object, attribute, value, a shallow copy of a container value) of
+    every attribute of the suite and its tables but the memos."""
+    out = []
+    for obj in (suite, *suite.tables.values()):
+        for name, value in vars(obj).items():
+            if name not in _MEMOS:
+                kept = type(value)(value) if isinstance(value, (dict, list, set)) else value
+                out.append((obj, name, value, kept))
+    return out
+
+
 def test_runs_look_no_name_up(monkeypatch):
     # every name a check uses is resolved when its suite loads: with the
     # four lookups made to raise, the runs still give the pinned report
     from fixedfield.suite import Suite
 
     suites = [load_suite(n) for n in ALL_SUITES]
+    loaded = [_loaded_state(s) for s in suites]
 
     def refuse(self, name):
         raise AssertionError(f"{name!r} looked up while a check runs")
@@ -744,6 +764,34 @@ def test_runs_look_no_name_up(monkeypatch):
         monkeypatch.setattr(Suite, lookup, refuse)
     blob = report_to_json([run_parsed_suite(s) for s in suites])
     assert hashlib.md5(blob.encode()).hexdigest() == CANONICAL_REPORT_MD5
+    # nor does a run write the suite, but for its memos, so no check reads
+    # a row, or anything else, that another check's run wrote
+    for suite, state in zip(suites, loaded):
+        assert _loaded_state(suite) == state, suite.name
+        for obj, name, value, kept in state:
+            assert getattr(obj, name) is value, (suite.name, name)
+
+
+def test_table_rows_give_their_verdicts_run_alone_in_any_order(reports):
+    # a row reads only the loaded suite and its memos: each table row of a
+    # freshly loaded shipped suite, run alone and last row first, gives its
+    # verdict of the full run, the 48 rows that act through a row included
+    import fixedfield.suite as suite_mod
+
+    dependents = 0
+    for name in ALL_SUITES:
+        suite = load_suite(name)
+        full = {c.id: c for c in reports[name].checks}
+        for check in reversed([c for c in suite.checks if c.kind == "table"]):
+            ok, detail = suite_mod._run_check(suite, check)
+            want = full[check.id]
+            if check.attrs.get("expect") == "fail":
+                assert ok is False and want.status == FLAGGED, check.id
+                assert want.detail.endswith(f"[{detail}]"), check.id
+            else:
+                assert (PASS if ok else FAIL, detail) == (want.status, want.detail), check.id
+            dependents += any(link is not None for _, link in check.fields[4])
+    assert dependents == 48
 
 
 def test_report_shape(reports):
@@ -755,8 +803,10 @@ def test_report_shape(reports):
 
 
 # stdlib modules that loading must not import: dataclasses pulls in inspect,
-# and with json, fractions and decimal they cost about a fifth of a cold start
-_LOADING_NEVER_IMPORTS = ("dataclasses", "inspect", "json", "fractions", "decimal")
+# and with json, fractions and decimal they cost about a fifth of a cold
+# start; importlib.resources pulls in pathlib, zipfile and tempfile
+_LOADING_NEVER_IMPORTS = ("dataclasses", "inspect", "json", "fractions", "decimal",
+                          "importlib.resources")
 
 
 def test_loading_imports_no_module_it_does_not_run(reports):
@@ -986,8 +1036,7 @@ def test_section_suites_restate_catalog_groups_exactly():
 
 
 def test_failing_rows_are_not_registered():
-    from fixedfield.suite import parse_suite_text
-
+    # a row acting through a row that fails is a fail that names that row
     text = """suite mini field=Q
 points 2
 vars x = x1 x2
@@ -1002,7 +1051,85 @@ check table s elem=(1,2) via=parent images = s1 ref="needs the row above"
     rep = run_parsed_suite(parse_suite_text(text))
     assert rep.checks[0].status == "fail"
     assert rep.checks[1].status == "fail"
-    assert "no action row registered" in rep.checks[1].detail
+    assert rep.checks[1].detail == "acts through row table-001, which did not pass"
+
+
+_CHAIN = """suite chain field=Q
+points 2
+vars x = x1 x2
+vars t = t1 t2
+def t.t1 = x1 - x2
+def t.t2 = x1*x2
+vars s = s1 s2
+def s.s1 = t1 + t2
+def s.s2 = t2 - t1
+vars r = r1 r2
+def r.r1 = s1
+def r.r2 = s1*s2
+check table t elem=(1,2)*(1,2) images = t1, t2 id=t-square ref="r"
+check table t elem=(1,2) images = t1, t2 id=t-printed ref="r" expect=fail pair=t-row note="n"
+check table t elem=(1,2) images = {first} id=t-row ref="r"
+check table t elem=(1,2) images = {second} id=t-twin ref="r"
+check table s elem=(1,2) via=parent images = s2, s1 id=s-row ref="r"
+check table r elem=(1,2) via=parent images = r2/r1, r2 id=r-row ref="r"
+check table r elem=(1,2) via=parent images = r1, r2 id=printed ref="r" expect=fail \
+    pair=r-row note="n"
+"""
+
+
+def test_a_row_acts_through_the_first_row_and_stands_on_it():
+    right, wrong = "-t1, t2", "t1, t2"
+    # s acts through t-row, the first row of t on (1,2) alone that is not
+    # expect=fail, and r through s-row
+    suite = parse_suite_text(_CHAIN.format(first=right, second=wrong))
+    _, _, t_row, _, s_row, r_row, printed = suite.checks
+    assert [link for _, link in s_row.fields[4]] == [t_row]
+    assert [link for _, link in r_row.fields[4]] + [link for _, link in printed.fields[4]] == [
+        s_row, s_row]
+    assert [(c.id, c.status) for c in run_parsed_suite(suite).checks] == [
+        ("t-square", PASS), ("t-printed", FLAGGED), ("t-row", PASS), ("t-twin", FAIL),
+        ("s-row", PASS), ("r-row", PASS), ("printed", FLAGGED)]
+    # with the first row of t wrong, a later right one does not stand in
+    # for it: the failure carries down the chain, each row naming its link,
+    # and the expect=fail row is a fail, not a flagged discrepancy
+    report = run_parsed_suite(parse_suite_text(_CHAIN.format(first=wrong, second=right)))
+    assert [(c.id, c.status, c.detail) for c in report.checks] == [
+        ("t-square", PASS, "all 2 images verified via ground"),
+        ("t-printed", FAIL,
+         "n [row entry 1 (t1) mismatches] (paired corrected check t-row did not pass)"),
+        ("t-row", FAIL, "row entry 1 (t1) mismatches"),
+        ("t-twin", PASS, "all 2 images verified via ground"),
+        ("s-row", FAIL, "acts through row t-row, which did not pass"),
+        ("r-row", FAIL, "acts through row s-row, which did not pass"),
+        ("printed", FAIL,
+         "expected a refutation, got acts through row s-row, which did not pass")]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('check table x elem=(1,2) via=parent images = x2, x1, x3 ref="r"',
+     "line 5: check table via=parent on root table 'x'"),
+    ('vars t = t1 t2\ndef t.t1 = x1 + x2\ndef t.t2 = x3\nvars u = u1\ndef u.u1 = t1 + t2\n'
+     'check table u elem=(1,2) via=parent images = u1 ref="r"',
+     "line 10: check table acts through (1,2) on table 't', but no earlier single-element "
+     "row of that table gives it"),
+    ('vars t = t1 t2\ncheck table t elem=(1,2) via=parent images = t1, t2 ref="r"\n'
+     'def t.t1 = x1 + x2\ndef t.t2 = x3',
+     "line 6: check table via=parent on root table 't'"),
+    ('vars z = z1 z2 z3\ncheck table z elem=(1,2) images = z2, z1, z3 ref="r"\n'
+     'def z.z1 = x1\ndef z.z2 = x2\ndef z.z3 = x3',
+     "line 7: table 'z' gets a parent after a table row read it as a root"),
+    ('vars z = z1 z2 z3\nvars t = t1\ndef t.t1 = z1 + z2\n'
+     'check table t elem=(1,2) images = t1 ref="r"\ndef z.z1 = x1\ndef z.z2 = x2\n'
+     'def z.z3 = x3',
+     "line 9: table 'z' gets a parent after a table row read it as a root"),
+], ids=["via-parent-on-a-root", "no-earlier-row", "parent-defined-later",
+        "root-defined-later", "ancestor-defined-later"])
+def test_a_row_with_nothing_to_act_through_is_a_load_error(text, message):
+    # checked as the suite loads, each at its line: a run of such a row
+    # could only fail or act wrongly
+    with pytest.raises(SuiteError) as exc:
+        parse_suite_text(MINI.format(checks=text))
+    assert str(exc.value) == message
 
 
 # --- parser round trip over every expression in every suite file -------------
@@ -1258,17 +1385,16 @@ def _row_work(suite, report):
     """(the distinct grounding keys (image text, level) of the suite's
     table rows, the keys of its passing rows that are substituted: grounded
     below their own table and not a variable alone, which grounds to its
-    definition, and the Table.act substitutions its passing rows make at
-    a non-root level: one per entry and element of the row).  Each image
-    the run grounded is parsed over its table, in the table's field
-    widened by zeta3 when the image names it."""
+    definition, and the substitutions its passing rows make through the
+    rows they are linked to at a non-root level: one per entry and element
+    of the row).  Each image the run grounded is parsed over its table, in
+    the table's field widened by zeta3 when the image names it."""
     passed = {c.id for c in report.checks if c.status == PASS}
     keys, passing, applied = set(), set(), 0
     for check in suite.checks:
         if check.kind != "table":
             continue
-        table, texts, elems, via = check.fields
-        level = table.row_level(via)
+        table, texts, level, _, acts = check.fields
         row = {(t, level) for t in texts}
         for text, _ in row & suite._grounded.keys():
             parsed, _ = suite._grounded[text, level]
@@ -1278,7 +1404,7 @@ def _row_work(suite, report):
         keys |= row
         if check.id in passed:
             passing |= {key for key in row if level is not table and key[0] not in table.vt}
-            applied += 0 if level.is_root else len(texts) * len(elems)
+            applied += 0 if level.is_root else len(texts) * len(acts)
     return keys, passing, applied
 
 
@@ -1355,8 +1481,8 @@ def _at(p, images):
 def test_substitute_matches_a_two_pass_reference(monkeypatch, perfbench_workloads):
     # every substitution the runner makes while loading and running the
     # shipped suites and, for Qz3, one seed of the benchmark's algebra
-    # suites: table definitions carried down (defs_to), verified rows
-    # (Table.act) and table rows
+    # suites: table definitions carried down (defs_to), linked rows acted
+    # through and table rows
     import fixedfield.suite as suite_mod
 
     calls = []
@@ -1495,20 +1621,22 @@ def test_image_memo_matches_a_memo_free_run(monkeypatch):
     assert {c.id: c.status for c in want.checks} == {
         "table-001": PASS, "table-002": PASS, "ground": PASS, "parent": PASS,
         "widened": PASS, "printed": FLAGGED, "fix": PASS, "word": PASS}
-    for name, table in reference.tables.items():
-        rows = suite.table(name).rows
-        assert rows.keys() == table.rows.keys(), name
-        for elem, images in table.rows.items():
-            got = rows[elem]
-            assert len(got) == len(images), (name, elem)
-            assert all(_same_ratfunc(a, b) for a, b in zip(got, images)), (name, elem)
-    assert {name: len(t.rows) for name, t in reference.tables.items()} == {
-        "x": 1, "y": 1, "z": 2}
-    widened = reference.table("z").rows[suite.perm_word("h")]
+    # the rows that rows below act through, rebuilt from their checks: the
+    # run's from its memo, the reference's parsed afresh
+    rows = _rows_acted_through(suite, report)
+    reference._grounded.clear()
+    fresh = _rows_acted_through(reference, want)
+    assert rows.keys() == fresh.keys()
+    for key, images in fresh.items():
+        got = rows[key]
+        assert len(got) == len(images), key
+        assert all(_same_ratfunc(a, b) for a, b in zip(got, images)), key
+    assert Counter(name for name, _ in fresh) == {"x": 1, "y": 1, "z": 2}
+    widened = fresh["z", suite.perm_word("h")]
     assert [im.field.tag for im in widened] == ["Qz3", "Q", "Q"]
     # and the memo did share: z's rows name 18 image texts, 9 of them distinct
     z = suite.table("z")
-    rows = [(c.fields[1], z.row_level(c.fields[3])) for c in suite.checks
+    rows = [(c.fields[1], c.fields[2]) for c in suite.checks
             if c.kind == "table" and c.fields[0] is z]
     keys = {(text, level) for texts, level in rows for text in texts}
     assert keys <= suite._grounded.keys()
@@ -1540,35 +1668,60 @@ def test_grounding_memo_is_keyed_by_stop():
 
 # --- composed rows stay consistent with the verified rows -------------------
 
+def _rows_acted_through(suite, report):
+    """(table name, elem) -> the images, parsed over the table through
+    ground_expr at the row's level, of each row that rows below may act
+    through: the first single-element row of the table on elem that is not
+    expect=fail, where that row passed in report."""
+    passed = {c.id for c in report.checks if c.status == PASS}
+    first = {}
+    for check in suite.checks:
+        if check.kind == "table" and check.attrs.get("expect") != "fail":
+            table, _, _, _, acts = check.fields
+            if len(acts) == 1:
+                first.setdefault((table.name, acts[0][0]), check)
+    return {key: [suite.ground_expr(t, row.fields[2])[0] for t in row.fields[1]]
+            for key, row in first.items() if row.id in passed}
+
+
 def _composed_row(row_g, row_h):
     # (g*h)(def_i) = row_h,i evaluated at the images of g
     return [substitute(img, row_g) for img in row_h]
 
 
-def test_table_rows_compose(executed_suites):
+def _act(rows, level, elem, f):
+    """f under a row's element at level: the permutation action at the
+    root, below it substitution at the images of level's row on elem."""
+    if level.is_root:
+        return f.conj() if elem == "rho" else perm_act(elem, f)
+    return substitute(f.conj() if elem == "rho" else f, rows[level.name, elem])
+
+
+def test_table_rows_compose(executed_suites, reports):
     checked = 0
     for name, suite in executed_suites.items():
+        rows = _rows_acted_through(suite, reports[name])
         for table in suite.tables.values():
             if table.parent is None:
                 continue
-            entries = [(sym, row) for sym, row in table.rows.items() if sym != "rho"]
+            entries = [(sym, row) for (tname, sym), row in rows.items()
+                       if tname == table.name and sym != "rho"]
             for sym_g, row_g in entries[:3]:
                 for sym_h, row_h in entries[:3]:
                     # use the parent level when its rows exist for both
                     # factors (the deep chains), else fall back to a
                     # root-level comparison
                     if table.parent.is_root or all(
-                        s in table.parent.rows for s in (sym_g, sym_h)
+                        (table.parent.name, s) in rows for s in (sym_g, sym_h)
                     ):
-                        via = "parent"
+                        level = table.parent
                     else:
-                        via = "ground"
-                    level = table.row_level(via)
+                        level = table.root()
                     defs = table.defs_to(level)
                     composed = _composed_row(row_g, row_h)
                     for i, (d, img) in enumerate(zip(defs, composed)):
                         # the word g*h acts right to left: h first
-                        moved = level.act(sym_g, level.act(sym_h, d))
+                        moved = _act(rows, level, sym_g, _act(rows, level, sym_h, d))
                         assert ratfunc_eq(moved, substitute(img, defs)), (
                             f"{name}/{table.name}: {sym_g}*{sym_h} entry {i + 1}")
                     checked += 1
