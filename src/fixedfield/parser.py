@@ -11,9 +11,12 @@ recursion far from Python's limit.  The result is always a RatFunc over
 the supplied table, and every name but zeta3 is one of its variables; a
 suite grounds an expression by substituting definitions for them.
 
-The text is split into tokens by one findall; a token's position is
-found again, by the slower _tokenize, only for the message of a
-ParseError.
+The text is split into tokens by findall in runs, each through the
+next '(' not yet read; a group skipped at that '(' (see below) is not
+tokenized, and the next run starts after its ')'.  A search of the
+whole text for a character that no token takes comes first, so that it
+is reported before any other error.  A token's position is found again,
+by the slower _tokenize, only for the message of a ParseError.
 
 Subexpressions are evaluated as Polys: integers, zeta3 and variables.
 A value becomes a RatFunc only under '/' or under a negative power, and
@@ -44,8 +47,9 @@ a parse_expr call without one gets its own.  A group of the memo is
 skipped when the depth around its '(' plus its depth stays within
 NESTING_LIMIT; otherwise it is parsed again and raises where it would
 without the memo.  A group that raises is not stored, and a power of a
-group is not stored either.  Error positions are unchanged, since a
-skipped group leaves the next token where a parse of it would.
+group is not stored either.  Error positions are unchanged, since the
+token count of a skipped group maps the tokens after it to their index
+in the whole text.
 """
 
 from __future__ import annotations
@@ -71,6 +75,8 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # alternative, all groups empty, is an unexpected character
 _SCAN = re.compile(rf"(\d+)|({_NAME.pattern})|([()+\-*/^])|\S")
 _UNEXPECTED = ("", "", "")
+# a character that _SCAN matches only by its last alternative
+_STRAY = re.compile(r"[^\s\dA-Za-z_()+\-*/^]")
 _PAREN = re.compile(r"[()]")
 
 
@@ -96,25 +102,34 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text, vars: VarTable, field: Field, memo: dict):
+        if _STRAY.search(text):
+            _tokenize(text)  # raises at the first unexpected character
         self.text = text
+        self.opens, self.closes, _ = paren_spans(text)
+        self.k = 0  # the '(' that ends the tokens read so far, if any is left
+        self.skipped = 0  # the tokens of the groups skipped so far
         # (integer, name, operator) strings, one of them nonempty, then an
         # all-empty end token
-        self.tokens = _SCAN.findall(text)
-        if _UNEXPECTED in self.tokens:
-            _tokenize(text)  # raises at the first unexpected character
-        self.tokens.append(_UNEXPECTED)
+        self.tokens = []
+        self.scan(0)
         self.i = 0
         self.depth = 0  # open '(' and unary '-' around the current base
         self.peak = 0  # the greatest depth reached in the innermost open group
         self.vars = vars
         self.field = field
         self.memo = memo
-        self.groups = paren_groups(text)[0]
-        self.opened = 0  # the '(' tokens read so far
+
+    def scan(self, pos):
+        """Tokenize from pos through the k-th '(', else to the end."""
+        if self.k < len(self.opens):
+            self.tokens += _SCAN.findall(self.text, pos, self.opens[self.k] + 1)
+        else:
+            self.tokens += _SCAN.findall(self.text, pos)
+            self.tokens.append(_UNEXPECTED)
 
     def error(self, message, i):
-        """A ParseError at the i-th token."""
-        return ParseError(message, _tokenize(self.text)[i][2])
+        """A ParseError at the i-th token read, no group skipped after it."""
+        return ParseError(message, _tokenize(self.text)[i + self.skipped][2])
 
     def poly(self, value):
         """value as a Poly or RatFunc: a one-term pair becomes a Poly."""
@@ -166,7 +181,7 @@ class _Parser:
         # monomial lead times the run is the leading monomial of the product
         folds, lead = _folds(prod)
         while op == "*" or op == "/":
-            pos = self.i
+            pos = self.i + self.skipped  # the operator's index among all tokens
             self.i += 1
             rhs = self.factor()
             if op == "*" and type(rhs) is tuple and folds:
@@ -187,7 +202,7 @@ class _Parser:
                     prod = prod * rhs
                 else:
                     if rhs.is_zero():
-                        raise self.error("division by zero", pos)
+                        raise self.error("division by zero", pos - self.skipped)
                     prod = _ratfunc(prod) / _ratfunc(rhs)
                 folds, lead = _folds(prod)
             op = self.tokens[self.i][2]
@@ -258,26 +273,30 @@ class _Parser:
         memo is skipped when its depth fits under the cap; any other is
         parsed, and stored unless it raises.  A memo entry is (value,
         depth, tokens from '(' to ')', groups nested inside)."""
-        key = self.groups[self.opened]
-        self.opened += 1
+        k = self.k
+        at, to = self.opens[k], self.closes[k]
+        key = None if to is None else self.text[at:to + 1]
         outer = self.depth - 1  # the depth around the '('
         hit = self.memo.get(key)
         if hit is not None:
             out, depth, tokens, inner = hit
             if outer + depth <= NESTING_LIMIT:
-                self.i += tokens - 1
-                self.opened += inner
+                self.skipped += tokens - 1
+                self.k = k + 1 + inner
+                self.scan(to + 1)
                 if outer + depth > self.peak:
                     self.peak = outer + depth
                 return out
-        start, peak = self.i - 1, self.peak
+        self.k = k + 1
+        self.scan(at + 1)
+        start, peak = self.i - 1 + self.skipped, self.peak
         self.peak = self.depth
         out = self.expr()
         if self.tokens[self.i][2] != ")":
             raise self.error("expected ')'", self.i)
         self.i += 1
-        # the ')' just read matches the '(', so key is this group's text
-        self.memo[key] = out, self.peak - outer, self.i - start, key.count("(") - 1
+        # the ')' just read matches the '(': key is this group's text
+        self.memo[key] = out, self.peak - outer, self.i + self.skipped - start, self.k - k - 1
         self.peak = max(self.peak, peak)
         return out
 
@@ -317,27 +336,28 @@ def parse_expr(text: str, vars: VarTable, field: Field, memo: dict | None = None
     return _ratfunc(_Parser(text, vars, field, {} if memo is None else memo).parse())
 
 
-def paren_groups(text: str):
-    """(groups, stray) of the parentheses of text.  groups[k] is the text
-    from the k-th '(' to its matching ')', or None when it has none; stray
-    is the position of the first ')' that closes no '(', else of the first
-    '(' left open, else None."""
+def paren_spans(text: str):
+    """(opens, closes, stray) of the parentheses of text.  opens[k] is the
+    position of the k-th '(' and closes[k] that of its matching ')', or
+    None when it has none; stray is the position of the first ')' that
+    closes no '(', else of the first '(' left open, else None."""
+    opens, closes, stray = [], [], None
     if "(" not in text and ")" not in text:
-        return [], None
-    groups, opens, stray = [], [], None
+        return opens, closes, stray
+    pending = []  # the indices in opens of the '(' not yet closed
     for m in _PAREN.finditer(text):
         at = m.start()
         if m.group() == "(":
-            opens.append((len(groups), at))
-            groups.append(None)
-        elif opens:
-            k, start = opens.pop()
-            groups[k] = text[start:at + 1]
+            pending.append(len(opens))
+            opens.append(at)
+            closes.append(None)
+        elif pending:
+            closes[pending.pop()] = at
         elif stray is None:
             stray = at
-    if stray is None and opens:
-        stray = opens[0][1]
-    return groups, stray
+    if stray is None and pending:
+        stray = opens[pending[0]]
+    return opens, closes, stray
 
 
 def expression_names(text: str):
@@ -345,8 +365,3 @@ def expression_names(text: str):
     cannot start inside an integer token, so scanning for names alone
     finds the name tokens, without matching every other token."""
     return set(_NAME.findall(text))
-
-
-def expression_variables(text: str):
-    """The set of identifiers appearing in an expression (zeta3 excluded)."""
-    return expression_names(text) - {"zeta3"}

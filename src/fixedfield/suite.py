@@ -53,8 +53,7 @@ from .monomial import (
 from .parser import (
     ParseError,
     expression_names,
-    expression_variables,
-    paren_groups,
+    paren_spans,
     parse_expr,
 )
 from .perms import (
@@ -202,6 +201,7 @@ class Suite:
         self.check_ids: set[str] = set()
         self._scaled_cache: dict = {}
         self._grounded: dict = {}  # ground_expr's memo: (text, stop) -> pair
+        self._names: dict = {}  # names' memo: text -> its set of names
         self._groups: dict = {}  # (VarTable, Field) -> parse_expr's memo of group texts
         # (table, elem) -> index in checks of the first single-element row of
         # table on elem that is not expect=fail: the row that rows below act through
@@ -268,6 +268,13 @@ class Suite:
     # ------------------------------------------------------------------
     # expression grounding
 
+    def names(self, text):
+        """expression_names(text), scanned once per suite; never changed."""
+        out = self._names.get(text)
+        if out is None:
+            out = self._names[text] = expression_names(text)
+        return out
+
     def group_memo(self, vt: VarTable, fld: Field) -> dict:
         """The memo of parenthesised groups that every parse of this suite
         over vt in fld shares: a group's value depends on its text, vt and
@@ -288,7 +295,7 @@ class Suite:
         out = self._grounded.get(key)
         if out is not None:
             return out
-        names = expression_names(text)
+        names = self.names(text)
         owners = {self.var_owner[v] for v in names - {"zeta3"}}
         tables = [t for t in self.tables.values() if t in owners]
         if stop is None:
@@ -535,7 +542,7 @@ def _parse_def(suite: Suite, target, expr):
         raise SuiteError(f"table {tname!r} definitions already complete")
     if vname not in table.vt:
         raise SuiteError(f"{vname!r} is not a variable of table {tname!r}")
-    used = expression_variables(expr)
+    used = suite.names(expr) - {"zeta3"}
     owners = {suite.var_owner[v] for v in used if v in suite.var_owner}
     missing = [v for v in used if v not in suite.var_owner]
     if missing:
@@ -698,10 +705,10 @@ def _declared(suite: Suite, text):
     its parentheses balance."""
     if not suite.tables:
         raise SuiteError("comes before any vars table")
-    unknown = expression_variables(text) - suite.var_owner.keys()
+    unknown = suite.names(text).difference(suite.var_owner, ("zeta3",))
     if unknown:
         raise SuiteError(f"uses unknown variable {min(unknown)!r}")
-    stray = paren_groups(text)[1]
+    stray = paren_spans(text)[2]
     if stray is not None:
         raise SuiteError(f"has an unbalanced {text[stray]!r} at position {stray} of {text!r}")
     return text
@@ -832,7 +839,7 @@ def _parse_table(suite: Suite, payload, attrs):
     if len(images) != len(table.vt):
         raise SuiteError(f"row covers {len(images)} of {len(table.vt)} variables of {tname}")
     for text in images:
-        used = expression_variables(text)
+        used = suite.names(text) - {"zeta3"}
         foreign = used.difference(table.vt.names)
         if foreign:
             raise SuiteError(f"image uses {min(foreign)!r}, not a variable of table {tname!r}")

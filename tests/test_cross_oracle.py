@@ -427,8 +427,9 @@ def test_parser_matches_sympy_fields_on_random_expressions():
     # w^2 + w + 1, which model Qz3[x1, x2, x3] and F4[x1, x2, x3].  Each
     # example also parses two texts that reuse a parenthesized group (t):
     # u*(t), then (t) op u*(t).  All texts over one field share one memo of
-    # groups, as the parses of one suite do, and each value must also equal
-    # the parse of its text with a fresh memo
+    # groups, as the parses of one suite do, and each value, or error
+    # message and position, must also equal that of the parse of its text
+    # with a fresh memo
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from fractions import Fraction
@@ -476,9 +477,14 @@ def test_parser_matches_sympy_fields_on_random_expressions():
         return got
 
     def refuse(text, fld):
+        """The parse of text with the field's shared memo raises, with the
+        message and position of the parse with a fresh memo."""
+        errors = []
         for memo in (memos[fld], None):
-            with pytest.raises(ParseError, match=refused):
+            with pytest.raises(ParseError, match=refused) as e:
                 parse_expr(text, table, fld, memo)
+            errors.append(str(e.value))
+        assert errors[0] == errors[1], text
 
     def check_zeta3(tree, fld, text):
         R, *gens = sympy_ring("x1,x2,x3,w", SQQ if fld is QZ3 else GF(2))

@@ -1,8 +1,16 @@
 import re
+import sys
 
 import pytest
 
-from fixedfield.parser import ParseError, _tokenize, expression_variables, parse_expr
+from fixedfield.parser import (
+    NESTING_LIMIT,
+    ParseError,
+    _tokenize,
+    expression_names,
+    paren_spans,
+    parse_expr,
+)
 from fixedfield.poly import VarTable, ratfunc_eq
 from fixedfield.scalars import F2, F4, QQ, QZ3
 
@@ -79,11 +87,15 @@ def test_a_memoised_group_keeps_the_nesting_cap():
         ("(x1+x2)/((x1+x2) - (x1+x2))", "division by zero", 7),
         ("(x1+x2)*(x1+x2) + (x1/0)", "division by zero", 21),
         ("(x1+x2) - -(x1+x2) * )", "unexpected token ')'", 21),
+        ("(x1+x2) x3 (x1+x2) @", "unexpected character '@'", 18),
+        pytest.param("(x1+x2)*" + "-" * NESTING_LIMIT + "(x1+x2)",
+                     f"nesting deeper than {NESTING_LIMIT}", NESTING_LIMIT + 8, id="nesting"),
     ],
 )
 def test_errors_after_a_memoised_group_keep_their_positions(text, message, position):
     # the memo holds (x1+x2), and the text holds it again; a group that
-    # raises is not kept
+    # raises is not kept.  An unexpected character is reported first,
+    # wherever it is
     memo = {}
     parse_expr("(x1+x2)", X, QQ, memo)
     for m in (memo, {}, None):
@@ -93,14 +105,67 @@ def test_errors_after_a_memoised_group_keep_their_positions(text, message, posit
     assert memo.keys() <= {"(x1+x2)", "((x1+x2) - (x1+x2))"}
 
 
-def test_paren_groups():
-    from fixedfield.parser import paren_groups
+def test_paren_spans():
+    assert paren_spans("x1") == ([], [], None)
+    assert paren_spans("(x1*(x2)) + (x3)") == ([0, 4, 12], [8, 7, 15], None)
+    assert paren_spans("(x1 + (x2)") == ([0, 6], [None, 9], 0)
+    assert paren_spans("x1) + (x2") == ([6], [None], 2)
+    assert paren_spans("((x1)") == ([0, 1], [None, 4], 0)
 
-    assert paren_groups("x1") == ([], None)
-    assert paren_groups("(x1*(x2)) + (x3)") == (["(x1*(x2))", "(x2)", "(x3)"], None)
-    assert paren_groups("(x1 + (x2)") == ([None, "(x2)"], 0)
-    assert paren_groups("x1) + (x2") == ([None], 2)
-    assert paren_groups("((x1)") == ([None, "(x1)"], 0)
+
+def test_the_stray_search_finds_what_the_tokenizer_rejects():
+    # the one search a parse makes before reading any token agrees with the
+    # full tokenizer: both accept a text, or both point at one character,
+    # and a parse then reports it as the tokenizer does
+    hypothesis = pytest.importorskip("hypothesis")
+    from fixedfield.parser import _STRAY
+
+    alphabet = "xyz_AZ0189()+-*/^ \t\n\u0661\u2003@#.,;=!é\u00a0\\"
+
+    @hypothesis.settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @hypothesis.given(hypothesis.strategies.text(alphabet=alphabet, max_size=20))
+    def agree(text):
+        m = _STRAY.search(text)
+        try:
+            _tokenize(text)
+        except ParseError as e:
+            assert m is not None, text
+            assert str(e) == f"unexpected character {m.group()!r} (at position {e.position})"
+            assert not text[e.position:m.start()].strip(), text
+            with pytest.raises(ParseError) as parsed:
+                parse_expr(text, X, QQ)
+            assert str(parsed.value) == str(e)
+        else:
+            assert m is None, text
+
+    agree()
+
+
+def test_a_parse_tokenizes_no_character_inside_a_memoised_group(monkeypatch):
+    # the spans of the text each findall reads: a second parse with the
+    # memo of the first reads each group of the memo up to its '(' only
+    import fixedfield.parser as parser
+
+    read = []
+
+    class Recorder:
+        def findall(self, text, pos=0, endpos=sys.maxsize):
+            read.append((pos, min(endpos, len(text))))
+            return scan.findall(text, pos, endpos)
+
+    scan = parser._SCAN
+    monkeypatch.setattr(parser, "_SCAN", Recorder())
+    text = "(x1+x2)*(x1+x2) + (x3-x1)"
+    memo = {}
+    first = parse_expr(text, X, QQ, memo)
+    # the second (x1+x2) is taken from the memo already
+    assert read == [(0, 1), (1, 9), (15, 19), (19, 25)]
+    read.clear()
+    again = parse_expr(text, X, QQ, memo)
+    assert ratfunc_eq(again, first)
+    assert read == [(0, 1), (7, 9), (15, 19), (25, 25)]
+    for group in ((0, 6), (8, 14), (18, 24)):
+        assert all(to <= group[0] + 1 or pos > group[1] for pos, to in read), group
 
 
 def test_char2_minus_is_plus():
@@ -192,12 +257,12 @@ def test_round_trip(text, field):
     assert ratfunc_eq(r, again)
 
 
-def test_expression_variables():
-    assert expression_variables("x1*zeta3 + foo^2/(bar - 1)") == {"x1", "foo", "bar"}
+def test_expression_names():
+    assert expression_names("x1*zeta3 + foo^2/(bar - 1)") - {"zeta3"} == {"x1", "foo", "bar"}
     # the names are the tokenizer's name tokens, also right after an integer
     for text in ("2x1 + 10y_2*zeta3 - _a3^12", "3zeta3*x10/(x2-x1)", "x1 @ y2"):
         tokens = {val for kind, val, _ in _tokenize(text.replace("@", "+")) if kind == "name"}
-        assert expression_variables(text) == tokens - {"zeta3"}
+        assert expression_names(text) - {"zeta3"} == tokens - {"zeta3"}
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import pytest
 import fixedfield
 from fixedfield.actions import perm_act
 from fixedfield.monomial import mat_identity
-from fixedfield.parser import _tokenize, expression_names, expression_variables, parse_expr
+from fixedfield.parser import _tokenize, expression_names, parse_expr
 from fixedfield.perms import POINTS_CAP, Perm, PermGroup
 from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute
 from fixedfield.scalars import field_by_tag, join, with_zeta3
@@ -158,6 +158,29 @@ def test_parses_of_a_suite_share_one_memo_of_groups():
     assert parsed.field is with_zeta3(fld)
     assert suite.group_memo(x.vt, parsed.field).keys() == {"(x1 + x2)"}
     assert suite._groups.keys() == {(x.vt, fld), (x.vt, parsed.field)}
+
+
+def test_a_suite_scans_each_text_for_names_once(monkeypatch):
+    # the loader and ground_expr read a text's names from Suite.names, so
+    # each text is scanned once, at load, and a run scans none
+    import fixedfield.suite as suite_mod
+
+    scanned = Counter()
+
+    def names(text):
+        scanned[text] += 1
+        return expression_names(text)
+
+    monkeypatch.setattr(suite_mod, "expression_names", names)
+    texts = 0
+    for name in ALL_SUITES:
+        scanned.clear()
+        suite = load_suite(name)
+        assert set(scanned.values()) <= {1}, name
+        texts += len(scanned)
+        run_parsed_suite(suite)
+        assert sum(scanned.values()) == len(scanned), name
+    assert texts > 600
 
 
 def test_matgroup_naming_an_undeclared_matrix_is_a_load_error():
@@ -1209,7 +1232,7 @@ def _ground_by_substitution(suite, text, stop=None):
     stop (by default the expression's one root) and every other one by zero.
     The field joins stop's field, the field of every table on the chains
     from the used tables down to stop, and zeta3 when the text names it."""
-    tables = {suite.var_owner[v] for v in expression_variables(text)}
+    tables = {suite.var_owner[v] for v in expression_names(text) - {"zeta3"}}
     if stop is None:
         (stop,) = {t.root() for t in tables} or {next(iter(suite.tables.values())).root()}
     fld = stop.field
