@@ -73,10 +73,10 @@ NESTING_LIMIT = 100
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # an integer, a name or an operator; a match of the bare last
 # alternative, all groups empty, is an unexpected character
-_SCAN = re.compile(rf"(\d+)|({_NAME.pattern})|([()+\-*/^])|\S")
+_SCAN = re.compile(rf"([0-9]+)|({_NAME.pattern})|([()+\-*/^])|\S")
 _UNEXPECTED = ("", "", "")
 # a character that _SCAN matches only by its last alternative
-_STRAY = re.compile(r"[^\s\dA-Za-z_()+\-*/^]")
+_STRAY = re.compile(r"[^\s0-9A-Za-z_()+\-*/^]")
 _PAREN = re.compile(r"[()]")
 
 

@@ -138,7 +138,7 @@ class Perm:
         return f"Perm[{self}]"
 
 
-_CYCLE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
+_CYCLE = re.compile(r"\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)")
 
 
 def parse_cycles(text: str, n: int) -> Perm:

@@ -19,7 +19,10 @@ a monomial is taken apart: substitution, permuting variables, reading
 Laurent monomials, and display.
 
 A RatFunc is the fraction num/den as built, never reduced, and equality
-is decided by cross multiplication, never by a multivariate gcd.
+is decided by cross multiplication, never by a multivariate gcd.  A sum
+of fractions with one-term denominators c1 * x^e1 and c2 * x^e2 is built
+over c1 * c2 * x^l, l the exponent-wise max of e1 and e2: the lcm of two
+monomials needs no gcd.
 
 Arithmetic on Polys and RatFuncs requires one table and one field.  The
 two functions that meet values from different tables, ratfunc_eq and
@@ -27,18 +30,19 @@ substitute, first embed their operands into scalars.join of their
 fields, so a Q function meets a Qz3 one in Qz3, and Q meets F2 nowhere.
 
 substitute maps a RatFunc f = num/den at images n_i/d_i in one pass.
-With M_i the largest exponent of variable i in num or den, each term
-c * x^e of either part becomes c * prod n_i^{e_i} d_i^{M_i - e_i}: both
-parts are multiplied by the same prod d_i^{M_i}, which cancels in the
-quotient, so no division is needed.  The new denominator is zero exactly
-when den vanishes at the images.  Only variables that occur in f take
-part, and a d_i equal to 1 is never multiplied.
+The variables whose images share a denominator D form a group, and M is
+the largest exponent sum s over a group of a term of num or den.  Each
+term c * x^e of either part becomes c * prod n_i^{e_i} times D^{M - s}
+for each group: both parts are multiplied by the same prod D^M, which
+cancels in the quotient, so no division is needed.  The new denominator
+is zero exactly when den vanishes at the images.  Only variables that
+occur in f take part, and a D equal to 1 is never multiplied.
 """
 
 from __future__ import annotations
 
 import struct
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from .scalars import Field, FieldError, embed, join, power
 
@@ -365,8 +369,8 @@ class Poly:
 
 
 class RatFunc:
-    """The fraction num/den of two Polys with den != 0, kept as built;
-    equality is decided by cross multiplication (ratfunc_eq)."""
+    """The fraction num/den of two Polys with den != 0, kept as built over
+    shared denominators; equality is decided by cross multiplication."""
 
     __slots__ = ("num", "den")
 
@@ -397,8 +401,17 @@ class RatFunc:
         return self.num.is_zero()
 
     def __add__(self, other):
-        if self.den.terms == other.den.terms:
+        a, b = self.den.terms, other.den.terms
+        if a == b:
             return RatFunc(self.num + other.num, self.den)
+        if len(a) == 1 == len(b):
+            # over the lcm c1*c2*x^l of c1*x^e1 and c2*x^e2: l >= e1, e2 in
+            # every field, so l - e1 and l - e2 subtract without a borrow
+            vt, f = self.vars, self.field
+            (e1, c1), (e2, c2) = *a.items(), *b.items()
+            l = vt.pack(map(max, vt.unpack(e1), vt.unpack(e2)))
+            num = self.num * Poly(vt, f, {l - e1: c2}) + other.num * Poly(vt, f, {l - e2: c1})
+            return RatFunc(num, Poly(vt, f, {l: f.mul(c1, c2)}))
         return RatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -485,15 +498,26 @@ def substitute(f: RatFunc, images) -> RatFunc:
     terms = [*f.num.terms.items(), *f.den.terms.items()]
     # factors[t]: the powers of images that multiply the t-th term
     factors = [[] for _ in terms]
+    # [D, s]: an image denominator D != 1 and each term's exponent sum
+    # over the variables whose images have denominator D
+    shared = []
     for i, exps in f.vars.occurring([e for e, _ in terms]):
-        top = max(exps)
-        num_pows = _power_cache(images[i].num, top)
-        den_pows = None if images[i].den.is_one() else _power_cache(images[i].den, top)
+        num_pows = _power_cache(images[i].num, max(exps))
         for t, k in enumerate(exps):
             if k:
                 factors[t].append(num_pows[k])
-            if den_pows and top - k:
-                factors[t].append(den_pows[top - k])
+        den = images[i].den
+        group = next((g for g in shared if g[0].terms == den.terms), None)
+        if group:
+            group[1] = list(map(add, group[1], exps))
+        elif not den.is_one():
+            shared.append([den, exps])
+    for den, sums in shared:
+        top = max(sums)
+        den_pows = _power_cache(den, top)
+        for t, s in enumerate(sums):
+            if top - s:
+                factors[t].append(den_pows[top - s])
     parts = ({}, {})  # the terms of the new numerator and denominator
     split = len(f.num.terms)
     for t, ((_, c), powers) in enumerate(zip(terms, factors)):

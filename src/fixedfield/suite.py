@@ -179,7 +179,9 @@ class Table:
         return self._lattice
 
 
-_WORD_ATOM = re.compile(r"(\(ID\)|[A-Za-z_][A-Za-z_0-9]*|(?:\(\s*\d+(?:\s*,\s*\d+)*\s*\))+)(?:\^(-?\d+))?$")
+# a suite's integers are ASCII: int(), \d and isdecimal read other scripts' digits
+_INT = re.compile("-?[0-9]+")
+_WORD_ATOM = re.compile(r"(\(ID\)|[A-Za-z_][A-Za-z_0-9]*|(?:\(\s*[0-9]+(?:\s*,\s*[0-9]+)*\s*\))+)(?:\^(-?[0-9]+))?$")
 
 
 class Suite:
@@ -430,10 +432,9 @@ def parse_suite_text(text: str) -> Suite:
             if head == "points":
                 if suite.perms or suite.groups or suite.tables or suite.checks:
                     raise SuiteError("'points' must precede declarations")
-                try:
-                    suite.points = int(rest)
-                except ValueError:
-                    raise SuiteError(f"points needs an integer, got {rest!r}") from None
+                if not _INT.fullmatch(rest):
+                    raise SuiteError(f"points needs an integer, got {rest!r}")
+                suite.points = int(rest)
                 if not 1 <= suite.points <= POINTS_CAP:
                     raise SuiteError(f"points must be between 1 and {POINTS_CAP}, "
                                      f"got {suite.points}")
@@ -501,7 +502,7 @@ def _parse_gl23map(suite: Suite, rest):
         raise SuiteError(f"gl23map takes no name, got {name.strip()!r}")
     labels = {}
     for item in body.split():
-        m = re.fullmatch(r"(-?\d+),(-?\d+):(\d+)", item)
+        m = re.fullmatch(r"(-?[0-9]+),(-?[0-9]+):([0-9]+)", item)
         if not m:
             raise SuiteError(f"gl23map needs items 'a,b:i' of integers, got {item!r}")
         a, b = int(m[1]) % 3, int(m[2]) % 3
@@ -584,7 +585,7 @@ def _parse_group(suite: Suite, name, body):
     if not m:
         raise SuiteError(f"group {name!r} needs expect_order=")
     words, expect, tail = m[1].split(), m[2], m[3]
-    if tail or not expect.isdecimal():
+    if tail or not re.fullmatch("[0-9]+", expect):
         raise SuiteError(f"group {name!r}: expect_order= must end the line, not {tail!r}" if tail
                          else f"group {name!r}: expect_order={expect!r} is not an integer")
     if name in suite.groups:
@@ -715,7 +716,7 @@ def _declared(suite: Suite, text):
 
 
 def _integer(text):
-    if not re.fullmatch(r"\d+", text):
+    if not re.fullmatch("[0-9]+", text):
         raise ValueError("an integer")
     return int(text)
 
@@ -727,10 +728,10 @@ def _zero(text):
 
 
 def _int_list(text, what):
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise SuiteError(f"{what} entry is not an integer in {text!r}") from None
+    items = text.split(",")
+    if not all(_INT.fullmatch(x.strip()) for x in items):
+        raise SuiteError(f"{what} entry is not an integer in {text!r}")
+    return [int(x) for x in items]
 
 
 def _expressions(suite: Suite, text):

@@ -117,6 +117,8 @@ def test_eval(capsys):
     ("x1,x2", "(2*x1+4)/(6*x2)", "(2*x1+4)/(6*x2)"),
     ("x1", "x1/2", "(x1)/(2)"),
     ("x1,x2", "(x1^2 - x2^2)/(x1 - x2)", "(x1^2-x2^2)/(x1-x2)"),
+    # one-term denominators are added over their lcm, not their product
+    ("x1", "1/x1^2 + 1/x1", "(x1+1)/(x1^2)"),
 ])
 def test_eval_prints_the_fraction_as_built(capsys, variables, text, printed):
     # no common factor, content or leading coefficient is divided out
@@ -299,8 +301,12 @@ def test_verify_partial_table_exits_2(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "old, new, line",
     [("-1,-1:8", "-1,-1:9", "31: gl23map must label"), ("points 8", "points 65536", "7: points"),
-     ("points 8", "points abc", "7: points needs an integer, got 'abc'\n")],
-    ids=["gl23map-label-9", "points-65536", "points-abc"],
+     ("points 8", "points abc", "7: points needs an integer, got 'abc'\n"),
+     ("points 8", "points \u0668", "7: points needs an integer, got '\u0668'\n"),
+     ("-1,-1:8", "-1,-1:\u0668", "31: gl23map needs items 'a,b:i' of integers"),
+     ("matrix=1,1;-1,1", "matrix=\u0661,1;-1,1", "33: check gl23 matrix entry is not an integer")],
+    ids=["gl23map-label-9", "points-65536", "points-abc", "points-arabic-indic",
+         "gl23map-arabic-indic", "gl23-matrix-arabic-indic"],
 )
 def test_verify_malformed_sec4_exits_2(capsys, monkeypatch, old, new, line):
     import fixedfield.suite as suite_mod

@@ -219,6 +219,11 @@ def test_errors_carry_position():
         ("(" * 101 + "x1" + ")" * 101, QQ, "nesting deeper than 100", 100),
         ("x1*" + "-" * 101 + "x2", QQ, "nesting deeper than 100", 103),
         ("(x1 - ", QQ, "unexpected end of expression", 6),
+        # an integer is ASCII digits: a decimal digit of another script is
+        # an unexpected character, not a digit
+        ("x1^\u0662 + \u0663", QQ, "unexpected character '\u0662'", 3),
+        ("\u0663*x1", QQ, "unexpected character '\u0663'", 0),
+        ("x1^\uff12", QQ, "unexpected character '\uff12'", 3),
     ],
 )
 def test_error_messages_and_positions(text, field, message, position):

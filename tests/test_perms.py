@@ -28,6 +28,9 @@ def test_parse_cycles_examples():
         parse_cycles("(1,2,1)", 8)
     with pytest.raises(PermError):
         parse_cycles("1 2 3", 8)
+    # points are ASCII digits; int() would read these Arabic-Indic ones
+    with pytest.raises(PermError, match="bad cycle notation"):
+        parse_cycles("(\u0661,\u0662,\u0663)", 8)
     assert parse_cycles("()", 5) == Perm.identity(5)
 
 

@@ -672,6 +672,66 @@ def test_normal_outside_the_group_is_a_fail():
         (FAIL, "C2 is not a subgroup of A3")]
 
 
+def test_distinct_and_gl23_refutations_are_fails_not_errors():
+    # two expressions equal as fractions though built apart, a matrix that
+    # induces another permutation, and singular matrices, whose image of a
+    # nonzero vector is the unlabeled (0,0)
+    text = ('suite mini field=Q\npoints 8\n'
+            'gl23map = 1,0:1 1,-1:2 0,1:3 1,1:4 -1,0:5 -1,1:6 0,-1:7 -1,-1:8\n'
+            'check gl23 elem=(1,5)(2,6)(3,7)(4,8) matrix=2,0;0,2 ref="r"\n'
+            'check gl23 elem=(1,2) matrix=1,0;0,1 ref="r"\n'
+            'check gl23 elem=(ID) matrix=0,0;0,0 ref="r"\n'
+            'check gl23 elem=(ID) matrix=1,1;1,1 ref="r"\n'
+            'vars x = x1 x2 x3\n'
+            'check distinct x1, x2, x3, x1/x2 + 1/x2^2 ref="r"\n'
+            'check distinct x1/x2 + 1/x2^2, x3, (x1*x2 + 1)/x2^2 ref="r"\n')
+    assert [(c.status, c.detail) for c in run_parsed_suite(parse_suite_text(text)).checks] == [
+        (PASS, "matrix induces (1,5)(2,6)(3,7)(4,8), expected (1,5)(2,6)(3,7)(4,8)"),
+        (FAIL, "matrix induces (), expected (1,2)"),
+        (FAIL, "image vector (0,0) is unlabeled"),
+        (FAIL, "image vector (0,0) is unlabeled"),
+        (PASS, "pairwise distinct"),
+        (FAIL, "expressions 1 and 3 coincide"),
+    ]
+
+
+_ARABIC_INDIC = str.maketrans("\u0660\u0661\u0662\u0663", "0123")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("points 3", "points \u0663", "line 2: points needs an integer, got '\u0663'"),
+    ("expect_order=3", "expect_order=\u0663",
+     "line 3: group 'A3': expect_order='\u0663' is not an integer"),
+    ("\n\n", "\nmatrix M = \u0661,0,0 / 0,1,0 / 0,0,1\n",
+     "line 5: matrix entry is not an integer in '\u0661,0,0 '"),
+    ("\n\n", '\ncheck order A3 = \u0663 ref="r"\n',
+     "line 5: check order needs an integer after '=' in 'A3 = \u0663'"),
+    ("\n\n", '\ncheck permeq (\u0661,\u0662,\u0663) == (1,2,3) ref="r"\n',
+     "line 5: check permeq bad permutation word '(\u0661,\u0662,\u0663)'"),
+    ("\n\n", '\ncheck member (1,2,3)^\u0662 in A3 ref="r"\n',
+     "line 5: check member bad permutation word '(1,2,3)^\u0662'"),
+], ids=["points", "expect-order", "matrix", "order", "cycle", "power"])
+def test_loader_reads_integers_in_ascii_digits(old, new, message):
+    # int(), \d and str.isdecimal read the digits of every script, so each
+    # of these lines used to load, and its checks to pass, as if written
+    # in ASCII digits
+    text = MINI.format(checks="")
+    assert text.count(old) == 1
+    with pytest.raises(SuiteError, match="^" + re.escape(message) + "$"):
+        parse_suite_text(text.replace(old, new))
+    ascii_text = text.replace(old, new.translate(_ARABIC_INDIC))
+    assert run_parsed_suite(parse_suite_text(ascii_text)).ok()
+
+
+def test_a_check_expression_with_non_ascii_digits_is_an_error():
+    # expressions are parsed when a check runs, not at load
+    (check,) = run_parsed_suite(_mini('check identity x1^\u0662 - x1*x1 == 0 ref="r"')).checks
+    assert (check.status, check.detail) == (
+        FAIL, "error: unexpected character '\u0662' (at position 3)")
+    (check,) = run_parsed_suite(_mini('check identity x1^2 - x1*x1 == 0 ref="r"')).checks
+    assert check.status == PASS
+
+
 def test_all_suites_have_expected_statuses(reports):
     for name, rep in reports.items():
         bad = [c.id for c in rep.checks if c.status == "fail"]
