@@ -18,7 +18,7 @@ from operator import mul
 
 from .monomial import MonomialError, mat_from_rows, solve_int_combination
 from .perms import Perm
-from .poly import Poly, RatFunc
+from .poly import Poly, RatFunc, proportional
 
 
 class ActionError(ValueError):
@@ -42,19 +42,19 @@ def _moved(p: Poly, move) -> Poly:
 
 
 def scaled_match(img: RatFunc, target: RatFunc):
-    """The scalar c with img == c * target, or None."""
-    a = img.num * target.den
-    b = target.num * img.den
-    if a.is_zero() or b.is_zero():
-        return None
-    if set(a.terms) != set(b.terms):
-        return None
-    lead = max(a.terms)
-    c = a.field.div(a.terms[lead], b.terms[lead])
-    f = a.field
-    if all(f.mul(c, cb) == a.terms[e] for e, cb in b.terms.items()):
-        return c
-    return None
+    """The scalar c with img == c * target, or None.  When the denominators
+    are proportional, c is read off the numerators and nothing is
+    multiplied; otherwise off the cross products."""
+    f = img.field
+    dens = proportional(f, img.den.terms, target.den.terms)
+    if dens is None:
+        # img == c * target iff img.num * target.den == c * target.num * img.den
+        nums = proportional(f, (img.num * target.den).terms, (target.num * img.den).terms)
+        return None if nums is None else f.div(*nums)
+    # target.den == (lt / li) * img.den for (li, lt) = dens, so img == c * target
+    # iff img.num == c * (li / lt) * target.num
+    nums = proportional(f, img.num.terms, target.num.terms)
+    return None if nums is None else f.div(f.mul(nums[0], dens[1]), f.mul(nums[1], dens[0]))
 
 
 def induced_scaled_permutation(definitions, g: Perm):

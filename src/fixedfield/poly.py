@@ -14,15 +14,18 @@ PolyError instead of wrapping.  The one exception is the power of a
 one-term polynomial, which multiplies its packed monomial by the
 exponent in one step: that product can carry past a guard bit, so
 monomial_power, the one place such a power is taken, checks its total
-degree against the cap first.  Exponent vectors are unpacked only where
-a monomial is taken apart: substitution, permuting variables, reading
-Laurent monomials, and display.
+degree against the cap first (substitute then adds it to a running
+monomial and checks the sum like any product).  Exponent vectors are
+unpacked only where a monomial is taken apart: substitution, permuting
+variables, reading Laurent monomials, and display.
 
-A RatFunc is the fraction num/den as built, never reduced, and equality
-is decided by cross multiplication, never by a multivariate gcd.  A sum
-of fractions with one-term denominators c1 * x^e1 and c2 * x^e2 is built
-over c1 * c2 * x^l, l the exponent-wise max of e1 and e2: the lcm of two
-monomials needs no gcd.
+A RatFunc is the fraction num/den as built, never reduced.  Equality is
+never decided by a multivariate gcd: when one denominator is a scalar
+multiple of the other, the numerators are compared termwise by the same
+ratio of payloads (proportional, which never divides), and otherwise by
+cross multiplication.  A sum of fractions with one-term denominators
+c1 * x^e1 and c2 * x^e2 is built over c1 * c2 * x^l, l the exponent-wise
+max of e1 and e2: the lcm of two monomials needs no gcd.
 
 Arithmetic on Polys and RatFuncs requires one table and one field.  The
 two functions that meet values from different tables, ratfunc_eq and
@@ -36,7 +39,9 @@ term c * x^e of either part becomes c * prod n_i^{e_i} times D^{M - s}
 for each group: both parts are multiplied by the same prod D^M, which
 cancels in the quotient, so no division is needed.  The new denominator
 is zero exactly when den vanishes at the images.  Only variables that
-occur in f take part, and a D equal to 1 is never multiplied.
+occur in f take part, and a D equal to 1 is never multiplied.  A power of
+a one-term n_i or D is folded into each term as a packed monomial and a
+payload; only powers of many-term ones are multiplied out as Polys.
 """
 
 from __future__ import annotations
@@ -188,8 +193,8 @@ def monomial_power(vt: VarTable, f: Field, e: int, c, n: int):
     # field of e * n, which could otherwise carry past a guard bit
     if vt.degree(e) * n >= EXPONENT_LIMIT:
         raise PolyError(f"power reaches the exponent cap {EXPONENT_LIMIT}")
-    # F2 and F4 payloads do not grow
-    if f.char == 0 and n * (_bit_length(c) - 1) >= COEFFICIENT_BITS_LIMIT:
+    # F2 and F4 payloads do not grow, nor does 1
+    if f.char == 0 and c != f.one() and n * (_bit_length(c) - 1) >= COEFFICIENT_BITS_LIMIT:
         raise PolyError(
             f"power reaches the coefficient cap of {COEFFICIENT_BITS_LIMIT} bits"
         )
@@ -370,7 +375,7 @@ class Poly:
 
 class RatFunc:
     """The fraction num/den of two Polys with den != 0, kept as built over
-    shared denominators; equality is decided by cross multiplication."""
+    shared denominators; equality is ratfunc_eq."""
 
     __slots__ = ("num", "den")
 
@@ -460,10 +465,26 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
+def proportional(f: Field, p: dict, q: dict):
+    """(lp, lq), the payloads of the term dicts p and q at one monomial, when
+    p is not empty and p == (lp / lq) * q: the same monomials, and
+    lq * p[e] == lp * q[e] for every e.  Else None.  Nothing is divided."""
+    if not p or p.keys() != q.keys():
+        return None
+    e = next(iter(p))
+    lp, lq = p[e], q[e]
+    mul = f.mul
+    for e, c in p.items():
+        if mul(lq, c) != mul(lp, q[e]):
+            return None
+    return lp, lq
+
+
 def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
     """a == b as elements of the fraction field over the join of their
-    fields: a.num*b.den == b.num*a.den, or a.num == b.num when the
-    denominators are equal (the field has no zero divisors)."""
+    fields: a.num*b.den == b.num*a.den, decided without a product when the
+    denominators are equal or proportional (the field has no zero
+    divisors), and by cross multiplication otherwise."""
     if a.vars is not b.vars:
         raise PolyError("rational functions over different variable tables")
     if a.field is not b.field:
@@ -473,7 +494,14 @@ def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
         return a.num.terms == b.num.terms
     if a.num.is_zero() or b.num.is_zero():
         return a.num.is_zero() and b.num.is_zero()
-    return a.num * b.den == b.num * a.den
+    f = a.field
+    dens = proportional(f, a.den.terms, b.den.terms)
+    if dens is None:
+        return a.num * b.den == b.num * a.den
+    # b.den == (lb / la) * a.den for (la, lb) = dens, so a == b iff
+    # a.num == (la / lb) * b.num
+    nums = proportional(f, a.num.terms, b.num.terms)
+    return nums is not None and f.mul(nums[0], dens[1]) == f.mul(nums[1], dens[0])
 
 
 def substitute(f: RatFunc, images) -> RatFunc:
@@ -481,9 +509,8 @@ def substitute(f: RatFunc, images) -> RatFunc:
     shared denominator (see the module docstring).
 
     The images are RatFuncs over one target table, one for each variable of
-    f.  f and the images are embedded into the join of their fields, so
-    the result lies there too.  ZeroDivisionError when the images make the
-    denominator of f vanish.
+    f.  The result lies in the join of the fields of f and every image.
+    ZeroDivisionError when the images make the denominator of f vanish.
     """
     if len(images) != len(f.vars):
         raise PolyError("substitution must cover every source variable")
@@ -493,35 +520,48 @@ def substitute(f: RatFunc, images) -> RatFunc:
             raise PolyError("substitution images over different tables")
         if im.field is not field:
             field = join(field, im.field)
-    images = [im.embed(field) for im in images]
     f = f.embed(field)
     terms = [*f.num.terms.items(), *f.den.terms.items()]
-    # factors[t]: the powers of images that multiply the t-th term
+    # the t-th term c * x^e becomes coeffs[t] * x^keys[t] times the Polys
+    # factors[t], the powers of many-term images
+    keys = [0] * len(terms)
+    coeffs = [c for _, c in terms]
     factors = [[] for _ in terms]
+
+    def fold(p: Poly, exps):
+        # multiply the t-th term by p^exps[t]
+        if len(p.terms) == 1:
+            (e, c), = p.terms.items()
+            for t, k in enumerate(exps):
+                if k:
+                    e_k, c_k = monomial_power(target, field, e, c, k)
+                    keys[t] += e_k
+                    target.check(keys[t])
+                    coeffs[t] = field.mul(coeffs[t], c_k)
+        else:
+            pows = _power_cache(p, max(exps))
+            for t, k in enumerate(exps):
+                if k:
+                    factors[t].append(pows[k])
+
     # [D, s]: an image denominator D != 1 and each term's exponent sum
     # over the variables whose images have denominator D
     shared = []
     for i, exps in f.vars.occurring([e for e, _ in terms]):
-        num_pows = _power_cache(images[i].num, max(exps))
-        for t, k in enumerate(exps):
-            if k:
-                factors[t].append(num_pows[k])
-        den = images[i].den
-        group = next((g for g in shared if g[0].terms == den.terms), None)
+        im = images[i].embed(field)
+        fold(im.num, exps)
+        group = next((g for g in shared if g[0].terms == im.den.terms), None)
         if group:
             group[1] = list(map(add, group[1], exps))
-        elif not den.is_one():
-            shared.append([den, exps])
+        elif not im.den.is_one():
+            shared.append([im.den, exps])
     for den, sums in shared:
         top = max(sums)
-        den_pows = _power_cache(den, top)
-        for t, s in enumerate(sums):
-            if top - s:
-                factors[t].append(den_pows[top - s])
+        fold(den, [top - s for s in sums])
     parts = ({}, {})  # the terms of the new numerator and denominator
     split = len(f.num.terms)
-    for t, ((_, c), powers) in enumerate(zip(terms, factors)):
-        term = Poly.const(target, field, c)
+    for t, (key, c, powers) in enumerate(zip(keys, coeffs, factors)):
+        term = Poly(target, field, {key: c})
         for power in powers:
             term = term * power
         _add_into(parts[t >= split], term.terms, field)

@@ -204,6 +204,7 @@ class Suite:
         self._scaled_cache: dict = {}
         self._grounded: dict = {}  # ground_expr's memo: (text, stop) -> pair
         self._names: dict = {}  # names' memo: text -> its set of names
+        self._texts: dict = {}  # each expression a check names -> its first check's index
         self._groups: dict = {}  # (VarTable, Field) -> parse_expr's memo of group texts
         # (table, elem) -> index in checks of the first single-element row of
         # table on elem that is not expect=fail: the row that rows below act through
@@ -277,6 +278,15 @@ class Suite:
             out = self._names[text] = expression_names(text)
         return out
 
+    def root(self, text) -> Table:
+        """The one root of the tables text names, or the first table's root
+        when it names none; SuiteError when they lie below two roots."""
+        owners = {self.var_owner[v] for v in self.names(text) - {"zeta3"}}
+        roots = {t.root() for t in owners}
+        if len(roots) > 1:
+            raise SuiteError(f"expression mixes unrelated roots: {text}")
+        return roots.pop() if roots else next(iter(self.tables.values())).root()
+
     def group_memo(self, vt: VarTable, fld: Field) -> dict:
         """The memo of parenthesised groups that every parse of this suite
         over vt in fld shares: a group's value depends on its text, vt and
@@ -301,10 +311,7 @@ class Suite:
         owners = {self.var_owner[v] for v in names - {"zeta3"}}
         tables = [t for t in self.tables.values() if t in owners]
         if stop is None:
-            roots = {t.root() for t in tables}
-            if len(roots) > 1:
-                raise SuiteError(f"expression mixes unrelated roots: {text}")
-            stop = roots.pop() if roots else next(iter(self.tables.values())).root()
+            stop = self.root(text)
         fld = stop.field
         for t in tables:
             fld = join(fld, t.field)
@@ -412,9 +419,8 @@ def _assignment(head, rest):
 
 def parse_suite_text(text: str) -> Suite:
     suite = None
-    check_seq = 0
     last_def = {}  # table with definitions -> line of its last def
-    paired = []  # (line, check) of each check with pair=
+    check_lines = []  # the line of each check
     for lineno, line in _logical_lines(text):
         try:
             head, rest = (line.split(None, 1) + [""])[:2]
@@ -461,10 +467,8 @@ def parse_suite_text(text: str) -> Suite:
             elif head == "gl23map":
                 _parse_gl23map(suite, rest)
             elif head == "check":
-                check_seq += 1
-                _parse_check(suite, rest, check_seq)
-                if "pair" in suite.checks[-1].attrs:
-                    paired.append((lineno, suite.checks[-1]))
+                _parse_check(suite, rest, len(suite.checks) + 1)
+                check_lines.append(lineno)
             else:
                 raise SuiteError(f"unknown statement {head!r}")
         except ValueError as exc:  # every error class of the package is one
@@ -484,11 +488,20 @@ def parse_suite_text(text: str) -> Suite:
         if depth > TABLE_DEPTH_CAP:
             raise SuiteError(f"line {lineno}: table {table.name!r} lies {depth} levels "
                              f"below its root, past the cap of {TABLE_DEPTH_CAP}")
+    # checked once every parent is known too, since a check may name a
+    # table before the defs that give it a parent; one root mixes nothing
+    if len({t.root() for t in suite.tables.values()}) > 1:
+        for expr, i in suite._texts.items():
+            try:
+                suite.root(expr)
+            except SuiteError as exc:
+                raise SuiteError(f"line {check_lines[i]}: {exc}") from None
     # a pair= may name a check further down the file
-    for lineno, check in paired:
-        if check.attrs["pair"] not in suite.check_ids:
+    for lineno, check in zip(check_lines, suite.checks):
+        pair = check.attrs.get("pair")
+        if pair is not None and pair not in suite.check_ids:
             raise SuiteError(f"line {lineno}: check {check.kind} pairs with unknown "
-                             f"check id {check.attrs['pair']!r}")
+                             f"check id {pair!r}")
     return suite
 
 
@@ -712,6 +725,7 @@ def _declared(suite: Suite, text):
     stray = paren_spans(text)[2]
     if stray is not None:
         raise SuiteError(f"has an unbalanced {text[stray]!r} at position {stray} of {text!r}")
+    suite._texts.setdefault(text, len(suite.checks))
     return text
 
 

@@ -216,6 +216,18 @@ def test_verify_unknown_table_exits_2(capsys, monkeypatch):
     assert err == "error: line 4: check degree unknown table 'nope' in suite catalog\n"
 
 
+def test_verify_expression_over_unrelated_roots_exits_2(capsys, monkeypatch):
+    import fixedfield.suite as suite_mod
+
+    text = ('suite catalog field=Q\npoints 3\ngroup A3 = (1,2,3) expect_order=3\n'
+            'vars x = x1 x2 x3\nvars y = y1\ncheck invariance x1 + y1 under A3 ref="r"\n')
+    monkeypatch.setattr(suite_mod, "load_suite", lambda name: suite_mod.parse_suite_text(text))
+    code, out, err = run(["verify", "--suite", "catalog"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 6: expression mixes unrelated roots: x1 + y1\n"
+
+
 def test_verify_attribute_the_kind_does_not_read_exits_2(capsys, monkeypatch):
     import fixedfield.suite as suite_mod
 

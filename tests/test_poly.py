@@ -682,13 +682,8 @@ def test_many_term_product_reaches_the_term_pair_cap(monkeypatch):
         q("x1 + 1").num * q("x1^3 + x2^2 + x3 + 1").num
 
 
-def test_the_shipped_suites_multiply_at_most_30000_term_pairs(monkeypatch):
-    from fixedfield.suite import list_suites, load_suite, run_parsed_suite
-
-    # one run of the 11 shipped suites, load included, counted as the term
-    # pairs of every product: 5,954 products of 50,916 pairs before
-    # substitute took one power per shared image denominator and sums of
-    # one-term denominators were built over their lcm, 5,552 of 29,056 after
+def counting_products(monkeypatch):
+    """The list that every later Poly product appends its term pairs to."""
     pairs = []
     poly_mul = Poly.__mul__
 
@@ -697,9 +692,22 @@ def test_the_shipped_suites_multiply_at_most_30000_term_pairs(monkeypatch):
         return poly_mul(self, other)
 
     monkeypatch.setattr(Poly, "__mul__", counted)
+    return pairs
+
+
+def test_the_shipped_suites_multiply_at_most_14000_term_pairs(monkeypatch):
+    from fixedfield.suite import list_suites, load_suite, run_parsed_suite
+
+    # one run of the 11 shipped suites, load included, counted as the term
+    # pairs of every product: 5,954 products of 50,916 pairs before
+    # substitute took one power per shared image denominator and sums of
+    # one-term denominators were built over their lcm, 5,552 of 29,056
+    # before proportional fractions were compared by scalars and one-term
+    # powers folded into packed monomials, 1,746 of 13,091 after
+    pairs = counting_products(monkeypatch)
     for name in list_suites():
         assert run_parsed_suite(load_suite(name)).ok(), name
-    assert len(pairs) <= 5_600 and sum(pairs) <= 30_000, (len(pairs), sum(pairs))
+    assert len(pairs) <= 2_000 and sum(pairs) <= 14_000, (len(pairs), sum(pairs))
 
 
 @pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)
@@ -729,3 +737,113 @@ def test_one_term_power_equals_repeated_products(field):
     for text in ("w1^32768", "(w1^200)^200", "(3*w1*w2^3)^8192"):
         with pytest.raises(PolyError, match="cap"):
             parse_expr(text, W, field)
+
+
+# ---------------------------------------------------------------------------
+# proportional fractions compared by scalars, one-term powers folded
+
+
+def scaled(field, r, ref):
+    return {e: field.mul(r, c) for e, c in ref.items()}
+
+
+@pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)
+def test_ratfunc_eq_over_proportional_denominators_matches_cross_multiplication(
+        field, monkeypatch):
+    # b.den = r * a.den: the numerators are compared by scalars, with no
+    # product, for numerators in the ratio r (equal fractions), in another
+    # ratio, with the same monomials in no one ratio, and zero
+    rng = random.Random(f"proportional:{field.tag}")
+    products = counting_products(monkeypatch)
+    verdicts = []
+    for i in range(80):
+        den = random_ref(W, field, rng, rng.randint(1, 4))
+        num = random_ref(W, field, rng, rng.randint(2, 4))
+        r, s = random_payload(field, rng), random_payload(field, rng)
+        other = dict(num)
+        e = next(iter(other))
+        if field is F2:  # every payload is 1: one term fewer
+            del other[e]
+        while field is not F2 and other[e] == num[e]:
+            other[e] = random_payload(field, rng)
+        m = [scaled(field, r, num), scaled(field, s, num), scaled(field, r, other), {}][i % 4]
+        n = {} if i % 8 == 3 else num
+        a = RatFunc(to_poly(W, field, n), to_poly(W, field, den))
+        b = RatFunc(to_poly(W, field, m), to_poly(W, field, scaled(field, r, den)))
+        want = (a.num * b.den).terms == (b.num * a.den).terms
+        del products[:]
+        assert ratfunc_eq(a, b) == ratfunc_eq(b, a) == want, (n, m, den, r)
+        assert products == []
+        verdicts.append((want, a.den.terms == b.den.terms))
+    assert (True, False) in verdicts or field is F2
+    assert (False, False) in verdicts or field is F2
+    assert {True, False} == {want for want, _ in verdicts}
+
+
+@pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)
+def test_scaled_match_reads_the_scalar_the_cross_products_give(field, monkeypatch):
+    from fixedfield.actions import scaled_match
+
+    def reference(img, target):
+        # the scalar c with img.num * target.den == c * target.num * img.den
+        a, b = (img.num * target.den).terms, (target.num * img.den).terms
+        if not a or a.keys() != b.keys():
+            return None
+        lead = max(a)
+        c = field.div(a[lead], b[lead])
+        return c if all(field.mul(c, b[e]) == a[e] for e in a) else None
+
+    rng = random.Random(f"scaled-match:{field.tag}")
+    products = counting_products(monkeypatch)
+    found = set()
+    for i in range(80):
+        den = random_ref(W, field, rng, rng.randint(1, 3))
+        num = random_ref(W, field, rng, rng.randint(1, 3))
+        c, r = random_payload(field, rng), random_payload(field, rng)
+        target = RatFunc(to_poly(W, field, num), to_poly(W, field, den))
+        img_num = scaled(field, field.mul(c, r), num)
+        if i % 4 == 1:  # one payload off the ratio
+            e = next(iter(img_num))
+            img_num[e] = field.add(img_num[e], field.one())
+            if img_num[e] == field.zero():
+                del img_num[e]
+        elif i % 4 == 2:
+            img_num = {}
+        img = RatFunc(to_poly(W, field, img_num), to_poly(W, field, scaled(field, r, den)))
+        proportional = i % 4 != 3
+        if not proportional:  # c * target over a denominator one factor longer
+            extra = to_poly(W, field, random_ref(W, field, rng, 2))
+            img = RatFunc(img.num * extra, target.den * extra)
+        want = reference(img, target)
+        del products[:]
+        got = scaled_match(img, target)
+        assert got == want, (img, target)
+        assert (products == []) == proportional
+        found.add((want is None, proportional))
+    assert found >= {(False, True), (True, True), (False, False)}
+
+
+@pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)
+def test_a_folded_one_term_power_still_meets_the_caps(field):
+    Z = VarTable(["z1", "z2"])
+
+    def at(text, vars=X):
+        return parse_expr(text, vars, field)
+
+    half = EXPONENT_LIMIT // 2
+    # the power itself reaches the cap: z1^2 to the power half
+    with pytest.raises(PolyError, match="cap"):
+        substitute(at(f"x1^{half}"), [at("z1^2", Z), at("z2", Z), at("1", Z)])
+    # each power stays below the cap, but their product does not
+    f = at(f"x1^{half - 100}*x2^{half - 100}")
+    with pytest.raises(PolyError, match="cap"):
+        substitute(f, [at("z1^2", Z), at("z2", Z), at("1", Z)])
+    assert substitute(f, [at("z1", Z), at("z2", Z), at("1", Z)]).num.terms == at(
+        f"z1^{half - 100}*z2^{half - 100}", Z).num.terms
+    # a one-term shared denominator is folded the same way
+    with pytest.raises(PolyError, match="cap"):
+        substitute(at(f"x1^{half}"), [at("z2/z1^2", Z), at("z2", Z), at("1", Z)])
+    # over Q and Qz3, the payload of a folded power meets the coefficient cap
+    if field.char == 0:
+        with pytest.raises(PolyError, match="coefficient cap"):
+            substitute(at("x1^4000"), [at(f"{2**20}*z1", Z), at("z2", Z), at("1", Z)])

@@ -395,6 +395,79 @@ def test_loader_rejects_statements_without_their_assignment(line, message):
         _mini(line)
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("perm p = (1,2)\nperm p = (1,3)", "line 6: duplicate perm 'p'"),
+        ("vars x = y1", "line 5: duplicate table 'x'"),
+        ("group A3 = (1,3,2) expect_order=3", "line 5: duplicate group 'A3'"),
+        ("vars y = y1 x2", "line 5: variable 'x2' declared twice"),
+        ('check frobnicate x ref="r"', "line 5: unknown check kind 'frobnicate'"),
+        ("vars t = t1\ndef t.t1 = x1\ndef t.t1 = x2",
+         "line 7: table 't' definitions already complete"),
+        ("vars t = t1\ndef t.t2 = x1", "line 6: 't2' is not a variable of table 't'"),
+        ("vars t = t1\ndef t.t1 = x1 + q9", "line 6: definition uses unknown variables ['q9']"),
+        ("vars y = y1\nvars t = t1\ndef t.t1 = x1 + y1",
+         "line 7: definition of t.t1 must use exactly one table"),
+        ("vars t = t1\ndef t.t1 = 3", "line 6: definition of t.t1 must use exactly one table"),
+        ("vars t = t1 t2\ndef t.t1 = t2", "line 6: definition of t.t1 refers to its own table"),
+        ("vars y field=F4 = y1\nvars t field=F2 = t1\ndef t.t1 = y1",
+         "line 7: table 't' field F2 does not contain field F4 of 'y'"),
+        ("vars y = y1\nvars t = t1 t2\ndef t.t1 = x1\ndef t.t2 = y1",
+         "line 8: definition of t.t2 uses table 'y', expected 'x'"),
+        ("vars t = t1\ndef t.t1 = x1 - x1", "line 6: zero definition in table 't'"),
+    ],
+    ids=["duplicate-perm", "duplicate-table", "duplicate-group", "duplicate-variable",
+         "unknown-check-kind", "def-after-complete", "def-of-a-foreign-variable",
+         "def-unknown-variable", "def-over-two-tables", "def-over-no-table",
+         "def-over-its-own-table", "def-over-a-larger-field", "def-over-another-parent",
+         "def-zero"],
+)
+def test_loader_rejects_repeated_names_unknown_kinds_and_bad_definitions(lines, message):
+    with pytest.raises(SuiteError, match="^" + re.escape(message) + "$"):
+        _mini(lines)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# nothing here\n  # nor here \\\n"],
+                         ids=["empty", "blank", "comments"])
+def test_loader_rejects_a_file_without_a_suite_header(text):
+    from fixedfield.suite import parse_suite_text
+
+    with pytest.raises(SuiteError, match="^empty suite file$"):
+        parse_suite_text(text)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ('vars y = y1\ncheck invariance x1 + y1 under A3 ref="r"',
+         "line 6: expression mixes unrelated roots: x1 + y1"),
+        ('vars y = y1\ncheck identity x1 - y1 == 0 ref="r"',
+         "line 6: expression mixes unrelated roots: x1 - y1"),
+        ('vars y = y1\ncheck distinct x1, x2 ref="r"\ncheck distinct x3, y1*x2 ref="r"',
+         "line 7: expression mixes unrelated roots: y1*x2"),
+        # the first check that names the expression gives the line
+        ('vars y = y1\ncheck order A3 = 3 ref="r"\ncheck invariance x1 + y1 under A3 ref="r"\n'
+         'check distinct x1 + y1, x2 ref="r"',
+         "line 7: expression mixes unrelated roots: x1 + y1"),
+    ],
+    ids=["invariance", "identity", "distinct", "first-check"],
+)
+def test_loader_rejects_an_expression_over_unrelated_roots(lines, message):
+    # it used to load and then end as an error verdict
+    with pytest.raises(SuiteError, match="^" + re.escape(message) + "$"):
+        _mini(lines)
+
+
+def test_an_expression_may_name_a_table_before_its_definitions():
+    # the roots are compared once the file is read: y's defs below the
+    # check put it under x
+    suite = _mini('vars y = y1\ncheck invariance x1 + x2 + x3 + 3*y1 under A3 ref="r"\n'
+                  "def y.y1 = x1*x2*x3")
+    (result,) = run_parsed_suite(suite).checks
+    assert result.status == "pass", result.detail
+
+
 def test_a_comment_line_ends_in_no_continuation():
     # a backslash at the end of a comment continues nothing: the next line
     # is a check of its own, here a wrong one that must show as a fail
@@ -1561,6 +1634,41 @@ def _at(p, images):
     return RatFunc(num, den)
 
 
+def _products_substitute(f, images):
+    """The one-pass substitution with every power of an image numerator and
+    of a shared image denominator multiplied out as Polys, one-term ones
+    included: the terms that folding one-term powers must keep."""
+    field = f.field
+    for im in images:
+        field = join(field, im.field)
+    images = [im.embed(field) for im in images]
+    f, tgt = f.embed(field), images[0].vars
+    terms = [*f.num.terms.items(), *f.den.terms.items()]
+    factors = [[] for _ in terms]
+    shared = []  # [D, each term's exponent sum over the variables with image den D]
+    for i, exps in f.vars.occurring([e for e, _ in terms]):
+        for t, k in enumerate(exps):
+            if k:
+                factors[t].append(images[i].num ** k)
+        den = images[i].den
+        group = next((g for g in shared if g[0].terms == den.terms), None)
+        if group:
+            group[1] = [a + b for a, b in zip(group[1], exps)]
+        elif not den.is_one():
+            shared.append([den, exps])
+    for den, sums in shared:
+        for t, s in enumerate(sums):
+            if max(sums) - s:
+                factors[t].append(den ** (max(sums) - s))
+    parts = [Poly.zero(tgt, field), Poly.zero(tgt, field)]
+    for t, ((_, c), powers) in enumerate(zip(terms, factors)):
+        term = Poly.const(tgt, field, c)
+        for power in powers:
+            term = term * power
+        parts[t >= len(f.num.terms)] += term
+    return RatFunc(*parts)
+
+
 def test_substitute_matches_a_two_pass_reference(monkeypatch, perfbench_workloads):
     # every substitution the runner makes while loading and running the
     # shipped suites and, for Qz3, one seed of the benchmark's algebra
@@ -1607,6 +1715,9 @@ def test_substitute_matches_a_two_pass_reference(monkeypatch, perfbench_workload
         want = _two_pass_substitute(f, images)
         assert got.vars is want.vars and got.field is want.field, (f, images)
         assert ratfunc_eq(got, want), (f, images)
+        # and term for term what multiplying out every power builds
+        want = _products_substitute(f, images)
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms), (f, images)
         kinds[got.field.tag] += 1
         kinds["fraction"] += not f.den.is_one()
         kinds["fraction images"] += any(not im.den.is_one() for im in images)
