@@ -8,7 +8,7 @@ sending variable i to variable g(i); this is a left action:
 perm_act(g*h, f) == perm_act(g, perm_act(h, f)).  So when the scaled
 action (B, d) of each g on a generator set is unique, g -> (B, d) is a
 homomorphism, and kernels and faithfulness are read off the group its
-generators' images generate, closed (monomial.close) as the permutations
+generators' images generate, closed by monomial.close on the image tuples
 they make of one orbit of scaled monomials (monomial.orbit_permutations).
 """
 

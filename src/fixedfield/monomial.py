@@ -19,12 +19,17 @@ independent, so at most one rational a exists; the residual check alone
 makes an answer exact (an integer a that reproduces every coordinate is
 that one), and the divisibility test only rejects a non-integral a
 before the residual is summed.
+
+Groups are sets of image tuples, permutations of 1..n, closed by close
+with its product image_times: the permutation groups of perms, and matrix
+groups and the image groups of scaled actions as the permutations they
+make of an orbit (orbit_permutations).
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 MATRIX_GROUP_CAP = 10000
 
@@ -77,32 +82,37 @@ def _eliminate(a, width):
     return pivots, prev
 
 
-def close(generators, one, times, cap, start=None):
-    """The set of elements of the group generated by hashable elements,
-    by Dimino's coset enumeration; it closes permutation groups on image
-    tuples, and with them matrix groups and the image groups of scaled
-    actions, as permutations of an orbit (orbit_permutations).  times(h)
-    is the map x -> x*h, a generator already in the group built so far is
-    skipped, and each new one grows the previous subgroup H by the right
-    cosets H*r*s that are new, for r among the coset representatives found
-    so far and s among the generators taken so far.  MonomialError when
-    the group has more than cap elements.
+def image_times(h):
+    """x -> x*h, one C call.  An itemgetter of one index returns the item,
+    not a tuple, but close multiplies no one-point tuples: a one-point group
+    holds only the identity, and close skips generators already in it."""
+    return itemgetter(*[j - 1 for j in h])
+
+
+def close(generators, degree, cap, start=None):
+    """The set of elements of the group that image tuples on 1..degree
+    generate, by Dimino's coset enumeration: a generator already in the
+    group built so far is skipped, and each new one grows the previous
+    subgroup H by the right cosets H*r*s that are new, for r among the coset
+    representatives found so far and s among the generators taken so far.
+    MonomialError when the group has more than cap elements.
 
     start = (elements, generators) is a closed subgroup of the group to
-    grow from, the trivial group ({one}, ()) by default; PermGroup passes
-    the base perms.GroupIndex chose, a subgroup by its generators.  Its
-    generators count as taken, so the coset walk multiplies by them too,
-    or it would miss cosets; when every generator already lies in it, its
-    element set itself is returned, so the two groups share one set."""
+    grow from, the trivial group by default; PermGroup passes the base
+    perms.GroupIndex chose, a subgroup by its generators.  Its generators
+    count as taken, so the coset walk multiplies by them too, or it would
+    miss cosets; when every generator already lies in it, its element set
+    itself is returned, so the two groups share one set."""
+    one = tuple(range(1, degree + 1))
     seen, taken = start or ({one}, ())
-    gens = None  # times(s) for the generators taken so far
+    gens = None  # image_times(s) for the generators taken so far
     for g in generators:
         if g in seen:
             continue
         if gens is None:  # the first new generator: grow a copy of the start
-            gens, seen = [times(s) for s in taken], set(seen)
+            gens, seen = [image_times(s) for s in taken], set(seen)
             elements = list(seen)
-        gens.append(times(g))
+        gens.append(image_times(g))
         subgroup = list(elements)
         reps = [one]
         for r in reps:  # reps grows while it is walked
@@ -112,7 +122,7 @@ def close(generators, one, times, cap, start=None):
                     continue
                 if len(elements) + len(subgroup) > cap:
                     raise MonomialError(f"group exceeded cap {cap}")
-                times_q = times(q)
+                times_q = image_times(q)
                 coset = [times_q(h) for h in subgroup]  # H*q
                 seen.update(coset)
                 elements.extend(coset)
@@ -121,7 +131,7 @@ def close(generators, one, times, cap, start=None):
 
 
 def orbit_permutations(actions, n, field, cap):
-    """[identity, *perms]: the scaled actions (B, d) on n variables t, as
+    """(|Omega|, perms): the scaled actions (B, d) on n variables t, as
     1-based image tuples on Omega, the orbit of the points (1, e_j) under
     the group they generate.  A point (c, v) is the scaled monomial
     c * prod_k t_k^{v_k}, which (B, d) sends to (c * prod_j d_j^{v_j}, B*v).
@@ -146,7 +156,7 @@ def orbit_permutations(actions, n, field, cap):
                 points.append(q)
                 k = index[q] = len(points)
             images.append(k)
-    return [tuple(range(1, len(points) + 1))] + [tuple(p) for p in perms]
+    return len(points), [tuple(p) for p in perms]
 
 
 def matrix_group_elements(left, right, n, field):
@@ -156,14 +166,11 @@ def matrix_group_elements(left, right, n, field):
     orbit that the largest group acts on faithfully.  MonomialError when
     the orbit or a group outgrows MATRIX_GROUP_CAP, as for a matrix of
     infinite order."""
-    from .perms import image_times  # perms imports close from here
-
     units = (field.one(),) * n
-    ident, *perms = orbit_permutations(
+    size, perms = orbit_permutations(
         [(m, units) for m in left + right], n, field, MATRIX_GROUP_CAP)
     k = len(left)
-    return [close(gens, ident, image_times, MATRIX_GROUP_CAP)
-            for gens in (perms[:k], perms[k:], perms)]
+    return [close(gens, size, MATRIX_GROUP_CAP) for gens in (perms[:k], perms[k:], perms)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,10 @@ only images it is handed from outside, not products, inverses, powers or
 parsed cycles.
 
 Group closure is Dimino's coset enumeration (Butler, Fundamental
-Algorithms for Permutation Groups, 1991), run by monomial.close, the one
-enumeration for every group here: the generators are added one at a
-time, a generator already in the group built so far is skipped, and each
-new one grows the previous subgroup H by right cosets H*r, so every
-element costs about one product.  The orders involved never exceed a few
-thousand, so no stabilizer chains are needed.  A PermGroup closes on
-plain image tuples, where x*h is itemgetter(*[j - 1 for j in h]) applied
-to x, one C call per product, and keeps those tuples as its elements.
+Algorithms for Permutation Groups, 1991), which monomial.close runs on
+image tuples for every group here, at about one product per element; a
+PermGroup keeps those tuples as its elements.  The orders involved never
+exceed a few thousand, so no stabilizer chains are needed.
 
 Dimino's enumeration grows a known subgroup, so a PermGroup may start
 from a closed subgroup, its base.  Suites declare groups along chains of
@@ -33,7 +29,7 @@ s*t*s^-1 lies in H for every s in S and every generator t of H.
 from __future__ import annotations
 
 import re
-from operator import itemgetter, mul
+from operator import mul
 
 from .monomial import MonomialError, close
 from .scalars import power
@@ -45,19 +41,6 @@ POINTS_CAP = 64
 
 class PermError(ValueError):
     pass
-
-
-def picker(index):
-    """x -> the tuple of x's items at index, one C call for two or more:
-    itemgetter of one index returns the item, not a tuple."""
-    if len(index) > 1:
-        return itemgetter(*index)
-    return lambda x: tuple([x[k] for k in index])
-
-
-def image_times(h):
-    """times of monomial.close for image tuples: x -> x*h."""
-    return picker([j - 1 for j in h])
 
 
 class Perm:
@@ -154,7 +137,6 @@ def parse_cycles(text: str, n: int) -> Perm:
         return Perm.identity(n)
     pos = 0
     images = list(range(1, n + 1))
-    matched = False
     while pos < len(text):
         m = _CYCLE.match(text, pos)
         if not m:
@@ -162,7 +144,6 @@ def parse_cycles(text: str, n: int) -> Perm:
                 pos += 1
                 continue
             raise PermError(f"bad cycle notation at {text[pos:]!r}")
-        matched = True
         points = [int(p) for p in m.group(1).split(",")]
         if len(set(points)) != len(points):
             raise PermError(f"repeated point in cycle {m.group(0)}")
@@ -173,8 +154,6 @@ def parse_cycles(text: str, n: int) -> Perm:
         for a, image in zip(points, moved):
             images[a - 1] = image
         pos = m.end()
-    if not matched:
-        raise PermError(f"bad cycle notation {text!r}")
     return Perm._trusted(tuple(images))
 
 
@@ -198,9 +177,8 @@ class PermGroup:
         try:
             # frozenset of a frozenset is that frozenset: a group that adds
             # nothing to its base shares the base's element set
-            self.elements = frozenset(close([g.images for g in generators],
-                                            tuple(range(1, degree + 1)), image_times, CLOSURE_CAP,
-                                            start))
+            self.elements = frozenset(close([g.images for g in generators], degree,
+                                            CLOSURE_CAP, start))
         except MonomialError:
             raise PermError(f"closure exceeded cap {CLOSURE_CAP}") from None
         self.order = len(self.elements)
@@ -293,22 +271,19 @@ def wreath_product(inner: PermGroup, outer: PermGroup, blocks) -> PermGroup:
     return PermGroup(gens, degree=nm)
 
 
-def _cyclic(n):
-    return PermGroup([parse_cycles("(" + ",".join(map(str, range(1, n + 1))) + ")", n)])
+NAMED_GROUPS = {  # name -> (degree, the cycle words of its generators)
+    "C2": (2, ["(1,2)"]),
+    "C4": (4, ["(1,2,3,4)"]),
+    "V4": (4, ["(1,2)(3,4)", "(1,3)(2,4)"]),
+    "D4": (4, ["(1,2,3,4)", "(2,4)"]),
+    "A4": (4, ["(1,2,3)", "(1,2)(3,4)"]),
+    "S4": (4, ["(1,2)", "(1,2,3,4)"]),
+}
 
 
 def named_group(name: str) -> PermGroup:
     """Small standard groups on their natural points, used as wreath factors."""
-    if name == "C2":
-        return _cyclic(2)
-    if name == "C4":
-        return _cyclic(4)
-    if name == "V4":
-        return PermGroup([parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4)])
-    if name == "D4":
-        return PermGroup([parse_cycles("(1,2,3,4)", 4), parse_cycles("(2,4)", 4)])
-    if name == "A4":
-        return PermGroup([parse_cycles("(1,2,3)", 4), parse_cycles("(1,2)(3,4)", 4)])
-    if name == "S4":
-        return PermGroup([parse_cycles("(1,2)", 4), parse_cycles("(1,2,3,4)", 4)])
-    raise PermError(f"unknown named group {name!r}")
+    if name not in NAMED_GROUPS:
+        raise PermError(f"unknown named group {name!r}")
+    n, words = NAMED_GROUPS[name]
+    return PermGroup([parse_cycles(w, n) for w in words], n)

@@ -62,7 +62,6 @@ from .perms import (
     Perm,
     PermError,
     PermGroup,
-    image_times,
     is_normal,
     is_transitive,
     named_group,
@@ -280,11 +279,13 @@ class Suite:
 
     def root(self, text) -> Table:
         """The one root of the tables text names, or the first table's root
-        when it names none; SuiteError when they lie below two roots."""
+        when it names none; SuiteError when there are two roots, or none."""
         owners = {self.var_owner[v] for v in self.names(text) - {"zeta3"}}
         roots = {t.root() for t in owners}
         if len(roots) > 1:
             raise SuiteError(f"expression mixes unrelated roots: {text}")
+        if not (roots or self.tables):
+            raise SuiteError(f"no vars table to ground {text!r} over")
         return roots.pop() if roots else next(iter(self.tables.values())).root()
 
     def group_memo(self, vt: VarTable, fld: Field) -> dict:
@@ -302,7 +303,9 @@ class Suite:
         defs_to(stop) unless stop is that one table.  stop defaults to their
         one root.  The field is stop's joined with theirs (a table's field
         contains its parent's), and with zeta3 when the text names it.  Each
-        (text, stop) is grounded once; a text that raises is not kept."""
+        (text, resolved stop) is grounded once; a text that raises is not kept."""
+        if stop is None:
+            stop = self.root(text)
         key = (text, stop)
         out = self._grounded.get(key)
         if out is not None:
@@ -310,8 +313,6 @@ class Suite:
         names = self.names(text)
         owners = {self.var_owner[v] for v in names - {"zeta3"}}
         tables = [t for t in self.tables.values() if t in owners]
-        if stop is None:
-            stop = self.root(text)
         fld = stop.field
         for t in tables:
             fld = join(fld, t.field)
@@ -1000,9 +1001,9 @@ def _image_group(suite: Suite, check: Check):
         phi = lambda g: (suite.scaled_action(table, g)[0], one[1])
     else:
         phi = lambda g: suite.scaled_action(table, g)
-    ident, *gens = orbit_permutations(
+    size, gens = orbit_permutations(
         [phi(g) for g in group.generators], n, table.field, group.order)
-    return group, phi, one, len(close(gens, ident, image_times, group.order))
+    return group, phi, one, len(close(gens, size, group.order))
 
 
 def _run_kernel(suite: Suite, check: Check):

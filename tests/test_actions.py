@@ -8,9 +8,9 @@ from fixedfield.actions import (
     perm_act,
     permutation_matrix,
 )
-from fixedfield.monomial import MonomialError, close, orbit_permutations
+from fixedfield.monomial import MonomialError, close, image_times, orbit_permutations
 from fixedfield.parser import parse_expr
-from fixedfield.perms import Perm, image_times, parse_cycles
+from fixedfield.perms import Perm, parse_cycles
 from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute
 from fixedfield.scalars import F2, QQ
 from fixedfield.suite import FAIL, PASS, Suite, parse_suite_text, run_parsed_suite
@@ -450,9 +450,9 @@ def test_orbit_permutations_compose_scaled_actions():
     assert max(abs(e) for b, _ in phi.values() for row in b for e in row) > 1
     assert {c for _, d in phi.values() for c in d} - {1, -1}
     # the images of all six elements, as permutations of the one orbit
-    ident, *perms = orbit_permutations(list(phi.values()), 3, table.field, group.order)
+    size, perms = orbit_permutations(list(phi.values()), 3, table.field, group.order)
     orbit = dict(zip(phi, perms))
-    assert orbit[Perm.identity(3)] == ident
+    assert orbit[Perm.identity(3)] == tuple(range(1, size + 1))
     for g in elements:
         for h in elements:
             assert image_times(orbit[h])(orbit[g]) == orbit[g * h], (g, h)
@@ -471,10 +471,10 @@ def test_orbit_permutations_cap_an_action_of_infinite_order():
     # the closure keeps the cap on the group: a swap fits the orbit's 2 * 1
     # points, but not a group of order 1
     swap = (((0, 1), (1, 0)), (1, 1))
-    ident, perm = orbit_permutations([swap], 2, QQ, 1)
-    assert (ident, perm) == ((1, 2), (2, 1))
+    size, perms = orbit_permutations([swap], 2, QQ, 1)
+    assert (size, perms) == (2, [(2, 1)])
     with pytest.raises(MonomialError, match="^group exceeded cap 1$"):
-        close([perm], ident, image_times, 1)
+        close(perms, size, 1)
 
 
 def test_a_kernel_kind_on_an_infinite_image_is_an_error(monkeypatch):

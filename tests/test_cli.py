@@ -151,9 +151,29 @@ def test_bad_usage(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_no_command_prints_usage_and_exits_2(capsys):
+    code, out, err = run([], capsys)
+    assert code == 2 and out.startswith("usage: ") and err == ""
+
+
 def test_fail_fast_flag_runs(capsys):
     code, out, err = run(["verify", "--suite", "thm210", "--fail-fast"], capsys)
     assert code == 0
+
+
+def test_fail_fast_runs_no_suite_after_one_that_fails(capsys, monkeypatch):
+    import fixedfield.suite as suite_mod
+
+    text = ('suite prop22 field=Q\npoints 3\ngroup A3 = (1,2,3) expect_order=3\n'
+            'check order A3 = 6 ref="r"\n')
+    load_suite = suite_mod.load_suite
+    monkeypatch.setattr(suite_mod, "load_suite", lambda name: suite_mod.parse_suite_text(text)
+                        if name == "prop22" else load_suite(name))
+    argv = ["verify", "--suite", "prop22", "--suite", "thm210", "--format", "json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 1 and [d["suite"] for d in json.loads(out)] == ["prop22", "thm210"]
+    code, out, _ = run(argv + ["--fail-fast"], capsys)
+    assert code == 1 and json.loads(out)["suite"] == "prop22"
 
 
 def test_verify_all_json_deterministic(capsys):

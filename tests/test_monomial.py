@@ -19,7 +19,7 @@ from fixedfield.monomial import (
     solve_int_combination,
 )
 from fixedfield.parser import parse_expr
-from fixedfield.perms import Perm, image_times, parse_cycles
+from fixedfield.perms import Perm, parse_cycles
 from fixedfield.poly import Poly, RatFunc, VarTable
 from fixedfield.scalars import QQ
 from fixedfield.suite import FAIL, PASS, SuiteError, load_suite, parse_suite_text, run_parsed_suite
@@ -220,11 +220,11 @@ def test_close_cap_is_exact(monkeypatch):
     # permutes the 6 points (1, +-e_j) of their orbit
     gens = [mat_neg(SIGMA_4A), LAMBDA_1]
     units = (QQ.one(),) * 3
-    ident, *perms = orbit_permutations([(g, units) for g in gens], 3, QQ, 8)
-    assert len(ident) == 6
+    size, perms = orbit_permutations([(g, units) for g in gens], 3, QQ, 8)
+    assert size == 6
     with pytest.raises(MonomialError, match="^group exceeded cap 7$"):
-        close(perms, ident, image_times, 7)
-    assert len(close(perms, ident, image_times, 8)) == 8
+        close(perms, size, 7)
+    assert len(close(perms, size, 8)) == 8
     monkeypatch.setattr(monomial, "MATRIX_GROUP_CAP", 7)
     with pytest.raises(MonomialError, match="^group exceeded cap 7$"):
         matrix_group_elements(gens, gens, 3, QQ)
@@ -383,6 +383,9 @@ def test_solve_int_combination():
     assert solve_int_combination(lattice, (1, 1, -1, -1)) == (1, 1, -1)
     assert solve_int_combination(lattice, (1, 1, 1, 0)) is None  # not in the lattice
     assert solve_int_combination(lattice_of_rows([(2, 0)]), (1, 0)) is None  # non-integer
+    for target in ((1, 1, -1), (1, 1, -1, -1, 0)):
+        with pytest.raises(MonomialError, match="^target length differs from the exponent rows$"):
+            solve_int_combination(lattice, target)
 
 
 def test_dependent_rows_raise_when_the_lattice_is_built():

@@ -34,6 +34,19 @@ def test_parse_cycles_examples():
     assert parse_cycles("()", 5) == Perm.identity(5)
 
 
+def test_parse_cycles_skips_whitespace_between_cycles():
+    assert P(" (1,2) \t(3,4)  ") == P("(1,2)(3,4)") == Perm((2, 1, 4, 3, 5, 6, 7, 8))
+    with pytest.raises(PermError, match="^bad cycle notation at 'x'$"):
+        P("(1,2) x")
+    # as a suite writes a claimed induced permutation
+    from fixedfield.suite import PASS, parse_suite_text, run_parsed_suite
+
+    text = ("suite mini field=Q\npoints 4\nvars x = x1 x2 x3 x4\n"
+            'check induced x = (1,2) (3,4) elem=(1,2)(3,4) ref="r"\n')
+    [check] = run_parsed_suite(parse_suite_text(text)).checks
+    assert (check.status, check.detail) == (PASS, "induced (1,2)(3,4), expected (1,2)(3,4)")
+
+
 def test_nondisjoint_cycles_compose_left_to_right():
     # leftmost cycle applied last: (1,2)(2,3) sends 3 -> 2 -> 1
     p = P("(1,2)(2,3)", 3)
@@ -160,8 +173,10 @@ def test_wreath_orders_and_identifications():
                                        list(range(inner.degree + 1, 2 * inner.degree + 1))])
         assert w.order == inner.order**2 * 2
 
-    with pytest.raises(PermError):
+    with pytest.raises(PermError, match="^blocks must be 2 lists of 2 points$"):
         wreath_product(c2, c2, [[1, 2, 3], [4]])
+    with pytest.raises(PermError, match=r"^blocks must partition 1\.\.4$"):
+        wreath_product(c2, c2, [[1, 2], [2, 1]])
 
 
 def test_conjugation_identity_from_linear_group_dictionary():
@@ -187,6 +202,26 @@ def test_perm_rejects_non_bijections():
         Perm([1, 1, 2])
     with pytest.raises(PermError):
         Perm([0, 1, 2])
+
+
+def test_products_and_groups_reject_mixed_degrees():
+    with pytest.raises(PermError, match="^degree mismatch$"):
+        P("(1,2)", 3) * P("(1,2)", 4)
+    with pytest.raises(PermError, match="^generators of mixed degree$"):
+        PermGroup([P("(1,2)", 3), P("(1,2)", 4)])
+    with pytest.raises(PermError, match="^generators of mixed degree$"):
+        PermGroup([P("(1,2)", 3)], degree=4)
+    # an empty generating set has no degree to read
+    with pytest.raises(PermError, match="^degree required for an empty generating set$"):
+        PermGroup([])
+    assert PermGroup([], degree=3).elements == {(1, 2, 3)}
+
+
+def test_perm_and_group_reprs():
+    assert repr(P("(1,2,3)(4,5)", 5)) == "Perm[(1,2,3)(4,5)]"
+    assert repr(Perm.identity(3)) == "Perm[()]"
+    assert repr(PermGroup([P("(1,2,3)", 3), P("(1,2)", 3)])) == (
+        "PermGroup(order=6, gens=[(1,2,3), (1,2)])")
 
 
 def _composed(g, h):
@@ -340,7 +375,7 @@ def test_declared_groups_close_from_the_largest_subgroup_they_extend(monkeypatch
 
     starts = []
     real_close = perms.close
-    monkeypatch.setattr(perms, "close", lambda *args: starts.append(args[4]) or real_close(*args))
+    monkeypatch.setattr(perms, "close", lambda *args: starts.append(args[3]) or real_close(*args))
     suite = parse_suite_text(
         "suite mini field=Q\npoints 4\n"
         "group A = (1,2) expect_order=2\n"
@@ -375,6 +410,7 @@ def test_redundant_generating_sets_share_their_group_and_save_products(
     # products are counted at the one permutation product of a closure;
     # closing every group from the identity made 47,381 on this workload
     # and 18,938 on the shipped suites
+    from fixedfield import monomial
     from fixedfield.suite import list_suites, load_suite, parse_suite_text
 
     products = 0
@@ -389,16 +425,16 @@ def test_redundant_generating_sets_share_their_group_and_save_products(
 
         return counted
 
-    image_times = perms.image_times
-    monkeypatch.setattr(perms, "image_times", counted_image_times)
+    image_times = monomial.image_times
+    monkeypatch.setattr(monomial, "image_times", counted_image_times)
     [(_, text)] = perfbench_workloads.groups(3).suites
     groups = parse_suite_text(text).groups
     redundant = [name for name in groups if "_r" in name]
     assert len(redundant) == 192
     for name in redundant:
         assert groups[name].elements is groups[name.split("_r")[0]].elements
-    assert products <= 47381 // 4
+    assert 0 < products <= 47381 // 4
     products = 0
     for name in list_suites():
         load_suite(name)
-    assert products < 18938
+    assert 0 < products < 18938

@@ -67,6 +67,22 @@ def test_poly_arith_dispatch_and_errors():
         q("x1") * f2("x1")
 
 
+def test_public_guards_and_reprs():
+    with pytest.raises(PolyError, match=r"^duplicate variable names in \('x1', 'x2', 'x1'\)$"):
+        VarTable(["x1", "x2", "x1"])
+    with pytest.raises(PolyError, match="^2 exponents for 3 variables$"):
+        X.pack((1, 2))
+    with pytest.raises(PolyError, match="^unknown variable 'y1'$"):
+        Poly.var(X, QQ, "y1")
+    with pytest.raises(PolyError, match="^negative power of a polynomial; use RatFunc$"):
+        q("x1 + 1").num ** -1
+    with pytest.raises(PolyError, match="^rational functions over different variable tables$"):
+        ratfunc_eq(q("x1"), parse_expr("y1", Y, QQ))
+    assert repr(X) == "VarTable(x1, x2, x3)"
+    assert repr(q("x1 + 1").num) == "Poly(x1+1)"
+    assert repr(q("x1/(x2 + 1)")) == "RatFunc((x1)/(x2+1))"
+
+
 def test_zero_poly_invariant():
     p = q("x1 - x1")
     assert p.num.is_zero() and p.num.terms == {}

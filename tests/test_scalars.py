@@ -91,6 +91,8 @@ def test_scalar_wrapper_and_dispatch():
     assert QZ3.mul(z, QZ3.mul(z, z)) == QZ3.from_int(1)
     with pytest.raises(ZeroDivisionError):
         F4.div(F4.from_int(1), F4.from_int(0))
+    with pytest.raises(ZeroDivisionError, match="^division by zero in Q$"):
+        QQ.inv(QQ.zero())
 
 
 def test_canonical_equality():
@@ -125,6 +127,10 @@ def test_join_is_the_larger_field_of_one_chain():
     for small, big in [(QQ, QZ3), (F2, F4)]:
         assert embed(small.one(), small, join(small, big)) == big.one()
     assert [with_zeta3(f) for f in (QQ, F2, QZ3, F4)] == [QZ3, F4, QZ3, F4]
+    # and only small into big
+    for src, dst in [(QZ3, QQ), (F4, F2), (QQ, F2)]:
+        with pytest.raises(FieldError, match=f"^no embedding {src.tag} -> {dst.tag}$"):
+            embed(src.one(), src, dst)
 
 
 def test_f2_and_f4_are_one_table_driven_class():

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import re
@@ -15,12 +16,13 @@ from fixedfield.monomial import mat_identity
 from fixedfield.parser import _tokenize, expression_names, parse_expr
 from fixedfield.perms import POINTS_CAP, Perm, PermGroup
 from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute
-from fixedfield.scalars import field_by_tag, join, with_zeta3
+from fixedfield.scalars import QQ, field_by_tag, join, with_zeta3
 from fixedfield.suite import (
     FAIL,
     FLAGGED,
     KINDS,
     PASS,
+    Suite,
     SuiteError,
     _image_group,
     list_suites,
@@ -416,16 +418,38 @@ def test_loader_rejects_statements_without_their_assignment(line, message):
         ("vars y = y1\nvars t = t1 t2\ndef t.t1 = x1\ndef t.t2 = y1",
          "line 8: definition of t.t2 uses table 'y', expected 'x'"),
         ("vars t = t1\ndef t.t1 = x1 - x1", "line 6: zero definition in table 't'"),
+        ("matrix M = 1,2 / 3", "line 5: ragged matrix"),
     ],
     ids=["duplicate-perm", "duplicate-table", "duplicate-group", "duplicate-variable",
          "unknown-check-kind", "def-after-complete", "def-of-a-foreign-variable",
          "def-unknown-variable", "def-over-two-tables", "def-over-no-table",
          "def-over-its-own-table", "def-over-a-larger-field", "def-over-another-parent",
-         "def-zero"],
+         "def-zero", "matrix-ragged"],
 )
 def test_loader_rejects_repeated_names_unknown_kinds_and_bad_definitions(lines, message):
     with pytest.raises(SuiteError, match="^" + re.escape(message) + "$"):
         _mini(lines)
+
+
+def test_a_suite_file_that_declares_another_name_is_rejected(tmp_path, monkeypatch):
+    # load_suite reads data/<name>.suite beside the module
+    import fixedfield.suite as suite_mod
+
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "prop22.suite").write_text("suite other field=Q\npoints 3\n")
+    monkeypatch.setattr(suite_mod, "__file__", str(tmp_path / "suite.py"))
+    with pytest.raises(SuiteError, match="^suite file prop22.suite declares name 'other'$"):
+        load_suite("prop22")
+
+
+def test_wreath_blocks_that_do_not_partition_the_points_end_in_error():
+    text = ("suite mini field=Q\npoints 4\ngroup V = (1,2) (3,4) expect_order=4\n"
+            'check wreath V = C2 wr C2 blocks = 1,2|2,1 ref="r"\n'
+            'check wreath V = C2 wr C2 blocks = 1,2|3 ref="r"\n')
+    checks = run_parsed_suite(parse_suite_text(text)).checks
+    assert [(c.status, c.detail) for c in checks] == [
+        (FAIL, "error: blocks must partition 1..4"),
+        (FAIL, "error: blocks must be 2 lists of 2 points")]
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "# nothing here\n  # nor here \\\n"],
@@ -982,6 +1006,33 @@ def test_loading_imports_no_module_it_does_not_run(reports):
     imported, blob = out.split("\n", 1)
     assert imported == "[]"
     assert blob == report_to_json(reports["catalog"])
+
+
+def test_no_function_imports_a_module_of_the_package():
+    # each module imports its siblings at the top, so an import cycle
+    # between them fails at import instead of hiding in a function body;
+    # functions may still import the standard library late, to keep it
+    # off the load path
+    package, late = [], set()
+    for path in sorted(Path(fixedfield.__file__).resolve().parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    names = ["." * node.level + (node.module or "")]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    if name.startswith(".") or name.split(".")[0] == "fixedfield":
+                        package.append(f"{path.name}:{node.lineno} {name}")
+                    late.add((path.name, name))
+    assert package == []
+    # the walk reaches function bodies: fractions in scalars.py and json in
+    # report_to_json are imported there
+    assert {("scalars.py", "fractions"), ("suite.py", "json")} <= late
 
 
 # --- coverage manifest: every in-scope topic is touched by some check -------
@@ -1585,9 +1636,10 @@ def test_parser_matches_an_all_ratfunc_evaluation(monkeypatch, perfbench_workloa
         keys, _, _ = _row_work(suite, run_parsed_suite(suite))
         # one parse per definition and per distinct grounding key (text,
         # stop) of a table image or a grounded check's expression (the
-        # grounding memo)
+        # grounding memo), where no stop is the text's root
         floor += sum(len(t.vt) for t in suite.tables.values() if t.defs is not None)
-        floor += len(keys | set(_grounded_expressions(suite)))
+        floor += len(keys | {(text, stop or suite.root(text))
+                             for text, stop in _grounded_expressions(suite)})
     shipped = len(calls)
     for _, text in perfbench_workloads.algebra(11).suites:
         run_parsed_suite(parse_suite_text(text))
@@ -1837,6 +1889,24 @@ def test_image_memo_matches_a_memo_free_run(monkeypatch):
     assert len(keys) < sum(len(texts) for texts, _ in rows)
 
 
+def test_grounding_with_no_stop_is_grounding_at_the_root():
+    # one memo entry, whichever way the root is named, on every grounded
+    # expression of a suite with two roots
+    suite = load_suite("sec4")
+    assert len({t.root() for t in suite.tables.values()}) == 2
+    texts = [text for text, stop in _grounded_expressions(suite) if stop is None]
+    assert texts
+    for text in texts:
+        assert suite.ground_expr(text) is suite.ground_expr(text, suite.root(text)), text
+
+
+def test_grounding_with_no_table_is_a_suite_error():
+    suite = Suite("m", QQ, 3)
+    for call in (suite.root, suite.ground_expr):
+        with pytest.raises(SuiteError, match="^no vars table to ground '1' over$"):
+            call("1")
+
+
 def test_grounding_memo_is_keyed_by_stop():
     # one text grounded at its root and at over=t: two values, over two
     # tables, each the namespace oracle's
@@ -1849,6 +1919,7 @@ def test_grounding_memo_is_keyed_by_stop():
     for (_, grounded), stop in zip(pairs, (None, t)):
         assert ratfunc_eq(grounded, _ground_by_substitution(suite, text, stop))
     assert suite.ground_expr(text) is pairs[0] and suite.ground_expr(text, t) is pairs[1]
+    assert suite.ground_expr(text, x) is pairs[0]
     # a via=ground and a via=parent row of one image text: one parse over
     # z each, grounded at x and at y
     suite = parse_suite_text(_MEMO_SUITE)
