@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import suite
-from .parser import parse_expr
+from .parser import parse_expr, require_variable_names
 from .perms import PermGroup
 from .poly import VarTable
 from .scalars import FieldError, field_by_tag
@@ -119,8 +119,8 @@ def _cmd_eval(args) -> int:
         return 2
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
     try:
-        table = VarTable(names)
-        text = str(parse_expr(args.expression, table, field))
+        require_variable_names(names)
+        text = str(parse_expr(args.expression, VarTable(names), field))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,27 +34,26 @@ monomial are checked, which is the check a product by that factor
 makes, so the caps raise at the same factor as without folding.  An
 expression adds its terms into one dict until a RatFunc term arrives.
 
-Each parenthesised group is evaluated once per memo.  The memo maps a
-group's exact text, '(' to its matching ')', to its value, its depth
-(the most '(' and unary '-' around a base inside it, its own '('
-included) and its length in tokens.  The parentheses of the text are
-paired once per parse, so a group's text is known when its '(' is read.
-A value depends on the text, the table and the field alone, and no
-parse changes a value it reads (a Poly is never changed; expr and term
-copy before they add), so every parse over one table in one field may
-share one memo: a suite keeps one per pair for as long as it lives, and
-a parse_expr call without one gets its own.  A group of the memo is
-skipped when the depth around its '(' plus its depth stays within
-NESTING_LIMIT; otherwise it is parsed again and raises where it would
-without the memo.  A group that raises is not stored, and a power of a
-group is not stored either.  Error positions are unchanged, since the
-token count of a skipped group maps the tokens after it to their index
-in the whole text.
+Each parenthesised group is evaluated once per memo, which maps its
+exact text, '(' to its matching ')', to its value and nothing else.  The
+parentheses of the text are paired once per parse, so a group's text is
+known when its '(' is read.  A value depends on the text, the table and
+the field alone, and no parse changes a value it reads (a Poly is never
+changed; expr and term copy before they add), so every parse over one
+table in one field may share one memo: a suite keeps one per pair for
+as long as it lives, and a parse_expr call without one gets its own.
+A group of the memo is skipped when the depth around its '(' plus its
+count of '(' and '-', a bound on the depth of every base inside it,
+stays within NESTING_LIMIT; otherwise it is parsed again and raises
+where it would without the memo.  Neither a group that raises nor a
+power of a group is stored.  A ParseError counts only the tokens outside
+the skipped groups, so its position is the one a parse without a memo gives.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect
 
 from .poly import Poly, RatFunc, VarTable, _add_into, monomial_power
 from .scalars import Field
@@ -107,14 +106,13 @@ class _Parser:
         self.text = text
         self.opens, self.closes, _ = paren_spans(text)
         self.k = 0  # the '(' that ends the tokens read so far, if any is left
-        self.skipped = 0  # the tokens of the groups skipped so far
+        self.spans = []  # the (at, to) span of each group skipped so far
         # (integer, name, operator) strings, one of them nonempty, then an
         # all-empty end token
         self.tokens = []
         self.scan(0)
         self.i = 0
         self.depth = 0  # open '(' and unary '-' around the current base
-        self.peak = 0  # the greatest depth reached in the innermost open group
         self.vars = vars
         self.field = field
         self.memo = memo
@@ -128,8 +126,11 @@ class _Parser:
             self.tokens.append(_UNEXPECTED)
 
     def error(self, message, i):
-        """A ParseError at the i-th token read, no group skipped after it."""
-        return ParseError(message, _tokenize(self.text)[i + self.skipped][2])
+        """A ParseError at the i-th token read: the i-th token of the text
+        outside the groups skipped so far."""
+        read = [pos for _, _, pos in _tokenize(self.text)
+                if not any(at < pos <= to for at, to in self.spans)]
+        return ParseError(message, read[i])
 
     def poly(self, value):
         """value as a Poly or RatFunc: a one-term pair becomes a Poly."""
@@ -181,7 +182,7 @@ class _Parser:
         # monomial lead times the run is the leading monomial of the product
         folds, lead = _folds(prod)
         while op == "*" or op == "/":
-            pos = self.i + self.skipped  # the operator's index among all tokens
+            pos = self.i  # the operator's index in tokens
             self.i += 1
             rhs = self.factor()
             if op == "*" and type(rhs) is tuple and folds:
@@ -202,7 +203,7 @@ class _Parser:
                     prod = prod * rhs
                 else:
                     if rhs.is_zero():
-                        raise self.error("division by zero", pos - self.skipped)
+                        raise self.error("division by zero", pos)
                     prod = _ratfunc(prod) / _ratfunc(rhs)
                 folds, lead = _folds(prod)
             op = self.tokens[self.i][2]
@@ -255,8 +256,6 @@ class _Parser:
             self.depth += 1
             if self.depth > NESTING_LIMIT:
                 raise self.error(f"nesting deeper than {NESTING_LIMIT}", self.i - 1)
-            if self.depth > self.peak:
-                self.peak = self.depth
             if op == "(":
                 out = self.group()
             else:
@@ -270,34 +269,26 @@ class _Parser:
 
     def group(self):
         """The value of the group whose '(' was just read.  A group of the
-        memo is skipped when its depth fits under the cap; any other is
-        parsed, and stored unless it raises.  A memo entry is (value,
-        depth, tokens from '(' to ')', groups nested inside)."""
+        memo is skipped when its bound on the depth inside fits under the
+        cap; any other is parsed, and stored unless it raises."""
         k = self.k
         at, to = self.opens[k], self.closes[k]
         key = None if to is None else self.text[at:to + 1]
-        outer = self.depth - 1  # the depth around the '('
-        hit = self.memo.get(key)
-        if hit is not None:
-            out, depth, tokens, inner = hit
-            if outer + depth <= NESTING_LIMIT:
-                self.skipped += tokens - 1
-                self.k = k + 1 + inner
-                self.scan(to + 1)
-                if outer + depth > self.peak:
-                    self.peak = outer + depth
-                return out
+        out = self.memo.get(key)
+        # self.depth - 1 is the depth around the '('
+        if out is not None and self.depth - 1 + key.count("(") + key.count("-") <= NESTING_LIMIT:
+            self.spans.append((at, to))
+            self.k = bisect(self.opens, to, k + 1)
+            self.scan(to + 1)
+            return out
         self.k = k + 1
         self.scan(at + 1)
-        start, peak = self.i - 1 + self.skipped, self.peak
-        self.peak = self.depth
         out = self.expr()
         if self.tokens[self.i][2] != ")":
             raise self.error("expected ')'", self.i)
         self.i += 1
         # the ')' just read matches the '(': key is this group's text
-        self.memo[key] = out, self.peak - outer, self.i + self.skipped - start, self.k - k - 1
-        self.peak = max(self.peak, peak)
+        self.memo[key] = out
         return out
 
 
@@ -358,6 +349,15 @@ def paren_spans(text: str):
     if stray is None and pending:
         stray = opens[pending[0]]
     return opens, closes, stray
+
+
+def require_variable_names(names):
+    """ValueError at the first of names that no expression can name: one
+    that is not a name token, or zeta3, which is read as the constant."""
+    for n in names:
+        if n == "zeta3" or not _NAME.fullmatch(n):
+            why = "is reserved for the cube root of unity" if n == "zeta3" else "is not a name"
+            raise ValueError(f"variable name {n!r} {why}")
 
 
 def expression_names(text: str):

@@ -55,6 +55,7 @@ from .parser import (
     expression_names,
     paren_spans,
     parse_expr,
+    require_variable_names,
 )
 from .perms import (
     POINTS_CAP,
@@ -201,10 +202,12 @@ class Suite:
         self.checks: list[Check] = []
         self.check_ids: set[str] = set()
         self._scaled_cache: dict = {}
-        self._grounded: dict = {}  # ground_expr's memo: (text, stop) -> pair
+        self._grounded: dict = {}  # ground_expr's memo: (text, stop) -> RatFunc
         self._names: dict = {}  # names' memo: text -> its set of names
         self._texts: dict = {}  # each expression a check names -> its first check's index
-        self._groups: dict = {}  # (VarTable, Field) -> parse_expr's memo of group texts
+        # (a table's VarTable, Field) -> the memo of group texts that every
+        # parse over that pair shares (see parser.py)
+        self._groups: dict = {}
         # (table, elem) -> index in checks of the first single-element row of
         # table on elem that is not expect=fail: the row that rows below act through
         self._rows: dict = {}
@@ -288,22 +291,14 @@ class Suite:
             raise SuiteError(f"no vars table to ground {text!r} over")
         return roots.pop() if roots else next(iter(self.tables.values())).root()
 
-    def group_memo(self, vt: VarTable, fld: Field) -> dict:
-        """The memo of parenthesised groups that every parse of this suite
-        over vt in fld shares: a group's value depends on its text, vt and
-        fld alone, and no parse changes a value it reads."""
-        memo = self._groups.get((vt, fld))
-        if memo is None:
-            memo = self._groups[vt, fld] = {}
-        return memo
-
-    def ground_expr(self, text, stop: Table | None = None):
-        """(parsed, grounded): text parsed over the tables it names (else stop),
-        their variables in declaration order, and substituted at their
-        defs_to(stop) unless stop is that one table.  stop defaults to their
-        one root.  The field is stop's joined with theirs (a table's field
-        contains its parent's), and with zeta3 when the text names it.  Each
-        (text, resolved stop) is grounded once; a text that raises is not kept."""
+    def ground_expr(self, text, stop: Table | None = None) -> RatFunc:
+        """text parsed over the tables it names (else stop), their variables
+        in declaration order, in stop's field joined with theirs (a table's
+        contains its parent's) and with zeta3 when the text names it, then
+        substituted at their defs_to(stop), stop by default their one root.
+        A text of one table is parsed at it whatever the stop, and a variable
+        alone grounds to its definition.  Each (text, resolved stop) is
+        grounded once; a text that raises is not kept."""
         if stop is None:
             stop = self.root(text)
         key = (text, stop)
@@ -312,22 +307,22 @@ class Suite:
             return out
         names = self.names(text)
         owners = {self.var_owner[v] for v in names - {"zeta3"}}
-        tables = [t for t in self.tables.values() if t in owners]
-        fld = stop.field
-        for t in tables:
-            fld = join(fld, t.field)
-        if "zeta3" in names:
-            fld = with_zeta3(fld)
-        tables = tables or [stop]
-        vt = tables[0].vt if len(tables) == 1 else VarTable(
-            [n for t in tables for n in t.vt.names])
-        parsed = grounded = parse_expr(text, vt, fld, self.group_memo(vt, fld))
-        if tables != [stop]:
-            images = [d for t in tables for d in t.defs_to(stop)]
-            # a variable alone grounds to its definition, as substitute would
-            grounded = (images[vt.index[text]].embed(fld) if text in vt
-                        else substitute(parsed, images))
-        self._grounded[key] = out = parsed, grounded
+        tables = [t for t in self.tables.values() if t in owners] or [stop]
+        if len(tables) == 1 and tables[0] is not stop:
+            t = tables[0]
+            images = t.defs_to(stop)  # in t's field, which contains stop's
+            out = (images[t.vt.index[text]] if text in t.vt
+                   else substitute(self.ground_expr(text, t), images))
+        else:
+            fld = reduce(join, [t.field for t in tables], stop.field)
+            fld = with_zeta3(fld) if "zeta3" in names else fld
+            if tables == [stop]:
+                out = parse_expr(text, stop.vt, fld, self._groups.setdefault((stop.vt, fld), {}))
+            else:  # over a VarTable of its own, whose memo no other parse reads
+                vt = VarTable([n for t in tables for n in t.vt.names])
+                out = substitute(parse_expr(text, vt, fld, None),
+                                 [d for t in tables for d in t.defs_to(stop)])
+        self._grounded[key] = out
         return out
 
     # ------------------------------------------------------------------
@@ -497,12 +492,19 @@ def parse_suite_text(text: str) -> Suite:
                 suite.root(expr)
             except SuiteError as exc:
                 raise SuiteError(f"line {check_lines[i]}: {exc}") from None
-    # a pair= may name a check further down the file
     for lineno, check in zip(check_lines, suite.checks):
+        # a pair= may name a check further down the file
         pair = check.attrs.get("pair")
         if pair is not None and pair not in suite.check_ids:
             raise SuiteError(f"line {lineno}: check {check.kind} pairs with unknown "
                              f"check id {pair!r}")
+        # and over= a table whose own parent may be given further down
+        if check.kind == "identity" and check.fields[2] is not None:
+            expr, _, over = check.fields
+            for v in sorted(suite.names(expr) - {"zeta3"}):
+                if over not in (t := suite.var_owner[v], *t.ancestors()):
+                    raise SuiteError(f"line {lineno}: check identity over={over.name} "
+                                     f"is not an ancestor of {t.name}")
     return suite
 
 
@@ -539,8 +541,7 @@ def _parse_vars(suite: Suite, rest):
     if tname in suite.tables:
         raise SuiteError(f"duplicate table {tname!r}")
     names = names.split()
-    if "zeta3" in names:  # an expression reads zeta3 as the constant
-        raise SuiteError("variable name 'zeta3' is reserved for the cube root of unity")
+    require_variable_names(names)
     table = Table(tname, names, fld, parent=None)
     suite.tables[tname] = table
     for n in names:
@@ -583,8 +584,8 @@ def _parse_def(suite: Suite, target, expr):
             f"definition of {target} uses table {parent.name!r}, expected "
             f"{table.parent.name!r}"
         )
-    table._pending_defs[vname] = parse_expr(expr, parent.vt, table.field,
-                                            suite.group_memo(parent.vt, table.field))
+    memo = suite._groups.setdefault((parent.vt, table.field), {})
+    table._pending_defs[vname] = parse_expr(expr, parent.vt, table.field, memo)
     if len(table._pending_defs) == len(table.vt):
         table.defs = [table._pending_defs[n] for n in table.vt.names]
         for d in table.defs:
@@ -833,7 +834,7 @@ def _run_gl23(suite: Suite, check: Check):
 
 def _run_invariance(suite: Suite, check: Check):
     expr, (gname, group) = check.fields
-    _, f = suite.ground_expr(expr)
+    f = suite.ground_expr(expr)
     for gen in group.generators:
         if not ratfunc_eq(perm_act(gen, f), f):
             return False, f"moved by {gen}"
@@ -882,10 +883,10 @@ def _run_table(suite: Suite, check: Check):
     word's action (right to left) on its definition there, up to the first
     mismatch: by permutation at the root, else through the linked rows."""
     table, texts, level, via, acts = check.fields
-    acts = [(elem, link and [suite.ground_expr(t, link.fields[2])[0] for t in link.fields[1]])
+    acts = [(elem, link and [suite.ground_expr(t, link.fields[0]) for t in link.fields[1]])
             for elem, link in reversed(acts)]
     for i, (text, d) in enumerate(zip(texts, table.defs_to(level))):
-        _, pushed = suite.ground_expr(text, level)
+        pushed = suite.ground_expr(text, level)
         for elem, images in acts:
             if images is None:
                 d = d.conj() if elem == "rho" else perm_act(elem, d)
@@ -898,12 +899,12 @@ def _run_table(suite: Suite, check: Check):
 
 def _run_identity(suite: Suite, check: Check):
     expr, _, over = check.fields
-    _, val = suite.ground_expr(expr, stop=over)
+    val = suite.ground_expr(expr, stop=over)
     return val.is_zero(), "expands to zero" if val.is_zero() else "nonzero"
 
 
 def _run_distinct(suite: Suite, check: Check):
-    vals = [suite.ground_expr(e)[1] for e in check.fields]
+    vals = [suite.ground_expr(e) for e in check.fields]
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
             if ratfunc_eq(vals[i], vals[j]):
@@ -1073,8 +1074,10 @@ def _run_induced_order(suite: Suite, check: Check):
     return ok, detail
 
 
+_KERNEL = CheckKind(_shape(" under ", "=", resolve=(Suite.table, _group, _group)), _run_kernel)
+
 # kind -> its parse, run when the suite loads, its run, and the attributes
-# its parse reads
+# its parse reads; the kernel kinds share one, which _image_group tells apart
 KINDS: dict[str, CheckKind] = {
     "order": CheckKind(_shape("=", last=_integer, resolve=(Suite.group,)), _run_order),
     "transitive": CheckKind(_shape(resolve=(_group,)), _run_transitive),
@@ -1102,12 +1105,8 @@ KINDS: dict[str, CheckKind] = {
     ),
     "word": CheckKind(_parse_word, _run_word, reads=("elem", "word")),
     "matgroup": CheckKind(_parse_matgroup, _run_matgroup),
-    "matrix-kernel": CheckKind(
-        _shape(" under ", "=", resolve=(Suite.table, _group, _group)), _run_kernel
-    ),
-    "action-kernel": CheckKind(
-        _shape(" under ", "=", resolve=(Suite.table, _group, _group)), _run_kernel
-    ),
+    "matrix-kernel": _KERNEL,
+    "action-kernel": _KERNEL,
     "faithful": CheckKind(_shape(" under ", resolve=(Suite.table, _group)), _run_faithful),
     "stable": CheckKind(_shape(" under ", resolve=(Suite.table, Suite.group)), _run_stable),
     "same-action": CheckKind(

@@ -134,6 +134,17 @@ def test_eval_result_too_long_to_print_exits_2(capsys):
     assert err.startswith("error: ") and "4300 digits" in err
 
 
+@pytest.mark.parametrize("variables, message", [
+    ("1x", "variable name '1x' is not a name"),
+    ("x1,y-2", "variable name 'y-2' is not a name"),
+    # the constant would shadow it
+    ("zeta3,x1", "variable name 'zeta3' is reserved for the cube root of unity"),
+])
+def test_eval_rejects_a_variable_no_expression_can_name(capsys, variables, message):
+    code, out, err = run(["eval", "--vars", variables, "x1"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_eval_parse_error(capsys):
     code, out, err = run(["eval", "--vars", "x1", "x1 +"], capsys)
     assert code == 2

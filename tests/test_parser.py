@@ -79,6 +79,24 @@ def test_a_memoised_group_keeps_the_nesting_cap():
         parse_expr("-" * (n - 2) + "((x1*-x2) + x3)", X, QQ, memo)
 
 
+def test_a_group_whose_bound_passes_the_cap_is_parsed_again():
+    # (x1 - x2 - x3) sits 1 deep, but its count of '(' and '-' bounds it
+    # at 3.  Its memo entry is swapped for that of (x3 - x1).  Under n - 3
+    # unary '-' the bound reaches n, and the entry is taken; under n - 2 it
+    # would reach n + 1, so the group is parsed again, and gives what a
+    # parse with no memo gives, though its exact depth n - 1 fits
+    n = NESTING_LIMIT
+    memo = {}
+    parse_expr("(x1 - x2 - x3) + (x3 - x1)", X, QQ, memo)
+    memo["(x1 - x2 - x3)"] = memo["(x3 - x1)"]
+    got = parse_expr("-" * (n - 3) + "(x1 - x2 - x3)", X, QQ, memo)
+    assert ratfunc_eq(got, parse_expr("-" * (n - 3) + "(x3 - x1)", X, QQ))
+    text = "-" * (n - 2) + "(x1 - x2 - x3)"
+    got = parse_expr(text, X, QQ, memo)
+    assert ratfunc_eq(got, parse_expr(text, X, QQ))
+    assert not ratfunc_eq(got, parse_expr("-" * (n - 2) + "(x3 - x1)", X, QQ))
+
+
 @pytest.mark.parametrize(
     "text, message, position",
     [
@@ -90,19 +108,23 @@ def test_a_memoised_group_keeps_the_nesting_cap():
         ("(x1+x2) x3 (x1+x2) @", "unexpected character '@'", 18),
         pytest.param("(x1+x2)*" + "-" * NESTING_LIMIT + "(x1+x2)",
                      f"nesting deeper than {NESTING_LIMIT}", NESTING_LIMIT + 8, id="nesting"),
+        ("(x1+x2) + (x1+x2) + x9", "unknown variable 'x9'", 20),
+        ("((x1+x2)*x3)*((x1+x2)*x3) x2", "trailing input 'x2'", 26),
+        ("x3/(x2-x2)", "division by zero", 2),
+        ("((x1+x2)*x3) + (x1+x2)/(x2-x2)", "division by zero", 22),
     ],
 )
 def test_errors_after_a_memoised_group_keep_their_positions(text, message, position):
-    # the memo holds (x1+x2), and the text holds it again; a group that
-    # raises is not kept.  An unexpected character is reported first,
-    # wherever it is
+    # the memo holds (x1+x2), ((x1+x2)*x3), which nests it, and (x2-x2),
+    # and the text holds them again; a group that raises is not kept.  An
+    # unexpected character is reported first, wherever it is
     memo = {}
-    parse_expr("(x1+x2)", X, QQ, memo)
+    parse_expr("(x1+x2) + ((x1+x2)*x3) + (x2-x2)", X, QQ, memo)
     for m in (memo, {}, None):
         with pytest.raises(ParseError) as e:
             parse_expr(text, X, QQ, m)
         assert str(e.value) == f"{message} (at position {position})"
-    assert memo.keys() <= {"(x1+x2)", "((x1+x2) - (x1+x2))"}
+    assert memo.keys() <= {"(x1+x2)", "((x1+x2)*x3)", "(x2-x2)", "((x1+x2) - (x1+x2))"}
 
 
 def test_paren_spans():

@@ -151,15 +151,50 @@ def test_parses_of_a_suite_share_one_memo_of_groups():
     text = 'vars t = t1 t2\ndef t.t1 = (x1 + x2)*x3\ndef t.t2 = (x1 + x2)^2'
     suite = _mini(text)
     x, fld = suite.table("x"), suite.field
-    memo = suite.group_memo(x.vt, fld)
+    memo = suite._groups[x.vt, fld]
     assert memo.keys() == {"(x1 + x2)"}
-    parsed, _ = suite.ground_expr("x3*(x1 + x2) - (x1 - x2)")
+    parsed = suite.ground_expr("x3*(x1 + x2) - (x1 - x2)", x)
     assert memo.keys() == {"(x1 + x2)", "(x1 - x2)"}
     assert ratfunc_eq(parsed, parse_expr("x3*(x1 + x2) - (x1 - x2)", x.vt, fld))
-    parsed, _ = suite.ground_expr("zeta3*(x1 + x2)")
+    parsed = suite.ground_expr("zeta3*(x1 + x2)", x)
     assert parsed.field is with_zeta3(fld)
-    assert suite.group_memo(x.vt, parsed.field).keys() == {"(x1 + x2)"}
+    assert suite._groups[x.vt, parsed.field].keys() == {"(x1 + x2)"}
     assert suite._groups.keys() == {(x.vt, fld), (x.vt, parsed.field)}
+
+
+def test_every_memo_of_groups_is_kept_for_a_declared_table(executed_suites):
+    # a text that names several tables is parsed over a VarTable of its
+    # own, which no later parse can look up, so it gets a memo of its own
+    # and the suite keeps none for it
+    kept = 0
+    for name, suite in executed_suites.items():
+        declared = {t.vt for t in suite.tables.values()}
+        assert {vt for vt, _ in suite._groups} <= declared, name
+        kept += len(suite._groups)
+    assert kept
+
+
+def test_one_load_and_run_parses_each_text_once_per_own_table(monkeypatch, perfbench_workloads):
+    # one load-and-run of the 11 shipped suites, and of seed 3 of the
+    # benchmark's algebra suites, counted as parse_expr calls: 785 and 192
+    # when a text was parsed again at every stop it was grounded at, 605
+    # and 136 once a text that names one table is parsed at that table only
+    import fixedfield.suite as suite_mod
+
+    calls = []
+
+    def counting_parse(*args):
+        calls.append(args[0])
+        return parse_expr(*args)
+
+    monkeypatch.setattr(suite_mod, "parse_expr", counting_parse)
+    for name in ALL_SUITES:
+        assert run_parsed_suite(load_suite(name)).ok(), name
+    assert len(calls) <= 605, len(calls)
+    calls.clear()
+    for _, text in perfbench_workloads.algebra(3).suites:
+        run_parsed_suite(parse_suite_text(text))
+    assert len(calls) <= 136, len(calls)
 
 
 def test_a_suite_scans_each_text_for_names_once(monkeypatch):
@@ -359,11 +394,13 @@ def test_loader_rejects_malformed_checks(check, message):
         # zeta3 under A3' would pass whatever the variable's orbit
         ("vars y = zeta3 y2", "line 5: variable name 'zeta3' is reserved for the cube "
          "root of unity"),
+        # no expression could name them
+        ("vars y = 1y y-2 y*3", "line 5: variable name '1y' is not a name"),
         # a table row reads elem=rho as conjugation, not as the perm
         ("perm rho = (1,2)", "line 5: perm name 'rho' is reserved for conjugation"),
         ("matrix A = 1,0 / 0,1\nmatrix A = 0,1 / 1,0", "line 6: duplicate matrix 'A'"),
     ],
-    ids=["vars-zeta3", "perm-rho", "duplicate-matrix"],
+    ids=["vars-zeta3", "vars-not-a-name", "perm-rho", "duplicate-matrix"],
 )
 def test_loader_rejects_reserved_and_repeated_names(lines, message):
     with pytest.raises(SuiteError, match="^" + re.escape(message) + "$"):
@@ -538,15 +575,26 @@ def test_loader_rejects_a_table_over_a_larger_field():
         parse_suite_text(text)
 
 
-def test_zeta3_widens_only_on_the_zeta3_name_token():
-    # a variable whose name merely contains zeta3 leaves the field alone
+def test_zeta3_widens_only_on_the_zeta3_name_token(monkeypatch):
+    # a variable whose name merely contains zeta3 leaves the field alone,
+    # in the parse of a text and in its grounding
+    import fixedfield.suite as suite_mod
+
+    parsed = []
+
+    def recording_parse(*args):
+        parsed.append(parse_expr(*args))
+        return parsed[-1]
+
+    monkeypatch.setattr(suite_mod, "parse_expr", recording_parse)
     for base, wide in [("Q", "Qz3"), ("F2", "F4")]:
         suite = parse_suite_text(f"suite m field={base}\npoints 3\n"
                                  "vars x = zeta3x x2 x3\nvars t = t1\ndef t.t1 = zeta3x*x2\n")
         for text, tag in [("zeta3x - zeta3x", base), ("t1 + x3", base),
                           ("zeta3*zeta3x", wide)]:
-            assert [v.field.tag for v in suite.ground_expr(text)] == [tag, tag]
-        assert suite.ground_expr("zeta3^2 + zeta3 + 1")[1].is_zero()
+            grounded = suite.ground_expr(text)
+            assert [v.field.tag for v in (parsed[-1], grounded)] == [tag, tag]
+        assert suite.ground_expr("zeta3^2 + zeta3 + 1").is_zero()
         # table images widen the same way
         text = ("suite m field={0}\npoints 3\nvars x = zeta3x x2 x3\n"
                 "check table x elem=(1,2) images = x2, zeta3x, x3 ref=\"r\"\n")
@@ -1457,7 +1505,7 @@ def _assert_grounding_matches_oracle(suite):
     exprs = _grounded_expressions(suite)
     for text, stop in exprs:
         want = _ground_by_substitution(suite, text, stop)
-        _, got = suite.ground_expr(text, stop)
+        got = suite.ground_expr(text, stop)
         assert got.vars is want.vars and got.field is want.field, text
         assert ratfunc_eq(got, want), text
     return len(exprs)
@@ -1595,7 +1643,8 @@ def _row_work(suite, report):
     definition, and the substitutions its passing rows make through the
     rows they are linked to at a non-root level: one per entry and element
     of the row).  Each image the run grounded is parsed over its table, in
-    the table's field widened by zeta3 when the image names it."""
+    the table's field widened by zeta3 when the image names it, unless it
+    is a variable alone grounded below its table."""
     passed = {c.id for c in report.checks if c.status == PASS}
     keys, passing, applied = set(), set(), 0
     for check in suite.checks:
@@ -1604,7 +1653,9 @@ def _row_work(suite, report):
         table, texts, level, _, acts = check.fields
         row = {(t, level) for t in texts}
         for text, _ in row & suite._grounded.keys():
-            parsed, _ = suite._grounded[text, level]
+            if level is not table and text in table.vt:
+                continue
+            parsed = suite._grounded[text, table]
             widened = "zeta3" in expression_names(text)
             assert parsed.vars is table.vt, text
             assert parsed.field is (with_zeta3(table.field) if widened else table.field)
@@ -1613,6 +1664,15 @@ def _row_work(suite, report):
             passing |= {key for key in row if level is not table and key[0] not in table.vt}
             applied += 0 if level.is_root else len(texts) * len(acts)
     return keys, passing, applied
+
+
+def _parse_key(suite, text, stop):
+    """The key (text, own table) under which ground_expr parses text for
+    stop: own table is the one table text names, else stop.  None for a
+    variable alone grounded below its table, which is not parsed."""
+    owners = {suite.var_owner[v] for v in expression_names(text) - {"zeta3"}}
+    own = owners.pop() if len(owners) == 1 else stop
+    return None if own is not stop and text in own.vt else (text, own)
 
 
 def test_parser_matches_an_all_ratfunc_evaluation(monkeypatch, perfbench_workloads):
@@ -1624,7 +1684,7 @@ def test_parser_matches_an_all_ratfunc_evaluation(monkeypatch, perfbench_workloa
 
     calls = []
 
-    def recording_parse(text, vars, field, memo):
+    def recording_parse(text, vars, field, memo=None):
         out = parse_expr(text, vars, field, memo)
         calls.append((text, vars, field, out))
         return out
@@ -1634,12 +1694,12 @@ def test_parser_matches_an_all_ratfunc_evaluation(monkeypatch, perfbench_workloa
     for name in ALL_SUITES:
         suite = load_suite(name)
         keys, _, _ = _row_work(suite, run_parsed_suite(suite))
-        # one parse per definition and per distinct grounding key (text,
-        # stop) of a table image or a grounded check's expression (the
-        # grounding memo), where no stop is the text's root
+        # one parse per definition and per distinct key (text, own table)
+        # of a table image or a grounded check's expression (the grounding
+        # memo), where no stop is the text's root
         floor += sum(len(t.vt) for t in suite.tables.values() if t.defs is not None)
-        floor += len(keys | {(text, stop or suite.root(text))
-                             for text, stop in _grounded_expressions(suite)})
+        keys |= {(text, stop or suite.root(text)) for text, stop in _grounded_expressions(suite)}
+        floor += len({_parse_key(suite, *key) for key in keys} - {None})
     shipped = len(calls)
     for _, text in perfbench_workloads.algebra(11).suites:
         run_parsed_suite(parse_suite_text(text))
@@ -1795,22 +1855,41 @@ def test_substitute_matches_a_two_pass_reference(monkeypatch, perfbench_workload
             _two_pass_substitute(f, images)
 
 
-def test_over_a_non_ancestor_is_an_error_verdict():
-    # over= must name a table the expression's variables reach
-    text = MINI.format(checks="""vars t = t1 t2
-def t.t1 = x1 + x2
-def t.t2 = x3
-vars y = y1
-check identity t1 - x1 - x2 == 0 over=y ref="r"
-check identity x1 - x1 == 0 over=t ref="r"
-""")
-    suite = parse_suite_text(text)
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ('vars y = y1\ncheck identity t1 - x1 - x2 == 0 over=y ref="r"',
+         "line 10: check identity over=y is not an ancestor of t"),
+        ('check identity x1 - x1 == 0 over=t ref="r"',
+         "line 9: check identity over=t is not an ancestor of x"),
+        # a root in another field, which the grounding would meet first
+        ('vars w field=F2 = w1\ncheck identity t1 - x1 - x2 == 0 over=w ref="r"',
+         "line 10: check identity over=w is not an ancestor of t"),
+    ],
+    ids=["other-root", "child", "other-field"],
+)
+def test_over_a_non_ancestor_is_a_load_error(lines, message):
+    # over= must name a table that every variable of the expression
+    # reaches; the error names the table of the first, by name, that does not
+    text = MINI.format(checks="vars t = t1 t2 t3\ndef t.t1 = x1 + x2\ndef t.t2 = x3\n"
+                       "def t.t3 = x1\n" + lines)
+    with pytest.raises(SuiteError, match="^" + re.escape(message) + "$"):
+        parse_suite_text(text)
+    # grounding there still raises, as the oracle does
+    suite = parse_suite_text(MINI.format(checks="vars t = t1\ndef t.t1 = x1\nvars y = y1"))
     for stop in ("y", "t"):
+        with pytest.raises(SuiteError, match=f"^{stop} is not an ancestor of x$"):
+            suite.ground_expr("x1", suite.table(stop))
         with pytest.raises(SuiteError):
             _ground_by_substitution(suite, "x1", suite.table(stop))
-    checks = run_parsed_suite(suite).checks
-    assert [c.status for c in checks] == [FAIL, FAIL]
-    assert all(c.detail.startswith("error: ") for c in checks), checks
+
+
+def test_over_is_checked_once_every_parent_is_known():
+    # u is a root when the check is read, and x its ancestor once u gets t
+    # for a parent further down
+    suite = _mini('vars t = t1\nvars u = u1\ncheck identity u1 - x1 - x2 == 0 over=x ref="r"\n'
+                  "def u.u1 = t1\ndef t.t1 = x1 + x2")
+    assert [c.status for c in run_parsed_suite(suite).checks] == [PASS]
 
 
 _MEMO_SUITE = """suite memo field=Q
@@ -1912,30 +1991,54 @@ def test_grounding_memo_is_keyed_by_stop():
     # tables, each the namespace oracle's
     suite = parse_suite_text(GROUNDING_MINIS["rational-chain"])
     text, x, t = "u1 - 1/t3", suite.table("x"), suite.table("t")
-    pairs = [suite.ground_expr(text), suite.ground_expr(text, t)]
-    assert [g.vars for _, g in pairs] == [x.vt, t.vt]
-    assert ratfunc_eq(pairs[0][1], parse_expr("x1/x3", x.vt, suite.field))
-    assert ratfunc_eq(pairs[1][1], parse_expr("t1*t2", t.vt, suite.field))
-    for (_, grounded), stop in zip(pairs, (None, t)):
+    values = [suite.ground_expr(text), suite.ground_expr(text, t)]
+    assert [g.vars for g in values] == [x.vt, t.vt]
+    assert ratfunc_eq(values[0], parse_expr("x1/x3", x.vt, suite.field))
+    assert ratfunc_eq(values[1], parse_expr("t1*t2", t.vt, suite.field))
+    for grounded, stop in zip(values, (None, t)):
         assert ratfunc_eq(grounded, _ground_by_substitution(suite, text, stop))
-    assert suite.ground_expr(text) is pairs[0] and suite.ground_expr(text, t) is pairs[1]
-    assert suite.ground_expr(text, x) is pairs[0]
-    # a via=ground and a via=parent row of one image text: one parse over
-    # z each, grounded at x and at y
+    assert suite.ground_expr(text) is values[0] and suite.ground_expr(text, t) is values[1]
+    assert suite.ground_expr(text, x) is values[0]
+    # a via=ground and a via=parent row of one image text, grounded at x
+    # and at y: a variable alone, which grounds to its definition there
     suite = parse_suite_text(_MEMO_SUITE)
     run_parsed_suite(suite)
     x, y, z = (suite.table(n) for n in "xyz")
-    (parsed, at_x), (again, at_y) = suite._grounded["z2", x], suite._grounded["z2", y]
-    assert parsed.vars is again.vars is z.vt and ratfunc_eq(parsed, again)
+    at_x, at_y = suite._grounded["z2", x], suite._grounded["z2", y]
+    parsed = suite.ground_expr("z2", z)
+    assert parsed.vars is z.vt and ratfunc_eq(substitute(parsed, z.defs_to(y)), at_y)
     assert at_x.vars is x.vt and at_y.vars is y.vt
     assert ratfunc_eq(at_x, substitute(at_y, y.grounded()))
+
+
+def test_a_text_of_one_table_is_parsed_once_for_every_stop(monkeypatch):
+    # grounded at its root, at its parent and at its own table, a text
+    # that names z alone is parsed once, over z, and grounded from that parse
+    import fixedfield.suite as suite_mod
+
+    parses = Counter()
+
+    def counting_parse(text, vars, field, memo=None):
+        parses[text, vars] += 1
+        return parse_expr(text, vars, field, memo)
+
+    monkeypatch.setattr(suite_mod, "parse_expr", counting_parse)
+    suite = parse_suite_text(_MEMO_SUITE)
+    x, y, z = (suite.table(n) for n in "xyz")
+    text = "z1*z2 - (z3 + 1)/z1"
+    values = [suite.ground_expr(text, stop) for stop in (x, y, z, None)]
+    assert parses[text, z.vt] == 1 and sum(n for (t, _), n in parses.items() if t == text) == 1
+    assert [v.vars for v in values] == [x.vt, y.vt, z.vt, x.vt]
+    for stop, value in zip((x, y, z), values):
+        assert ratfunc_eq(value, _ground_by_substitution(suite, text, stop))
+    assert values[3] is values[0]
 
 
 # --- composed rows stay consistent with the verified rows -------------------
 
 def _rows_acted_through(suite, report):
     """(table name, elem) -> the images, parsed over the table through
-    ground_expr at the row's level, of each row that rows below may act
+    ground_expr at the row's table, of each row that rows below may act
     through: the first single-element row of the table on elem that is not
     expect=fail, where that row passed in report."""
     passed = {c.id for c in report.checks if c.status == PASS}
@@ -1945,7 +2048,7 @@ def _rows_acted_through(suite, report):
             table, _, _, _, acts = check.fields
             if len(acts) == 1:
                 first.setdefault((table.name, acts[0][0]), check)
-    return {key: [suite.ground_expr(t, row.fields[2])[0] for t in row.fields[1]]
+    return {key: [suite.ground_expr(t, row.fields[0]) for t in row.fields[1]]
             for key, row in first.items() if row.id in passed}
 
 
