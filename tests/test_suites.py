@@ -1855,26 +1855,25 @@ def test_substitute_matches_a_two_pass_reference(monkeypatch, perfbench_workload
             _two_pass_substitute(f, images)
 
 
-@pytest.mark.parametrize(
-    "lines, message",
-    [
+def test_over_a_non_ancestor_is_a_load_error():
+    # over= must name a table that every variable of the expression
+    # reaches; the error names the table of the first, by name, that does not
+    cases = [
+        # another root
         ('vars y = y1\ncheck identity t1 - x1 - x2 == 0 over=y ref="r"',
          "line 10: check identity over=y is not an ancestor of t"),
+        # a child
         ('check identity x1 - x1 == 0 over=t ref="r"',
          "line 9: check identity over=t is not an ancestor of x"),
         # a root in another field, which the grounding would meet first
         ('vars w field=F2 = w1\ncheck identity t1 - x1 - x2 == 0 over=w ref="r"',
          "line 10: check identity over=w is not an ancestor of t"),
-    ],
-    ids=["other-root", "child", "other-field"],
-)
-def test_over_a_non_ancestor_is_a_load_error(lines, message):
-    # over= must name a table that every variable of the expression
-    # reaches; the error names the table of the first, by name, that does not
-    text = MINI.format(checks="vars t = t1 t2 t3\ndef t.t1 = x1 + x2\ndef t.t2 = x3\n"
-                       "def t.t3 = x1\n" + lines)
-    with pytest.raises(SuiteError, match="^" + re.escape(message) + "$"):
-        parse_suite_text(text)
+    ]
+    for lines, message in cases:
+        text = MINI.format(checks="vars t = t1 t2 t3\ndef t.t1 = x1 + x2\ndef t.t2 = x3\n"
+                           "def t.t3 = x1\n" + lines)
+        with pytest.raises(SuiteError, match="^" + re.escape(message) + "$"):
+            parse_suite_text(text)
     # grounding there still raises, as the oracle does
     suite = parse_suite_text(MINI.format(checks="vars t = t1\ndef t.t1 = x1\nvars y = y1"))
     for stop in ("y", "t"):
