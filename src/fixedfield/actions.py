@@ -1,8 +1,8 @@
 """Permutation actions on rational functions: scaled permutations of
 generator sets and monomial-action extraction.
 
-All comparisons are between exact rational functions; nothing is ever
-solved for.
+Scaled matches are poly.ratio of exact rational functions; nothing is
+ever solved for.
 A permutation g acts on a rational function over an n-variable table by
 sending variable i to variable g(i); this is a left action:
 perm_act(g*h, f) == perm_act(g, perm_act(h, f)).  So when the scaled
@@ -18,7 +18,7 @@ from operator import mul
 
 from .monomial import MonomialError, mat_from_rows, solve_int_combination
 from .perms import Perm
-from .poly import Poly, RatFunc, proportional
+from .poly import Poly, RatFunc, ratio
 
 
 class ActionError(ValueError):
@@ -41,22 +41,6 @@ def _moved(p: Poly, move) -> Poly:
     return Poly(p.vars, p.field, {move(e): c for e, c in p.terms.items()})
 
 
-def scaled_match(img: RatFunc, target: RatFunc):
-    """The scalar c with img == c * target, or None.  When the denominators
-    are proportional, c is read off the numerators and nothing is
-    multiplied; otherwise off the cross products."""
-    f = img.field
-    dens = proportional(f, img.den.terms, target.den.terms)
-    if dens is None:
-        # img == c * target iff img.num * target.den == c * target.num * img.den
-        nums = proportional(f, (img.num * target.den).terms, (target.num * img.den).terms)
-        return None if nums is None else f.div(*nums)
-    # target.den == (lt / li) * img.den for (li, lt) = dens, so img == c * target
-    # iff img.num == c * (li / lt) * target.num
-    nums = proportional(f, img.num.terms, target.num.terms)
-    return None if nums is None else f.div(f.mul(nums[0], dens[1]), f.mul(nums[1], dens[0]))
-
-
 def induced_scaled_permutation(definitions, g: Perm):
     """(p, scalars) with perm_act(g, def_i) == scalars[i] * def_{p(i)},
     or None when no such signed/scaled permutation exists."""
@@ -69,10 +53,10 @@ def induced_scaled_permutation(definitions, g: Perm):
         for j, t in enumerate(definitions):
             if j + 1 in used:
                 continue
-            c = scaled_match(moved, t)
-            if c is not None:
+            r = ratio(moved, t)
+            if r is not None:
                 images[i] = j + 1
-                scalars[i] = c
+                scalars[i] = d.field.div(*r)
                 used.add(j + 1)
                 break
         else:
@@ -85,7 +69,7 @@ def require_unproportional(definitions):
     permutation of them is not unique."""
     for i, d in enumerate(definitions):
         for j in range(i + 1, len(definitions)):
-            if scaled_match(d, definitions[j]) is not None:
+            if ratio(d, definitions[j]) is not None:
                 raise ActionError(f"definitions {i + 1} and {j + 1} are proportional")
 
 

@@ -19,13 +19,13 @@ monomial and checks the sum like any product).  Exponent vectors are
 unpacked only where a monomial is taken apart: substitution, permuting
 variables, reading Laurent monomials, and display.
 
-A RatFunc is the fraction num/den as built, never reduced.  Equality is
-never decided by a multivariate gcd: when one denominator is a scalar
-multiple of the other, the numerators are compared termwise by the same
-ratio of payloads (proportional, which never divides), and otherwise by
-cross multiplication.  A sum of fractions with one-term denominators
-c1 * x^e1 and c2 * x^e2 is built over c1 * c2 * x^l, l the exponent-wise
-max of e1 and e2: the lcm of two monomials needs no gcd.
+A RatFunc is the fraction num/den as built, never reduced, and no
+comparison takes a multivariate gcd: ratio reads the c with a == c * b,
+as two payloads it never divides, off the numerators when the
+denominators are proportional and off the cross products otherwise.
+A sum of fractions with one-term denominators c1 * x^e1 and c2 * x^e2
+is built over c1 * c2 * x^l, l the exponent-wise max of e1 and e2: the
+lcm of two monomials needs no gcd.
 
 Arithmetic on Polys and RatFuncs requires one table and one field.  The
 two functions that meet values from different tables, ratfunc_eq and
@@ -473,6 +473,8 @@ def proportional(f: Field, p: dict, q: dict):
         return None
     e = next(iter(p))
     lp, lq = p[e], q[e]
+    if p == q:
+        return lp, lq
     mul = f.mul
     for e, c in p.items():
         if mul(lq, c) != mul(lp, q[e]):
@@ -480,11 +482,25 @@ def proportional(f: Field, p: dict, q: dict):
     return lp, lq
 
 
+def ratio(a: RatFunc, b: RatFunc):
+    """(p, q), payloads with q * a == p * b for nonzero a and b over one
+    field, or None: read off the numerators when the denominators are
+    proportional, else off the cross products.  Nothing is divided."""
+    f = a.field
+    dens = proportional(f, a.den.terms, b.den.terms)
+    if dens is None:
+        # q * a == p * b iff q * a.num * b.den == p * b.num * a.den
+        return proportional(f, (a.num * b.den).terms, (b.num * a.den).terms)
+    # b.den == (lb / la) * a.den for (la, lb) = dens, so q * a == p * b iff
+    # q * lb * a.num == p * la * b.num
+    nums = proportional(f, a.num.terms, b.num.terms)
+    return None if nums is None else (f.mul(nums[0], dens[1]), f.mul(nums[1], dens[0]))
+
+
 def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
     """a == b as elements of the fraction field over the join of their
-    fields: a.num*b.den == b.num*a.den, decided without a product when the
-    denominators are equal or proportional (the field has no zero
-    divisors), and by cross multiplication otherwise."""
+    fields: the numerators compared over equal denominators, else
+    ratio(a, b) a pair of equal payloads."""
     if a.vars is not b.vars:
         raise PolyError("rational functions over different variable tables")
     if a.field is not b.field:
@@ -494,14 +510,8 @@ def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
         return a.num.terms == b.num.terms
     if a.num.is_zero() or b.num.is_zero():
         return a.num.is_zero() and b.num.is_zero()
-    f = a.field
-    dens = proportional(f, a.den.terms, b.den.terms)
-    if dens is None:
-        return a.num * b.den == b.num * a.den
-    # b.den == (lb / la) * a.den for (la, lb) = dens, so a == b iff
-    # a.num == (la / lb) * b.num
-    nums = proportional(f, a.num.terms, b.num.terms)
-    return nums is not None and f.mul(nums[0], dens[1]) == f.mul(nums[1], dens[0])
+    r = ratio(a, b)
+    return r is not None and r[0] == r[1]
 
 
 def substitute(f: RatFunc, images) -> RatFunc:

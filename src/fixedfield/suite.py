@@ -370,15 +370,14 @@ _ATTR_QUOTED = re.compile(r'\s(ref|note)="([^"]*)"')
 
 def _strip_attrs(line):
     attrs = {}
-    for m in _ATTR_QUOTED.finditer(line):
-        attrs[m.group(1)] = m.group(2)
-    line = _ATTR_QUOTED.sub(" ", line)
 
     def grab(m):
+        if m.group(1) in attrs:
+            raise SuiteError(f"check gives {m.group(1)}= twice")
         attrs[m.group(1)] = m.group(2)
         return " "
 
-    line = _ATTR_PLAIN.sub(grab, line)
+    line = _ATTR_PLAIN.sub(grab, _ATTR_QUOTED.sub(grab, line))
     return " ".join(line.split()), attrs
 
 
@@ -752,7 +751,17 @@ def _int_list(text, what):
 
 def _expressions(suite: Suite, text):
     """The comma-separated expressions of text, each _declared."""
-    return tuple(_declared(suite, e.strip()) for e in text.split(",") if e.strip())
+    items = [e.strip() for e in text.split(",")]
+    if "" in items:
+        raise SuiteError(f"has an empty expression in {text!r}")
+    return tuple(_declared(suite, e) for e in items)
+
+
+def _parse_distinct(suite: Suite, payload, attrs):
+    exprs = _expressions(suite, payload)
+    if len(exprs) < 2:
+        raise SuiteError(f"needs two or more expressions in {payload!r}")
+    return exprs
 
 
 def _run_order(suite: Suite, check: Check):
@@ -1096,8 +1105,7 @@ KINDS: dict[str, CheckKind] = {
         _run_identity,
         reads=("over",),
     ),
-    "distinct": CheckKind(lambda suite, payload, attrs: _expressions(suite, payload),
-                          _run_distinct),
+    "distinct": CheckKind(_parse_distinct, _run_distinct),
     "degree": CheckKind(_shape("=", last=_integer, resolve=(Suite.table,)), _run_degree),
     "monomial": CheckKind(
         _shape(" under ", takes=("pure",), resolve=(Suite.table, Suite.group)), _run_monomial,

@@ -3,12 +3,16 @@ import random
 import pytest
 
 from fixedfield.parser import parse_expr
+from fixedfield.actions import induced_scaled_permutation
+from fixedfield.perms import Perm
 from fixedfield.poly import (
     Poly,
     PolyError,
     RatFunc,
     VarTable,
+    proportional,
     ratfunc_eq,
+    ratio,
     substitute,
 )
 from fixedfield.scalars import F2, F4, QQ, QZ3, FieldError
@@ -796,19 +800,33 @@ def test_ratfunc_eq_over_proportional_denominators_matches_cross_multiplication(
     assert {True, False} == {want for want, _ in verdicts}
 
 
+def cross_scalar(x, y):
+    """The scalar c with x.num * y.den == c * y.num * x.den, or None."""
+    field = x.field
+    a, b = (x.num * y.den).terms, (y.num * x.den).terms
+    if not a or a.keys() != b.keys():
+        return None
+    lead = max(a)
+    c = field.div(a[lead], b[lead])
+    return c if all(field.mul(c, b[e]) == a[e] for e in a) else None
+
+
+def lifted(f, shift):
+    """f over W as a function of V's variables shift + 1 .. shift + 4."""
+    def up(p):
+        return Poly(V, p.field, {V.pack((0,) * shift + W.unpack(e) + (0,) * (4 - shift)): c
+                                 for e, c in p.terms.items()})
+    return RatFunc(up(f.num), up(f.den))
+
+
+V = VarTable([f"v{i}" for i in range(1, 9)])
+SWAP_HALVES = Perm([5, 6, 7, 8, 1, 2, 3, 4])
+
+
 @pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)
 def test_scaled_match_reads_the_scalar_the_cross_products_give(field, monkeypatch):
-    from fixedfield.actions import scaled_match
-
-    def reference(img, target):
-        # the scalar c with img.num * target.den == c * target.num * img.den
-        a, b = (img.num * target.den).terms, (target.num * img.den).terms
-        if not a or a.keys() != b.keys():
-            return None
-        lead = max(a)
-        c = field.div(a[lead], b[lead])
-        return c if all(field.mul(c, b[e]) == a[e] for e in a) else None
-
+    # the scaled match of induced_scaled_permutation: ratio's (p, q) gives
+    # the scalar p / q, and the permutation takes that scalar
     rng = random.Random(f"scaled-match:{field.tag}")
     products = counting_products(monkeypatch)
     found = set()
@@ -830,13 +848,58 @@ def test_scaled_match_reads_the_scalar_the_cross_products_give(field, monkeypatc
         if not proportional:  # c * target over a denominator one factor longer
             extra = to_poly(W, field, random_ref(W, field, rng, 2))
             img = RatFunc(img.num * extra, target.den * extra)
-        want = reference(img, target)
+        want = cross_scalar(img, target)
         del products[:]
-        got = scaled_match(img, target)
-        assert got == want, (img, target)
+        got = ratio(img, target)
+        assert (got and field.div(*got)) == want, (img, target)
         assert (products == []) == proportional
         found.add((want is None, proportional))
+        # swapping the halves of V moves img over v5..v8 to img over v1..v4,
+        # which meets target there with the scalar want
+        induced = induced_scaled_permutation([lifted(img, 4), lifted(target, 0)], SWAP_HALVES)
+        assert induced == (None if want is None else (
+            Perm([2, 1]), [want, field.div(field.one(), want)])), (img, target)
     assert found >= {(False, True), (True, True), (False, False)}
+
+
+@pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)
+def test_proportional_equal_dicts_make_no_field_product(field, monkeypatch):
+    # equal term dicts are their own ratio at once: no scalar product
+    rng = random.Random(f"equal-dicts:{field.tag}")
+    refs = [to_poly(W, field, random_ref(W, field, rng, terms)).terms for terms in (1, 2, 4)]
+    other = scaled(field, random_payload(field, rng), refs[-1])
+    counted = []
+    field_mul = field.mul
+    monkeypatch.setattr(field, "mul", lambda a, b: counted.append(1) or field_mul(a, b))
+    for ref in refs:
+        lead = next(iter(ref))
+        assert proportional(field, ref, dict(ref)) == (ref[lead], ref[lead])
+    assert counted == []
+    # another ratio is still proved term by term
+    assert proportional(field, refs[-1], other) is not None
+    assert (counted == []) == (other == refs[-1])
+
+
+@pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)
+def test_ratio_and_ratfunc_eq_match_cross_multiplication(field):
+    # zero against nonzero and zero, and fractions that are no scalar
+    # multiple of each other, over proportional denominators and not
+    rng = random.Random(f"ratio-cross:{field.tag}")
+    seen = set()
+    for i in range(60):
+        den = to_poly(W, field, random_ref(W, field, rng, rng.randint(1, 3)))
+        other = den if i % 2 else to_poly(W, field, random_ref(W, field, rng, 2))
+        a = RatFunc(to_poly(W, field, random_ref(W, field, rng, rng.randint(1, 3))), den)
+        b = RatFunc(to_poly(W, field, random_ref(W, field, rng, rng.randint(1, 3))), other)
+        zero = RatFunc(Poly.zero(W, field), other)
+        for x, y in ((a, b), (b, a), (a, zero), (zero, a), (zero, zero)):
+            cross = (x.num * y.den).terms, (y.num * x.den).terms
+            assert ratfunc_eq(x, y) == (cross[0] == cross[1]), (x, y)
+            if not x.is_zero() and not y.is_zero():
+                r, want = ratio(x, y), cross_scalar(x, y)
+                assert (r and field.div(*r)) == want, (x, y)
+                seen.add(want is None)
+    assert True in seen
 
 
 @pytest.mark.parametrize("field", FIELDS4, ids=lambda f: f.tag)

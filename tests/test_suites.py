@@ -346,6 +346,17 @@ def test_loader_rejects_wrong_group_order():
         ('check same-action x elem=(1,2) via=parent ref="r"',
          "check same-action does not read via="),
         ('check identity x1 - x1 == 0 word=a ref="r"', "check identity does not read word="),
+        # a check that cannot fail, an item dropped without a word, and an
+        # attribute whose last value would win
+        ('check distinct x1 ref="r"', "check distinct needs two or more expressions in 'x1'"),
+        ('check distinct , ref="r"', "check distinct has an empty expression in ','"),
+        ('check table x elem=(1,2,3) images = x2,, x3, x1 ref="r"',
+         "check table has an empty expression in 'x2,, x3, x1'"),
+        ('check table x elem=(1,2,3) images = x2, x3, x1, ref="r"',
+         "check table has an empty expression in 'x2, x3, x1,'"),
+        ('check order A3 = 3 id=a id=b ref="r"', "check gives id= twice"),
+        ('check monomial x under A3 pure=yes pure=no ref="r"', "check gives pure= twice"),
+        ('check order A3 = 3 ref="r" ref="s"', "check gives ref= twice"),
         # the file ends inside a continuation: the line is the last one read
         ('check order A3 = three ref="r" \\', "needs an integer"),
     ],
@@ -373,7 +384,9 @@ def test_loader_rejects_wrong_group_order():
          "matgroup-2x2-matrix", "matgroup-2x3-matrix", "word-2x2-matrix",
          "wreath-unknown-factor", "gl23-without-gl23map", "order-unread-attributes",
          "invariance-unread-over", "table-unread-pure", "faithful-unread-transitive",
-         "same-action-unread-via", "identity-unread-word", "order-continued-past-the-end"],
+         "same-action-unread-via", "identity-unread-word", "distinct-one-expression",
+         "distinct-empty-expression", "table-empty-image", "table-trailing-comma",
+         "repeated-id", "repeated-pure", "repeated-ref", "order-continued-past-the-end"],
 )
 def test_loader_rejects_malformed_checks(check, message):
     # rejected at load time with the line number, not left to crash the
