@@ -8,8 +8,11 @@ sending variable i to variable g(i); this is a left action:
 perm_act(g*h, f) == perm_act(g, perm_act(h, f)).  So when the scaled
 action (B, d) of each g on a generator set is unique, g -> (B, d) is a
 homomorphism, and kernels and faithfulness are read off the group its
-generators' images generate, closed by monomial.close on the image tuples
+generators' images generate, closed by monomial.close on the image bytes
 they make of one orbit of scaled monomials (monomial.orbit_permutations).
+That orbit, like every permutation, has at most monomial.POINT_CAP (255)
+points: an action whose orbit outgrows it, as one of infinite order
+does, is a MonomialError.
 """
 
 from __future__ import annotations

@@ -20,18 +20,25 @@ makes an answer exact (an integer a that reproduces every coordinate is
 that one), and the divisibility test only rejects a non-integral a
 before the residual is summed.
 
-Groups are sets of image tuples, permutations of 1..n, closed by close
-with its product image_times: the permutation groups of perms, and matrix
-groups and the image groups of scaled actions as the permutations they
-make of an orbit (orbit_permutations).
+Groups are sets of image bytes: byte i-1 of a permutation of 1..n is the
+image of point i, so a permutation moves at most POINT_CAP points.  The
+package has one product of them: bytes.translate through product_table(h)
+sends x to h*x, for (h*x)(i) = h(x(i)).  Perm multiplies with it, and
+close grows its groups with it: the permutation groups of perms, and
+matrix groups and the image groups of scaled actions as the permutations
+they make of an orbit (orbit_permutations), which POINT_CAP caps.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
-from operator import itemgetter, mul
+from operator import mul
 
 MATRIX_GROUP_CAP = 10000
+# the most points a permutation moves: its images are bytes, 1..255
+POINT_CAP = 255
+_PAD = bytes(POINT_CAP)
 
 
 class MonomialError(ValueError):
@@ -82,20 +89,20 @@ def _eliminate(a, width):
     return pivots, prev
 
 
-def image_times(h):
-    """x -> x*h, one C call.  An itemgetter of one index returns the item,
-    not a tuple, but close multiplies no one-point tuples: a one-point group
-    holds only the identity, and close skips generators already in it."""
-    return itemgetter(*[j - 1 for j in h])
+def product_table(h):
+    """The 256-byte table with x.translate(table) == h*x for image bytes x
+    of h's degree: byte j of it is h(j), and byte 0 is never read."""
+    return b"\0" + h + _PAD[len(h):]
 
 
 def close(generators, degree, cap, start=None):
-    """The set of elements of the group that image tuples on 1..degree
+    """The set of elements of the group that image bytes on 1..degree
     generate, by Dimino's coset enumeration: a generator already in the
     group built so far is skipped, and each new one grows the previous
-    subgroup H by the right cosets H*r*s that are new, for r among the coset
+    subgroup H by the left cosets s*r*H that are new, for r among the coset
     representatives found so far and s among the generators taken so far.
-    MonomialError when the group has more than cap elements.
+    A coset is H translated through one product_table.  MonomialError when
+    the group has more than cap elements.
 
     start = (elements, generators) is a closed subgroup of the group to
     grow from, the trivial group by default; PermGroup passes the base
@@ -103,27 +110,26 @@ def close(generators, degree, cap, start=None):
     count as taken, so the coset walk multiplies by them too, or it would
     miss cosets; when every generator already lies in it, its element set
     itself is returned, so the two groups share one set."""
-    one = tuple(range(1, degree + 1))
+    one = bytes(range(1, degree + 1))
     seen, taken = start or ({one}, ())
-    gens = None  # image_times(s) for the generators taken so far
+    tables = None  # product_table(s) for the generators taken so far
     for g in generators:
         if g in seen:
             continue
-        if gens is None:  # the first new generator: grow a copy of the start
-            gens, seen = [image_times(s) for s in taken], set(seen)
+        if tables is None:  # the first new generator: grow a copy of the start
+            tables, seen = [product_table(s) for s in taken], set(seen)
             elements = list(seen)
-        gens.append(image_times(g))
+        tables.append(product_table(g))
         subgroup = list(elements)
         reps = [one]
         for r in reps:  # reps grows while it is walked
-            for times_s in gens:
-                q = times_s(r)
+            for table in tables:
+                q = r.translate(table)  # s*r
                 if q in seen:
                     continue
                 if len(elements) + len(subgroup) > cap:
                     raise MonomialError(f"group exceeded cap {cap}")
-                times_q = image_times(q)
-                coset = [times_q(h) for h in subgroup]  # H*q
+                coset = list(map(bytes.translate, subgroup, repeat(product_table(q))))
                 seen.update(coset)
                 elements.extend(coset)
                 reps.append(q)
@@ -132,17 +138,20 @@ def close(generators, degree, cap, start=None):
 
 def orbit_permutations(actions, n, field, cap):
     """(|Omega|, perms): the scaled actions (B, d) on n variables t, as
-    1-based image tuples on Omega, the orbit of the points (1, e_j) under
+    image bytes on Omega, the orbit of the points (1, e_j) under
     the group they generate.  A point (c, v) is the scaled monomial
     c * prod_k t_k^{v_k}, which (B, d) sends to (c * prod_j d_j^{v_j}, B*v).
     It sends (1, e_j) to (d_j, column j of B), so the group acts faithfully
     on Omega, and close on perms lists it.  Omega has at most n points per
-    group element: MonomialError when it has more than n * cap."""
+    group element: MonomialError when it has more than n * cap, or more
+    than POINT_CAP, the most points image bytes can move."""
     one, scale, power = field.one(), field.mul, field.pow
     points = [(one, tuple(int(i == j) for i in range(n))) for j in range(n)]
     index = {p: k for k, p in enumerate(points, 1)}
     perms = [[] for _ in actions]
     for c, v in points:  # points grows while it is walked
+        if len(points) > POINT_CAP:
+            raise MonomialError(f"orbit exceeded the {POINT_CAP}-point orbit cap")
         for (bmat, dvec), images in zip(actions, perms):
             s = c
             for d, e in zip(dvec, v):
@@ -156,7 +165,7 @@ def orbit_permutations(actions, n, field, cap):
                 points.append(q)
                 k = index[q] = len(points)
             images.append(k)
-    return len(points), [tuple(p) for p in perms]
+    return len(points), list(map(bytes, perms))
 
 
 def matrix_group_elements(left, right, n, field):

@@ -1,17 +1,22 @@
 """Permutations on {1..n} and finitely generated permutation groups.
 
-Composition convention: (g*h)(i) = g(h(i)), i.e. h acts first.  Cycle
-words written side by side multiply left to right in that convention,
-so the leftmost cycle is applied last.  parse_cycles composes them in
-place on one image list, building one Perm at the end; Perm validates
-only images it is handed from outside, not products, inverses, powers or
-parsed cycles.
+A Perm keeps its images as bytes: byte i-1 is the image of point i, so a
+permutation moves at most monomial.POINT_CAP (255) points, and Perm,
+parse_cycles and PermGroup raise PermError past it.  Composition
+convention: (g*h)(i) = g(h(i)), i.e. h acts first.  g*h is the package's
+one product, h's images translated through monomial.product_table(g).
+Cycle words written side by side multiply left to right in that
+convention, so the leftmost cycle is applied last.  parse_cycles composes
+them in place on one image list, building one Perm at the end; Perm
+validates only images it is handed from outside, not products, inverses,
+powers or parsed cycles.
 
 Group closure is Dimino's coset enumeration (Butler, Fundamental
 Algorithms for Permutation Groups, 1991), which monomial.close runs on
-image tuples for every group here, at about one product per element; a
-PermGroup keeps those tuples as its elements.  The orders involved never
-exceed a few thousand, so no stabilizer chains are needed.
+image bytes for every group here, growing left cosets by the same
+product at about one product per element; a PermGroup keeps those bytes
+as its elements.  The orders involved never exceed a few thousand, so no
+stabilizer chains are needed.
 
 Dimino's enumeration grows a known subgroup, so a PermGroup may start
 from a closed subgroup, its base.  Suites declare groups along chains of
@@ -31,7 +36,7 @@ from __future__ import annotations
 import re
 from operator import mul
 
-from .monomial import MonomialError, close
+from .monomial import POINT_CAP, MonomialError, close, product_table
 from .scalars import power
 
 CLOSURE_CAP = 50000
@@ -43,27 +48,34 @@ class PermError(ValueError):
     pass
 
 
+def _degree(n):
+    """n, or PermError when n points are more than a permutation moves."""
+    if n > POINT_CAP:
+        raise PermError(f"{n} points exceed the {POINT_CAP}-point cap of a permutation")
+    return n
+
+
 class Perm:
-    """images[i] is the image of point i+1 (all points 1-based)."""
+    """images[i] is the image of point i+1 (all points 1-based), as bytes."""
 
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise PermError(f"not a bijection of 1..{len(images)}: {images}")
-        self.images = images
+        images = list(images)
+        if sorted(images) != list(range(1, _degree(len(images)) + 1)):
+            raise PermError(f"not a bijection of 1..{len(images)}: {tuple(images)}")
+        self.images = bytes(images)
 
     @classmethod
     def _trusted(cls, images):
-        """A Perm from a tuple already known to be a bijection of 1..n."""
+        """A Perm from bytes already known to be a bijection of 1..n."""
         p = object.__new__(cls)
         p.images = images
         return p
 
     @classmethod
     def identity(cls, n):
-        return cls._trusted(tuple(range(1, n + 1)))
+        return cls._trusted(bytes(range(1, _degree(n) + 1)))
 
     @property
     def degree(self):
@@ -76,13 +88,13 @@ class Perm:
         a, b = self.images, other.images
         if len(a) != len(b):
             raise PermError("degree mismatch")
-        return Perm._trusted(tuple([a[j - 1] for j in b]))
+        return Perm._trusted(b.translate(product_table(a)))
 
     def inverse(self) -> "Perm":
-        inv = [0] * self.degree
+        inv = bytearray(self.degree)
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Perm._trusted(tuple(inv))
+        return Perm._trusted(bytes(inv))
 
     def __pow__(self, n: int) -> "Perm":
         base = self.inverse() if n < 0 else self
@@ -136,7 +148,7 @@ def parse_cycles(text: str, n: int) -> Perm:
     if text in ("()", "e", "id", ""):
         return Perm.identity(n)
     pos = 0
-    images = list(range(1, n + 1))
+    images = list(range(1, _degree(n) + 1))
     while pos < len(text):
         m = _CYCLE.match(text, pos)
         if not m:
@@ -154,12 +166,12 @@ def parse_cycles(text: str, n: int) -> Perm:
         for a, image in zip(points, moved):
             images[a - 1] = image
         pos = m.end()
-    return Perm._trusted(tuple(images))
+    return Perm._trusted(bytes(images))
 
 
 class PermGroup:
     """A finitely generated subgroup of S_n; elements is its full element
-    set as image tuples.  A base, a PermGroup whose generators all lie
+    set as image bytes.  A base, a PermGroup whose generators all lie
     among generators, is a subgroup to close from."""
 
     def __init__(self, generators, degree=None, base=None):
@@ -171,7 +183,7 @@ class PermGroup:
         for g in generators:
             if g.degree != degree:
                 raise PermError("generators of mixed degree")
-        self.degree = degree
+        self.degree = _degree(degree)
         self.generators = generators
         start = base and (base.elements, [g.images for g in base.generators])
         try:
@@ -196,7 +208,7 @@ class GroupIndex:
     after them (see the module docstring)."""
 
     def __init__(self):
-        # first generator's image tuple -> [(-order, number, generator images,
+        # first generator's image bytes -> [(-order, number, generator images,
         # group)], so the least entry found is the base
         self.by_first = {}
         self.added = 0

@@ -431,7 +431,7 @@ def parse_suite_text(text: str) -> Suite:
             if head in _ASSIGNMENTS:
                 rest = _assignment(head, rest)
             if head == "points":
-                if suite.perms or suite.groups or suite.tables or suite.checks:
+                if suite.perms or suite.groups or suite.tables or suite.checks or suite.gl23map:
                     raise SuiteError("'points' must precede declarations")
                 if not _INT.fullmatch(rest):
                     raise SuiteError(f"points needs an integer, got {rest!r}")
@@ -509,7 +509,8 @@ def parse_suite_text(text: str) -> Suite:
 
 def _parse_gl23map(suite: Suite, rest):
     """'= a,b:i ...': a bijection from the 8 nonzero vectors of F3^2,
-    entries read mod 3, onto the labels 1..8."""
+    entries read mod 3, onto the labels 1..8, the points of an 8-point
+    suite."""
     if suite.gl23map:
         raise SuiteError("duplicate gl23map")
     name, eq, body = rest.partition("=")
@@ -528,6 +529,8 @@ def _parse_gl23map(suite: Suite, rest):
     if labels.keys() != nonzero or sorted(labels.values()) != list(range(1, 9)):
         raise SuiteError("gl23map must label the 8 nonzero vectors of F3^2 "
                          "with 1..8, each once")
+    if suite.points != 8:
+        raise SuiteError(f"gl23map labels 8 points, but the suite has {suite.points}")
     suite.gl23map = labels
 
 
@@ -799,14 +802,19 @@ def _run_groupeq(suite: Suite, check: Check):
 
 def _parse_wreath(suite: Suite, payload, attrs):
     """(G, H, K, blocks) of 'G = H wr K blocks = ...', each group a (name,
-    PermGroup) pair, H and K from perms.named_group."""
+    PermGroup) pair, H and K from perms.named_group: m blocks of n points,
+    for H on n points and K on m, that partition the suite's points."""
     m = re.fullmatch(r"(\S+)\s*=\s*(\S+)\s+wr\s+(\S+)\s+blocks\s*=\s*(.+)", payload)
     if not m:
         raise SuiteError(f"needs 'G = H wr K blocks = ...' in {payload!r}")
     gname, inner, outer, blocks = m.groups()
     blocks = [_int_list(b, "block") for b in blocks.split("|")]
-    return (_group(suite, gname), (inner, named_group(inner)), (outer, named_group(outer)),
-            blocks)
+    g, h, k = _group(suite, gname), named_group(inner), named_group(outer)
+    if len(blocks) != k.degree or any(len(b) != h.degree for b in blocks):
+        raise SuiteError(f"blocks must be {k.degree} lists of {h.degree} points")
+    if sorted(p for b in blocks for p in b) != list(range(1, suite.points + 1)):
+        raise SuiteError(f"blocks must partition 1..{suite.points}")
+    return g, (inner, h), (outer, k), blocks
 
 
 def _run_wreath(suite: Suite, check: Check):
@@ -1048,6 +1056,19 @@ def _run_stable(suite: Suite, check: Check):
     return True, "every generator acts by a scaled permutation"
 
 
+_same_action_parts = _shape(needs=("elem",), resolve=(Suite.table, Suite.perm_word))
+
+
+def _parse_same_action(suite: Suite, payload, attrs):
+    """(table, elem=): g acts on the table as itself, so the table has a
+    variable for each of the suite's points."""
+    table, g = _same_action_parts(suite, payload, attrs)
+    if len(table.vt) != suite.points:
+        raise SuiteError(f"needs a table on the suite's {suite.points} points, "
+                         f"but {table.name!r} has {len(table.vt)} variables")
+    return table, g
+
+
 def _run_same_action(suite: Suite, check: Check):
     table, g = check.fields
     p = suite.induced_perm(table, g)
@@ -1117,10 +1138,7 @@ KINDS: dict[str, CheckKind] = {
     "action-kernel": _KERNEL,
     "faithful": CheckKind(_shape(" under ", resolve=(Suite.table, _group)), _run_faithful),
     "stable": CheckKind(_shape(" under ", resolve=(Suite.table, Suite.group)), _run_stable),
-    "same-action": CheckKind(
-        _shape(needs=("elem",), resolve=(Suite.table, Suite.perm_word)), _run_same_action,
-        reads=("elem",),
-    ),
+    "same-action": CheckKind(_parse_same_action, _run_same_action, reads=("elem",)),
     "induced": CheckKind(_parse_induced, _run_induced, reads=("elem",)),
     "induced-order": CheckKind(
         _shape(" under ", "=", last=_integer, takes=("transitive",),

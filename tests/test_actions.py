@@ -8,7 +8,7 @@ from fixedfield.actions import (
     perm_act,
     permutation_matrix,
 )
-from fixedfield.monomial import MonomialError, close, image_times, orbit_permutations
+from fixedfield.monomial import MonomialError, close, orbit_permutations, product_table
 from fixedfield.parser import parse_expr
 from fixedfield.perms import Perm, parse_cycles
 from fixedfield.poly import Poly, RatFunc, VarTable, ratfunc_eq, substitute
@@ -447,15 +447,17 @@ def test_orbit_permutations_compose_scaled_actions():
     table, group = suite.table("u"), suite.group("S3")
     elements = list(map(Perm, group.elements))
     phi = {g: suite.scaled_action(table, g) for g in elements}
+    assert {(name, type(key)) for name, key in suite._scaled_cache} == {
+        ("x", bytes), ("t", bytes), ("u", bytes)}
     assert max(abs(e) for b, _ in phi.values() for row in b for e in row) > 1
     assert {c for _, d in phi.values() for c in d} - {1, -1}
     # the images of all six elements, as permutations of the one orbit
     size, perms = orbit_permutations(list(phi.values()), 3, table.field, group.order)
     orbit = dict(zip(phi, perms))
-    assert orbit[Perm.identity(3)] == tuple(range(1, size + 1))
+    assert orbit[Perm.identity(3)] == bytes(range(1, size + 1))
     for g in elements:
         for h in elements:
-            assert image_times(orbit[h])(orbit[g]) == orbit[g * h], (g, h)
+            assert orbit[h].translate(product_table(orbit[g])) == orbit[g * h], (g, h)
             assert (orbit[g] == orbit[h]) == (phi[g] == phi[h]), (g, h)
     assert len(set(perms)) == len(set(phi.values())) == 6
     assert statuses(text) == [PASS]
@@ -472,7 +474,7 @@ def test_orbit_permutations_cap_an_action_of_infinite_order():
     # points, but not a group of order 1
     swap = (((0, 1), (1, 0)), (1, 1))
     size, perms = orbit_permutations([swap], 2, QQ, 1)
-    assert (size, perms) == (2, [(2, 1)])
+    assert (size, perms) == (2, [bytes((2, 1))])
     with pytest.raises(MonomialError, match="^group exceeded cap 1$"):
         close(perms, size, 1)
 
@@ -486,6 +488,22 @@ def test_a_kernel_kind_on_an_infinite_image_is_an_error(monkeypatch):
     shear = (((1, 1), (0, 1)), (1, 1))
     monkeypatch.setattr(Suite, "scaled_action", lambda self, table, g: shear)
     assert results(text) == [(FAIL, "error: group exceeded cap 2")] * 3
+
+
+def test_an_orbit_past_the_point_cap_is_an_error(monkeypatch):
+    # S6 has order 720, so the orbit of an infinite image meets the 255
+    # points a permutation moves long before 2 * 720
+    text = suite_text(
+        "Q", {"x": (["x1", "x2"], None)},
+        ["points 6", "group S6 = (1,2) (1,2,3,4,5,6) expect_order=720"],
+        ["check faithful x under S6", "check action-kernel x under S6 = S6",
+         "check matrix-kernel x under S6 = S6"],
+    )
+    shear = (((1, 1), (0, 1)), (1, 1))
+    monkeypatch.setattr(Suite, "scaled_action", lambda self, table, g: shear)
+    assert results(text) == [(FAIL, "error: orbit exceeded the 255-point orbit cap")] * 3
+    with pytest.raises(MonomialError, match="^orbit exceeded the 255-point orbit cap$"):
+        orbit_permutations([shear], 2, QQ, 720)
 
 
 @pytest.mark.parametrize("tag", ["Q", "F2", "Qz3", "F4"])

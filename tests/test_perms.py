@@ -20,8 +20,8 @@ def P(text, n=8):
 
 
 def test_parse_cycles_examples():
-    assert P("(1,2,3,4,5,6,7,8)").images == (2, 3, 4, 5, 6, 7, 8, 1)
-    assert P("(2,3,4)(7,6,5)").images == (1, 3, 4, 2, 7, 5, 6, 8)
+    assert P("(1,2,3,4,5,6,7,8)").images == bytes((2, 3, 4, 5, 6, 7, 8, 1))
+    assert P("(2,3,4)(7,6,5)").images == bytes((1, 3, 4, 2, 7, 5, 6, 8))
     with pytest.raises(PermError):
         parse_cycles("(1,9)", 8)
     with pytest.raises(PermError):
@@ -50,7 +50,7 @@ def test_parse_cycles_skips_whitespace_between_cycles():
 def test_nondisjoint_cycles_compose_left_to_right():
     # leftmost cycle applied last: (1,2)(2,3) sends 3 -> 2 -> 1
     p = P("(1,2)(2,3)", 3)
-    assert p.images == (2, 3, 1)
+    assert p.images == bytes((2, 3, 1))
     assert p(3) == 1 and p(1) == 2 and p(2) == 3
 
 
@@ -204,6 +204,24 @@ def test_perm_rejects_non_bijections():
         Perm([0, 1, 2])
 
 
+def test_a_permutation_moves_at_most_255_points():
+    # images are bytes, so the cap is a PermError before bytes() could
+    # raise its own ValueError
+    cap = "^256 points exceed the 255-point cap of a permutation$"
+    for make in (lambda: Perm(range(1, 257)), lambda: Perm.identity(256),
+                 lambda: parse_cycles("(1,2)", 256), lambda: parse_cycles("()", 256),
+                 lambda: PermGroup([], degree=256)):
+        with pytest.raises(PermError, match=cap):
+            make()
+    # 255 points fill the product's 256-byte table
+    rev = Perm(range(255, 0, -1))
+    shift = parse_cycles("(" + ",".join(map(str, range(1, 256))) + ")", 255)
+    assert rev * rev == Perm.identity(255) and rev.images[0] == 255
+    assert (shift * rev)(1) == 1 and (rev * shift)(255) == 255
+    assert shift ** 255 == Perm.identity(255) and shift ** -1 == shift.inverse()
+    assert PermGroup([rev, shift]).order == 510  # the dihedral group on 255 points
+
+
 def test_products_and_groups_reject_mixed_degrees():
     with pytest.raises(PermError, match="^degree mismatch$"):
         P("(1,2)", 3) * P("(1,2)", 4)
@@ -214,7 +232,7 @@ def test_products_and_groups_reject_mixed_degrees():
     # an empty generating set has no degree to read
     with pytest.raises(PermError, match="^degree required for an empty generating set$"):
         PermGroup([])
-    assert PermGroup([], degree=3).elements == {(1, 2, 3)}
+    assert PermGroup([], degree=3).elements == {bytes((1, 2, 3))}
 
 
 def test_perm_and_group_reprs():
@@ -248,7 +266,7 @@ def test_trusted_products_and_inverses_match_validated_perms():
                 p = g * h
                 q = _composed(g, h)
                 assert p == q and hash(p) == hash(q)
-                assert type(p.images) is tuple
+                assert type(p.images) is bytes
 
 
 def _bfs_closure(generators, degree):
@@ -272,7 +290,7 @@ def _bfs_closure(generators, degree):
 def _assert_closes_like_bfs(group):
     assert group.elements == _bfs_closure(group.generators, group.degree)
     assert group.order == len(group.elements)
-    assert all(type(p) is tuple for p in group.elements)
+    assert all(type(p) is bytes for p in group.elements)
 
 
 def test_closure_matches_bfs_on_shipped_suites():
@@ -280,9 +298,11 @@ def test_closure_matches_bfs_on_shipped_suites():
 
     closed = 0
     for name in list_suites():
-        for group in load_suite(name).groups.values():
+        suite = load_suite(name)
+        for group in suite.groups.values():
             _assert_closes_like_bfs(group)
             closed += 1
+        assert all(type(key) is bytes for key in suite._bases.by_first)
     assert closed >= 48
 
 
@@ -407,26 +427,21 @@ def test_declared_groups_close_from_the_largest_subgroup_they_extend(monkeypatch
 
 def test_redundant_generating_sets_share_their_group_and_save_products(
         monkeypatch, perfbench_workloads):
-    # products are counted at the one permutation product of a closure;
-    # closing every group from the identity made 47,381 on this workload
-    # and 18,938 on the shipped suites
-    from fixedfield import monomial
+    # products are counted as the elements the cosets of a closure add, one
+    # product each; closing every group from the identity made 47,381
+    # products on this workload and 18,938 on the shipped suites
     from fixedfield.suite import list_suites, load_suite, parse_suite_text
 
     products = 0
 
-    def counted_image_times(h):
-        times = image_times(h)
+    def counted_close(generators, degree, cap, start=None):
+        nonlocal products
+        out = real_close(generators, degree, cap, start)
+        products += len(out) - (len(start[0]) if start else 1)  # less what it started from
+        return out
 
-        def counted(x):
-            nonlocal products
-            products += 1
-            return times(x)
-
-        return counted
-
-    image_times = monomial.image_times
-    monkeypatch.setattr(monomial, "image_times", counted_image_times)
+    real_close = perms.close
+    monkeypatch.setattr(perms, "close", counted_close)
     [(_, text)] = perfbench_workloads.groups(3).suites
     groups = parse_suite_text(text).groups
     redundant = [name for name in groups if "_r" in name]

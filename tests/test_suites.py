@@ -237,7 +237,8 @@ check matgroup m under A3 == C ref="r"
 
 def test_matgroup_with_a_matrix_of_infinite_order_is_an_error_verdict():
     # T has |det| 2 and R is unipotent: each has infinite order, so the orbit
-    # the matrices are closed on outgrows the cap
+    # the matrices are closed on outgrows the 255 points a permutation moves,
+    # long before the group would reach MATRIX_GROUP_CAP
     text = """vars m = m1 m2 m3
 def m.m1 = x1
 def m.m2 = x2
@@ -250,7 +251,7 @@ check matgroup m under A3 == C R ref="r"
 """
     checks = run_parsed_suite(_mini(text)).checks
     assert [(c.status, c.detail) for c in checks] == [
-        (FAIL, "error: group exceeded cap 10000")] * 2
+        (FAIL, "error: orbit exceeded the 255-point orbit cap")] * 2
 
 
 def test_loader_rejects_wrong_group_order():
@@ -345,6 +346,10 @@ def test_loader_rejects_wrong_group_order():
          "check faithful does not read transitive="),
         ('check same-action x elem=(1,2) via=parent ref="r"',
          "check same-action does not read via="),
+        # w on the suite's points induces a permutation of y's variables,
+        # of another degree, which the run could only compare as unequal
+        ('vars y = y1 y2\ncheck same-action y elem=(1,2) ref="r"',
+         "check same-action needs a table on the suite's 3 points, but 'y' has 2 variables"),
         ('check identity x1 - x1 == 0 word=a ref="r"', "check identity does not read word="),
         # a check that cannot fail, an item dropped without a word, and an
         # attribute whose last value would win
@@ -384,8 +389,8 @@ def test_loader_rejects_wrong_group_order():
          "matgroup-2x2-matrix", "matgroup-2x3-matrix", "word-2x2-matrix",
          "wreath-unknown-factor", "gl23-without-gl23map", "order-unread-attributes",
          "invariance-unread-over", "table-unread-pure", "faithful-unread-transitive",
-         "same-action-unread-via", "identity-unread-word", "distinct-one-expression",
-         "distinct-empty-expression", "table-empty-image", "table-trailing-comma",
+         "same-action-unread-via", "same-action-other-degree", "identity-unread-word",
+         "distinct-one-expression", "distinct-empty-expression", "table-empty-image", "table-trailing-comma",
          "repeated-id", "repeated-pure", "repeated-ref", "order-continued-past-the-end"],
 )
 def test_loader_rejects_malformed_checks(check, message):
@@ -492,14 +497,42 @@ def test_a_suite_file_that_declares_another_name_is_rejected(tmp_path, monkeypat
         load_suite("prop22")
 
 
-def test_wreath_blocks_that_do_not_partition_the_points_end_in_error():
-    text = ("suite mini field=Q\npoints 4\ngroup V = (1,2) (3,4) expect_order=4\n"
-            'check wreath V = C2 wr C2 blocks = 1,2|2,1 ref="r"\n'
-            'check wreath V = C2 wr C2 blocks = 1,2|3 ref="r"\n')
-    checks = run_parsed_suite(parse_suite_text(text)).checks
-    assert [(c.status, c.detail) for c in checks] == [
-        (FAIL, "error: blocks must partition 1..4"),
-        (FAIL, "error: blocks must be 2 lists of 2 points")]
+def test_loader_rejects_wreath_blocks_that_do_not_partition_the_points():
+    # m blocks of n points for the factors' degrees n and m, partitioning
+    # 1..points; a 4-point wreath product in an 8-point suite would end as
+    # a plain fail, a false refutation
+    cases = [
+        (4, "1,2|2,1", "blocks must partition 1..4"),
+        (4, "1,2|3", "blocks must be 2 lists of 2 points"),
+        (4, "1,2|3,3", "blocks must partition 1..4"),
+        (8, "1,2|3,4", "blocks must partition 1..8"),
+    ]
+    for points, blocks, message in cases:
+        text = (f"suite mini field=Q\npoints {points}\ngroup V = (1,2) (3,4) expect_order=4\n"
+                f'check wreath V = C2 wr C2 blocks = {blocks} ref="r"\n')
+        with pytest.raises(SuiteError, match=rf"^line 4: check wreath {re.escape(message)}$"):
+            parse_suite_text(text)
+    text = ("suite mini field=Q\npoints 4\ngroup D = (1,2) (1,3)(2,4) expect_order=8\n"
+            'check wreath D = C2 wr C2 blocks = 1,2|3,4 ref="r"\n')
+    [check] = run_parsed_suite(parse_suite_text(text)).checks
+    assert (check.status, check.detail) == (PASS, "C2 wr C2 order 8 vs D order 8")
+
+
+def test_a_table_of_256_variables_meets_the_point_cap():
+    # a permutation moves at most 255 points: a claimed permutation of the
+    # 256 variables is refused at load, and one induced on them at run time
+    # is an error verdict
+    cap = "256 points exceed the 255-point cap of a permutation"
+    names = " ".join(f"y{k}" for k in range(1, 257))
+    defs = "".join(f"def y.y{k} = x1 + {k}\n" for k in range(1, 257))
+    head = f"suite mini field=Q\npoints 1\ngroup E = (ID) expect_order=1\nvars x = x1\n"
+    with pytest.raises(SuiteError, match=f"^line 6: {cap}$"):
+        parse_suite_text(head + f"vars y = {names}\n"
+                         + 'check induced y = (1,2) elem=(ID) ref="r"\n')
+    suite = parse_suite_text(head + f"vars y = {names}\n" + defs
+                             + 'check induced-order y under E = 1 ref="r"\n')
+    [check] = run_parsed_suite(suite).checks
+    assert (check.status, check.detail) == (FAIL, f"error: {cap}")
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "# nothing here\n  # nor here \\\n"],
@@ -563,6 +596,15 @@ def test_loader_checks_pair_once_the_file_is_read():
     with pytest.raises(SuiteError, match="^line 5: check order pairs with unknown check "
                        "id 'fixed'$"):
         _mini(fail + "\n" + other)
+
+
+def test_a_failing_check_leads_its_detail_with_its_note():
+    # a note= on a check that is not expect=fail is printed ahead of the
+    # detail when the check fails, and not when it passes
+    suite = _mini('check order A3 = 5 note="misprint?" ref="r"\n'
+                  'check order A3 = 3 note="misprint?" ref="r"')
+    assert [(c.status, c.detail) for c in run_parsed_suite(suite).checks] == [
+        (FAIL, "misprint?; order 3, expected 5"), (PASS, "order 3, expected 3")]
 
 
 def test_loader_rejects_zeta3_in_a_definition_over_a_field_without_it():
@@ -633,9 +675,11 @@ def _sec4_text():
         ("-1,-1:8", "0,0:8", "must label the 8 nonzero vectors of F3^2 with 1..8"),
         (" -1,-1:8", "", "must label the 8 nonzero vectors of F3^2 with 1..8"),
         ("gl23map =", "gl23map", "must label the 8 nonzero vectors of F3^2 with 1..8"),
+        # the labels are the points, so a ninth point would go unlabeled
+        ("points 8", "points 9", "gl23map labels 8 points, but the suite has 9"),
     ],
     ids=["label-9", "label-repeated", "vector-repeated", "vector-repeated-mod-3",
-         "zero-vector", "seven-vectors", "without-equals"],
+         "zero-vector", "seven-vectors", "without-equals", "nine-points"],
 )
 def test_loader_requires_gl23map_to_be_a_bijection(old, new, message):
     # a label outside 1..8 used to die at run time with a raw IndexError,
@@ -741,10 +785,13 @@ def test_loader_caps_table_depth():
 
 def test_loader_rejects_points_after_a_check():
     # a check's permutation words are evaluated when it loads, at the
-    # degree declared so far, so a later 'points' would come too late
-    text = 'suite mini field=Q\ncheck permeq (1,2) == (1,2) id=c1 ref="x"\npoints 3\n'
-    with pytest.raises(SuiteError, match=r"^line 3: 'points' must precede declarations$"):
-        parse_suite_text(text)
+    # degree declared so far, so a later 'points' would come too late; a
+    # gl23map labels the points too
+    for first in ('check permeq (1,2) == (1,2) id=c1 ref="x"',
+                  "gl23map = 1,0:1 1,-1:2 0,1:3 1,1:4 -1,0:5 -1,1:6 0,-1:7 -1,-1:8"):
+        text = f"suite mini field=Q\n{first}\npoints 3\n"
+        with pytest.raises(SuiteError, match=r"^line 3: 'points' must precede declarations$"):
+            parse_suite_text(text)
 
 
 @pytest.mark.parametrize(
